@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Union
 
 __all__ = [
     "TAU_E_SECONDS",
@@ -39,7 +39,8 @@ __all__ = [
     "CanonicalBath", "RootPair",
     "canonicalize", "roots", "mu_tilde",
     "susceptibility", "susceptibility_kernel_form",
-    "free_energy_integrand", "qed_mass_ratio", "gamma_large_cutoff",
+    "free_energy_integrand", "spectral_weight", "static_weight",
+    "cutoff_relation", "qed_mass_ratio", "gamma_large_cutoff",
 ]
 
 # Electron radiation-reaction time 2 e^2 / (3 M c^3); the large-cutoff limit
@@ -282,6 +283,105 @@ def susceptibility_kernel_form(spec: BathSpec, z: complex) -> complex:
     return 1.0 / denominator
 
 
+def cutoff_relation(bath: CanonicalBath) -> str | None:
+    """The cutoff relation the bath satisfies, to rounding: ``"blackbody"``
+    (1/Omega = 1/Omega' + gamma/omega0^2, with Omega' = inf in the
+    point-electron limit), ``"relaxation"`` (Omega = Omega' + gamma), or
+    None (the Ohmic bath, or cutoffs set independently)."""
+    scaled = bath.scaled()
+    if not math.isfinite(scaled.Omega):
+        return None
+    inv_o = 1.0 / scaled.Omega
+    inv_op = 1.0 / scaled.OmegaPrime
+    if abs(inv_o - inv_op - scaled.gamma) <= _RELATION_ULPS * inv_o:
+        return "blackbody"
+    if math.isfinite(scaled.OmegaPrime) and abs(
+            scaled.Omega - scaled.OmegaPrime - scaled.gamma) \
+            <= _RELATION_ULPS * scaled.Omega:
+        return "relaxation"
+    return None
+
+
+# Both relations are applied by canonicalize() with two or three roundings.
+_RELATION_ULPS = 16 * 2.220446049250313e-16
+
+
+def static_weight(bath: CanonicalBath) -> float:
+    """The spectral factor at zero frequency in reduced units,
+
+        gamma - 1/Omega + 1/Omega'    (omega0 = 1),
+
+    which is minus the sum of sigma/c over the characteristic frequencies
+    of the closed form.  The cutoff relation's cancellation is done
+    exactly: 0 for the blackbody bath, gamma (1 + 1/(Omega Omega')) for
+    the single-relaxation-time bath."""
+    scaled = bath.scaled()
+    relation = cutoff_relation(scaled)
+    if relation == "blackbody":
+        return 0.0
+    if relation == "relaxation":
+        return scaled.gamma * (1.0 + 1.0 / (scaled.Omega * scaled.OmegaPrime))
+    return scaled.gamma - 1.0 / scaled.Omega + 1.0 / scaled.OmegaPrime
+
+
+def spectral_weight(bath: CanonicalBath) -> Callable[[float, float], float]:
+    """:func:`free_energy_integrand` of the bath in reduced units (omega0 =
+    1), as a function ``weight(w, detuning)`` of w > 0 and the detuning
+    w - 1, with the bath's constants bound once.
+
+    The detuning is passed separately so that a caller integrating in the
+    detuning near the resonance keeps it exact: w^2 - 1 is formed as
+    detuning (w + 1), and a weak-damping resonance of width gamma is
+    resolved to full precision.  The three Lorentzian terms are combined in
+    closed form for each cutoff relation, so that their static values,
+    which cancel exactly for the blackbody bath, are never subtracted in
+    floating point: the weight keeps full relative accuracy at small w."""
+    scaled = bath.scaled()
+    g = scaled.gamma
+    g2 = g * g
+    relation = cutoff_relation(scaled)
+    p = 1.0 / scaled.OmegaPrime                 # 0 for an infinite cutoff
+    if relation == "blackbody":
+        q = g + p                               # 1/Omega
+        pq = p * q
+        lead = g * (1.0 + pq)
+        middle = q * g + p * p - 1.0            # g^2 + g p + p^2 - 1
+        q2, p2 = q * q, p * p
+
+        def weight(w: float, detuning: float) -> float:
+            w2 = w * w
+            diff = detuning * (w + 1.0)
+            resonance = diff * diff + g2 * w2
+            return (lead * w2 * (3.0 + (middle + pq * w2) * w2)
+                    / (resonance * (1.0 + q2 * w2) * (1.0 + p2 * w2)))
+        return weight
+    q = 1.0 / scaled.Omega
+    if relation == "relaxation":
+        pq = p * q
+        q2, p2 = q * q, p * p
+
+        def weight(w: float, detuning: float) -> float:
+            w2 = w * w
+            diff = detuning * (w + 1.0)
+            resonance = diff * diff + g2 * w2
+            return g * ((w2 + 1.0) / resonance
+                        + pq * (1.0 - pq * w2)
+                        / ((1.0 + q2 * w2) * (1.0 + p2 * w2)))
+        return weight
+    q2, p2 = q * q, p * p
+
+    def weight(w: float, detuning: float) -> float:
+        w2 = w * w
+        diff = detuning * (w + 1.0)
+        value = g * (w2 + 1.0) / (diff * diff + g2 * w2)
+        if q:
+            value -= q / (1.0 + q2 * w2)
+        if p:
+            value += p / (1.0 + p2 * w2)
+        return value
+    return weight
+
+
 def free_energy_integrand(bath: CanonicalBath, omega: float) -> float:
     """Spectral factor of the free-energy integral (the thermal log factor
     is applied by the caller):
@@ -290,19 +390,13 @@ def free_energy_integrand(bath: CanonicalBath, omega: float) -> float:
             + gamma (w^2 + omega0^2) / ((w^2-omega0^2)^2 + gamma^2 w^2)
 
     which is Im d log alpha(w + i0+)/dw.  Infinite cutoffs drop their
-    Lorentzian terms analytically.
+    Lorentzian terms analytically; see :func:`spectral_weight` for the
+    form that is evaluated.
     """
     if not omega > 0.0:
         raise ValueError("free_energy_integrand: omega must be > 0")
-    w2 = omega * omega
-    w0sq = bath.omega0 ** 2
-    diff = w2 - w0sq
-    value = bath.gamma * (w2 + w0sq) / (diff * diff + (bath.gamma * omega) ** 2)
-    if math.isfinite(bath.Omega):
-        value -= bath.Omega / (w2 + bath.Omega ** 2)
-    if math.isfinite(bath.OmegaPrime):
-        value += bath.OmegaPrime / (w2 + bath.OmegaPrime ** 2)
-    return value
+    w = omega / bath.omega0
+    return spectral_weight(bath)(w, w - 1.0) / bath.omega0
 
 
 def qed_mass_ratio(spec: QEDSpec) -> float:

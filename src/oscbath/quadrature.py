@@ -8,6 +8,13 @@ bisected adaptively, worst error first.  The 7/15-point Gauss-Kronrod pair is
 an open rule (no node sits on a panel edge), so the endpoint singularity is
 never evaluated.
 
+The integrand returns either a float or a tuple of floats.  A tuple-valued
+integrand is integrated in one pass: each node is evaluated once, every
+component gets its own Kronrod value, error estimate and tolerance target,
+and the tail march and the refinement stop only when every component meets
+its target.  A float-valued integrand is the one-component case, and its
+result carries floats instead of tuples.
+
 All routines are pure functions of their arguments and are safe to call
 concurrently.
 """
@@ -17,7 +24,8 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable
+from operator import mul
+from typing import Callable, Sequence, Union
 
 __all__ = [
     "QuadratureSpec",
@@ -57,7 +65,9 @@ _EPS = 2.220446049250313e-16
 class QuadratureSpec:
     """Tolerances and budget for one integration.
 
-    ``first_panel`` is the width of the panel touching the origin;
+    Each component's tolerance target is the larger of
+    ``absolute_tolerance`` and ``relative_tolerance`` times its current
+    value.  ``first_panel`` is the width of the panel touching the origin;
     ``tail_growth`` is the width ratio of successive panels marching toward
     infinity, and the march stops (the tail is cut) once two consecutive
     panels contribute less than the current tolerance target.
@@ -83,11 +93,16 @@ class QuadratureSpec:
             raise ValueError("tail_growth must be > 1")
 
 
+Components = Union[float, tuple[float, ...]]
+
+
 @dataclass(frozen=True)
 class QuadratureResult:
-    value: float
-    error: float          # estimated bound on |value - true integral|
-    evaluations: int
+    """``value`` and ``error`` are floats for a float-valued integrand and
+    tuples, one entry per component, for a tuple-valued one."""
+    value: Components
+    error: Components     # estimated bound on |value - true integral|
+    evaluations: int      # integrand calls (one per node, all components)
     subdivisions: int
 
 
@@ -107,149 +122,211 @@ class QuadratureConvergenceError(RuntimeError):
 
     def __init__(self, best: QuadratureResult, message: str):
         self.best = best
+        errors = best.error if isinstance(best.error, tuple) else (best.error,)
+        bound = ", ".join(f"{e:.3e}" for e in errors)
         super().__init__(f"{message} (best value {best.value!r}, "
-                         f"error bound {best.error:.3e})")
+                         f"error bound {bound})")
 
 
 def _eval_panel(f, a, b):
-    """Gauss-Kronrod pair on [a, b]: (kronrod, error estimate, |kronrod|)."""
+    """Gauss-Kronrod pair on [a, b] for every component of f.
+
+    Returns (kronrod values, error estimates, f returned a bare float)."""
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
+    nodes = [mid + half * t for t in _KRONROD_NODES]
+    rows = [f(x) for x in nodes]
+    scalar = not isinstance(rows[0], tuple)
+    columns = (rows,) if scalar else tuple(zip(*rows))
     values = []
-    gauss = 0.0
-    kronrod = 0.0
-    for i in range(15):
-        x = mid + half * _KRONROD_NODES[i]
-        y = f(x)
-        if not math.isfinite(y):
-            raise IntegrandEvaluationError(x)
-        values.append(y)
-        kronrod += _KRONROD_WEIGHTS[i] * y
-        if i % 2 == 1:
-            gauss += _GAUSS_WEIGHTS[i // 2] * y
-    # QUADPACK-style estimate: sharpen |K - G| by the panel's own variation
-    # scale resasc ~ Integral |f - mean|, so smooth panels get the realistic
-    # (much smaller) Kronrod error while rough or singular panels keep a
-    # conservative bound.
-    mean = 0.5 * kronrod
-    resasc = half * sum(w * abs(y - mean)
-                        for w, y in zip(_KRONROD_WEIGHTS, values))
-    kronrod *= half
-    gauss *= half
-    diff = abs(kronrod - gauss)
-    err = diff
-    if resasc > 0.0 and diff > 0.0:
-        ratio = 200.0 * diff / resasc
-        err = resasc * min(1.0, ratio ** 1.5)
-    err += 10.0 * _EPS * abs(kronrod)
-    return kronrod, err, abs(kronrod)
+    errors = []
+    for column in columns:
+        if not all(map(math.isfinite, column)):
+            raise IntegrandEvaluationError(next(
+                x for x, y in zip(nodes, column) if not math.isfinite(y)))
+        kronrod = sum(map(mul, _KRONROD_WEIGHTS, column))
+        gauss = sum(map(mul, _GAUSS_WEIGHTS, column[1::2]))
+        # QUADPACK-style estimate: sharpen |K - G| by the panel's own
+        # variation scale resasc ~ Integral |f - mean|, so smooth panels get
+        # the realistic (much smaller) Kronrod error while rough or singular
+        # panels keep a conservative bound.
+        mean = 0.5 * kronrod
+        resasc = half * sum(w * abs(y - mean)
+                            for w, y in zip(_KRONROD_WEIGHTS, column))
+        kronrod *= half
+        gauss *= half
+        diff = abs(kronrod - gauss)
+        err = diff
+        if resasc > 0.0 and diff > 0.0:
+            ratio = 200.0 * diff / resasc
+            err = resasc * min(1.0, ratio ** 1.5)
+        err += 10.0 * _EPS * abs(kronrod)
+        values.append(kronrod)
+        errors.append(err)
+    return values, errors, scalar
 
 
 class _PanelSet:
-    """Mutable workspace: a worst-error-first heap of panels."""
+    """Mutable workspace: a heap of panels, worst first, where a panel's
+    badness is its largest component error over that component's target.
+    Running totals are kept per component."""
 
-    def __init__(self, f):
+    def __init__(self, f, spec):
         self.f = f
-        self.heap = []          # (-err, seq, a, b, value, err)
+        self.spec = spec
+        self.heap = []          # (-badness, seq, a, b, values, errors)
         self.seq = 0
-        self.value = 0.0
-        self.error = 0.0
-        self.abs_sum = 0.0      # sum |panel value|, for the rounding floor
+        self.scalar = True
+        self.value = []
+        self.error = []
+        self.abs_sum = []       # sum |panel value|, for the rounding floor
+        self.frozen_error = []  # panels too narrow to split further
         self.evaluations = 0
-        self.frozen_error = 0.0  # panels too narrow to split further
 
     def add(self, a, b):
-        val, err, absval = _eval_panel(self.f, a, b)
+        values, errors, self.scalar = _eval_panel(self.f, a, b)
+        if not self.value:
+            n = len(values)
+            self.value = [0.0] * n
+            self.error = [0.0] * n
+            self.abs_sum = [0.0] * n
+            self.frozen_error = [0.0] * n
+        for k, (val, err) in enumerate(zip(values, errors)):
+            self.value[k] += val
+            self.error[k] += err
+            self.abs_sum[k] += abs(val)
         self.evaluations += 15
-        heapq.heappush(self.heap, (-err, self.seq, a, b, val, err))
+        heapq.heappush(self.heap, (-self.badness(errors), self.seq, a, b,
+                                   values, errors))
         self.seq += 1
-        self.value += val
-        self.error += err
-        self.abs_sum += absval
-        return val, err
+        return values, errors
 
-    def target(self, spec):
-        return max(spec.absolute_tolerance,
-                   spec.relative_tolerance * abs(self.value))
+    def targets(self):
+        spec = self.spec
+        return [max(spec.absolute_tolerance,
+                    spec.relative_tolerance * abs(value))
+                for value in self.value]
 
-    def reported_error(self):
-        return self.error + self.frozen_error + 50.0 * _EPS * self.abs_sum
+    def badness(self, errors):
+        return max(err / target for err, target in zip(errors, self.targets()))
 
-    def result(self, subdivisions):
-        return QuadratureResult(self.value, self.reported_error(),
+    def converged(self):
+        return all(err + frozen <= target for err, frozen, target
+                   in zip(self.error, self.frozen_error, self.targets()))
+
+    def result(self, subdivisions, tail_bound=None):
+        tail_bound = tail_bound or [0.0] * len(self.value)
+        errors = [err + frozen + 50.0 * _EPS * abs_sum + tail
+                  for err, frozen, abs_sum, tail in zip(
+                      self.error, self.frozen_error, self.abs_sum, tail_bound)]
+        if self.scalar:
+            return QuadratureResult(self.value[0], errors[0],
+                                    self.evaluations, subdivisions)
+        return QuadratureResult(tuple(self.value), tuple(errors),
                                 self.evaluations, subdivisions)
 
-    def refine(self, spec):
-        """Bisect worst panels until the tolerance target is met."""
+    def refine(self, tail_bound=None):
+        """Bisect worst panels until every component meets its target."""
+        # badness was keyed against the targets at push time; re-key it
+        # against the targets as they stand now
+        self.heap = [(-self.badness(errors), seq, a, b, values, errors)
+                     for _, seq, a, b, values, errors in self.heap]
+        heapq.heapify(self.heap)
+        spec = self.spec
         subdivisions = 0
-        while self.error + self.frozen_error > self.target(spec):
+        while not self.converged():
             if subdivisions >= spec.max_subdivisions:
                 raise QuadratureConvergenceError(
-                    self.result(subdivisions),
+                    self.result(subdivisions, tail_bound),
                     f"no convergence within {spec.max_subdivisions} "
                     "subdivisions")
             if not self.heap:
                 raise QuadratureConvergenceError(
-                    self.result(subdivisions),
+                    self.result(subdivisions, tail_bound),
                     "all panels at machine resolution before reaching "
                     "the tolerance target")
-            _, _, a, b, val, err = heapq.heappop(self.heap)
+            _, _, a, b, values, errors = heapq.heappop(self.heap)
             mid = 0.5 * (a + b)
             if mid <= a or mid >= b:
                 # panel narrower than machine resolution: keep its estimate
-                self.frozen_error += err
-                self.error -= err
+                for k, err in enumerate(errors):
+                    self.frozen_error[k] += err
+                    self.error[k] -= err
                 continue
-            self.value -= val
-            self.error -= err
+            for k, (val, err) in enumerate(zip(values, errors)):
+                self.value[k] -= val
+                self.error[k] -= err
             self.add(a, mid)
             self.add(mid, b)
             subdivisions += 1
-        return self.result(subdivisions)
+        return self.result(subdivisions, tail_bound)
 
 
-def integrate_interval(f: Callable[[float], float], a: float, b: float,
-                       spec: QuadratureSpec | None = None) -> QuadratureResult:
-    """Integrate f over the finite interval [a, b]."""
+def integrate_interval(f: Callable[[float], Components], a: float, b: float,
+                       spec: QuadratureSpec | None = None,
+                       points: Sequence[float] = ()) -> QuadratureResult:
+    """Integrate f, float- or tuple-valued, over the finite interval [a, b];
+    ``points`` inside it are the edges of the initial panels."""
     if spec is None:
         spec = QuadratureSpec()
     if not b > a:
         raise ValueError("requires b > a")
-    panels = _PanelSet(f)
-    panels.add(a, b)
-    return panels.refine(spec)
+    panels = _PanelSet(f, spec)
+    edges = [a] + sorted(x for x in points if a < x < b) + [b]
+    for left, right in zip(edges, edges[1:]):
+        if right > left:
+            panels.add(left, right)
+    return panels.refine()
 
 
-def integrate_semi_infinite(f: Callable[[float], float],
+def integrate_semi_infinite(f: Callable[[float], Components],
                             spec: QuadratureSpec | None = None,
-                            start: float = 0.0) -> QuadratureResult:
-    """Integrate f over (start, infinity).
+                            start: float = 0.0,
+                            points: Sequence[float] = ()) -> QuadratureResult:
+    """Integrate f, float- or tuple-valued, over (start, infinity).
 
     The integrand may have a logarithmic singularity at ``start`` and must
-    decay at least like an inverse power beyond a finite scale.  Returns the
+    decay at least like an inverse power beyond a finite scale.  ``points``
+    beyond ``start`` become panel edges, as in QUADPACK's ``points``: a
+    sharp feature is resolved in few panels when they are graded toward it.
+    The tail is cut only beyond the last of them.  Returns the
     estimate together with an error bound combining the panel estimates, the
-    truncated-tail bound, and a floating-point accumulation floor.  Raises
-    :class:`QuadratureConvergenceError` when the budget is exhausted and
-    :class:`IntegrandEvaluationError` on a non-finite integrand value.
+    truncated-tail bound, and a floating-point accumulation floor, per
+    component.  Raises :class:`QuadratureConvergenceError` when the budget
+    is exhausted and :class:`IntegrandEvaluationError` on a non-finite
+    integrand value.
     """
     if spec is None:
         spec = QuadratureSpec()
-    panels = _PanelSet(f)
+    panels = _PanelSet(f, spec)
+    edges = sorted(x for x in points if x > start)
+    if edges and not math.isfinite(edges[-1]):
+        raise ValueError("integrate_semi_infinite: points must be finite")
 
     # March panels toward infinity until two consecutive ones are negligible
-    # against the running tolerance target.
+    # against the running tolerance target of every component.
     a = start
     width = spec.first_panel
     quiet = 0
-    tail_bound = 0.0
-    for _ in range(spec.max_tail_panels):
-        val, err = panels.add(a, a + width)
-        a += width
-        width *= spec.tail_growth
-        if abs(val) + err < 0.25 * panels.target(spec):
+    next_edge = 0
+    last_edge = edges[-1] if edges else start
+    for _ in range(spec.max_tail_panels + len(edges)):
+        while next_edge < len(edges) and edges[next_edge] <= a:
+            next_edge += 1
+        b = a + width
+        if next_edge < len(edges) and edges[next_edge] < b:
+            b = edges[next_edge]
+        else:
+            width *= spec.tail_growth
+        values, errors = panels.add(a, b)
+        a = b
+        if a >= last_edge and all(
+                abs(val) + err < 0.25 * target for val, err, target
+                in zip(values, errors, panels.targets())):
             quiet += 1
             if quiet >= 2:
-                tail_bound = abs(val) + err
+                tail_bound = [abs(val) + err
+                              for val, err in zip(values, errors)]
                 break
         else:
             quiet = 0
@@ -259,6 +336,4 @@ def integrate_semi_infinite(f: Callable[[float], float],
             f"tail not negligible after {spec.max_tail_panels} panels "
             f"(reached t = {a:.3e}); integrand may decay too slowly")
 
-    result = panels.refine(spec)
-    return QuadratureResult(result.value, result.error + tail_bound,
-                            result.evaluations, result.subdivisions)
+    return panels.refine(tail_bound)

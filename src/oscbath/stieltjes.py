@@ -33,6 +33,11 @@ Available routes:
 * :func:`j_continue_left` -- the reflection identity above, left half plane.
 * :func:`j_auto`        -- region dispatch over the routes.
 
+The thermodynamic functions need J to full double precision, with the
+leading 1/(12 z) term taken out: :func:`j_remainder`, and
+:func:`j_remainder_difference` / :func:`j_difference` between nearby
+arguments (see the section on remainders below).
+
 Everything here is pure and thread-safe; the coefficient tables are built
 once at import time.
 """
@@ -52,6 +57,7 @@ __all__ = [
     "log_gamma",
     "j_quadrature", "j_loggamma", "j_lanczos", "j_series_small",
     "j_asymptotic", "j_continue_left", "j_auto", "j_auto_named",
+    "j_remainder", "j_remainder_difference", "j_difference",
 ]
 
 EULER_GAMMA = 0.5772156649015328606
@@ -128,10 +134,12 @@ def _on_cut(z: complex) -> bool:
 
 def _log1p(z: complex) -> complex:
     """Principal log(1 + z) for complex z, accurate for small |z|."""
-    if abs(z) > 1e-4:
+    if abs(z) > 0.5:
         return cmath.log(1.0 + z)
-    # |z| <= 1e-4: five series terms reach full double precision
-    return z * (1 + z * (-1 / 2 + z * (1 / 3 + z * (-1 / 4 + z / 5))))
+    # |1 + z|^2 - 1 and arg(1 + z) without forming 1 + z
+    x, y = z.real, z.imag
+    return complex(0.5 * math.log1p(x * (2.0 + x) + y * y),
+                   math.atan2(y, 1.0 + x))
 
 
 def _lanczos_series(z: complex) -> complex:
@@ -292,9 +300,10 @@ def j_continue_left(w: complex) -> complex:
 def j_quadrature(z: complex, spec: QuadratureSpec | None = None) -> complex:
     """J(z) from the defining integral, Re z > 0 only.
 
-    Real and imaginary parts of the integrand are integrated separately by
-    the adaptive semi-infinite scheme, making this route independent of the
-    Lanczos rational core used by every analytic formula here.
+    Real and imaginary parts of the integrand are the two components of one
+    adaptive semi-infinite pass over shared nodes, making this route
+    independent of the Lanczos rational core used by every analytic formula
+    here.
     """
     z = complex(z)
     if not z.real > 0.0:
@@ -304,24 +313,20 @@ def j_quadrature(z: complex, spec: QuadratureSpec | None = None) -> complex:
     z_sq = z * z
     inv_pi = 1.0 / math.pi
 
-    def log_factor(t: float) -> float:
-        # log(1 - e^{-2 pi t}), stable at both ends
-        return math.log(-math.expm1(-2.0 * math.pi * t))
-
-    def real_part(t: float) -> float:
+    def integrand(t: float) -> tuple[float, float]:
+        # log(1 - e^{-2 pi t}): log(-expm1) keeps t -> 0 accurate; log1p
+        # keeps large t from rounding to log 1 = 0
+        x = 2.0 * math.pi * t
+        if x < 1.0:
+            log_factor = math.log(-math.expm1(-x))
+        else:
+            log_factor = math.log1p(-math.exp(-x))
         kernel = z / (z_sq + t * t)
-        return -inv_pi * log_factor(t) * kernel.real
+        weight = -inv_pi * log_factor
+        return weight * kernel.real, weight * kernel.imag
 
-    value_re = integrate_semi_infinite(real_part, spec).value
-    if z.imag == 0.0:
-        return complex(value_re, 0.0)
-
-    def imag_part(t: float) -> float:
-        kernel = z / (z_sq + t * t)
-        return -inv_pi * log_factor(t) * kernel.imag
-
-    value_im = integrate_semi_infinite(imag_part, spec).value
-    return complex(value_re, value_im)
+    value_re, value_im = integrate_semi_infinite(integrand, spec).value
+    return complex(value_re, value_im if z.imag else 0.0)
 
 
 def j_auto_named(z: complex) -> tuple[complex, str]:
@@ -343,3 +348,171 @@ def j_auto_named(z: complex) -> tuple[complex, str]:
 def j_auto(z: complex) -> complex:
     """J(z) by region dispatch (see :func:`j_auto_named`)."""
     return j_auto_named(z)[0]
+
+
+# ------------------------------------------------------------ remainders ----
+#
+# The thermodynamic route needs J to full double precision, and needs it as
+# the remainder after the leading term of the large-argument series,
+#
+#     R(z) = J(z) - 1/(12 z),
+#
+# because the leading terms of a bath's characteristic frequencies cancel at
+# low temperature (exactly, for the blackbody bath); the route sums them
+# analytically.
+#
+# For |z| >= _REMAINDER_ASYMPTOTIC the eleven-term asymptotic series without
+# its first term gives R to ~1e-15 of its size.  Nearer the origin the
+# recurrence
+#
+#     R(w) = h(w) + R(w + 1),   h(w) = J(w) - J(w + 1) - 1/(12 w (w + 1)),
+#
+# shifts the argument outward.  From J(w) - J(w + 1) = atanh(v)/v - 1 with
+# v = 1/(2w + 1), and 1/(12 w (w + 1)) = v^2/(3 (1 - v^2)),
+#
+#     h(w) = sum_{k>=2} (1/(2k + 1) - 1/3) v^{2k},
+#
+# a series of like-signed terms in v^2, which is at most 2/3 in magnitude
+# wherever the route uses it.
+
+_REMAINDER_ASYMPTOTIC = 10.0
+_SMALL_ARGUMENT = 0.5
+_SMALL_SERIES_TERMS = 60       # 2^-60 ~ 1e-18 below |z| = 1/2
+_SERIES_EPS = 1e-17
+# c_k of h for k = 2, 3, ...: enough terms for v^2 up to 2/3
+_SHIFT_COEFFICIENTS = tuple(1.0 / (2 * k + 1) - 1.0 / 3.0 for k in range(2, 102))
+# A_n = B_{2n+2}/((2n+1)(2n+2)) for n = 1 .. 10: R = sum A_n z^{-(2n+1)}
+_ASYMPTOTIC_COEFFICIENTS = tuple(
+    float(BERNOULLI_EVEN[2 * n + 2]) / ((2 * n + 1) * (2 * n + 2))
+    for n in range(1, _MAX_ASYMPTOTIC_TERMS))
+# (-1)^n zeta(n)/n for n = 1 .. 60, zero at n = 1: the power series part of J
+_SMALL_POWERS = (0.0,) + tuple((-1.0) ** n * zeta(n) / n
+                               for n in range(2, _ZETA_TABLE_MAX + 1))
+
+
+def _check_argument(z, name):
+    z = complex(z)
+    if z == 0:
+        raise ValueError(f"{name}: z = 0 is a singular point")
+    if z.imag == 0.0 and z.real < 0.0:
+        raise ValueError(f"{name}: z on the branch cut (-inf, 0)")
+    return z
+
+
+def _term_count(ratio):
+    """Terms of a series in powers of ``ratio`` (|ratio| < 1) until they
+    fall below _SERIES_EPS of the first."""
+    size = abs(ratio)
+    if size < _SERIES_EPS:
+        return 1
+    return math.ceil(math.log(_SERIES_EPS) / math.log(size))
+
+
+def _shift_count(z):
+    """Unit shifts that take z to |z + n| >= _REMAINDER_ASYMPTOTIC."""
+    reach = _REMAINDER_ASYMPTOTIC ** 2 - z.imag * z.imag
+    if reach <= 0.0:
+        return 0
+    return max(0, math.ceil(math.sqrt(reach) - z.real))
+
+
+def j_remainder(z: complex) -> complex:
+    """R(z) = J(z) - 1/(12 z) on the plane cut along (-inf, 0].
+
+    For |z| >= 1/2 by the shift recurrence and the asymptotic series, to
+    ~1e-15 of R itself; below that from :func:`j_series_small`, with its
+    absolute error (~1e-16 of J and 1/(12 z)).
+    """
+    z = _check_argument(z, "j_remainder")
+    if abs(z) < _SMALL_ARGUMENT:
+        return j_series_small(z, _SMALL_SERIES_TERMS) - 1.0 / (12.0 * z)
+    # real arguments (cutoffs, overdamped roots) stay in float arithmetic
+    w = z.real if z.imag == 0.0 else z
+    total = 0.0
+    for _ in range(_shift_count(z)):
+        v = 1.0 / (2.0 * w + 1.0)
+        v2 = v * v
+        acc = 0.0
+        for c in reversed(_SHIFT_COEFFICIENTS[:_term_count(v2)]):
+            acc = acc * v2 + c
+        total += acc * v2 * v2
+        w += 1.0
+    t = 1.0 / w
+    t2 = t * t
+    acc = 0.0
+    for a in reversed(_ASYMPTOTIC_COEFFICIENTS):
+        acc = acc * t2 + a
+    return complex(total + acc * t2 * t)
+
+
+def _divided_difference(coefficients, xa, xb):
+    """(P(xa) - P(xb))/(xa - xb) for P(x) = sum_k coefficients[k] x^(k+1),
+    by one Horner pass: with r_k = sum_{j>=k} c_j xa^(j-k), the quotient is
+    sum_k r_k xb^(k-1).  No two values of P are subtracted."""
+    r = q = 0.0
+    for c in reversed(coefficients):
+        r = r * xa + c
+        q = q * xb + r
+    return q
+
+
+# The asymptotic remainder as a polynomial in t = 1/z: sum_n A_n t^(2n+1),
+# coefficients of t^1 .. t^21 (zeros at the even powers).
+_ASYMPTOTIC_POWERS = tuple(
+    _ASYMPTOTIC_COEFFICIENTS[(p - 3) // 2] if p >= 3 and p % 2 else 0.0
+    for p in range(1, 2 * len(_ASYMPTOTIC_COEFFICIENTS) + 2))
+# h as a polynomial in v^2: coefficients of (v^2)^1, (v^2)^2, ...
+_SHIFT_POWERS = (0.0,) + _SHIFT_COEFFICIENTS
+
+
+def j_remainder_difference(a: complex, b: complex, delta: complex) -> complex:
+    """R(a) - R(b) for nearby a and b, given delta = a - b to full relative
+    accuracy.
+
+    Every term of the recurrence and of the asymptotic series is
+    differenced as a divided difference of its powers, so the result keeps
+    the relative accuracy of delta however close a and b are, where the
+    difference of two :func:`j_remainder` calls would lose it.  Both
+    arguments need |z| >= 1/4; they may lie in the left half plane off the
+    cut, as in the reflection identity of :func:`j_continue_left`.
+    """
+    a = _check_argument(a, "j_remainder_difference")
+    b = _check_argument(b, "j_remainder_difference")
+    if min(abs(a), abs(b)) < 0.5 * _SMALL_ARGUMENT:
+        raise ValueError("j_remainder_difference: needs |a|, |b| >= 1/4")
+    delta = complex(delta)
+    if a.imag == 0.0 and b.imag == 0.0 and delta.imag == 0.0:
+        a, b, delta = a.real, b.real, delta.real
+    total = 0.0
+    wa, wb = a, b
+    for _ in range(max(_shift_count(complex(a)), _shift_count(complex(b)))):
+        va = 1.0 / (2.0 * wa + 1.0)
+        vb = 1.0 / (2.0 * wb + 1.0)
+        a2, b2 = va * va, vb * vb
+        # va^2 - vb^2 = (va - vb)(va + vb), va - vb = -2 delta va vb
+        step = -2.0 * delta * va * vb * (va + vb)
+        terms = _SHIFT_POWERS[:_term_count(max(abs(a2), abs(b2))) + 2]
+        total += step * _divided_difference(terms, a2, b2)
+        wa += 1.0
+        wb += 1.0
+    ta, tb = 1.0 / wa, 1.0 / wb
+    # ta - tb = -delta ta tb
+    series = _divided_difference(_ASYMPTOTIC_POWERS, ta, tb)
+    return complex(total - delta * ta * tb * series)
+
+
+def j_difference(a: complex, b: complex, delta: complex) -> complex:
+    """J(a) - J(b) for nearby a and b, given delta = a - b to full relative
+    accuracy: below |z| = 1/2 the power series differenced term by term
+    (a^n - b^n = delta d_n, log a - log b = log1p(delta/b)), elsewhere
+    :func:`j_remainder_difference` plus the leading terms."""
+    a = _check_argument(a, "j_difference")
+    b = _check_argument(b, "j_difference")
+    delta = complex(delta)
+    if max(abs(a), abs(b)) >= _SMALL_ARGUMENT:
+        return j_remainder_difference(a, b, delta) - delta / (12.0 * a * b)
+    value = (-(delta * cmath.log(a) + (b + 0.5) * _log1p(delta / b))
+             + (1.0 - EULER_GAMMA) * delta)
+    # sum_{n>=2} (-1)^n zeta(n)/n z^n as a polynomial in z
+    terms = _SMALL_POWERS[:_term_count(max(abs(a), abs(b))) + 2]
+    return value + delta * _divided_difference(terms, a, b)

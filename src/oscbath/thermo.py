@@ -18,20 +18,23 @@ quadrature route integrates the spectral form
 
     F(theta) = (theta/pi) Integral dw log(1 - e^{-w/theta}) * bracket(w)
 
-directly and exists purely to cross-check the closed form.  Low- and
+directly, together with the matching moments for U and C in the same
+pass, and exists purely to cross-check the closed form.  Low- and
 high-temperature expansions of both the Ohmic and blackbody (QED) models
 are implemented as printed series with their exact coefficients.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .baths import CanonicalBath, free_energy_integrand, roots
-from .quadrature import QuadratureSpec, integrate_semi_infinite
-from .stieltjes import EULER_GAMMA, j_asymptotic, j_lanczos, j_series_small, zeta
+from .baths import CanonicalBath, cutoff_relation, roots, spectral_weight, static_weight
+from .quadrature import QuadratureSpec, integrate_interval, integrate_semi_infinite
+from .stieltjes import (EULER_GAMMA, j_difference, j_remainder,
+                        j_remainder_difference, j_series_small, zeta)
 
 __all__ = [
     "ThermoPoint", "ExpansionSpec", "DivergenceError",
@@ -42,18 +45,29 @@ __all__ = [
     "zero_point", "zero_point_ohmic_asymptotic",
 ]
 
-# finite-difference steps (in log theta) for entropy and heat capacity
-_ENTROPY_STEP = 1e-3
-_HEAT_CAPACITY_STEP = 1e-2
+# finite-difference steps (in log theta) for entropy and heat capacity.
+# With F good to ~1e-15 relative, these keep the Richardson truncation of
+# the nested difference below its rounding (~1e-15 / (5e-4 * 2e-3)).
+_ENTROPY_STEP = 5e-4
+_HEAT_CAPACITY_STEP = 2e-3
 _MIN_THETA_EXACT = 1e-12
 
-# J arguments at least this large use the large-argument series (11 terms),
-# whose truncation error is then below 1e-21; smaller arguments use the
-# Lanczos formula, or the power series when small enough for it to converge
-# fast.  Cutoff pairs share one method so their difference benefits from
-# error cancellation.
-_ASYMPTOTIC_CUT = 10.0
-_SERIES_CUT = 0.5
+# Characteristic arguments at least this large enter the closed form as
+# remainders after the leading 1/(12 x) of J, whose sum over the
+# frequencies is taken analytically; smaller ones (high temperature) enter
+# whole, from the power series.
+_REMAINDER_MIN = 0.5
+_SMALL_SERIES_TERMS = 60       # 2^-60 ~ 1e-18 below |x| = 1/2
+# An underdamped root argument nearer the imaginary axis than this (Re x <
+# _NEAR_AXIS Im x) goes through the reflection identity, which gives Re J
+# without the cancellation of the direct sum.
+_NEAR_AXIS = 0.25
+# Thermal factors exp(-w/theta) below exp(-_RESONANCE_REACH) underflow
+# against the resonance; colder points leave the resonance unresolved.
+_RESONANCE_REACH = 700.0
+# Panel edges graded toward the weak-damping resonance at w = omega0 stop
+# this far from it; broader resonances (gamma >= 2 x this) need none.
+_RESONANCE_SPAN = 0.25
 
 
 class DivergenceError(ValueError):
@@ -99,73 +113,214 @@ class ExpansionSpec:
                           stacklevel=2)
 
 
-def _j_right(z: complex) -> complex:
-    """J on the closed right half plane, by the most accurate formula route
-    for the size of the argument (the full asymptotic sum is good to ~1e-17
-    absolute for |z| >= 10 at any angle; the power series to ~1e-16 below
-    |z| = 0.5; the Lanczos formula covers the ring between)."""
-    size = abs(z)
-    if size < _SERIES_CUT:
-        return j_series_small(z, 60)
-    if size >= _ASYMPTOTIC_CUT:
-        return j_asymptotic(z, 11)[0]
-    return j_lanczos(z)
+def _j_small(x: complex) -> complex:
+    """J below |x| = 1/2 by the power series, with the terms double
+    precision needs (|x|^n < 1e-17)."""
+    size = abs(x)
+    terms = 2 if size < 1e-17 else math.ceil(-39.2 / math.log(size)) + 1
+    return j_series_small(x, min(terms, _SMALL_SERIES_TERMS))
 
 
-def _cutoff_j_difference(a: float, b: float) -> float:
-    """J(a) - J(b) for the positive real cutoff arguments, both values from
-    one method."""
-    if min(a, b) >= _ASYMPTOTIC_CUT:
-        return (j_asymptotic(a, 11)[0] - j_asymptotic(b, 11)[0]).real
-    return (_j_right(complex(a)) - _j_right(complex(b))).real
+def _pair_remainder(x: complex) -> float:
+    """2 Re R(x) at an underdamped root argument x, R = J - 1/(12 x) (see
+    :func:`oscbath.stieltjes.j_remainder`), which stands for the pair x,
+    conj(x).
+
+    Near the imaginary axis, x = e + i b with e << b, Re R is O(e) while
+    the terms it is summed from are O(1/|x|^3).  There the reflection
+    identity of :func:`oscbath.stieltjes.j_continue_left` relates x to its
+    mirror image m = -e + i b:
+
+        2 Re R(x) = Re [R(x) - R(m)] - log|1 - e^{2 pi i m}|,
+
+    and the difference over the exact step 2e keeps relative accuracy.
+    """
+    eps, beta = x.real, x.imag
+    if eps >= _NEAR_AXIS * beta:
+        return 2.0 * j_remainder(x).real
+    difference = j_remainder_difference(x, complex(-eps, beta), 2.0 * eps)
+    q = cmath.exp(complex(-2.0 * math.pi * beta, -2.0 * math.pi * eps))
+    log_rest = 0.5 * math.log1p(-2.0 * q.real + abs(q) ** 2)   # log|1 - q|
+    return difference.real - log_rest
+
+
+def _j_sum(bath: CanonicalBath, theta: float) -> float:
+    """G, the sum of sigma J(x) over the characteristic arguments
+    x = c/(2 pi theta) of the closed form (sigma = -1 for the two roots and
+    Omega', +1 for Omega).
+
+    Arguments of modulus >= 1/2 contribute remainders after the leading
+    1/(12 x) of J; when all do, the leading terms sum to
+    -(2 pi theta/12) times :func:`oscbath.baths.static_weight`, with the
+    cutoff relation's cancellation done exactly.  For the blackbody bath
+    above critical damping, Omega and the smaller root nearly coincide
+    (their reciprocals differ by c1 + 1/Omega'), and their pair is
+    differenced directly from that gap.
+    """
+    scaled = bath.scaled()
+    s = 1.0 / (2.0 * math.pi * theta)
+    pair = roots(1.0, scaled.gamma)
+    total = 0.0
+    inverse = 0.0            # sum of sigma/x over the remainder terms
+    all_remainders = True
+
+    def single(sign, x):
+        nonlocal inverse, all_remainders
+        if x < _REMAINDER_MIN:
+            all_remainders = False
+            return sign * _j_small(x).real
+        inverse += sign / x
+        return sign * j_remainder(x).real
+
+    if pair.regime == "underdamped":
+        x = pair.z1 * s
+        if abs(x) < _REMAINDER_MIN:
+            all_remainders = False
+            total -= 2.0 * _j_small(x).real
+        else:
+            total -= _pair_remainder(x)
+            inverse -= 2.0 * (1.0 / x).real
+        if math.isfinite(scaled.Omega):
+            total += single(1.0, scaled.Omega * s)
+    else:
+        smaller = pair.z1.real
+        a, b = scaled.Omega * s, smaller * s
+        near = max(a, b) < _REMAINDER_MIN or min(a, b) >= 0.5 * _REMAINDER_MIN
+        if cutoff_relation(scaled) == "blackbody" and near:
+            # 1/c1 - 1/Omega = (gamma/2 + |omega1|) - (gamma + 1/Omega')
+            gap = -s * scaled.Omega * smaller * (smaller + 1.0 / scaled.OmegaPrime)
+            if max(a, b) < _REMAINDER_MIN:
+                all_remainders = False
+                total += j_difference(a, b, gap).real
+            else:
+                total += j_remainder_difference(a, b, gap).real
+                inverse -= gap / (a * b)
+        else:
+            total += single(-1.0, b)
+            if math.isfinite(scaled.Omega):
+                total += single(1.0, a)
+        total += single(-1.0, pair.z1_conj.real * s)
+    if math.isfinite(scaled.OmegaPrime):
+        total += single(-1.0, scaled.OmegaPrime * s)
+    if all_remainders:
+        inverse = -2.0 * math.pi * theta * static_weight(scaled)
+    return total + inverse / 12.0
 
 
 def free_energy_exact(bath: CanonicalBath, theta: float) -> float:
     """Oscillator free energy by the closed J-function form.
 
-    Underdamped root arguments are complex with positive real part and are
-    evaluated by right-half-plane routes; the result is real up to a
-    residue below 1e-12, which is checked and discarded.  Infinite cutoffs
-    contribute nothing (J -> 0 at infinity) and are skipped analytically.
+    F = theta G, with G the signed sum of J over the characteristic
+    arguments (see :func:`thermo_point`).  Underdamped roots form one
+    complex-conjugate pair and contribute twice the real part of one
+    argument.  Infinite cutoffs contribute nothing (J -> 0 at infinity) and
+    are skipped analytically.
     """
     if not theta > 0.0:
         raise ValueError("free_energy_exact needs theta > 0; "
                          "the theta = 0 limit is zero_point()")
+    return theta * _j_sum(bath, theta)
+
+
+def _resonance_edges(gamma: float, theta: float) -> list[float]:
+    """Panel edges in the detuning w - 1, graded geometrically toward the
+    resonance at w = omega0 = 1 from both sides, from half the weak-damping
+    line width (gamma/2) out to _RESONANCE_SPAN, so that every panel is
+    about as wide as its distance from the peak; none for a broad resonance
+    or one the thermal factor has already extinguished."""
+    half = 0.5 * gamma
+    if half >= _RESONANCE_SPAN or theta * _RESONANCE_REACH < 1.0:
+        return []
+    edges = [0.0]
+    offset = half
+    while offset < _RESONANCE_SPAN:
+        edges += [-offset, offset]
+        offset *= 2.0
+    return edges
+
+
+def _thermal_scale(weight, theta: float, static: float) -> float:
+    """The size of the spectral weight on the thermal scale: the smallest
+    nonzero magnitude among the static value and w = theta/2, theta and
+    2 theta (several probes, so one that lands on the resonance or on a
+    zero of the weight does not set it)."""
+    sizes = [abs(static)] + [abs(weight(w, w - 1.0))
+                             for w in (0.5 * theta, theta, 2.0 * theta)]
+    sizes = [size for size in sizes if size > 0.0]
+    return min(sizes) if sizes else 1.0
+
+
+def _spectral_moments(bath: CanonicalBath, theta: float,
+                      spec: QuadratureSpec | None = None) -> tuple[float, float, float]:
+    """F, U and C by one vector-valued quadrature of the spectral form.
+
+    With x = w/theta and b = free_energy_integrand (reduced units),
+
+        F = (theta/pi) Integral dw log(1 - e^{-x}) b(w)
+        U = (1/pi)     Integral dw w / (e^x - 1) b(w)
+        C = (1/pi)     Integral dw x^2 e^{-x} / (1 - e^{-x})^2 b(w)
+
+    and the three kernels share every node.  The half line is integrated
+    in two coordinates, each exact where it matters: w on (0, 1/2), with
+    panels from the thermal scale min(first_panel, theta) doubling outward,
+    and the detuning u = w - 1 beyond, so that node positions near the
+    resonance keep their relative precision.  A weak-damping resonance
+    within thermal reach gets panel edges graded toward it, so the cost
+    grows with log(1/gamma) only.  Each component is divided by theta^2
+    times the size of b on the thermal scale, so the absolute tolerance
+    floor acts relative to the moments' own size, however small they are.
+    """
+    if spec is None:
+        spec = QuadratureSpec()
+    first = min(spec.first_panel, theta)
+    spec = replace(spec, first_panel=first)
     scaled = bath.scaled()
-    pair = roots(1.0, scaled.gamma)
-    s = 1.0 / (2.0 * math.pi * theta)
-    total = -(_j_right(pair.z1 * s) + _j_right(pair.z1_conj * s))
-    if abs(total.imag) > 1e-12 * max(1.0, abs(total.real)):
-        raise ArithmeticError(
-            f"root J-pair left an imaginary residue {total.imag:.3e}")
-    value = total.real
-    finite_O = math.isfinite(scaled.Omega)
-    finite_Op = math.isfinite(scaled.OmegaPrime)
-    if finite_O and finite_Op:
-        value += _cutoff_j_difference(scaled.Omega * s, scaled.OmegaPrime * s)
-    elif finite_O:
-        value += _j_right(complex(scaled.Omega * s)).real
-    elif finite_Op:
-        value -= _j_right(complex(scaled.OmegaPrime * s)).real
-    return theta * value
+    weight_of = spectral_weight(scaled)
+    scale = _thermal_scale(weight_of, theta, static_weight(scaled)) * theta
+    norm = 1.0 / scale                   # F/theta ~ scale * theta on this scale
+
+    def moments(w: float, weight: float) -> tuple[float, float, float]:
+        weight *= norm
+        x = w / theta
+        decay = math.exp(-x)
+        rise = -math.expm1(-x)                       # 1 - e^{-x}
+        # log(1 - e^{-x}): log(-expm1) keeps x -> 0 accurate; log1p keeps
+        # large x from rounding to log 1 = 0
+        log_factor = math.log(rise) if x < 1.0 else math.log1p(-decay)
+        bose = decay / rise                          # 1 / (e^x - 1)
+        return (log_factor * weight, x * bose * weight,
+                x * x * bose / rise * weight)
+
+    def near_origin(w: float) -> tuple[float, float, float]:
+        return moments(w, weight_of(w, w - 1.0))
+
+    def by_detuning(u: float) -> tuple[float, float, float]:
+        w = 1.0 + u
+        return moments(w, weight_of(w, u))
+
+    split = 0.5
+    march = []
+    edge = first
+    while edge < split:
+        march.append(edge)
+        edge *= 2.0
+    inner = integrate_interval(near_origin, 0.0, split, spec, points=march)
+    outer = integrate_semi_infinite(by_detuning, spec, start=split - 1.0,
+                                    points=_resonance_edges(scaled.gamma, theta))
+    i_F, i_U, i_C = (a + b for a, b in zip(inner.value, outer.value))
+    factor = scale / math.pi
+    return theta * factor * i_F, theta * factor * i_U, factor * i_C
 
 
 def free_energy_quadrature(bath: CanonicalBath, theta: float,
                            spec: QuadratureSpec | None = None) -> float:
     """Oscillator free energy by direct quadrature of the spectral form;
-    the independent cross-check of :func:`free_energy_exact`."""
+    the independent cross-check of :func:`free_energy_exact`.  It is the F
+    component of the one pass that gives the quadrature route its U and C
+    as well."""
     if not theta > 0.0:
         raise ValueError("free_energy_quadrature needs theta > 0")
-    if spec is None:
-        spec = QuadratureSpec()
-    scaled = bath.scaled()
-
-    def integrand(w: float) -> float:
-        # log(1 - e^{-w/theta}); expm1 keeps the w -> 0 end accurate
-        return math.log(-math.expm1(-w / theta)) * free_energy_integrand(scaled, w)
-
-    result = integrate_semi_infinite(integrand, spec)
-    return (theta / math.pi) * result.value
+    return _spectral_moments(bath, theta, spec)[0]
 
 
 def _entropy_from(free_energy, theta: float, step: float) -> float:
@@ -184,23 +339,31 @@ def thermo_point(bath: CanonicalBath, theta: float,
                  method: str = "exact_j") -> ThermoPoint:
     """F, S, U, C at one temperature from an exact route.
 
-    S comes from differencing the free energy in log theta (Richardson
-    refined), U = F + theta S, and C = theta dS/dtheta by nested
-    differencing; error budget is ~1e-9 in reduced units.
+    ``exact_j``: S comes from differencing the free energy in log theta
+    (Richardson refined), U = F + theta S, and C = theta dS/dtheta by nested
+    differencing.  F itself keeps its relative accuracy (~1e-15, tiny
+    low-temperature values included); the differencing leaves S and U
+    good to a few 1e-11 and C to ~1e-8 relative.
+
+    ``exact_quadrature``: F, U and C are three spectral moments from one
+    quadrature pass over shared nodes, and S = (U - F)/theta, which does
+    not cancel because the thermal F is negative and U positive.  No
+    differencing is involved, so S, U and C are cross-checked on their own
+    rather than derived from F.
     """
-    if method == "exact_j":
-        free_energy = lambda th: free_energy_exact(bath, th)
-    elif method == "exact_quadrature":
-        free_energy = lambda th: free_energy_quadrature(bath, th)
-    else:
+    if method not in ("exact_j", "exact_quadrature"):
         raise ValueError(f"unknown exact method {method!r}")
     if not theta > 0.0:
         raise ValueError("thermo_point needs theta > 0")
+    if method == "exact_quadrature":
+        F, U, C = _spectral_moments(bath, theta)
+        return ThermoPoint(theta, F, (U - F) / theta, U, C, method)
     if theta < _MIN_THETA_EXACT:
         raise ValueError(
             f"theta = {theta:g} is too small for stable differentiation; "
             "use the low-temperature series")
 
+    free_energy = lambda th: free_energy_exact(bath, th)
     entropy_at = lambda th: _entropy_from(free_energy, th, _ENTROPY_STEP)
     F = free_energy(theta)
     S = entropy_at(theta)

@@ -239,3 +239,68 @@ class TestLargeCutoffGamma:
     def test_reduced_friction(self):
         # gamma/omega0 = omega0 * tau_e
         assert abs(baths.gamma_large_cutoff(1e15) - 1e15 * 6e-24) < 1e-22
+
+
+class TestSpectralWeight:
+    """The closed forms behind free_energy_integrand, per cutoff relation."""
+
+    @staticmethod
+    def textbook(bath, w):
+        value = bath.gamma * (w * w + 1.0) / ((w * w - 1.0) ** 2
+                                              + (bath.gamma * w) ** 2)
+        if math.isfinite(bath.Omega):
+            value -= bath.Omega / (w * w + bath.Omega ** 2)
+        if math.isfinite(bath.OmegaPrime):
+            value += bath.OmegaPrime / (w * w + bath.OmegaPrime ** 2)
+        return value
+
+    def test_relations_are_recognised(self):
+        assert baths.cutoff_relation(canonicalize(OhmicSpec(gamma=0.3))) is None
+        assert baths.cutoff_relation(canonicalize(
+            SingleRelaxationSpec(gamma=0.3, tau=0.01))) == "relaxation"
+        assert baths.cutoff_relation(canonicalize(
+            QEDSpec(gamma=0.3, omega_prime=100.0))) == "blackbody"
+        assert baths.cutoff_relation(canonicalize(
+            QEDSpec(gamma=0.3, large_cutoff_limit=True))) == "blackbody"
+        assert baths.cutoff_relation(canonicalize(
+            QEDSpec(gamma=3.0, omega_prime=50.0, omega0=2.0))) == "blackbody"
+        assert baths.cutoff_relation(CanonicalBath(1.0, 0.3, 10.0, 20.0)) is None
+
+    def test_static_weight(self):
+        assert baths.static_weight(canonicalize(
+            QEDSpec(gamma=1e4, omega_prime=1e12))) == 0.0
+        assert baths.static_weight(canonicalize(OhmicSpec(gamma=0.3))) == 0.3
+        srt = canonicalize(SingleRelaxationSpec(gamma=0.3, tau=0.01))
+        expected = 0.3 - 1.0 / srt.Omega + 1.0 / srt.OmegaPrime
+        assert abs(baths.static_weight(srt) - expected) < 1e-14
+
+    @pytest.mark.parametrize("spec", [
+        OhmicSpec(gamma=0.3),
+        SingleRelaxationSpec(gamma=0.3, tau=0.01),
+        QEDSpec(gamma=0.3, omega_prime=100.0),
+        QEDSpec(gamma=30.0, omega_prime=1e3),
+        QEDSpec(gamma=0.3, large_cutoff_limit=True),
+    ])
+    def test_matches_textbook_form_away_from_cancellation(self, spec):
+        bath = canonicalize(spec)
+        for w in (0.3, 0.9, 1.0, 1.7, 3.0, 40.0):
+            expected = self.textbook(bath, w)
+            assert abs(free_energy_integrand(bath, w) - expected) \
+                <= 1e-13 * abs(expected)
+
+    def test_blackbody_weight_keeps_relative_accuracy_at_small_w(self):
+        # the static terms cancel exactly; b ~ 3 gamma (1 + Omega'^-1 Omega^-1) w^2
+        for gamma, prime in [(1e-6, 1e3), (1e4, 1e12), (0.5, 200.0)]:
+            bath = canonicalize(QEDSpec(gamma=gamma, omega_prime=prime))
+            p = 1.0 / prime
+            leading = 3.0 * gamma * (1.0 + p * (gamma + p))
+            w = 1e-7 / max(1.0, gamma)
+            value = free_energy_integrand(bath, w)
+            assert abs(value / (w * w) - leading) <= 1e-6 * leading
+
+    def test_units(self):
+        spec = QEDSpec(gamma=3.0, omega_prime=50.0, omega0=2.0)
+        bath = canonicalize(spec)
+        reduced = bath.scaled()
+        assert abs(free_energy_integrand(bath, 3.0)
+                   - free_energy_integrand(reduced, 1.5) / 2.0) < 1e-15

@@ -147,3 +147,107 @@ class TestInterval:
     def test_interval_rejects_bad_bounds(self):
         with pytest.raises(ValueError):
             integrate_interval(math.sin, 1.0, 1.0)
+
+
+class TestVector:
+    """A tuple-valued integrand is one pass: every node evaluated once,
+    each component converged to its own target."""
+
+    @staticmethod
+    def smooth(t):
+        return math.exp(-t) / (1.0 + t * t)
+
+    def test_components_match_one_component_integrals(self):
+        # the log-singular component needs far more refinement than the
+        # smooth one and drives it for both
+        vector = integrate_semi_infinite(lambda t: (self.smooth(t), bose_log(t)))
+        smooth = integrate_semi_infinite(self.smooth)
+        singular = integrate_semi_infinite(bose_log)
+        assert isinstance(vector.value, tuple) and len(vector.value) == 2
+        assert isinstance(vector.error, tuple) and len(vector.error) == 2
+        for k, single in enumerate((smooth, singular)):
+            assert abs(vector.value[k] - single.value) <= \
+                vector.error[k] + single.error
+        assert abs(vector.value[1] + math.pi**2 / 6.0) <= vector.error[1]
+        # shared nodes: more work than the easy component alone, less than
+        # two separate integrations
+        assert smooth.evaluations < vector.evaluations
+        assert vector.evaluations < smooth.evaluations + singular.evaluations
+
+    def test_component_order_does_not_matter(self):
+        forward = integrate_semi_infinite(lambda t: (self.smooth(t), bose_log(t)))
+        backward = integrate_semi_infinite(lambda t: (bose_log(t), self.smooth(t)))
+        assert forward.value == backward.value[::-1]
+        assert forward.evaluations == backward.evaluations
+
+    def test_one_component_tuple_matches_float(self):
+        scalar = integrate_semi_infinite(bose_log)
+        single = integrate_semi_infinite(lambda t: (bose_log(t),))
+        assert single.value == (scalar.value,)
+        assert single.error == (scalar.error,)
+        assert single.evaluations == scalar.evaluations
+
+    def test_interval(self):
+        result = integrate_interval(lambda t: (math.sin(t), t * t),
+                                    0.0, math.pi)
+        assert abs(result.value[0] - 2.0) < 1e-13
+        assert abs(result.value[1] - math.pi**3 / 3.0) < 1e-12
+
+    def test_non_finite_component_reports_abscissa(self):
+        def f(t):
+            return math.exp(-t), (math.nan if t > 3.0 else math.exp(-t))
+
+        with pytest.raises(IntegrandEvaluationError) as excinfo:
+            integrate_semi_infinite(f)
+        assert excinfo.value.abscissa > 3.0
+
+    def test_non_convergence_reports_every_component(self):
+        spec = QuadratureSpec(max_subdivisions=3)
+        with pytest.raises(QuadratureConvergenceError) as excinfo:
+            integrate_semi_infinite(lambda t: (math.exp(-t), bose_log(t)), spec)
+        best = excinfo.value.best
+        assert len(best.value) == len(best.error) == 2
+        assert abs(best.value[1] + math.pi**2 / 6.0) < 0.1
+
+
+class TestPoints:
+    """``points`` grade panels toward a sharp feature."""
+
+    def test_narrow_lorentzian(self):
+        # width 1e-6 at t = 1: graded edges resolve it in fewer panels than
+        # bisection from the plain march, to the same value
+        width = 1e-6
+
+        def f(t):
+            return width / ((t - 1.0) ** 2 + width * width) * math.exp(-t)
+
+        edges = [1.0]
+        offset = width
+        while offset < 0.25:
+            edges += [1.0 - offset, 1.0 + offset]
+            offset *= 2.0
+        graded = integrate_semi_infinite(f, points=edges)
+        plain = integrate_semi_infinite(f)
+        assert abs(graded.value - plain.value) <= 1e-10 * plain.value
+        assert abs(graded.value - math.pi / math.e) < 10.0 * width
+        assert graded.evaluations < plain.evaluations
+
+    def test_tail_is_not_cut_before_the_last_point(self):
+        # the integrand is zero until a bump at 50: without the point the
+        # march would stop after two quiet panels
+        def f(t):
+            return math.exp(-((t - 50.0) ** 2)) if t > 40.0 else 0.0
+
+        result = integrate_semi_infinite(f, points=[50.0])
+        assert abs(result.value - math.sqrt(math.pi)) < 1e-10
+        assert integrate_semi_infinite(f).value == 0.0
+
+    def test_points_at_or_before_start_are_ignored(self):
+        plain = integrate_semi_infinite(lambda t: math.exp(-t))
+        with_points = integrate_semi_infinite(lambda t: math.exp(-t),
+                                              points=[-1.0, 0.0])
+        assert plain.value == with_points.value
+
+    def test_points_must_be_finite(self):
+        with pytest.raises(ValueError):
+            integrate_semi_infinite(lambda t: math.exp(-t), points=[math.inf])

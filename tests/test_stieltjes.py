@@ -298,3 +298,102 @@ class TestInvariantsAndProperties:
             assert agreement(sj.j_continue_left(w), sj.j_loggamma(w)) < 1e-8
             w = complex(-1e-4, -y)
             assert agreement(sj.j_continue_left(w), sj.j_loggamma(w)) < 1e-8
+
+
+def _mp_j(w):
+    """J at the mpmath number w (reference only)."""
+    mp = pytest.importorskip("mpmath")
+    return (mp.loggamma(w + 1) - mp.log(2 * mp.pi) / 2
+            - (w + mp.mpf(1) / 2) * mp.log(w) + w)
+
+
+class TestRemainder:
+    """J - 1/(12 z) to full precision, against mpmath."""
+
+    def test_remainder_keeps_relative_accuracy(self):
+        # the remainder is tiny at large |z|; it must still carry its own
+        # relative accuracy
+        mp = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(2025)
+        for _ in range(80):
+            z = cmath.rect(10.0 ** rng.uniform(-0.3, 3.0),
+                           rng.uniform(-1.55, 1.55))
+            with mp.workdps(40):
+                w = mp.mpc(z.real, z.imag)
+                j = complex(_mp_j(w))
+                want = complex(_mp_j(w) - 1 / (12 * w))
+            # here R = J - 1/(12 z) may cancel: error relative to the parts
+            scale = max(abs(j), 1.0 / abs(12.0 * z))
+            assert abs(sj.j_remainder(z) - want) <= 2e-15 * scale, z
+
+    def test_small_arguments(self):
+        mp = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(2024)
+        for _ in range(40):
+            z = cmath.rect(10.0 ** rng.uniform(-6.0, -0.31),
+                           rng.uniform(-1.55, 1.55))
+            with mp.workdps(40):
+                w = mp.mpc(z.real, z.imag)
+                j = complex(_mp_j(w))
+                want = complex(_mp_j(w) - 1 / (12 * w))
+            # here R = J - 1/(12 z) may cancel: error relative to the parts
+            scale = max(abs(j), 1.0 / abs(12.0 * z))
+            assert abs(sj.j_remainder(z) - want) <= 2e-15 * scale, z
+
+    def test_agrees_with_loggamma_route(self):
+        for z in (0.3 + 0.1j, 1.0, 2.5 - 1.0j, 7.0 + 20.0j):
+            value = sj.j_remainder(z) + 1.0 / (12.0 * z)
+            assert agreement(value, sj.j_loggamma(z)) < 1e-9
+
+    def test_domain(self):
+        with pytest.raises(ValueError):
+            sj.j_remainder(0.0)
+        with pytest.raises(ValueError):
+            sj.j_remainder(-1.0)
+
+
+class TestDifferences:
+    """Differences between nearby arguments keep the relative accuracy of
+    the step, where subtracting two evaluations would lose it."""
+
+    @staticmethod
+    def reference(a, delta, remainder):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(60):
+            wa = mp.mpc(a.real, a.imag)
+            wb = wa - mp.mpc(delta.real, delta.imag)   # b exactly
+            diff = _mp_j(wa) - _mp_j(wb)
+            if remainder:
+                diff -= 1 / (12 * wa) - 1 / (12 * wb)
+            return complex(diff), complex(wb)
+
+    def test_remainder_difference(self):
+        rng = np.random.default_rng(77)
+        for _ in range(40):
+            a = cmath.rect(10.0 ** rng.uniform(-0.25, 1.5),
+                           rng.uniform(-1.5, 1.5))
+            delta = a * 10.0 ** rng.uniform(-12.0, -2.0)
+            want, b = self.reference(a, delta, remainder=True)
+            got = sj.j_remainder_difference(a, b, delta)
+            assert abs(got - want) <= 1e-14 * abs(want), (a, delta)
+
+    def test_difference_small_arguments(self):
+        rng = np.random.default_rng(78)
+        for _ in range(40):
+            a = complex(10.0 ** rng.uniform(-8.0, -0.4))
+            delta = a * 10.0 ** rng.uniform(-12.0, -2.0)
+            want, b = self.reference(a, delta, remainder=False)
+            got = sj.j_difference(a, b, delta)
+            assert abs(got - want) <= 1e-14 * abs(want), (a, delta)
+
+    def test_mirror_pair_across_the_imaginary_axis(self):
+        # the reflection identity of the thermodynamic route differences
+        # e + i b against -e + i b with e << b
+        a, delta = complex(1e-9, 3.0), complex(2e-9, 0.0)
+        want, b = self.reference(a, delta, remainder=True)
+        got = sj.j_remainder_difference(a, b, delta)
+        assert abs(got - want) <= 1e-14 * abs(want)
+
+    def test_too_small_for_the_recurrence(self):
+        with pytest.raises(ValueError):
+            sj.j_remainder_difference(0.1, 0.1 - 1e-9, 1e-9)

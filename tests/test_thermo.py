@@ -98,6 +98,36 @@ class TestThermoPoint:
         assert abs(a.F - b.F) < 1e-8
         assert abs(a.S - b.S) < 1e-6
         assert b.method == "exact_quadrature"
+        # U and C are spectral moments of their own on the quadrature
+        # route, so they check the exact_j differencing independently
+        for bath, theta in [
+                (ohmic(1.0), 1.0),                    # underdamped
+                (CanonicalBath(1.0, 4.0), 0.5),       # overdamped
+                (baths.canonicalize(QEDSpec(gamma=0.1, omega_prime=1e3)), 0.2)]:
+            a = thermo.thermo_point(bath, theta, "exact_j")
+            b = thermo.thermo_point(bath, theta, "exact_quadrature")
+            assert abs(a.U - b.U) < 1e-8
+            assert abs(a.C - b.C) < 1e-6
+
+    @pytest.mark.parametrize("theta", [1e-4, 1e-5])
+    def test_quadrature_free_energy_low_temperature(self, theta):
+        # the thermal kernel lives on the scale theta; once it was missed
+        # here and the route returned exactly 0.0
+        expected = -math.pi * theta**2 / 6.0
+        value = thermo.free_energy_quadrature(ohmic(1.0), theta)
+        series = thermo.ohmic_low_temperature(theta, 1.0).F
+        assert value != 0.0
+        assert abs(value - expected) / abs(expected) < 1e-6
+        assert abs(value - series) <= 1e-12 * abs(series)
+
+    def test_quadrature_tiny_values_keep_relative_accuracy(self):
+        # F ~ -5e-15 here, far below the default absolute tolerance
+        gamma, theta = 1e-6, 1e-4
+        point = thermo.thermo_point(ohmic(gamma), theta, "exact_quadrature")
+        series = thermo.ohmic_low_temperature(theta, gamma)
+        for name in ("F", "S", "U", "C"):
+            value, reference = getattr(point, name), getattr(series, name)
+            assert abs(value - reference) <= 1e-10 * abs(reference), name
 
     def test_tiny_theta_guarded(self):
         with pytest.raises(ValueError, match="series"):
@@ -362,3 +392,128 @@ class TestExpansionSpec:
         spec = thermo.ExpansionSpec("high_T", 2, "ohmic")
         with pytest.warns(UserWarning):
             spec.warn_if_outside(0.01)
+
+
+def closed_form_reference(model, gamma, theta, tau=None, omega_prime=None):
+    """F, S, U, C from the closed form at 50 digits (mpmath), with the
+    cutoffs derived exactly from the native parameters:
+
+        F = theta G,  S = A - G,  U = theta A,  C = -B
+
+    with G, A, B the signed sums of J(x), x J'(x), x^2 J''(x)."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        g, th = mp.mpf(gamma), mp.mpf(theta)
+        disc = 1 - g * g / 4
+        if disc > 0:
+            terms = [(-2, mp.mpc(g / 2, mp.sqrt(disc)))]
+        else:
+            larger = g / 2 + mp.sqrt(-disc)
+            terms = [(-1, 1 / larger), (-1, larger)]
+        if model == "srt":
+            big = 1 / mp.mpf(tau)
+            terms += [(1, big), (-1, big - g)]
+        elif model == "qed":
+            prime = mp.mpf(omega_prime)
+            terms += [(1, 1 / (1 / prime + g)), (-1, prime)]
+        G = A = B = mp.mpf(0)
+        for sign, c in terms:
+            x = c / (2 * mp.pi * th)
+            j0 = mp.loggamma(x + 1) - mp.log(2 * mp.pi) / 2 - (x + mp.mpf(1) / 2) * mp.log(x) + x
+            j1 = mp.digamma(x + 1) - mp.log(x) - 1 / (2 * x)
+            j2 = mp.psi(1, x + 1) - 1 / x + 1 / (2 * x * x)
+            G += sign * mp.re(j0)
+            A += sign * mp.re(x * j1)
+            B += sign * mp.re(x * x * j2)
+        return [float(v) for v in (th * G, A - G, th * A, -B)]
+
+
+def bath_of(model, gamma, tau=None, omega_prime=None):
+    if model == "ohmic":
+        return ohmic(gamma)
+    if model == "srt":
+        return baths.canonicalize(SingleRelaxationSpec(gamma=gamma, tau=tau))
+    return baths.canonicalize(QEDSpec(gamma=gamma, omega_prime=omega_prime))
+
+
+# Points where the closed form cancels: blackbody baths at low temperature
+# (the theta^2 terms cancel exactly), the strongly damped blackbody bath
+# (Omega and the smaller root nearly coincide), and weak damping where the
+# root argument is near the imaginary axis at moderate |x|.
+HARD_POINTS = [
+    ("qed", 0.5, 1e-5, None, 1e3),
+    ("qed", 1e-6, 2.5e-5, None, 700.0),
+    ("qed", 1e4, 1e-5, None, 1e12),
+    ("qed", 1e4, 6.5e-5, None, 1e12),
+    ("qed", 1e4, 1e3, None, 1e12),
+    ("qed", 54.0, 8e-3, None, 9e5),
+    ("qed", 2.0, 0.05, None, 1e3),
+    ("qed", 1e-7, 0.02, None, 1e9),
+    ("ohmic", 1e-6, 0.03, None, None),
+    ("ohmic", 1e-8, 1e-5, None, None),
+    ("ohmic", 1e4, 0.3, None, None),
+    ("srt", 1e-6, 0.02, 1e-5, None),
+    ("srt", 2.0, 0.4, 3e-4, None),
+]
+
+
+class TestExactRouteAccuracy:
+    @pytest.mark.parametrize("model,gamma,theta,tau,prime", HARD_POINTS)
+    def test_relative_accuracy_where_the_closed_form_cancels(
+            self, model, gamma, theta, tau, prime):
+        # F to full precision; S, U and C carry the differencing error
+        bath = bath_of(model, gamma, tau, prime)
+        point = thermo.thermo_point(bath, theta)
+        reference = closed_form_reference(model, gamma, theta, tau, prime)
+        budgets = {"F": 1e-13, "S": 1e-10, "U": 1e-9, "C": 1e-7}
+        for name, want in zip("FSUC", reference):
+            got = getattr(point, name)
+            assert abs(got - want) <= budgets[name] * abs(want), (name, got, want)
+
+    @pytest.mark.parametrize("model,gamma,theta,tau,prime", HARD_POINTS)
+    def test_quadrature_route_relative_accuracy(
+            self, model, gamma, theta, tau, prime):
+        bath = bath_of(model, gamma, tau, prime)
+        point = thermo.thermo_point(bath, theta, "exact_quadrature")
+        reference = closed_form_reference(model, gamma, theta, tau, prime)
+        for name, want in zip("FSUC", reference):
+            got = getattr(point, name)
+            assert abs(got - want) <= 1e-10 * abs(want), (name, got, want)
+
+    def test_free_energy_exact_is_the_F_of_thermo_point(self):
+        bath = bath_of("qed", 0.5, None, 1e3)
+        for theta in (1e-4, 0.1, 3.0):
+            assert thermo.free_energy_exact(bath, theta) \
+                == thermo.thermo_point(bath, theta).F
+
+
+class TestQuadratureCost:
+    def test_cost_does_not_jump_with_the_last_bit_of_theta(self, monkeypatch):
+        # a sweep ending at theta = 1 can land one ulp either side of it
+        counts = []
+        original = thermo.integrate_semi_infinite
+
+        def counting(*args, **kwargs):
+            result = original(*args, **kwargs)
+            counts.append(result.evaluations)
+            return result
+
+        monkeypatch.setattr(thermo, "integrate_semi_infinite", counting)
+        bath = ohmic(1e-8)
+        for theta in (1.0 - 2**-53, 1.0, 1.0 + 2**-52):
+            thermo.thermo_point(bath, theta, "exact_quadrature")
+        assert max(counts) - min(counts) <= 0.05 * min(counts)
+
+    def test_weak_damping_cost_grows_with_log_of_friction(self, monkeypatch):
+        counts = {}
+        original = thermo.integrate_semi_infinite
+
+        def counting(*args, **kwargs):
+            result = original(*args, **kwargs)
+            counts[gamma] = result.evaluations
+            return result
+
+        monkeypatch.setattr(thermo, "integrate_semi_infinite", counting)
+        for gamma in (1e-2, 1e-5):
+            thermo.thermo_point(ohmic(gamma), 0.5, "exact_quadrature")
+        assert counts[1e-5] < 3 * counts[1e-2]
