@@ -232,13 +232,18 @@ def run_sweep(opt) -> str:
     return _render_json(rows, columns, opt, model)
 
 
+def _float_text(value: float) -> str:
+    return f"{value:.16e}"     # 17 significant digits: exact float round trip
+
+
 def _render_csv(rows, columns) -> str:
     lines = [",".join(columns)]
     for row in rows:
         cells = []
         for name in columns:
             value = row[name]
-            cells.append(value if isinstance(value, str) else f"{value:.11e}")
+            text = value if isinstance(value, str) else _float_text(value)
+            cells.append(text)
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
@@ -252,7 +257,7 @@ def _json_scalar(value) -> str:
         return str(value)
     if value is None:
         return "null"
-    return f"{value:.16e}"     # 17 significant digits: exact float round trip
+    return _float_text(value)
 
 
 def _render_json(rows, columns, opt, model) -> str:

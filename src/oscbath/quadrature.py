@@ -131,7 +131,9 @@ class QuadratureConvergenceError(RuntimeError):
 def _eval_panel(f, a, b):
     """Gauss-Kronrod pair on [a, b] for every component of f.
 
-    Returns (kronrod values, error estimates, f returned a bare float)."""
+    Returns (kronrod values, error estimates, resasc + |kronrod| per
+    component, f returned a bare float); the third bounds Integral |f| over
+    the panel and scales its rounding floor."""
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     nodes = [mid + half * t for t in _KRONROD_NODES]
@@ -140,6 +142,7 @@ def _eval_panel(f, a, b):
     columns = (rows,) if scalar else tuple(zip(*rows))
     values = []
     errors = []
+    sizes = []
     for column in columns:
         if not all(map(math.isfinite, column)):
             raise IntegrandEvaluationError(next(
@@ -163,7 +166,8 @@ def _eval_panel(f, a, b):
         err += 10.0 * _EPS * abs(kronrod)
         values.append(kronrod)
         errors.append(err)
-    return values, errors, scalar
+        sizes.append(resasc + abs(kronrod))
+    return values, errors, sizes, scalar
 
 
 class _PanelSet:
@@ -179,22 +183,20 @@ class _PanelSet:
         self.scalar = True
         self.value = []
         self.error = []
-        self.abs_sum = []       # sum |panel value|, for the rounding floor
-        self.frozen_error = []  # panels too narrow to split further
+        self.size = []          # bound on Integral |f|, for the rounding floor
         self.evaluations = 0
 
     def add(self, a, b):
-        values, errors, self.scalar = _eval_panel(self.f, a, b)
+        values, errors, sizes, self.scalar = _eval_panel(self.f, a, b)
         if not self.value:
             n = len(values)
             self.value = [0.0] * n
             self.error = [0.0] * n
-            self.abs_sum = [0.0] * n
-            self.frozen_error = [0.0] * n
-        for k, (val, err) in enumerate(zip(values, errors)):
+            self.size = [0.0] * n
+        for k, (val, err, size) in enumerate(zip(values, errors, sizes)):
             self.value[k] += val
             self.error[k] += err
-            self.abs_sum[k] += abs(val)
+            self.size[k] += size
         self.evaluations += 15
         heapq.heappush(self.heap, (-self.badness(errors), self.seq, a, b,
                                    values, errors))
@@ -211,14 +213,13 @@ class _PanelSet:
         return max(err / target for err, target in zip(errors, self.targets()))
 
     def converged(self):
-        return all(err + frozen <= target for err, frozen, target
-                   in zip(self.error, self.frozen_error, self.targets()))
+        return all(err <= target
+                   for err, target in zip(self.error, self.targets()))
 
     def result(self, subdivisions, tail_bound=None):
         tail_bound = tail_bound or [0.0] * len(self.value)
-        errors = [err + frozen + 50.0 * _EPS * abs_sum + tail
-                  for err, frozen, abs_sum, tail in zip(
-                      self.error, self.frozen_error, self.abs_sum, tail_bound)]
+        errors = [err + 50.0 * _EPS * size + tail
+                  for err, size, tail in zip(self.error, self.size, tail_bound)]
         if self.scalar:
             return QuadratureResult(self.value[0], errors[0],
                                     self.evaluations, subdivisions)
@@ -248,10 +249,8 @@ class _PanelSet:
             _, _, a, b, values, errors = heapq.heappop(self.heap)
             mid = 0.5 * (a + b)
             if mid <= a or mid >= b:
-                # panel narrower than machine resolution: keep its estimate
-                for k, err in enumerate(errors):
-                    self.frozen_error[k] += err
-                    self.error[k] -= err
+                # panel narrower than machine resolution: it leaves the
+                # heap and its error stays in the totals
                 continue
             for k, (val, err) in enumerate(zip(values, errors)):
                 self.value[k] -= val

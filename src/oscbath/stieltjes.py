@@ -372,14 +372,17 @@ def j_auto(z: complex) -> complex:
 #
 #     h(w) = sum_{k>=2} (1/(2k + 1) - 1/3) v^{2k},
 #
-# a series of like-signed terms in v^2, which is at most 2/3 in magnitude
-# wherever the route uses it.
+# a series of like-signed terms in v^2.  Its coefficient table reaches
+# |v^2| <= 2/3, i.e. |w + 1/2| >= sqrt(3/8) ~ 0.61, which every w with
+# Re w >= 0 and |w| >= 1/2 meets; nearer to -1/2, -3/2, ... the routines
+# raise rather than return a truncated or divergent sum.
 
 _REMAINDER_ASYMPTOTIC = 10.0
 _SMALL_ARGUMENT = 0.5
 _SMALL_SERIES_TERMS = 60       # 2^-60 ~ 1e-18 below |z| = 1/2
 _SERIES_EPS = 1e-17
-# c_k of h for k = 2, 3, ...: enough terms for v^2 up to 2/3
+# c_k of h for k = 2, 3, ...: enough terms for v^2 up to _SHIFT_REACH
+_SHIFT_REACH = 2.0 / 3.0
 _SHIFT_COEFFICIENTS = tuple(1.0 / (2 * k + 1) - 1.0 / 3.0 for k in range(2, 102))
 # A_n = B_{2n+2}/((2n+1)(2n+2)) for n = 1 .. 10: R = sum A_n z^{-(2n+1)}
 _ASYMPTOTIC_COEFFICIENTS = tuple(
@@ -408,6 +411,13 @@ def _term_count(ratio):
     return math.ceil(math.log(_SERIES_EPS) / math.log(size))
 
 
+def _beyond_shift_reach(name, z):
+    """The error for an argument whose shift series leaves its reach."""
+    return ValueError(
+        f"{name}: z = {z!r} is within sqrt(3/8) of -n - 1/2 for a shift "
+        "n >= 0, beyond the reach of the shift series (|v^2| > 2/3)")
+
+
 def _shift_count(z):
     """Unit shifts that take z to |z + n| >= _REMAINDER_ASYMPTOTIC."""
     reach = _REMAINDER_ASYMPTOTIC ** 2 - z.imag * z.imag
@@ -421,7 +431,9 @@ def j_remainder(z: complex) -> complex:
 
     For |z| >= 1/2 by the shift recurrence and the asymptotic series, to
     ~1e-15 of R itself; below that from :func:`j_series_small`, with its
-    absolute error (~1e-16 of J and 1/(12 z)).
+    absolute error (~1e-16 of J and 1/(12 z)).  For |z| >= 1/2 the valid
+    domain is |z + n + 1/2| >= sqrt(3/8) ~ 0.61 for n = 0, 1, 2, ..., which
+    holds in the whole right half plane; elsewhere it raises ValueError.
     """
     z = _check_argument(z, "j_remainder")
     if abs(z) < _SMALL_ARGUMENT:
@@ -432,6 +444,8 @@ def j_remainder(z: complex) -> complex:
     for _ in range(_shift_count(z)):
         v = 1.0 / (2.0 * w + 1.0)
         v2 = v * v
+        if abs(v2) > _SHIFT_REACH:
+            raise _beyond_shift_reach("j_remainder", z)
         acc = 0.0
         for c in reversed(_SHIFT_COEFFICIENTS[:_term_count(v2)]):
             acc = acc * v2 + c
@@ -473,8 +487,11 @@ def j_remainder_difference(a: complex, b: complex, delta: complex) -> complex:
     differenced as a divided difference of its powers, so the result keeps
     the relative accuracy of delta however close a and b are, where the
     difference of two :func:`j_remainder` calls would lose it.  Both
-    arguments need |z| >= 1/4; they may lie in the left half plane off the
-    cut, as in the reflection identity of :func:`j_continue_left`.
+    arguments need |z| >= 1/4 and, as for :func:`j_remainder`,
+    |z + n + 1/2| >= sqrt(3/8) ~ 0.61 for n = 0, 1, 2, ...; otherwise
+    ValueError.  So they may lie in the left half plane off the cut, near
+    the imaginary axis, as in the reflection identity of
+    :func:`j_continue_left`.
     """
     a = _check_argument(a, "j_remainder_difference")
     b = _check_argument(b, "j_remainder_difference")
@@ -489,9 +506,13 @@ def j_remainder_difference(a: complex, b: complex, delta: complex) -> complex:
         va = 1.0 / (2.0 * wa + 1.0)
         vb = 1.0 / (2.0 * wb + 1.0)
         a2, b2 = va * va, vb * vb
+        size = max(abs(a2), abs(b2))
+        if size > _SHIFT_REACH:
+            raise _beyond_shift_reach("j_remainder_difference",
+                                      a if abs(a2) == size else b)
         # va^2 - vb^2 = (va - vb)(va + vb), va - vb = -2 delta va vb
         step = -2.0 * delta * va * vb * (va + vb)
-        terms = _SHIFT_POWERS[:_term_count(max(abs(a2), abs(b2))) + 2]
+        terms = _SHIFT_POWERS[:_term_count(size) + 2]
         total += step * _divided_difference(terms, a2, b2)
         wa += 1.0
         wb += 1.0

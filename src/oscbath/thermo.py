@@ -45,11 +45,13 @@ __all__ = [
     "zero_point", "zero_point_ohmic_asymptotic",
 ]
 
-# finite-difference steps (in log theta) for entropy and heat capacity.
-# With F good to ~1e-15 relative, these keep the Richardson truncation of
-# the nested difference below its rounding (~1e-15 / (5e-4 * 2e-3)).
-_ENTROPY_STEP = 5e-4
-_HEAT_CAPACITY_STEP = 2e-3
+# exact_j differences F in u = log theta over theta e^{jh}, j = -4..4, with
+# eighth-order central weights for j = 1..4 (over 840 h and 5040 h^2; the
+# second derivative weighs j = 0 by -14350).  With F good to ~1e-15
+# relative, this step balances the h^8 truncation against rounding.
+_STENCIL_STEP = 4e-3
+_SLOPE_WEIGHTS = (672.0, -168.0, 32.0, -3.0)
+_CURVATURE_WEIGHTS = (8064.0, -1008.0, 128.0, -9.0)
 _MIN_THETA_EXACT = 1e-12
 
 # Characteristic arguments at least this large enter the closed form as
@@ -323,27 +325,17 @@ def free_energy_quadrature(bath: CanonicalBath, theta: float,
     return _spectral_moments(bath, theta, spec)[0]
 
 
-def _entropy_from(free_energy, theta: float, step: float) -> float:
-    """S = -dF/dtheta by central differences in log theta, one Richardson
-    level."""
-    u = math.log(theta)
-
-    def slope(h: float) -> float:
-        return (free_energy(math.exp(u + h)) - free_energy(math.exp(u - h))) / (2.0 * h)
-
-    refined = (4.0 * slope(0.5 * step) - slope(step)) / 3.0
-    return -refined / theta
-
-
 def thermo_point(bath: CanonicalBath, theta: float,
                  method: str = "exact_j") -> ThermoPoint:
     """F, S, U, C at one temperature from an exact route.
 
-    ``exact_j``: S comes from differencing the free energy in log theta
-    (Richardson refined), U = F + theta S, and C = theta dS/dtheta by nested
-    differencing.  F itself keeps its relative accuracy (~1e-15, tiny
-    low-temperature values included); the differencing leaves S and U
-    good to a few 1e-11 and C to ~1e-8 relative.
+    ``exact_j``: the free energy at nine temperatures theta e^{jh},
+    j = -4..4 (h = 4e-3), gives F_u = dF/du and F_uu = d2F/du2 in
+    u = log theta by eighth-order central differences; then
+    S = -F_u/theta, U = F - F_u and C = (F_u - F_uu)/theta.  F is the
+    j = 0 value itself and keeps its relative accuracy (~1e-15, tiny
+    low-temperature values included); the differencing leaves S good to
+    a few 1e-13, U to a few 1e-12 and C to ~1e-9 relative.
 
     ``exact_quadrature``: F, U and C are three spectral moments from one
     quadrature pass over shared nodes, and S = (U - F)/theta, which does
@@ -363,20 +355,20 @@ def thermo_point(bath: CanonicalBath, theta: float,
             f"theta = {theta:g} is too small for stable differentiation; "
             "use the low-temperature series")
 
-    free_energy = lambda th: free_energy_exact(bath, th)
-    entropy_at = lambda th: _entropy_from(free_energy, th, _ENTROPY_STEP)
-    F = free_energy(theta)
-    S = entropy_at(theta)
-    U = F + theta * S
-
+    h = _STENCIL_STEP
     u = math.log(theta)
-
-    def s_slope(h: float) -> float:
-        return (entropy_at(math.exp(u + h)) - entropy_at(math.exp(u - h))) / (2.0 * h)
-
-    h = _HEAT_CAPACITY_STEP
-    C = (4.0 * s_slope(0.5 * h) - s_slope(h)) / 3.0   # theta dS/dtheta = dS/du
-    return ThermoPoint(theta, F, S, U, C, method)
+    F = free_energy_exact(bath, theta)
+    F_u = F_uu = 0.0
+    weights = zip(_SLOPE_WEIGHTS, _CURVATURE_WEIGHTS)
+    for j, (slope, curvature) in enumerate(weights, 1):
+        above = free_energy_exact(bath, math.exp(u + j * h))
+        below = free_energy_exact(bath, math.exp(u - j * h))
+        F_u += slope * (above - below)
+        F_uu += curvature * (above + below)
+    F_u /= 840.0 * h
+    F_uu = (F_uu - 14350.0 * F) / (5040.0 * h * h)
+    return ThermoPoint(theta, F, -F_u / theta, F - F_u,
+                       (F_u - F_uu) / theta, method)
 
 
 def _low_t_tables(theta: float, gamma: float):

@@ -98,6 +98,24 @@ class TestSweepJSON:
             assert row["U"] == point.U
             assert row["C"] == point.C
 
+    def test_round_trip_csv(self, capsys):
+        argv = ["sweep", "--model", "qed", "--gamma", "0.3",
+                "--omega-prime", "1e3", "--theta-min", "0.07",
+                "--theta-max", "3", "--points", "5", "--log",
+                "--method", "exact_j", "--format", "csv"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        header, *lines = out.splitlines()
+        assert header == "theta,F,S,U,C,method,model"
+        assert len(lines) == 5
+        # csv cells carry 17 significant digits too and round-trip exactly
+        from oscbath import baths, thermo
+        bath = baths.canonicalize(baths.QEDSpec(gamma=0.3, omega_prime=1e3))
+        for line in lines:
+            theta, F, S, U, C = map(float, line.split(",")[:5])
+            point = thermo.thermo_point(bath, theta)
+            assert (F, S, U, C) == (point.F, point.S, point.U, point.C)
+
     def test_float_formatting_17_digits(self, capsys):
         _, out, _ = run(capsys, [
             "sweep", "--model", "ohmic", "--gamma", "1", "--points", "1",

@@ -144,6 +144,13 @@ class TestInterval:
         result = integrate_interval(math.sin, 0.0, math.pi)
         assert abs(result.value - 2.0) < 1e-13
 
+    def test_error_bounds_a_cancelling_integral(self):
+        # the true value is 0; rounding of the two cancelling halves must
+        # show in the error, which scales with Integral |f| = 2
+        result = integrate_interval(math.cos, 0.0, math.pi)
+        assert result.error >= abs(result.value)
+        assert result.error < 1e-12
+
     def test_interval_rejects_bad_bounds(self):
         with pytest.raises(ValueError):
             integrate_interval(math.sin, 1.0, 1.0)

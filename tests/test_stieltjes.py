@@ -351,6 +351,17 @@ class TestRemainder:
         with pytest.raises(ValueError):
             sj.j_remainder(-1.0)
 
+    @pytest.mark.parametrize("z", [-0.7 + 0.05j, -2.5 + 0.01j, -0.3 + 0.45j])
+    def test_shift_series_out_of_reach_raises(self, z):
+        # near -1/2, -3/2, ... the shift series in v^2 = 1/(2w + 1)^2 leaves
+        # its reach (|v^2| > 2/3): no value is better than a wrong one
+        with pytest.raises(ValueError):
+            sj.j_remainder(z)
+        with pytest.raises(ValueError):
+            sj.j_remainder_difference(z, z - 1e-9, 1e-9)
+        with pytest.raises(ValueError):
+            sj.j_difference(z, z - 1e-9, 1e-9)
+
 
 class TestDifferences:
     """Differences between nearby arguments keep the relative accuracy of
@@ -388,11 +399,16 @@ class TestDifferences:
 
     def test_mirror_pair_across_the_imaginary_axis(self):
         # the reflection identity of the thermodynamic route differences
-        # e + i b against -e + i b with e << b
-        a, delta = complex(1e-9, 3.0), complex(2e-9, 0.0)
-        want, b = self.reference(a, delta, remainder=True)
-        got = sj.j_remainder_difference(a, b, delta)
-        assert abs(got - want) <= 1e-14 * abs(want)
+        # e + i b against -e + i b, |x| >= 1/2 and e < b/4: with e << b, and
+        # the widest such pair, whose mirror image has |v^2| ~ 0.660, just
+        # inside the reach of the shift series
+        widest = 0.5 / math.sqrt(1.0 + 1.0 / 16.0)
+        for a, delta in ((complex(1e-9, 3.0), complex(2e-9, 0.0)),
+                         (complex(0.25 * widest, widest),
+                          complex(0.5 * widest, 0.0))):
+            want, b = self.reference(a, delta, remainder=True)
+            got = sj.j_remainder_difference(a, b, delta)
+            assert abs(got - want) <= 1e-14 * abs(want), a
 
     def test_too_small_for_the_recurrence(self):
         with pytest.raises(ValueError):

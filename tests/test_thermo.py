@@ -78,9 +78,15 @@ class TestThermoPoint:
             theta = rng.uniform(0.05, 5.0)
             bath = ohmic(gamma)
             point = thermo.thermo_point(bath, theta)
-            # re-difference S with a different step; U must still close
-            s_check = thermo._entropy_from(
-                lambda th: thermo.free_energy_exact(bath, th), theta, 2e-3)
+            # re-difference S by another scheme (central differences in
+            # log theta, one Richardson level); U must still close
+            u = math.log(theta)
+
+            def slope(h):
+                return (thermo.free_energy_exact(bath, math.exp(u + h))
+                        - thermo.free_energy_exact(bath, math.exp(u - h))) / (2.0 * h)
+
+            s_check = -(4.0 * slope(1e-3) - slope(2e-3)) / (3.0 * theta)
             assert abs(point.U - point.F - theta * s_check) < 1e-9
 
     def test_low_temperature_entropy_slope(self):
@@ -465,7 +471,7 @@ class TestExactRouteAccuracy:
         bath = bath_of(model, gamma, tau, prime)
         point = thermo.thermo_point(bath, theta)
         reference = closed_form_reference(model, gamma, theta, tau, prime)
-        budgets = {"F": 1e-13, "S": 1e-10, "U": 1e-9, "C": 1e-7}
+        budgets = {"F": 1e-13, "S": 1e-12, "U": 1e-11, "C": 1e-9}
         for name, want in zip("FSUC", reference):
             got = getattr(point, name)
             assert abs(got - want) <= budgets[name] * abs(want), (name, got, want)
