@@ -142,8 +142,12 @@ def _pair_remainder(x: complex) -> float:
         return 2.0 * j_remainder(x).real
     difference = j_remainder_difference(x, complex(-eps, beta), 2.0 * eps)
     q = cmath.exp(complex(-2.0 * math.pi * beta, -2.0 * math.pi * eps))
-    log_rest = 0.5 * math.log1p(-2.0 * q.real + abs(q) ** 2)   # log|1 - q|
-    return difference.real - log_rest
+    return difference.real - _log_abs_one_minus(q)
+
+
+def _log_abs_one_minus(q: complex) -> float:
+    """log|1 - q| without cancellation at small |q|."""
+    return 0.5 * math.log1p(-2.0 * q.real + abs(q) ** 2)
 
 
 def _j_sum(bath: CanonicalBath, theta: float) -> float:
@@ -332,10 +336,14 @@ def thermo_point(bath: CanonicalBath, theta: float,
     ``exact_j``: the free energy at nine temperatures theta e^{jh},
     j = -4..4 (h = 4e-3), gives F_u = dF/du and F_uu = d2F/du2 in
     u = log theta by eighth-order central differences; then
-    S = -F_u/theta, U = F - F_u and C = (F_u - F_uu)/theta.  F is the
-    j = 0 value itself and keeps its relative accuracy (~1e-15, tiny
-    low-temperature values included); the differencing leaves S good to
-    a few 1e-13, U to a few 1e-12 and C to ~1e-9 relative.
+    S = -F_u/theta, U = F - F_u and C = (F_u - F_uu)/theta.  Below
+    theta = omega1, an underdamped pair near the imaginary axis
+    contributes a Boltzmann term theta log|1 - e^{-a/theta}| that the
+    stencil cannot follow; it is left out of the differences and its
+    derivatives are added in closed form.  F is the j = 0 value itself
+    and keeps its relative accuracy (~1e-15, tiny low-temperature values
+    included); the differencing leaves S good to ~1e-12, U to a few 1e-12
+    and C to ~2e-9 relative.
 
     ``exact_quadrature``: F, U and C are three spectral moments from one
     quadrature pass over shared nodes, and S = (U - F)/theta, which does
@@ -357,18 +365,62 @@ def thermo_point(bath: CanonicalBath, theta: float,
 
     h = _STENCIL_STEP
     u = math.log(theta)
+    rate = _boltzmann_rate(bath, theta)
+
+    def smooth(th: float) -> float:
+        if rate is None:
+            return free_energy_exact(bath, th)
+        boltzmann = th * _log_abs_one_minus(cmath.exp(-rate / th))
+        return free_energy_exact(bath, th) - boltzmann
+
     F = free_energy_exact(bath, theta)
-    F_u = F_uu = 0.0
+    B, B_u, B_uu = _boltzmann_term(rate, theta)
+    G = F - B
+    G_u = G_uu = 0.0
     weights = zip(_SLOPE_WEIGHTS, _CURVATURE_WEIGHTS)
     for j, (slope, curvature) in enumerate(weights, 1):
-        above = free_energy_exact(bath, math.exp(u + j * h))
-        below = free_energy_exact(bath, math.exp(u - j * h))
-        F_u += slope * (above - below)
-        F_uu += curvature * (above + below)
-    F_u /= 840.0 * h
-    F_uu = (F_uu - 14350.0 * F) / (5040.0 * h * h)
+        above = smooth(math.exp(u + j * h))
+        below = smooth(math.exp(u - j * h))
+        G_u += slope * (above - below)
+        G_uu += curvature * (above + below)
+    F_u = B_u + G_u / (840.0 * h)
+    F_uu = B_uu + (G_uu - 14350.0 * G) / (5040.0 * h * h)
     return ThermoPoint(theta, F, -F_u / theta, F - F_u,
                        (F_u - F_uu) / theta, method)
+
+
+def _boltzmann_rate(bath: CanonicalBath, theta: float) -> complex | None:
+    """a = i conj(z1) for an underdamped root pair near the imaginary axis
+    (the reflection case of :func:`_pair_remainder`), whose Boltzmann
+    factor q = exp(-a/theta) enters F as theta log|1 - q|; None unless
+    |q| <= 1/e.  That term varies on the scale theta/|a| in log theta, too
+    fast for the stencil at weak damping (S off by ~1e-11 where it meets
+    the friction term); the rest of F is smooth in log theta."""
+    pair = roots(1.0, bath.scaled().gamma)
+    z1 = pair.z1
+    near_axis = z1.real < _NEAR_AXIS * z1.imag
+    if pair.regime == "underdamped" and near_axis and z1.imag >= theta:
+        return complex(z1.imag, z1.real)
+    return None
+
+
+def _boltzmann_term(rate: complex | None, theta: float) -> tuple[float, float, float]:
+    """B = theta log|1 - q|, q = exp(-rate/theta), and dB/du, d2B/du2 in
+    u = log theta; zeros when ``rate`` is None.
+
+    With t = rate/theta (dt/du = -t) and r = q/(1 - q), l = log(1 - q)
+    has l_u = -t r and l_uu = t r (1 - t (1 + r)); then
+    B_u = theta Re(l + l_u) and B_uu = theta Re(l + 2 l_u + l_uu)."""
+    if rate is None:
+        return 0.0, 0.0, 0.0
+    t = rate / theta
+    q = cmath.exp(-t)
+    log_rest = _log_abs_one_minus(q)                # Re l
+    r = q / (1.0 - q)
+    l_u = -t * r
+    l_uu = t * r * (1.0 - t * (1.0 + r))
+    return (theta * log_rest, theta * (log_rest + l_u.real),
+            theta * (log_rest + 2.0 * l_u.real + l_uu.real))
 
 
 def _low_t_tables(theta: float, gamma: float):

@@ -460,6 +460,10 @@ HARD_POINTS = [
     ("ohmic", 1e4, 0.3, None, None),
     ("srt", 1e-6, 0.02, 1e-5, None),
     ("srt", 2.0, 0.4, 3e-4, None),
+    # weak damping where the Boltzmann term e^{-1/theta} meets the
+    # friction term gamma theta^2: a plain stencil of F loses S to ~1e-11
+    ("qed", 1.7e-8, 0.036, None, 2.6e3),
+    ("qed", 1e-8, 0.033, None, 1e6),
 ]
 
 
