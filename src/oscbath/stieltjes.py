@@ -33,8 +33,9 @@ Available routes:
 * :func:`j_continue_left` -- the reflection identity above, left half plane.
 * :func:`j_auto`        -- region dispatch over the routes.
 
-The thermodynamic functions need J to full double precision, with the
-leading 1/(12 z) term taken out: :func:`j_remainder`, and
+The thermodynamic functions need J and its first two derivatives to full
+double precision, as jets (J, z J', z^2 J''): :func:`j_jet` for J whole,
+:func:`j_remainder` with the leading 1/(12 z) term taken out, and
 :func:`j_remainder_difference` / :func:`j_difference` between nearby
 arguments (see the section on remainders below).
 
@@ -57,6 +58,7 @@ __all__ = [
     "log_gamma",
     "j_quadrature", "j_loggamma", "j_lanczos", "j_series_small",
     "j_asymptotic", "j_continue_left", "j_auto", "j_auto_named",
+    "SMALL_ARGUMENT", "j_jet",
     "j_remainder", "j_remainder_difference", "j_difference",
 ]
 
@@ -352,45 +354,69 @@ def j_auto(z: complex) -> complex:
 
 # ------------------------------------------------------------ remainders ----
 #
-# The thermodynamic route needs J to full double precision, and needs it as
-# the remainder after the leading term of the large-argument series,
+# The thermodynamic route needs J to full double precision, together with
+# its first two derivatives, and needs it as the remainder after the
+# leading term of the large-argument series,
 #
 #     R(z) = J(z) - 1/(12 z),
 #
 # because the leading terms of a bath's characteristic frequencies cancel at
 # low temperature (exactly, for the blackbody bath); the route sums them
-# analytically.
+# analytically.  Every routine below returns a jet, (f, z f', z^2 f'').
 #
-# For |z| >= _REMAINDER_ASYMPTOTIC the eleven-term asymptotic series without
-# its first term gives R to ~1e-15 of its size.  Nearer the origin the
-# recurrence
+# For |z| >= _REMAINDER_ASYMPTOTIC the ten-term asymptotic series without
+# its first term, R = sum_n A_n t^(2n+1) with t = 1/z, gives the jet to
+# ~1e-16 of its size: z R' and z^2 R'' take the factors -(2n+1) and
+# (2n+1)(2n+2), so no derivative under- or overflows at large |z|.  (At
+# |z| = 10 the ten terms would leave z^2 R'' off by ~2e-13.)  Nearer the
+# origin the recurrence
 #
 #     R(w) = h(w) + R(w + 1),   h(w) = J(w) - J(w + 1) - 1/(12 w (w + 1)),
 #
 # shifts the argument outward.  From J(w) - J(w + 1) = atanh(v)/v - 1 with
 # v = 1/(2w + 1), and 1/(12 w (w + 1)) = v^2/(3 (1 - v^2)),
 #
-#     h(w) = sum_{k>=2} (1/(2k + 1) - 1/3) v^{2k},
+#     h(w) = sum_{k>=2} c_k y^k,   c_k = 1/(2k + 1) - 1/3,   y = v^2,
 #
-# a series of like-signed terms in v^2.  Its coefficient table reaches
-# |v^2| <= 2/3, i.e. |w + 1/2| >= sqrt(3/8) ~ 0.61, which every w with
-# Re w >= 0 and |w| >= 1/2 meets; nearer to -1/2, -3/2, ... the routines
-# raise rather than return a truncated or divergent sum.
+# a series of like-signed terms, and with dv/dw = -2 v^2
+#
+#     h'(w) = -4 v sum_k k c_k y^k,   h''(w) = 8 sum_k k (2k + 1) c_k y^(k+1).
+#
+# The coefficient table reaches |y| <= 2/3, i.e. |w + 1/2| >= sqrt(3/8) ~
+# 0.61, which every w with Re w >= 0 and |w| >= 1/2 meets; nearer to -1/2,
+# -3/2, ... the routines raise rather than return a truncated or divergent
+# sum.  Below |z| = SMALL_ARGUMENT, J comes whole from its power series,
+#
+#     J(z)      = -log sqrt(2 pi) - (z + 1/2) log z + (1 - gamma_E) z + P(z),
+#     z J'(z)   = -z log z - 1/2 - gamma_E z + sum_n n a_n z^n,
+#     z^2 J''(z) = 1/2 - z + sum_n n (n - 1) a_n z^n,
+#
+# with P(z) = sum_{n>=2} a_n z^n, a_n = (-1)^n zeta(n)/n.
+# Each series is summed by one Horner pass that also gives its divided
+# difference between nearby arguments, so a difference keeps the relative
+# accuracy of the exact step; a single argument is the same pass, b = a.
 
-_REMAINDER_ASYMPTOTIC = 10.0
-_SMALL_ARGUMENT = 0.5
-_SMALL_SERIES_TERMS = 60       # 2^-60 ~ 1e-18 below |z| = 1/2
-_SERIES_EPS = 1e-17
-# c_k of h for k = 2, 3, ...: enough terms for v^2 up to _SHIFT_REACH
+# Below this modulus J enters the closed form whole, from its power
+# series; at and above it, as the remainder R after the leading 1/(12 z).
+SMALL_ARGUMENT = 0.5
+_REMAINDER_ASYMPTOTIC = 14.0
+# Series run until the power falls below this (the derivative coefficients
+# grow like k^2).
+_SERIES_EPS = 1e-21
 _SHIFT_REACH = 2.0 / 3.0
-_SHIFT_COEFFICIENTS = tuple(1.0 / (2 * k + 1) - 1.0 / 3.0 for k in range(2, 102))
-# A_n = B_{2n+2}/((2n+1)(2n+2)) for n = 1 .. 10: R = sum A_n z^{-(2n+1)}
-_ASYMPTOTIC_COEFFICIENTS = tuple(
-    float(BERNOULLI_EVEN[2 * n + 2]) / ((2 * n + 1) * (2 * n + 2))
-    for n in range(1, _MAX_ASYMPTOTIC_TERMS))
-# (-1)^n zeta(n)/n for n = 1 .. 60, zero at n = 1: the power series part of J
-_SMALL_POWERS = (0.0,) + tuple((-1.0) ** n * zeta(n) / n
-                               for n in range(2, _ZETA_TABLE_MAX + 1))
+
+
+# Coefficients of x^1, x^2, ... of three polynomials P0, P1, P2 per series:
+# h = P0(y), h' = -4 v P1(y), h'' = 8 y P2(y) up to y^131, enough for
+# |y| <= _SHIFT_REACH; the jet of R is (P0, -P1, P2)(t), with A_1 .. A_10
+# at t^3 .. t^21; and the power series parts of the jet of J to z^80.
+_SHIFT_ROWS = tuple((c, k * c, k * (2 * k + 1) * c) for k, c in (
+    (k, 1.0 / (2 * k + 1) - 1.0 / 3.0) for k in range(1, 132)))
+_ASYMPTOTIC_ROWS = tuple((a, p * a, p * (p + 1) * a) for p, a in (
+    (p, float(BERNOULLI_EVEN[p + 1]) / (p * (p + 1)) if p >= 3 and p % 2 else 0.0)
+    for p in range(1, 2 * _MAX_ASYMPTOTIC_TERMS)))
+_SERIES_ROWS = tuple((a, n * a, n * (n - 1) * a) for n, a in (
+    (n, (-1.0) ** n * zeta(n) / n if n >= 2 else 0.0) for n in range(1, 81)))
 
 
 def _check_argument(z, name):
@@ -402,6 +428,13 @@ def _check_argument(z, name):
     return z
 
 
+def _plain(a, b, delta):
+    """Real arguments (cutoffs, overdamped roots) as floats."""
+    if a.imag == 0.0 and b.imag == 0.0 and delta.imag == 0.0:
+        return a.real, b.real, delta.real
+    return a, b, delta
+
+
 def _term_count(ratio):
     """Terms of a series in powers of ``ratio`` (|ratio| < 1) until they
     fall below _SERIES_EPS of the first."""
@@ -411,129 +444,166 @@ def _term_count(ratio):
     return math.ceil(math.log(_SERIES_EPS) / math.log(size))
 
 
-def _beyond_shift_reach(name, z):
-    """The error for an argument whose shift series leaves its reach."""
-    return ValueError(
-        f"{name}: z = {z!r} is within sqrt(3/8) of -n - 1/2 for a shift "
-        "n >= 0, beyond the reach of the shift series (|v^2| > 2/3)")
-
-
 def _shift_count(z):
     """Unit shifts that take z to |z + n| >= _REMAINDER_ASYMPTOTIC."""
     reach = _REMAINDER_ASYMPTOTIC ** 2 - z.imag * z.imag
     if reach <= 0.0:
         return 0
-    return max(0, math.ceil(math.sqrt(reach) - z.real))
+    shift = math.sqrt(reach) - z.real               # -inf for z = inf
+    return math.ceil(shift) if shift > 0.0 else 0
 
 
-def j_remainder(z: complex) -> complex:
-    """R(z) = J(z) - 1/(12 z) on the plane cut along (-inf, 0].
+def _divided_differences(rows, xa, xb):
+    """P(xa) and (P(xa) - P(xb))/(xa - xb) for each of the three
+    polynomials P(x) = sum_k rows[k][i] x^(k+1), by one Horner pass: with
+    r_k = sum_{j>=k} c_j xa^(j-k), P(xa) = r_0 xa and the quotient is
+    sum_k r_k xb^k.  No two values of P are subtracted."""
+    r0 = r1 = r2 = q0 = q1 = q2 = 0.0
+    for c0, c1, c2 in reversed(rows):
+        r0 = r0 * xa + c0
+        r1 = r1 * xa + c1
+        r2 = r2 * xa + c2
+        q0 = q0 * xb + r0
+        q1 = q1 * xb + r1
+        q2 = q2 * xb + r2
+    return (r0 * xa, r1 * xa, r2 * xa), (q0, q1, q2)
+
+
+def _remainder_jets(name, a, b, delta):
+    """The jets of R at a and of R(a) - R(b), by the shift recurrence and
+    the asymptotic series (see the section comment); b = a, delta = 0
+    gives the jet at a alone."""
+    a, b, delta = _plain(a, b, delta)
+    shifts = max(_shift_count(a), _shift_count(b))
+    value = slope = curvature = d0 = d1 = d2 = 0.0
+    wa, wb = a, b
+    for _ in range(shifts):
+        va = 1.0 / (2.0 * wa + 1.0)
+        vb = 1.0 / (2.0 * wb + 1.0)
+        ya, yb = va * va, vb * vb
+        size = max(abs(ya), abs(yb))
+        if size > _SHIFT_REACH:
+            raise ValueError(
+                f"{name}: z = {a if abs(ya) == size else b!r} is within "
+                "sqrt(3/8) of -n - 1/2 for a shift n >= 0, beyond the reach "
+                "of the shift series (|v^2| > 2/3)")
+        dv = -2.0 * delta * va * vb                  # va - vb
+        dy = dv * (va + vb)                          # ya - yb
+        (h0, h1, h2), (e0, e1, e2) = _divided_differences(
+            _SHIFT_ROWS[:_term_count(size) + 2], ya, yb)
+        value += h0
+        slope -= 4.0 * va * h1
+        curvature += 8.0 * ya * h2
+        d0 += dy * e0
+        d1 -= 4.0 * (dv * h1 + vb * dy * e1)
+        d2 += 8.0 * dy * (h2 + yb * e2)
+        wa += 1.0
+        wb += 1.0
+    # the jet of R at wa is (P0, -P1, P2)(ta), scaled to a by ra = a/wa;
+    # with rb = b/wb, ra - rb = -shifts dt
+    ta, tb = 1.0 / wa, 1.0 / wb
+    dt = -(delta * ta) * tb                          # ta - tb
+    ra, rb = (a * ta, b * tb) if shifts else (1.0, 1.0)
+    (p0, p1, p2), (e0, e1, e2) = _divided_differences(_ASYMPTOTIC_ROWS, ta, tb)
+    jet = [value + p0, -ra * p1, ra * ra * p2]
+    difference = [d0 + dt * e0, -dt * (rb * e1 - shifts * p1),
+                  dt * (rb * rb * e2 - shifts * (ra + rb) * p2)]
+    if shifts:
+        # a g(a) - b g(b) = delta g(a) + b (g(a) - g(b)): nothing cancels
+        jet[1] += a * slope
+        jet[2] += a * a * curvature
+        difference[1] += delta * slope + b * d1
+        difference[2] += delta * (a + b) * curvature + b * b * d2
+    return tuple(map(complex, jet)), tuple(map(complex, difference))
+
+
+def _series_jets(a, b, delta):
+    """The jets of J at a and of J(a) - J(b) by the power series, for
+    |a|, |b| < SMALL_ARGUMENT."""
+    a, b, delta = _plain(a, b, delta)
+    log, log1p = ((math.log, math.log1p) if isinstance(a, float)
+                  else (cmath.log, _log1p))
+    log_a, step = log(a), log1p(delta / b)             # step = log a - log b
+    rows = _SERIES_ROWS[:_term_count(max(abs(a), abs(b))) + 2]
+    (p0, p1, p2), (e0, e1, e2) = _divided_differences(rows, a, b)
+    jet = (-LOG_SQRT_2PI - (a + 0.5) * log_a + (1.0 - EULER_GAMMA) * a + p0,
+           -a * log_a - 0.5 - EULER_GAMMA * a + p1,
+           0.5 - a + p2)
+    difference = (-(delta * log_a + (b + 0.5) * step)
+                  + (1.0 - EULER_GAMMA + e0) * delta,
+                  -(delta * log_a + b * step) + (e1 - EULER_GAMMA) * delta,
+                  (e2 - 1.0) * delta)
+    return tuple(map(complex, jet)), tuple(map(complex, difference))
+
+
+def _leading(jet, lead):
+    """jet plus the jet of a leading term lead = c/z, (1, -1, 2) lead."""
+    return jet[0] + lead, jet[1] - lead, jet[2] + 2.0 * lead
+
+
+def j_jet(z: complex) -> tuple[complex, complex, complex]:
+    """(J(z), z J'(z), z^2 J''(z)) on the plane cut along (-inf, 0].
+
+    Below |z| = SMALL_ARGUMENT from the power series, to ~1e-16 of the
+    size of its terms; elsewhere :func:`j_remainder` plus the leading
+    1/(12 z), with the domain of that routine.
+    """
+    z = _check_argument(z, "j_jet")
+    if abs(z) < SMALL_ARGUMENT:
+        return _series_jets(z, z, 0j)[0]
+    return _leading(_remainder_jets("j_jet", z, z, 0j)[0], 1.0 / (12.0 * z))
+
+
+def j_remainder(z: complex) -> tuple[complex, complex, complex]:
+    """The jet (R, z R', z^2 R'') of R(z) = J(z) - 1/(12 z) on the plane
+    cut along (-inf, 0].
 
     For |z| >= 1/2 by the shift recurrence and the asymptotic series, to
-    ~1e-15 of R itself; below that from :func:`j_series_small`, with its
-    absolute error (~1e-16 of J and 1/(12 z)).  For |z| >= 1/2 the valid
-    domain is |z + n + 1/2| >= sqrt(3/8) ~ 0.61 for n = 0, 1, 2, ..., which
-    holds in the whole right half plane; elsewhere it raises ValueError.
+    ~1e-15 of each component itself; below that from the power series of
+    :func:`j_jet`, with its absolute error (~1e-16 of the J jet and of the
+    jet of 1/(12 z)).  For |z| >= 1/2 the valid domain is
+    |z + n + 1/2| >= sqrt(3/8) ~ 0.61 for n = 0, 1, 2, ..., which holds in
+    the whole right half plane; elsewhere it raises ValueError.
     """
     z = _check_argument(z, "j_remainder")
-    if abs(z) < _SMALL_ARGUMENT:
-        return j_series_small(z, _SMALL_SERIES_TERMS) - 1.0 / (12.0 * z)
-    # real arguments (cutoffs, overdamped roots) stay in float arithmetic
-    w = z.real if z.imag == 0.0 else z
-    total = 0.0
-    for _ in range(_shift_count(z)):
-        v = 1.0 / (2.0 * w + 1.0)
-        v2 = v * v
-        if abs(v2) > _SHIFT_REACH:
-            raise _beyond_shift_reach("j_remainder", z)
-        acc = 0.0
-        for c in reversed(_SHIFT_COEFFICIENTS[:_term_count(v2)]):
-            acc = acc * v2 + c
-        total += acc * v2 * v2
-        w += 1.0
-    t = 1.0 / w
-    t2 = t * t
-    acc = 0.0
-    for a in reversed(_ASYMPTOTIC_COEFFICIENTS):
-        acc = acc * t2 + a
-    return complex(total + acc * t2 * t)
+    if abs(z) < SMALL_ARGUMENT:
+        return _leading(_series_jets(z, z, 0j)[0], -1.0 / (12.0 * z))
+    return _remainder_jets("j_remainder", z, z, 0j)[0]
 
 
-def _divided_difference(coefficients, xa, xb):
-    """(P(xa) - P(xb))/(xa - xb) for P(x) = sum_k coefficients[k] x^(k+1),
-    by one Horner pass: with r_k = sum_{j>=k} c_j xa^(j-k), the quotient is
-    sum_k r_k xb^(k-1).  No two values of P are subtracted."""
-    r = q = 0.0
-    for c in reversed(coefficients):
-        r = r * xa + c
-        q = q * xb + r
-    return q
+def j_remainder_difference(a: complex, b: complex,
+                           delta: complex) -> tuple[complex, complex, complex]:
+    """The jet of R(a) - R(b) for nearby a and b, given delta = a - b to
+    full relative accuracy: (R(a) - R(b), a R'(a) - b R'(b),
+    a^2 R''(a) - b^2 R''(b)).
 
-
-# The asymptotic remainder as a polynomial in t = 1/z: sum_n A_n t^(2n+1),
-# coefficients of t^1 .. t^21 (zeros at the even powers).
-_ASYMPTOTIC_POWERS = tuple(
-    _ASYMPTOTIC_COEFFICIENTS[(p - 3) // 2] if p >= 3 and p % 2 else 0.0
-    for p in range(1, 2 * len(_ASYMPTOTIC_COEFFICIENTS) + 2))
-# h as a polynomial in v^2: coefficients of (v^2)^1, (v^2)^2, ...
-_SHIFT_POWERS = (0.0,) + _SHIFT_COEFFICIENTS
-
-
-def j_remainder_difference(a: complex, b: complex, delta: complex) -> complex:
-    """R(a) - R(b) for nearby a and b, given delta = a - b to full relative
-    accuracy.
-
-    Every term of the recurrence and of the asymptotic series is
-    differenced as a divided difference of its powers, so the result keeps
-    the relative accuracy of delta however close a and b are, where the
-    difference of two :func:`j_remainder` calls would lose it.  Both
-    arguments need |z| >= 1/4 and, as for :func:`j_remainder`,
-    |z + n + 1/2| >= sqrt(3/8) ~ 0.61 for n = 0, 1, 2, ...; otherwise
-    ValueError.  So they may lie in the left half plane off the cut, near
-    the imaginary axis, as in the reflection identity of
+    Every series term is differenced as a divided difference of its
+    powers, so each component keeps the relative accuracy of delta however
+    close a and b are, where the difference of two :func:`j_remainder`
+    calls would lose it.  Both arguments need |z| >= 1/4 and, as for
+    :func:`j_remainder`, |z + n + 1/2| >= sqrt(3/8) ~ 0.61 for n = 0, 1,
+    2, ...; otherwise ValueError.  So they may lie in the left half plane
+    off the cut, near the imaginary axis, as in the reflection identity of
     :func:`j_continue_left`.
     """
     a = _check_argument(a, "j_remainder_difference")
     b = _check_argument(b, "j_remainder_difference")
-    if min(abs(a), abs(b)) < 0.5 * _SMALL_ARGUMENT:
+    if min(abs(a), abs(b)) < 0.5 * SMALL_ARGUMENT:
         raise ValueError("j_remainder_difference: needs |a|, |b| >= 1/4")
-    delta = complex(delta)
-    if a.imag == 0.0 and b.imag == 0.0 and delta.imag == 0.0:
-        a, b, delta = a.real, b.real, delta.real
-    total = 0.0
-    wa, wb = a, b
-    for _ in range(max(_shift_count(complex(a)), _shift_count(complex(b)))):
-        va = 1.0 / (2.0 * wa + 1.0)
-        vb = 1.0 / (2.0 * wb + 1.0)
-        a2, b2 = va * va, vb * vb
-        size = max(abs(a2), abs(b2))
-        if size > _SHIFT_REACH:
-            raise _beyond_shift_reach("j_remainder_difference",
-                                      a if abs(a2) == size else b)
-        # va^2 - vb^2 = (va - vb)(va + vb), va - vb = -2 delta va vb
-        step = -2.0 * delta * va * vb * (va + vb)
-        terms = _SHIFT_POWERS[:_term_count(size) + 2]
-        total += step * _divided_difference(terms, a2, b2)
-        wa += 1.0
-        wb += 1.0
-    ta, tb = 1.0 / wa, 1.0 / wb
-    # ta - tb = -delta ta tb
-    series = _divided_difference(_ASYMPTOTIC_POWERS, ta, tb)
-    return complex(total - delta * ta * tb * series)
+    return _remainder_jets("j_remainder_difference", a, b, complex(delta))[1]
 
 
-def j_difference(a: complex, b: complex, delta: complex) -> complex:
-    """J(a) - J(b) for nearby a and b, given delta = a - b to full relative
-    accuracy: below |z| = 1/2 the power series differenced term by term
-    (a^n - b^n = delta d_n, log a - log b = log1p(delta/b)), elsewhere
-    :func:`j_remainder_difference` plus the leading terms."""
+def j_difference(a: complex, b: complex,
+                 delta: complex) -> tuple[complex, complex, complex]:
+    """The jet of J(a) - J(b) for nearby a and b, given delta = a - b to
+    full relative accuracy: below |z| = SMALL_ARGUMENT the power series
+    differenced term by term, elsewhere :func:`j_remainder_difference`
+    plus the leading terms."""
     a = _check_argument(a, "j_difference")
     b = _check_argument(b, "j_difference")
     delta = complex(delta)
-    if max(abs(a), abs(b)) >= _SMALL_ARGUMENT:
-        return j_remainder_difference(a, b, delta) - delta / (12.0 * a * b)
-    value = (-(delta * cmath.log(a) + (b + 0.5) * _log1p(delta / b))
-             + (1.0 - EULER_GAMMA) * delta)
-    # sum_{n>=2} (-1)^n zeta(n)/n z^n as a polynomial in z
-    terms = _SMALL_POWERS[:_term_count(max(abs(a), abs(b))) + 2]
-    return value + delta * _divided_difference(terms, a, b)
+    if max(abs(a), abs(b)) >= SMALL_ARGUMENT:
+        # 1/(12 a) - 1/(12 b) = -delta/(12 a b)
+        return _leading(j_remainder_difference(a, b, delta),
+                        -delta / (12.0 * a * b))
+    return _series_jets(a, b, delta)[1]

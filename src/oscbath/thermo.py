@@ -28,13 +28,14 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 import warnings
 from dataclasses import dataclass, replace
 
 from .baths import CanonicalBath, cutoff_relation, roots, spectral_weight, static_weight
 from .quadrature import QuadratureSpec, integrate_interval, integrate_semi_infinite
-from .stieltjes import (EULER_GAMMA, j_difference, j_remainder,
-                        j_remainder_difference, j_series_small, zeta)
+from .stieltjes import (EULER_GAMMA, SMALL_ARGUMENT, j_difference, j_jet,
+                        j_remainder, j_remainder_difference, zeta)
 
 __all__ = [
     "ThermoPoint", "ExpansionSpec", "DivergenceError",
@@ -45,21 +46,6 @@ __all__ = [
     "zero_point", "zero_point_ohmic_asymptotic",
 ]
 
-# exact_j differences F in u = log theta over theta e^{jh}, j = -4..4, with
-# eighth-order central weights for j = 1..4 (over 840 h and 5040 h^2; the
-# second derivative weighs j = 0 by -14350).  With F good to ~1e-15
-# relative, this step balances the h^8 truncation against rounding.
-_STENCIL_STEP = 4e-3
-_SLOPE_WEIGHTS = (672.0, -168.0, 32.0, -3.0)
-_CURVATURE_WEIGHTS = (8064.0, -1008.0, 128.0, -9.0)
-_MIN_THETA_EXACT = 1e-12
-
-# Characteristic arguments at least this large enter the closed form as
-# remainders after the leading 1/(12 x) of J, whose sum over the
-# frequencies is taken analytically; smaller ones (high temperature) enter
-# whole, from the power series.
-_REMAINDER_MIN = 0.5
-_SMALL_SERIES_TERMS = 60       # 2^-60 ~ 1e-18 below |x| = 1/2
 # An underdamped root argument nearer the imaginary axis than this (Re x <
 # _NEAR_AXIS Im x) goes through the reflection identity, which gives Re J
 # without the cancellation of the direct sum.
@@ -115,109 +101,117 @@ class ExpansionSpec:
                           stacklevel=2)
 
 
-def _j_small(x: complex) -> complex:
-    """J below |x| = 1/2 by the power series, with the terms double
-    precision needs (|x|^n < 1e-17)."""
-    size = abs(x)
-    terms = 2 if size < 1e-17 else math.ceil(-39.2 / math.log(size)) + 1
-    return j_series_small(x, min(terms, _SMALL_SERIES_TERMS))
-
-
-def _pair_remainder(x: complex) -> float:
-    """2 Re R(x) at an underdamped root argument x, R = J - 1/(12 x) (see
-    :func:`oscbath.stieltjes.j_remainder`), which stands for the pair x,
-    conj(x).
+def _pair_remainder(x: complex) -> tuple[float, float, float]:
+    """The jet of 2 Re R(x) at an underdamped root argument x, R = J -
+    1/(12 x) (see :func:`oscbath.stieltjes.j_remainder`), which stands for
+    the pair x, conj(x).
 
     Near the imaginary axis, x = e + i b with e << b, Re R is O(e) while
     the terms it is summed from are O(1/|x|^3).  There the reflection
     identity of :func:`oscbath.stieltjes.j_continue_left` relates x to its
     mirror image m = -e + i b:
 
-        2 Re R(x) = Re [R(x) - R(m)] - log|1 - e^{2 pi i m}|,
+        2 Re R(x) = Re [R(x) - R(m)] - log|1 - q|,   q = e^{2 pi i m},
 
     and the difference over the exact step 2e keeps relative accuracy.
+    With k = 2 pi i m and r = q/(1 - q), the jet of -log(1 - q) is
+    (-log(1 - q), k r, k^2 r (1 + r)).
     """
     eps, beta = x.real, x.imag
     if eps >= _NEAR_AXIS * beta:
-        return 2.0 * j_remainder(x).real
-    difference = j_remainder_difference(x, complex(-eps, beta), 2.0 * eps)
-    q = cmath.exp(complex(-2.0 * math.pi * beta, -2.0 * math.pi * eps))
-    return difference.real - _log_abs_one_minus(q)
+        return tuple(2.0 * part.real for part in j_remainder(x))
+    mirror = complex(-eps, beta)
+    value, slope, curvature = j_remainder_difference(x, mirror, 2.0 * eps)
+    k = 2j * math.pi * mirror
+    q = cmath.exp(k)
+    r = q / (1.0 - q)
+    log_abs = 0.5 * math.log1p(-2.0 * q.real + abs(q) ** 2)     # log|1 - q|
+    kr = k * r                       # 0, not nan, where q underflows
+    return (value.real - log_abs, (slope + kr).real,
+            (curvature + kr * k * (1.0 + r)).real)
 
 
-def _log_abs_one_minus(q: complex) -> float:
-    """log|1 - q| without cancellation at small |q|."""
-    return 0.5 * math.log1p(-2.0 * q.real + abs(q) ** 2)
+def _j_sum(bath: CanonicalBath, theta: float) -> tuple[float, float, float]:
+    """G, A and B: the sums of sigma J(x), sigma x J'(x) and
+    sigma x^2 J''(x) over the characteristic arguments x = c/(2 pi theta)
+    of the closed form (sigma = -1 for the two roots and Omega', +1 for
+    Omega), from one pass over the jets of J.
 
-
-def _j_sum(bath: CanonicalBath, theta: float) -> float:
-    """G, the sum of sigma J(x) over the characteristic arguments
-    x = c/(2 pi theta) of the closed form (sigma = -1 for the two roots and
-    Omega', +1 for Omega).
-
-    Arguments of modulus >= 1/2 contribute remainders after the leading
-    1/(12 x) of J; when all do, the leading terms sum to
-    -(2 pi theta/12) times :func:`oscbath.baths.static_weight`, with the
-    cutoff relation's cancellation done exactly.  For the blackbody bath
-    above critical damping, Omega and the smaller root nearly coincide
-    (their reciprocals differ by c1 + 1/Omega'), and their pair is
-    differenced directly from that gap.
+    Arguments of modulus >= SMALL_ARGUMENT contribute remainders after the
+    leading 1/(12 x) of J, whose sum L enters G, A and B as (L, -L, 2L);
+    when all do, L is -(2 pi theta/12) times
+    :func:`oscbath.baths.static_weight`, with the cutoff relation's
+    cancellation done exactly.  For the blackbody bath above critical
+    damping, Omega and the smaller root nearly coincide (their reciprocals
+    differ by c1 + 1/Omega'), and their pair is differenced directly from
+    that gap.
     """
-    scaled = bath.scaled()
+    if theta < sys.float_info.min:          # 2 pi x overflows
+        raise ValueError(f"theta = {theta!r} is subnormal")
     s = 1.0 / (2.0 * math.pi * theta)
+    scaled = bath.scaled()
     pair = roots(1.0, scaled.gamma)
-    total = 0.0
+    total = [0.0, 0.0, 0.0]
     inverse = 0.0            # sum of sigma/x over the remainder terms
     all_remainders = True
 
+    def add(sign, jet):
+        for i, part in enumerate(jet):
+            total[i] += sign * part.real
+
     def single(sign, x):
         nonlocal inverse, all_remainders
-        if x < _REMAINDER_MIN:
+        if x < SMALL_ARGUMENT:
             all_remainders = False
-            return sign * _j_small(x).real
-        inverse += sign / x
-        return sign * j_remainder(x).real
+            add(sign, j_jet(x))
+        else:
+            inverse += sign / x
+            add(sign, j_remainder(x))
 
     if pair.regime == "underdamped":
         x = pair.z1 * s
-        if abs(x) < _REMAINDER_MIN:
+        if abs(x) < SMALL_ARGUMENT:
             all_remainders = False
-            total -= 2.0 * _j_small(x).real
+            add(-2.0, j_jet(x))
         else:
-            total -= _pair_remainder(x)
+            add(-1.0, _pair_remainder(x))
             inverse -= 2.0 * (1.0 / x).real
         if math.isfinite(scaled.Omega):
-            total += single(1.0, scaled.Omega * s)
+            single(1.0, scaled.Omega * s)
     else:
         smaller = pair.z1.real
         a, b = scaled.Omega * s, smaller * s
-        near = max(a, b) < _REMAINDER_MIN or min(a, b) >= 0.5 * _REMAINDER_MIN
-        if cutoff_relation(scaled) == "blackbody" and near:
+        small = max(a, b) < SMALL_ARGUMENT
+        if cutoff_relation(scaled) == "blackbody" and (
+                small or min(a, b) >= 0.5 * SMALL_ARGUMENT):
             # 1/c1 - 1/Omega = (gamma/2 + |omega1|) - (gamma + 1/Omega')
             gap = -s * scaled.Omega * smaller * (smaller + 1.0 / scaled.OmegaPrime)
-            if max(a, b) < _REMAINDER_MIN:
+            if small:
                 all_remainders = False
-                total += j_difference(a, b, gap).real
+                add(1.0, j_difference(a, b, gap))
             else:
-                total += j_remainder_difference(a, b, gap).real
+                add(1.0, j_remainder_difference(a, b, gap))
                 inverse -= gap / (a * b)
         else:
-            total += single(-1.0, b)
+            single(-1.0, b)
             if math.isfinite(scaled.Omega):
-                total += single(1.0, a)
-        total += single(-1.0, pair.z1_conj.real * s)
+                single(1.0, a)
+        single(-1.0, pair.z1_conj.real * s)
     if math.isfinite(scaled.OmegaPrime):
-        total += single(-1.0, scaled.OmegaPrime * s)
+        single(-1.0, scaled.OmegaPrime * s)
     if all_remainders:
         inverse = -2.0 * math.pi * theta * static_weight(scaled)
-    return total + inverse / 12.0
+    lead = inverse / 12.0
+    G, A, B = total
+    return G + lead, A - lead, B + 2.0 * lead
 
 
 def free_energy_exact(bath: CanonicalBath, theta: float) -> float:
     """Oscillator free energy by the closed J-function form.
 
     F = theta G, with G the signed sum of J over the characteristic
-    arguments (see :func:`thermo_point`).  Underdamped roots form one
+    arguments (see :func:`thermo_point`), from the same pass that gives
+    :func:`thermo_point` its S, U and C.  Underdamped roots form one
     complex-conjugate pair and contribute twice the real part of one
     argument.  Infinite cutoffs contribute nothing (J -> 0 at infinity) and
     are skipped analytically.
@@ -225,7 +219,7 @@ def free_energy_exact(bath: CanonicalBath, theta: float) -> float:
     if not theta > 0.0:
         raise ValueError("free_energy_exact needs theta > 0; "
                          "the theta = 0 limit is zero_point()")
-    return theta * _j_sum(bath, theta)
+    return theta * _j_sum(bath, theta)[0]
 
 
 def _resonance_edges(gamma: float, theta: float) -> list[float]:
@@ -333,17 +327,13 @@ def thermo_point(bath: CanonicalBath, theta: float,
                  method: str = "exact_j") -> ThermoPoint:
     """F, S, U, C at one temperature from an exact route.
 
-    ``exact_j``: the free energy at nine temperatures theta e^{jh},
-    j = -4..4 (h = 4e-3), gives F_u = dF/du and F_uu = d2F/du2 in
-    u = log theta by eighth-order central differences; then
-    S = -F_u/theta, U = F - F_u and C = (F_u - F_uu)/theta.  Below
-    theta = omega1, an underdamped pair near the imaginary axis
-    contributes a Boltzmann term theta log|1 - e^{-a/theta}| that the
-    stencil cannot follow; it is left out of the differences and its
-    derivatives are added in closed form.  F is the j = 0 value itself
-    and keeps its relative accuracy (~1e-15, tiny low-temperature values
-    included); the differencing leaves S good to ~1e-12, U to a few 1e-12
-    and C to ~2e-9 relative.
+    ``exact_j``: one pass over the characteristic arguments
+    x = c/(2 pi theta) sums G = sum sigma J(x), A = sum sigma x J'(x) and
+    B = sum sigma x^2 J''(x) from the jets of :mod:`oscbath.stieltjes`;
+    then F = theta G, S = A - G, U = theta A and C = -B.  Nothing is
+    differenced and the closed form's cancellations are done analytically,
+    so each is good to a few 1e-15 relative, tiny values included.  F is
+    bit-identical to :func:`free_energy_exact`.
 
     ``exact_quadrature``: F, U and C are three spectral moments from one
     quadrature pass over shared nodes, and S = (U - F)/theta, which does
@@ -358,69 +348,8 @@ def thermo_point(bath: CanonicalBath, theta: float,
     if method == "exact_quadrature":
         F, U, C = _spectral_moments(bath, theta)
         return ThermoPoint(theta, F, (U - F) / theta, U, C, method)
-    if theta < _MIN_THETA_EXACT:
-        raise ValueError(
-            f"theta = {theta:g} is too small for stable differentiation; "
-            "use the low-temperature series")
-
-    h = _STENCIL_STEP
-    u = math.log(theta)
-    rate = _boltzmann_rate(bath, theta)
-
-    def smooth(th: float) -> float:
-        if rate is None:
-            return free_energy_exact(bath, th)
-        boltzmann = th * _log_abs_one_minus(cmath.exp(-rate / th))
-        return free_energy_exact(bath, th) - boltzmann
-
-    F = free_energy_exact(bath, theta)
-    B, B_u, B_uu = _boltzmann_term(rate, theta)
-    G = F - B
-    G_u = G_uu = 0.0
-    weights = zip(_SLOPE_WEIGHTS, _CURVATURE_WEIGHTS)
-    for j, (slope, curvature) in enumerate(weights, 1):
-        above = smooth(math.exp(u + j * h))
-        below = smooth(math.exp(u - j * h))
-        G_u += slope * (above - below)
-        G_uu += curvature * (above + below)
-    F_u = B_u + G_u / (840.0 * h)
-    F_uu = B_uu + (G_uu - 14350.0 * G) / (5040.0 * h * h)
-    return ThermoPoint(theta, F, -F_u / theta, F - F_u,
-                       (F_u - F_uu) / theta, method)
-
-
-def _boltzmann_rate(bath: CanonicalBath, theta: float) -> complex | None:
-    """a = i conj(z1) for an underdamped root pair near the imaginary axis
-    (the reflection case of :func:`_pair_remainder`), whose Boltzmann
-    factor q = exp(-a/theta) enters F as theta log|1 - q|; None unless
-    |q| <= 1/e.  That term varies on the scale theta/|a| in log theta, too
-    fast for the stencil at weak damping (S off by ~1e-11 where it meets
-    the friction term); the rest of F is smooth in log theta."""
-    pair = roots(1.0, bath.scaled().gamma)
-    z1 = pair.z1
-    near_axis = z1.real < _NEAR_AXIS * z1.imag
-    if pair.regime == "underdamped" and near_axis and z1.imag >= theta:
-        return complex(z1.imag, z1.real)
-    return None
-
-
-def _boltzmann_term(rate: complex | None, theta: float) -> tuple[float, float, float]:
-    """B = theta log|1 - q|, q = exp(-rate/theta), and dB/du, d2B/du2 in
-    u = log theta; zeros when ``rate`` is None.
-
-    With t = rate/theta (dt/du = -t) and r = q/(1 - q), l = log(1 - q)
-    has l_u = -t r and l_uu = t r (1 - t (1 + r)); then
-    B_u = theta Re(l + l_u) and B_uu = theta Re(l + 2 l_u + l_uu)."""
-    if rate is None:
-        return 0.0, 0.0, 0.0
-    t = rate / theta
-    q = cmath.exp(-t)
-    log_rest = _log_abs_one_minus(q)                # Re l
-    r = q / (1.0 - q)
-    l_u = -t * r
-    l_uu = t * r * (1.0 - t * (1.0 + r))
-    return (theta * log_rest, theta * (log_rest + l_u.real),
-            theta * (log_rest + 2.0 * l_u.real + l_uu.real))
+    G, A, B = _j_sum(bath, theta)
+    return ThermoPoint(theta, theta * G, A - G, theta * A, -B, method)
 
 
 def _low_t_tables(theta: float, gamma: float):

@@ -307,42 +307,66 @@ def _mp_j(w):
             - (w + mp.mpf(1) / 2) * mp.log(w) + w)
 
 
+def _mp_jet(w):
+    """(J, w J', w^2 J'') at the mpmath number w, from digamma and
+    trigamma (reference only)."""
+    mp = pytest.importorskip("mpmath")
+    slope = mp.digamma(w + 1) - mp.log(w) - 1 / (2 * w)
+    curvature = mp.psi(1, w + 1) - 1 / w + 1 / (2 * w * w)
+    return _mp_j(w), w * slope, w * w * curvature
+
+
+# the jet of the leading term 1/(12 z) is (1, -1, 2)/(12 z)
+LEADING_JET = (1, -1, 2)
+
+
 class TestRemainder:
-    """J - 1/(12 z) to full precision, against mpmath."""
+    """J - 1/(12 z) and its scaled derivatives to full precision, against
+    mpmath."""
+
+    @staticmethod
+    def check(z):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            w = mp.mpc(z.real, z.imag)
+            jet = _mp_jet(w)
+            parts = [complex(j) for j in jet]
+            want = [complex(j - c / (12 * w)) for j, c in zip(jet, LEADING_JET)]
+        got = sj.j_remainder(z)
+        for i, c in enumerate(LEADING_JET):
+            # here R = J - 1/(12 z) may cancel: error relative to the parts
+            scale = max(abs(parts[i]), abs(c / (12.0 * z)))
+            assert abs(got[i] - want[i]) <= 2e-15 * scale, (z, i)
 
     def test_remainder_keeps_relative_accuracy(self):
         # the remainder is tiny at large |z|; it must still carry its own
-        # relative accuracy
-        mp = pytest.importorskip("mpmath")
+        # relative accuracy, and so must its derivatives
         rng = np.random.default_rng(2025)
         for _ in range(80):
-            z = cmath.rect(10.0 ** rng.uniform(-0.3, 3.0),
-                           rng.uniform(-1.55, 1.55))
-            with mp.workdps(40):
-                w = mp.mpc(z.real, z.imag)
-                j = complex(_mp_j(w))
-                want = complex(_mp_j(w) - 1 / (12 * w))
-            # here R = J - 1/(12 z) may cancel: error relative to the parts
-            scale = max(abs(j), 1.0 / abs(12.0 * z))
-            assert abs(sj.j_remainder(z) - want) <= 2e-15 * scale, z
+            self.check(cmath.rect(10.0 ** rng.uniform(-0.3, 3.0),
+                                  rng.uniform(-1.55, 1.55)))
 
     def test_small_arguments(self):
-        mp = pytest.importorskip("mpmath")
         rng = np.random.default_rng(2024)
         for _ in range(40):
-            z = cmath.rect(10.0 ** rng.uniform(-6.0, -0.31),
+            self.check(cmath.rect(10.0 ** rng.uniform(-6.0, -0.31),
+                                  rng.uniform(-1.55, 1.55)))
+
+    def test_jet_of_j_itself(self):
+        mp = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(2026)
+        for _ in range(60):
+            z = cmath.rect(10.0 ** rng.uniform(-6.0, 3.0),
                            rng.uniform(-1.55, 1.55))
             with mp.workdps(40):
-                w = mp.mpc(z.real, z.imag)
-                j = complex(_mp_j(w))
-                want = complex(_mp_j(w) - 1 / (12 * w))
-            # here R = J - 1/(12 z) may cancel: error relative to the parts
-            scale = max(abs(j), 1.0 / abs(12.0 * z))
-            assert abs(sj.j_remainder(z) - want) <= 2e-15 * scale, z
+                want = [complex(j) for j in _mp_jet(mp.mpc(z.real, z.imag))]
+            got = sj.j_jet(z)
+            for i in range(3):
+                assert abs(got[i] - want[i]) <= 2e-15 * abs(want[i]), (z, i)
 
     def test_agrees_with_loggamma_route(self):
         for z in (0.3 + 0.1j, 1.0, 2.5 - 1.0j, 7.0 + 20.0j):
-            value = sj.j_remainder(z) + 1.0 / (12.0 * z)
+            value = sj.j_remainder(z)[0] + 1.0 / (12.0 * z)
             assert agreement(value, sj.j_loggamma(z)) < 1e-9
 
     def test_domain(self):
@@ -350,6 +374,8 @@ class TestRemainder:
             sj.j_remainder(0.0)
         with pytest.raises(ValueError):
             sj.j_remainder(-1.0)
+        with pytest.raises(ValueError):
+            sj.j_jet(0.0)
 
     @pytest.mark.parametrize("z", [-0.7 + 0.05j, -2.5 + 0.01j, -0.3 + 0.45j])
     def test_shift_series_out_of_reach_raises(self, z):
@@ -365,7 +391,8 @@ class TestRemainder:
 
 class TestDifferences:
     """Differences between nearby arguments keep the relative accuracy of
-    the step, where subtracting two evaluations would lose it."""
+    the step, where subtracting two evaluations would lose it; so do the
+    differences of z J'(z) and z^2 J''(z)."""
 
     @staticmethod
     def reference(a, delta, remainder):
@@ -373,10 +400,16 @@ class TestDifferences:
         with mp.workdps(60):
             wa = mp.mpc(a.real, a.imag)
             wb = wa - mp.mpc(delta.real, delta.imag)   # b exactly
-            diff = _mp_j(wa) - _mp_j(wb)
+            diff = [ja - jb for ja, jb in zip(_mp_jet(wa), _mp_jet(wb))]
             if remainder:
-                diff -= 1 / (12 * wa) - 1 / (12 * wb)
-            return complex(diff), complex(wb)
+                lead = 1 / (12 * wa) - 1 / (12 * wb)
+                diff = [d - c * lead for d, c in zip(diff, LEADING_JET)]
+            return [complex(d) for d in diff], complex(wb)
+
+    @staticmethod
+    def close(got, want, tolerance, label):
+        for i in range(3):
+            assert abs(got[i] - want[i]) <= tolerance * abs(want[i]), (label, i)
 
     def test_remainder_difference(self):
         rng = np.random.default_rng(77)
@@ -386,7 +419,7 @@ class TestDifferences:
             delta = a * 10.0 ** rng.uniform(-12.0, -2.0)
             want, b = self.reference(a, delta, remainder=True)
             got = sj.j_remainder_difference(a, b, delta)
-            assert abs(got - want) <= 1e-14 * abs(want), (a, delta)
+            self.close(got, want, 1e-14, (a, delta))
 
     def test_difference_small_arguments(self):
         rng = np.random.default_rng(78)
@@ -395,7 +428,7 @@ class TestDifferences:
             delta = a * 10.0 ** rng.uniform(-12.0, -2.0)
             want, b = self.reference(a, delta, remainder=False)
             got = sj.j_difference(a, b, delta)
-            assert abs(got - want) <= 1e-14 * abs(want), (a, delta)
+            self.close(got, want, 1e-14, (a, delta))
 
     def test_mirror_pair_across_the_imaginary_axis(self):
         # the reflection identity of the thermodynamic route differences
@@ -408,7 +441,7 @@ class TestDifferences:
                           complex(0.5 * widest, 0.0))):
             want, b = self.reference(a, delta, remainder=True)
             got = sj.j_remainder_difference(a, b, delta)
-            assert abs(got - want) <= 1e-14 * abs(want), a
+            self.close(got, want, 1e-14, a)
 
     def test_too_small_for_the_recurrence(self):
         with pytest.raises(ValueError):

@@ -135,9 +135,23 @@ class TestThermoPoint:
             value, reference = getattr(point, name), getattr(series, name)
             assert abs(value - reference) <= 1e-10 * abs(reference), name
 
-    def test_tiny_theta_guarded(self):
-        with pytest.raises(ValueError, match="series"):
-            thermo.thermo_point(ohmic(1.0), 1e-13)
+    @pytest.mark.parametrize("theta", [1e-13, 1e-14])
+    def test_tiny_theta_matches_low_temperature_series(self, theta):
+        # nothing is differenced, so tiny temperatures work: the theta^4
+        # terms are ~1e-26 of the theta^2 terms here
+        point = thermo.thermo_point(ohmic(1.0), theta)
+        series = thermo.ohmic_low_temperature(theta, 1.0)
+        for name in ("F", "S", "U", "C"):
+            value, reference = getattr(point, name), getattr(series, name)
+            assert abs(value - reference) <= 1e-14 * abs(reference), name
+
+    def test_subnormal_theta_raises(self):
+        # 2 pi x = c/theta overflows below the smallest normal float: an
+        # error, not a nan
+        for route in (thermo.thermo_point, thermo.free_energy_exact):
+            for bath in (ohmic(1.0), ohmic(1e-8)):
+                with pytest.raises(ValueError, match="subnormal"):
+                    route(bath, 1e-309)
 
     def test_unknown_method(self):
         with pytest.raises(ValueError):
@@ -401,14 +415,17 @@ class TestExpansionSpec:
 
 
 def closed_form_reference(model, gamma, theta, tau=None, omega_prime=None):
-    """F, S, U, C from the closed form at 50 digits (mpmath), with the
-    cutoffs derived exactly from the native parameters:
+    """F, S, U, C from the closed form (mpmath), with the cutoffs derived
+    exactly from the native parameters:
 
         F = theta G,  S = A - G,  U = theta A,  C = -B
 
-    with G, A, B the signed sums of J(x), x J'(x), x^2 J''(x)."""
+    with G, A, B the signed sums of J(x), x J'(x), x^2 J''(x).  The
+    precision grows with log(1/theta): log Gamma cancels more digits as the
+    arguments grow, and the sums cancel like theta^2 (theta^4 for the
+    blackbody bath), so 50 digits are too few below theta ~ 1e-8."""
     mp = pytest.importorskip("mpmath")
-    with mp.workdps(50):
+    with mp.workdps(50 + 8 * max(0, round(-math.log10(theta)))):
         g, th = mp.mpf(gamma), mp.mpf(theta)
         disc = 1 - g * g / 4
         if disc > 0:
@@ -464,6 +481,9 @@ HARD_POINTS = [
     # friction term gamma theta^2: a plain stencil of F loses S to ~1e-11
     ("qed", 1.7e-8, 0.036, None, 2.6e3),
     ("qed", 1e-8, 0.033, None, 1e6),
+    # far below the edge grid: the theta^4 regime of the blackbody bath
+    ("qed", 1e-3, 1e-10, None, 1e6),
+    ("qed", 1e-3, 1e-12, None, 1e6),
 ]
 
 
@@ -471,14 +491,14 @@ class TestExactRouteAccuracy:
     @pytest.mark.parametrize("model,gamma,theta,tau,prime", HARD_POINTS)
     def test_relative_accuracy_where_the_closed_form_cancels(
             self, model, gamma, theta, tau, prime):
-        # F to full precision; S, U and C carry the differencing error
+        # F, S, U and C all to full precision: the jets of J carry the
+        # derivatives, so nothing is differenced
         bath = bath_of(model, gamma, tau, prime)
         point = thermo.thermo_point(bath, theta)
         reference = closed_form_reference(model, gamma, theta, tau, prime)
-        budgets = {"F": 1e-13, "S": 1e-12, "U": 1e-11, "C": 1e-9}
         for name, want in zip("FSUC", reference):
             got = getattr(point, name)
-            assert abs(got - want) <= budgets[name] * abs(want), (name, got, want)
+            assert abs(got - want) <= 2e-14 * abs(want), (name, got, want)
 
     @pytest.mark.parametrize("model,gamma,theta,tau,prime", HARD_POINTS)
     def test_quadrature_route_relative_accuracy(
