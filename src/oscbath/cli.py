@@ -27,6 +27,7 @@ HBAR_SI = 1.054571817e-34     # J s
 K_BOLTZMANN_SI = 1.380649e-23  # J / K
 
 _METHOD_ORDER = ("exact_j", "exact_quadrature", "low_T_series", "high_T_series")
+_EXACT_METHODS = ("exact_j", "exact_quadrature")
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -190,16 +191,16 @@ def _methods(opt) -> list[str]:
     return [name for name in _METHOD_ORDER if name in requested]
 
 
-def _evaluate(bath, model, theta, method) -> thermo.ThermoPoint:
-    if method in ("exact_j", "exact_quadrature"):
-        return thermo.thermo_point(bath, theta, method)
-    regime = "low_T" if method == "low_T_series" else "high_T"
-    return thermo.series_point(bath, theta, regime, model)
-
-
 def run_sweep(opt) -> str:
     """Compute a sweep from merged options and render it; returns the full
-    output text (deterministic for a fixed configuration)."""
+    output text (deterministic for a fixed configuration).
+
+    Each exact method runs as one :func:`oscbath.thermo.sweep` over the
+    whole grid; the series methods are evaluated point by point.  Rows are
+    in theta-major order, the methods in canonical order within a theta,
+    and every row of a layout (csv or json, reduced or SI units) is
+    rendered from one format string, floats as %.16e: 17 significant
+    digits, an exact float round trip."""
     bath, model = _bath_from_options(opt)
     grid = _theta_grid(opt)
     methods = _methods(opt)
@@ -210,42 +211,37 @@ def run_sweep(opt) -> str:
         energy = HBAR_SI * opt["omega0_hz"]        # hbar omega0 in J
         kelvin_per_theta = energy / K_BOLTZMANN_SI
 
-    rows = []
+    exact = {method: iter(thermo.sweep(bath, grid, method))
+             for method in methods if method in _EXACT_METHODS}
+    floats = ["theta", "T_kelvin", "F", "S", "U", "C"] if si \
+        else ["theta", "F", "S", "U", "C"]
+    if opt["format"] == "csv":
+        lines = [",".join(floats + ["method", "model"])]
+        row_format = ",".join(["%.16e"] * len(floats) + ["%s", "%s"])
+    else:
+        lines = []
+        row_format = "    {" + ", ".join(
+            [f'"{name}": %.16e' for name in floats]
+            + ['"method": "%s"', '"model": "%s"']) + "}"
     for theta in grid:
         for method in methods:
-            point = _evaluate(bath, model, theta, method)
-            row = {"theta": theta, "F": point.F, "S": point.S,
-                   "U": point.U, "C": point.C,
-                   "method": method, "model": model}
+            if method in exact:
+                point = next(exact[method])
+            else:
+                regime = "low_T" if method == "low_T_series" else "high_T"
+                point = thermo.series_point(bath, theta, regime, model)
             if si:
-                row["T_kelvin"] = theta * kelvin_per_theta
-                row["F"] *= energy
-                row["U"] *= energy
-                row["S"] *= K_BOLTZMANN_SI
-                row["C"] *= K_BOLTZMANN_SI
-            rows.append(row)
-
-    columns = ["theta", "T_kelvin", "F", "S", "U", "C", "method", "model"] \
-        if si else ["theta", "F", "S", "U", "C", "method", "model"]
+                values = (theta, theta * kelvin_per_theta, point.F * energy,
+                          point.S * K_BOLTZMANN_SI, point.U * energy,
+                          point.C * K_BOLTZMANN_SI, method, model)
+            else:
+                values = (theta, point.F, point.S, point.U, point.C,
+                          method, model)
+            lines.append(row_format % values)
     if opt["format"] == "csv":
-        return _render_csv(rows, columns)
-    return _render_json(rows, columns, opt, model)
-
-
-def _float_text(value: float) -> str:
-    return f"{value:.16e}"     # 17 significant digits: exact float round trip
-
-
-def _render_csv(rows, columns) -> str:
-    lines = [",".join(columns)]
-    for row in rows:
-        cells = []
-        for name in columns:
-            value = row[name]
-            text = value if isinstance(value, str) else _float_text(value)
-            cells.append(text)
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+        return "\n".join(lines) + "\n"
+    return ("{\n  \"config\": {" + _json_config(opt) + "},\n"
+            "  \"rows\": [\n" + ",\n".join(lines) + "\n  ]\n}\n")
 
 
 def _json_scalar(value) -> str:
@@ -257,23 +253,15 @@ def _json_scalar(value) -> str:
         return str(value)
     if value is None:
         return "null"
-    return _float_text(value)
+    return "%.16e" % value
 
 
-def _render_json(rows, columns, opt, model) -> str:
+def _json_config(opt) -> str:
     config_keys = ("model", "gamma", "tau", "omega_prime", "theta_min",
                    "theta_max", "points", "log", "method", "units",
                    "omega0_hz")
-    config_items = ", ".join(f'"{key}": {_json_scalar(opt[key])}'
-                             for key in config_keys)
-    row_texts = []
-    for row in rows:
-        items = ", ".join(f'"{name}": {_json_scalar(row[name])}'
-                          for name in columns)
-        row_texts.append("    {" + items + "}")
-    body = ",\n".join(row_texts)
-    return ("{\n  \"config\": {" + config_items + "},\n"
-            "  \"rows\": [\n" + body + "\n  ]\n}\n")
+    return ", ".join(f'"{key}": {_json_scalar(opt[key])}'
+                     for key in config_keys)
 
 
 def _cmd_sweep(args) -> int:

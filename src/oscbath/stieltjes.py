@@ -92,9 +92,17 @@ BERNOULLI_EVEN = {
     20: Fraction(-174611, 330),
     22: Fraction(854513, 138),
 }
-# B_24, kept private: only used for the truncation bound of the longest
-# asymptotic partial sum, never as a series term.
-_B24 = Fraction(-236364091, 2730)
+# B_24 .. B_34, kept private: the remainder engine's asymptotic series below
+# takes its terms through B_32, and B_24 bounds the longest partial sum of
+# j_asymptotic.
+_BERNOULLI_BEYOND = {
+    24: Fraction(-236364091, 2730),
+    26: Fraction(8553103, 6),
+    28: Fraction(-23749461029, 870),
+    30: Fraction(8615841276005, 14322),
+    32: Fraction(-7709321041217, 510),
+    34: Fraction(2577687858367, 6),
+}
 
 _MAX_ASYMPTOTIC_TERMS = len(BERNOULLI_EVEN)  # 11
 
@@ -262,7 +270,7 @@ def j_asymptotic(z: complex, n_terms: int = 11) -> tuple[complex, float]:
         last_magnitude = abs(term)
         power *= inv_z2
     m = 2 * n_terms + 2
-    b_next = _B24 if m > 22 else BERNOULLI_EVEN[m]
+    b_next = _BERNOULLI_BEYOND[m] if m > 22 else BERNOULLI_EVEN[m]
     bound = abs((float(b_next) / ((m - 1) * m)) * power)
     if bound > last_magnitude:
         raise ValueError(
@@ -364,12 +372,14 @@ def j_auto(z: complex) -> complex:
 # low temperature (exactly, for the blackbody bath); the route sums them
 # analytically.  Every routine below returns a jet, (f, z f', z^2 f'').
 #
-# For |z| >= _REMAINDER_ASYMPTOTIC the ten-term asymptotic series without
-# its first term, R = sum_n A_n t^(2n+1) with t = 1/z, gives the jet to
-# ~1e-16 of its size: z R' and z^2 R'' take the factors -(2n+1) and
-# (2n+1)(2n+2), so no derivative under- or overflows at large |z|.  (At
-# |z| = 10 the ten terms would leave z^2 R'' off by ~2e-13.)  Nearer the
-# origin the recurrence
+# For |z| >= _REMAINDER_ASYMPTOTIC = 10 the asymptotic series through B_32
+# without its first term, R = sum_{n=1}^{15} A_n t^(2n+1) with t = 1/z and
+# A_n = B_(2n+2)/((2n+1)(2n+2)), gives the jet to ~1e-16 of its size: the
+# first omitted term, with B_34, is ~1e-17 of z^2 R'' at |z| = 10 and less
+# elsewhere.  z R' and z^2 R'' take the factors -(2n+1) and (2n+1)(2n+2),
+# so no derivative under- or overflows at large |z|.  Only odd powers of t
+# occur, so each of the three series is t Q(s), summed in s = t^2.  Nearer
+# the origin the recurrence
 #
 #     R(w) = h(w) + R(w + 1),   h(w) = J(w) - J(w + 1) - 1/(12 w (w + 1)),
 #
@@ -392,31 +402,42 @@ def j_auto(z: complex) -> complex:
 #     z^2 J''(z) = 1/2 - z + sum_n n (n - 1) a_n z^n,
 #
 # with P(z) = sum_{n>=2} a_n z^n, a_n = (-1)^n zeta(n)/n.
-# Each series is summed by one Horner pass that also gives its divided
-# difference between nearby arguments, so a difference keeps the relative
-# accuracy of the exact step; a single argument is the same pass, b = a.
+# A single argument sums each series by one Horner pass per polynomial.
+# A difference between nearby arguments runs a second Horner chain per
+# polynomial beside the first, which gives the divided difference of the
+# series, so the difference keeps the relative accuracy of the exact step.
 
 # Below this modulus J enters the closed form whole, from its power
 # series; at and above it, as the remainder R after the leading 1/(12 z).
 SMALL_ARGUMENT = 0.5
-_REMAINDER_ASYMPTOTIC = 14.0
+_REMAINDER_ASYMPTOTIC = 10.0
 # Series run until the power falls below this (the derivative coefficients
 # grow like k^2).
 _SERIES_EPS = 1e-21
 _SHIFT_REACH = 2.0 / 3.0
 
 
-# Coefficients of x^1, x^2, ... of three polynomials P0, P1, P2 per series:
-# h = P0(y), h' = -4 v P1(y), h'' = 8 y P2(y) up to y^131, enough for
-# |y| <= _SHIFT_REACH; the jet of R is (P0, -P1, P2)(t), with A_1 .. A_10
-# at t^3 .. t^21; and the power series parts of the jet of J to z^80.
-_SHIFT_ROWS = tuple((c, k * c, k * (2 * k + 1) * c) for k, c in (
-    (k, 1.0 / (2 * k + 1) - 1.0 / 3.0) for k in range(1, 132)))
-_ASYMPTOTIC_ROWS = tuple((a, p * a, p * (p + 1) * a) for p, a in (
-    (p, float(BERNOULLI_EVEN[p + 1]) / (p * (p + 1)) if p >= 3 and p % 2 else 0.0)
-    for p in range(1, 2 * _MAX_ASYMPTOTIC_TERMS)))
-_SERIES_ROWS = tuple((a, n * a, n * (n - 1) * a) for n, a in (
-    (n, (-1.0) ** n * zeta(n) / n if n >= 2 else 0.0) for n in range(1, 81)))
+def _horner_prefixes(rows):
+    """For every n, rows[:n] highest power first, as a tuple: a Horner
+    pass over the first n rows iterates it directly."""
+    return tuple(tuple(reversed(rows[:n])) for n in range(len(rows) + 1))
+
+
+# Coefficients of x^1, x^2, ... of three polynomials P0, P1, P2 per series,
+# highest power first: h = P0(y), h' = -4 v P1(y), h'' = 8 y P2(y) up to
+# y^131, enough for |y| <= _SHIFT_REACH, as prefixes; the jet of R is
+# t (Q0, -Q1, Q2)(s), with A_1 .. A_15 at s^1 .. s^15; and the power series
+# parts of the jet of J to z^80, as prefixes.
+_SHIFT_HORNER = _horner_prefixes(tuple(
+    (c, k * c, k * (2 * k + 1) * c) for k, c in (
+        (k, 1.0 / (2 * k + 1) - 1.0 / 3.0) for k in range(1, 132))))
+_ASYMPTOTIC_HORNER = tuple((a, p * a, p * (p + 1) * a) for p, a in (
+    (p, float(_BERNOULLI_BEYOND.get(p + 1) or BERNOULLI_EVEN[p + 1])
+     / (p * (p + 1))) for p in range(31, 1, -2)))
+_SERIES_HORNER = _horner_prefixes(tuple(
+    (a, n * a, n * (n - 1) * a) for n, a in (
+        (n, (-1.0) ** n * zeta(n) / n if n >= 2 else 0.0)
+        for n in range(1, 81))))
 
 
 def _check_argument(z, name):
@@ -453,13 +474,30 @@ def _shift_count(z):
     return math.ceil(shift) if shift > 0.0 else 0
 
 
+def _out_of_reach(name, z):
+    return ValueError(
+        f"{name}: z = {z!r} is within sqrt(3/8) of -n - 1/2 for a shift "
+        "n >= 0, beyond the reach of the shift series (|v^2| > 2/3)")
+
+
+def _horner(rows, x):
+    """P(x) for each of the three polynomials P(x) = sum_k c_k x^(k+1)
+    whose coefficient rows (c_k for each) are given highest power first."""
+    r0 = r1 = r2 = 0.0
+    for c0, c1, c2 in rows:
+        r0 = r0 * x + c0
+        r1 = r1 * x + c1
+        r2 = r2 * x + c2
+    return r0 * x, r1 * x, r2 * x
+
+
 def _divided_differences(rows, xa, xb):
     """P(xa) and (P(xa) - P(xb))/(xa - xb) for each of the three
-    polynomials P(x) = sum_k rows[k][i] x^(k+1), by one Horner pass: with
+    polynomials of :func:`_horner`, by one Horner pass: with
     r_k = sum_{j>=k} c_j xa^(j-k), P(xa) = r_0 xa and the quotient is
     sum_k r_k xb^k.  No two values of P are subtracted."""
     r0 = r1 = r2 = q0 = q1 = q2 = 0.0
-    for c0, c1, c2 in reversed(rows):
+    for c0, c1, c2 in rows:
         r0 = r0 * xa + c0
         r1 = r1 * xa + c1
         r2 = r2 * xa + c2
@@ -469,13 +507,41 @@ def _divided_differences(rows, xa, xb):
     return (r0 * xa, r1 * xa, r2 * xa), (q0, q1, q2)
 
 
-def _remainder_jets(name, a, b, delta):
-    """The jets of R at a and of R(a) - R(b), by the shift recurrence and
-    the asymptotic series (see the section comment); b = a, delta = 0
-    gives the jet at a alone."""
+def _remainder_jet(name, z):
+    """The jet of R at z by the shift recurrence and the asymptotic series
+    (see the section comment)."""
+    if z.imag == 0.0:
+        z = z.real
+    shifts = _shift_count(z)
+    value = slope = curvature = 0.0
+    w = z
+    for _ in range(shifts):
+        v = 1.0 / (2.0 * w + 1.0)
+        y = v * v
+        size = abs(y)
+        if size > _SHIFT_REACH:
+            raise _out_of_reach(name, z)
+        h0, h1, h2 = _horner(_SHIFT_HORNER[_term_count(size) + 2], y)
+        value += h0
+        slope -= 4.0 * v * h1
+        curvature += 8.0 * y * h2
+        w += 1.0
+    # the jet of R at w is t (Q0, -Q1, Q2)(t^2), scaled to z by r = z/w
+    t = 1.0 / w
+    q0, q1, q2 = _horner(_ASYMPTOTIC_HORNER, t * t)
+    if not shifts:
+        return complex(t * q0), complex(-t * q1), complex(t * q2)
+    r = z * t
+    return (complex(value + t * q0), complex(z * slope - r * (t * q1)),
+            complex(z * z * curvature + r * r * (t * q2)))
+
+
+def _remainder_difference(name, a, b, delta):
+    """The jet of R(a) - R(b) by the shift recurrence and the asymptotic
+    series, each differenced term by term (see the section comment)."""
     a, b, delta = _plain(a, b, delta)
     shifts = max(_shift_count(a), _shift_count(b))
-    value = slope = curvature = d0 = d1 = d2 = 0.0
+    slope = curvature = d0 = d1 = d2 = 0.0
     wa, wb = a, b
     for _ in range(shifts):
         va = 1.0 / (2.0 * wa + 1.0)
@@ -483,15 +549,11 @@ def _remainder_jets(name, a, b, delta):
         ya, yb = va * va, vb * vb
         size = max(abs(ya), abs(yb))
         if size > _SHIFT_REACH:
-            raise ValueError(
-                f"{name}: z = {a if abs(ya) == size else b!r} is within "
-                "sqrt(3/8) of -n - 1/2 for a shift n >= 0, beyond the reach "
-                "of the shift series (|v^2| > 2/3)")
+            raise _out_of_reach(name, a if abs(ya) == size else b)
         dv = -2.0 * delta * va * vb                  # va - vb
         dy = dv * (va + vb)                          # ya - yb
-        (h0, h1, h2), (e0, e1, e2) = _divided_differences(
-            _SHIFT_ROWS[:_term_count(size) + 2], ya, yb)
-        value += h0
+        (_, h1, h2), (e0, e1, e2) = _divided_differences(
+            _SHIFT_HORNER[_term_count(size) + 2], ya, yb)
         slope -= 4.0 * va * h1
         curvature += 8.0 * ya * h2
         d0 += dy * e0
@@ -499,41 +561,54 @@ def _remainder_jets(name, a, b, delta):
         d2 += 8.0 * dy * (h2 + yb * e2)
         wa += 1.0
         wb += 1.0
-    # the jet of R at wa is (P0, -P1, P2)(ta), scaled to a by ra = a/wa;
-    # with rb = b/wb, ra - rb = -shifts dt
+    # the jet of R at wa is (P0, -P1, P2)(ta) with P = t Q(t^2), scaled to a
+    # by ra = a/wa; with rb = b/wb, ra - rb = -shifts dt.  The divided
+    # difference of t Q(t^2) is Q(sa) + tb (ta + tb) DQ, with DQ that of Q
+    # between sa and sb.
     ta, tb = 1.0 / wa, 1.0 / wb
     dt = -(delta * ta) * tb                          # ta - tb
     ra, rb = (a * ta, b * tb) if shifts else (1.0, 1.0)
-    (p0, p1, p2), (e0, e1, e2) = _divided_differences(_ASYMPTOTIC_ROWS, ta, tb)
-    jet = [value + p0, -ra * p1, ra * ra * p2]
+    (q0, q1, q2), (e0, e1, e2) = _divided_differences(
+        _ASYMPTOTIC_HORNER, ta * ta, tb * tb)
+    tab = tb * (ta + tb)
+    p1, p2 = ta * q1, ta * q2
+    e0, e1, e2 = q0 + tab * e0, q1 + tab * e1, q2 + tab * e2
     difference = [d0 + dt * e0, -dt * (rb * e1 - shifts * p1),
                   dt * (rb * rb * e2 - shifts * (ra + rb) * p2)]
     if shifts:
         # a g(a) - b g(b) = delta g(a) + b (g(a) - g(b)): nothing cancels
-        jet[1] += a * slope
-        jet[2] += a * a * curvature
         difference[1] += delta * slope + b * d1
         difference[2] += delta * (a + b) * curvature + b * b * d2
-    return tuple(map(complex, jet)), tuple(map(complex, difference))
+    return tuple(map(complex, difference))
 
 
-def _series_jets(a, b, delta):
-    """The jets of J at a and of J(a) - J(b) by the power series, for
-    |a|, |b| < SMALL_ARGUMENT."""
+def _series_jet(z):
+    """The jet of J at z by the power series, for |z| < SMALL_ARGUMENT."""
+    if z.imag == 0.0:
+        z = z.real
+        log_z = math.log(z)
+    else:
+        log_z = cmath.log(z)
+    p0, p1, p2 = _horner(_SERIES_HORNER[_term_count(z) + 2], z)
+    return (complex(-LOG_SQRT_2PI - (z + 0.5) * log_z
+                    + (1.0 - EULER_GAMMA) * z + p0),
+            complex(-z * log_z - 0.5 - EULER_GAMMA * z + p1),
+            complex(0.5 - z + p2))
+
+
+def _series_difference(a, b, delta):
+    """The jet of J(a) - J(b) by the power series, differenced term by
+    term, for |a|, |b| < SMALL_ARGUMENT."""
     a, b, delta = _plain(a, b, delta)
     log, log1p = ((math.log, math.log1p) if isinstance(a, float)
                   else (cmath.log, _log1p))
     log_a, step = log(a), log1p(delta / b)             # step = log a - log b
-    rows = _SERIES_ROWS[:_term_count(max(abs(a), abs(b))) + 2]
-    (p0, p1, p2), (e0, e1, e2) = _divided_differences(rows, a, b)
-    jet = (-LOG_SQRT_2PI - (a + 0.5) * log_a + (1.0 - EULER_GAMMA) * a + p0,
-           -a * log_a - 0.5 - EULER_GAMMA * a + p1,
-           0.5 - a + p2)
-    difference = (-(delta * log_a + (b + 0.5) * step)
-                  + (1.0 - EULER_GAMMA + e0) * delta,
-                  -(delta * log_a + b * step) + (e1 - EULER_GAMMA) * delta,
-                  (e2 - 1.0) * delta)
-    return tuple(map(complex, jet)), tuple(map(complex, difference))
+    rows = _SERIES_HORNER[_term_count(max(abs(a), abs(b))) + 2]
+    _, (e0, e1, e2) = _divided_differences(rows, a, b)
+    return (complex(-(delta * log_a + (b + 0.5) * step)
+                    + (1.0 - EULER_GAMMA + e0) * delta),
+            complex(-(delta * log_a + b * step) + (e1 - EULER_GAMMA) * delta),
+            complex((e2 - 1.0) * delta))
 
 
 def _leading(jet, lead):
@@ -550,8 +625,8 @@ def j_jet(z: complex) -> tuple[complex, complex, complex]:
     """
     z = _check_argument(z, "j_jet")
     if abs(z) < SMALL_ARGUMENT:
-        return _series_jets(z, z, 0j)[0]
-    return _leading(_remainder_jets("j_jet", z, z, 0j)[0], 1.0 / (12.0 * z))
+        return _series_jet(z)
+    return _leading(_remainder_jet("j_jet", z), 1.0 / (12.0 * z))
 
 
 def j_remainder(z: complex) -> tuple[complex, complex, complex]:
@@ -567,8 +642,8 @@ def j_remainder(z: complex) -> tuple[complex, complex, complex]:
     """
     z = _check_argument(z, "j_remainder")
     if abs(z) < SMALL_ARGUMENT:
-        return _leading(_series_jets(z, z, 0j)[0], -1.0 / (12.0 * z))
-    return _remainder_jets("j_remainder", z, z, 0j)[0]
+        return _leading(_series_jet(z), -1.0 / (12.0 * z))
+    return _remainder_jet("j_remainder", z)
 
 
 def j_remainder_difference(a: complex, b: complex,
@@ -590,7 +665,8 @@ def j_remainder_difference(a: complex, b: complex,
     b = _check_argument(b, "j_remainder_difference")
     if min(abs(a), abs(b)) < 0.5 * SMALL_ARGUMENT:
         raise ValueError("j_remainder_difference: needs |a|, |b| >= 1/4")
-    return _remainder_jets("j_remainder_difference", a, b, complex(delta))[1]
+    return _remainder_difference("j_remainder_difference", a, b,
+                                 complex(delta))
 
 
 def j_difference(a: complex, b: complex,
@@ -606,4 +682,4 @@ def j_difference(a: complex, b: complex,
         # 1/(12 a) - 1/(12 b) = -delta/(12 a b)
         return _leading(j_remainder_difference(a, b, delta),
                         -delta / (12.0 * a * b))
-    return _series_jets(a, b, delta)[1]
+    return _series_difference(a, b, delta)

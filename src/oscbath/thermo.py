@@ -31,6 +31,7 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass, replace
+from typing import Callable, Iterable, NamedTuple
 
 from .baths import CanonicalBath, cutoff_relation, roots, spectral_weight, static_weight
 from .quadrature import QuadratureSpec, integrate_interval, integrate_semi_infinite
@@ -39,7 +40,7 @@ from .stieltjes import (EULER_GAMMA, SMALL_ARGUMENT, j_difference, j_jet,
 
 __all__ = [
     "ThermoPoint", "ExpansionSpec", "DivergenceError",
-    "free_energy_exact", "free_energy_quadrature", "thermo_point",
+    "free_energy_exact", "free_energy_quadrature", "thermo_point", "sweep",
     "ohmic_low_temperature", "ohmic_high_temperature",
     "qed_low_temperature", "qed_high_temperature",
     "cutoff_correction", "series_point",
@@ -131,79 +132,125 @@ def _pair_remainder(x: complex) -> tuple[float, float, float]:
             (curvature + kr * k * (1.0 + r)).real)
 
 
-def _j_sum(bath: CanonicalBath, theta: float) -> tuple[float, float, float]:
+class _Plan(NamedTuple):
+    """What the exact routes need of one bath, in reduced units, made once
+    per call and shared by every temperature of a sweep.
+
+    ``terms`` lists the closed form's characteristic frequencies as
+    (sigma, c, mate, gap), sigma = -1 for the two roots and Omega' and +1
+    for Omega.  A complex c is an underdamped root and stands for the
+    reflection pair c, conj(c).  A mate marks the gap pair of the
+    overdamped blackbody bath, sigma [J(c/(2 pi theta)) -
+    J(mate/(2 pi theta))], whose arguments nearly coincide; ``gap`` is
+    1/c - 1/mate, exactly c1 + 1/Omega', from which c - mate is formed
+    without cancellation.
+    ``static`` is :func:`oscbath.baths.static_weight`, minus the sum of
+    sigma/c with the cutoff relation's cancellation done exactly, and
+    ``weight`` is :func:`oscbath.baths.spectral_weight`, for the quadrature
+    route.
+    """
+    terms: tuple[tuple[float, complex | float, float | None, float | None], ...]
+    static: float
+    gamma: float
+    weight: Callable[[float, float], float]
+
+
+def _plan(bath: CanonicalBath) -> _Plan:
+    scaled = bath.scaled()
+    pair = roots(1.0, scaled.gamma)
+    terms = []
+    if pair.regime == "underdamped":
+        terms.append((-1.0, pair.z1, None, None))
+        if math.isfinite(scaled.Omega):
+            terms.append((1.0, scaled.Omega, None, None))
+    else:
+        smaller = pair.z1.real
+        if cutoff_relation(scaled) == "blackbody":
+            # 1/Omega - 1/c1 = (gamma + 1/Omega') - (gamma/2 + |omega1|)
+            terms.append((1.0, scaled.Omega, smaller,
+                          smaller + 1.0 / scaled.OmegaPrime))
+        else:
+            terms.append((-1.0, smaller, None, None))
+            if math.isfinite(scaled.Omega):
+                terms.append((1.0, scaled.Omega, None, None))
+        terms.append((-1.0, pair.z1_conj.real, None, None))
+    if math.isfinite(scaled.OmegaPrime):
+        terms.append((-1.0, scaled.OmegaPrime, None, None))
+    return _Plan(tuple(terms), static_weight(scaled), scaled.gamma,
+                 spectral_weight(scaled))
+
+
+def _j_sum(plan: _Plan, theta: float) -> tuple[float, float, float]:
     """G, A and B: the sums of sigma J(x), sigma x J'(x) and
     sigma x^2 J''(x) over the characteristic arguments x = c/(2 pi theta)
-    of the closed form (sigma = -1 for the two roots and Omega', +1 for
-    Omega), from one pass over the jets of J.
+    of the closed form, from one pass over the plan's terms and the jets
+    of J.
 
     Arguments of modulus >= SMALL_ARGUMENT contribute remainders after the
     leading 1/(12 x) of J, whose sum L enters G, A and B as (L, -L, 2L);
-    when all do, L is -(2 pi theta/12) times
-    :func:`oscbath.baths.static_weight`, with the cutoff relation's
-    cancellation done exactly.  For the blackbody bath above critical
-    damping, Omega and the smaller root nearly coincide (their reciprocals
-    differ by c1 + 1/Omega'), and their pair is differenced directly from
-    that gap.
+    when all do, L is -(2 pi theta/12) times the plan's static weight.  The
+    blackbody gap pair is differenced directly from its gap while both
+    arguments lie on one side of the series switch.
     """
     if theta < sys.float_info.min:          # 2 pi x overflows
         raise ValueError(f"theta = {theta!r} is subnormal")
     s = 1.0 / (2.0 * math.pi * theta)
-    scaled = bath.scaled()
-    pair = roots(1.0, scaled.gamma)
-    total = [0.0, 0.0, 0.0]
+    if s == 0.0:
+        raise ValueError(f"theta = {theta!r} is too large: 2 pi theta "
+                         "overflows")
+    G = A = B = 0.0
     inverse = 0.0            # sum of sigma/x over the remainder terms
     all_remainders = True
-
-    def add(sign, jet):
-        for i, part in enumerate(jet):
-            total[i] += sign * part.real
-
-    def single(sign, x):
-        nonlocal inverse, all_remainders
-        if x < SMALL_ARGUMENT:
-            all_remainders = False
-            add(sign, j_jet(x))
+    for sign, c, mate, gap in plan.terms:
+        x = c * s
+        if mate is None:
+            singles = ((sign, x),)
         else:
-            inverse += sign / x
-            add(sign, j_remainder(x))
-
-    if pair.regime == "underdamped":
-        x = pair.z1 * s
-        if abs(x) < SMALL_ARGUMENT:
-            all_remainders = False
-            add(-2.0, j_jet(x))
-        else:
-            add(-1.0, _pair_remainder(x))
-            inverse -= 2.0 * (1.0 / x).real
-        if math.isfinite(scaled.Omega):
-            single(1.0, scaled.Omega * s)
-    else:
-        smaller = pair.z1.real
-        a, b = scaled.Omega * s, smaller * s
-        small = max(a, b) < SMALL_ARGUMENT
-        if cutoff_relation(scaled) == "blackbody" and (
-                small or min(a, b) >= 0.5 * SMALL_ARGUMENT):
-            # 1/c1 - 1/Omega = (gamma/2 + |omega1|) - (gamma + 1/Omega')
-            gap = -s * scaled.Omega * smaller * (smaller + 1.0 / scaled.OmegaPrime)
-            if small:
+            b = mate * s
+            small = max(x, b) < SMALL_ARGUMENT
+            if small or min(x, b) >= 0.5 * SMALL_ARGUMENT:
+                delta = -x * mate * gap                 # x - b
+                if small:
+                    all_remainders = False
+                    jet = j_difference(x, b, delta)
+                else:
+                    inverse -= sign * delta / (x * b)
+                    jet = j_remainder_difference(x, b, delta)
+                G += sign * jet[0].real
+                A += sign * jet[1].real
+                B += sign * jet[2].real
+                continue
+            # astride the series switch: term by term
+            singles = ((-sign, b), (sign, x))
+        for sign, x in singles:
+            pair = type(x) is complex           # stands for x and conj(x)
+            if abs(x) < SMALL_ARGUMENT:
                 all_remainders = False
-                add(1.0, j_difference(a, b, gap))
+                jet = j_jet(x)
+                if pair:
+                    sign *= 2.0
+            elif pair:
+                inverse += 2.0 * sign * (1.0 / x).real
+                jet = _pair_remainder(x)
             else:
-                add(1.0, j_remainder_difference(a, b, gap))
-                inverse -= gap / (a * b)
-        else:
-            single(-1.0, b)
-            if math.isfinite(scaled.Omega):
-                single(1.0, a)
-        single(-1.0, pair.z1_conj.real * s)
-    if math.isfinite(scaled.OmegaPrime):
-        single(-1.0, scaled.OmegaPrime * s)
+                inverse += sign / x
+                jet = j_remainder(x)
+            G += sign * jet[0].real
+            A += sign * jet[1].real
+            B += sign * jet[2].real
     if all_remainders:
-        inverse = -2.0 * math.pi * theta * static_weight(scaled)
+        inverse = -2.0 * math.pi * theta * plan.static
     lead = inverse / 12.0
-    G, A, B = total
     return G + lead, A - lead, B + 2.0 * lead
+
+
+def _exact_j_point(plan: _Plan, theta: float) -> ThermoPoint:
+    G, A, B = _j_sum(plan, theta)
+    F = theta * G
+    if not math.isfinite(F):
+        raise OverflowError(f"theta = {theta!r} is too large: F = theta G "
+                            "overflows")
+    return ThermoPoint(theta, F, A - G, theta * A, -B, "exact_j")
 
 
 def free_energy_exact(bath: CanonicalBath, theta: float) -> float:
@@ -219,7 +266,7 @@ def free_energy_exact(bath: CanonicalBath, theta: float) -> float:
     if not theta > 0.0:
         raise ValueError("free_energy_exact needs theta > 0; "
                          "the theta = 0 limit is zero_point()")
-    return theta * _j_sum(bath, theta)[0]
+    return _exact_j_point(_plan(bath), theta).F
 
 
 def _resonance_edges(gamma: float, theta: float) -> list[float]:
@@ -250,7 +297,7 @@ def _thermal_scale(weight, theta: float, static: float) -> float:
     return min(sizes) if sizes else 1.0
 
 
-def _spectral_moments(bath: CanonicalBath, theta: float,
+def _spectral_moments(plan: _Plan, theta: float,
                       spec: QuadratureSpec | None = None) -> tuple[float, float, float]:
     """F, U and C by one vector-valued quadrature of the spectral form.
 
@@ -274,9 +321,8 @@ def _spectral_moments(bath: CanonicalBath, theta: float,
         spec = QuadratureSpec()
     first = min(spec.first_panel, theta)
     spec = replace(spec, first_panel=first)
-    scaled = bath.scaled()
-    weight_of = spectral_weight(scaled)
-    scale = _thermal_scale(weight_of, theta, static_weight(scaled)) * theta
+    weight_of = plan.weight
+    scale = _thermal_scale(weight_of, theta, plan.static) * theta
     norm = 1.0 / scale                   # F/theta ~ scale * theta on this scale
 
     def moments(w: float, weight: float) -> tuple[float, float, float]:
@@ -306,7 +352,7 @@ def _spectral_moments(bath: CanonicalBath, theta: float,
         edge *= 2.0
     inner = integrate_interval(near_origin, 0.0, split, spec, points=march)
     outer = integrate_semi_infinite(by_detuning, spec, start=split - 1.0,
-                                    points=_resonance_edges(scaled.gamma, theta))
+                                    points=_resonance_edges(plan.gamma, theta))
     i_F, i_U, i_C = (a + b for a, b in zip(inner.value, outer.value))
     factor = scale / math.pi
     return theta * factor * i_F, theta * factor * i_U, factor * i_C
@@ -320,12 +366,40 @@ def free_energy_quadrature(bath: CanonicalBath, theta: float,
     as well."""
     if not theta > 0.0:
         raise ValueError("free_energy_quadrature needs theta > 0")
-    return _spectral_moments(bath, theta, spec)[0]
+    return _spectral_moments(_plan(bath), theta, spec)[0]
+
+
+def sweep(bath: CanonicalBath, thetas: Iterable[float],
+          method: str = "exact_j") -> list[ThermoPoint]:
+    """F, S, U, C at each temperature of ``thetas``, in order, from one
+    exact route (see :func:`thermo_point`).
+
+    What the route needs of the bath (the characteristic frequencies, the
+    static weight, the spectral weight) is set up once for the whole list,
+    and every point is bit-identical to :func:`thermo_point` at its
+    temperature.  A temperature that is not > 0 raises ValueError before
+    any point is computed.
+    """
+    if method not in ("exact_j", "exact_quadrature"):
+        raise ValueError(f"unknown exact method {method!r}")
+    thetas = list(thetas)
+    for theta in thetas:
+        if not theta > 0.0:
+            raise ValueError(f"theta must be > 0 (got {theta!r})")
+    plan = _plan(bath)
+    if method == "exact_j":
+        return [_exact_j_point(plan, theta) for theta in thetas]
+    points = []
+    for theta in thetas:
+        F, U, C = _spectral_moments(plan, theta)
+        points.append(ThermoPoint(theta, F, (U - F) / theta, U, C, method))
+    return points
 
 
 def thermo_point(bath: CanonicalBath, theta: float,
                  method: str = "exact_j") -> ThermoPoint:
-    """F, S, U, C at one temperature from an exact route.
+    """F, S, U, C at one temperature from an exact route: the one-point
+    :func:`sweep`.
 
     ``exact_j``: one pass over the characteristic arguments
     x = c/(2 pi theta) sums G = sum sigma J(x), A = sum sigma x J'(x) and
@@ -333,7 +407,9 @@ def thermo_point(bath: CanonicalBath, theta: float,
     then F = theta G, S = A - G, U = theta A and C = -B.  Nothing is
     differenced and the closed form's cancellations are done analytically,
     so each is good to a few 1e-15 relative, tiny values included.  F is
-    bit-identical to :func:`free_energy_exact`.
+    bit-identical to :func:`free_energy_exact`.  A subnormal theta, or one
+    so large that 2 pi theta overflows, raises ValueError; one where
+    F = theta G overflows (theta above ~2.6e305) raises OverflowError.
 
     ``exact_quadrature``: F, U and C are three spectral moments from one
     quadrature pass over shared nodes, and S = (U - F)/theta, which does
@@ -341,15 +417,7 @@ def thermo_point(bath: CanonicalBath, theta: float,
     differencing is involved, so S, U and C are cross-checked on their own
     rather than derived from F.
     """
-    if method not in ("exact_j", "exact_quadrature"):
-        raise ValueError(f"unknown exact method {method!r}")
-    if not theta > 0.0:
-        raise ValueError("thermo_point needs theta > 0")
-    if method == "exact_quadrature":
-        F, U, C = _spectral_moments(bath, theta)
-        return ThermoPoint(theta, F, (U - F) / theta, U, C, method)
-    G, A, B = _j_sum(bath, theta)
-    return ThermoPoint(theta, theta * G, A - G, theta * A, -B, method)
+    return sweep(bath, [theta], method)[0]
 
 
 def _low_t_tables(theta: float, gamma: float):

@@ -25,6 +25,17 @@ J_AT_HALF = (0.5 * math.log(math.pi) - math.log(2.0)) - LOG_SQRT_2PI \
 J_AT_2 = math.log(2.0) - LOG_SQRT_2PI - 2.5 * math.log(2.0) + 2.0
 
 
+def akiyama_tanigawa(n):
+    """B_0 .. B_n as exact rationals (B_1 = +1/2 in this algorithm)."""
+    row, numbers = [], []
+    for m in range(n + 1):
+        row.append(Fraction(1, m + 1))
+        for j in range(m, 0, -1):
+            row[j - 1] = j * (row[j - 1] - row[j])
+        numbers.append(row[0])
+    return numbers
+
+
 def agreement(a, b):
     """Part-per-billion agreement on the gamma scale: absolute in J,
     relative once |J| exceeds 1."""
@@ -49,6 +60,21 @@ class TestTables:
             20: Fraction(-174611, 330), 22: Fraction(854513, 138),
         }
         assert sj.BERNOULLI_EVEN == expected
+        # and the private table beyond B_22, against the Akiyama-Tanigawa
+        # algorithm over exact rationals
+        generated = akiyama_tanigawa(34)
+        assert {n: generated[n] for n in range(2, 23, 2)} == expected
+        assert sj._BERNOULLI_BEYOND == {n: generated[n]
+                                        for n in range(24, 35, 2)}
+
+    def test_asymptotic_remainder_truncation_at_the_switch(self):
+        # the remainder series stops at B_32: its first omitted term, with
+        # B_34, is negligible against every component of the jet of R at
+        # the smallest modulus it serves (R ~ A_1 t^3, A_1 = -1/360)
+        z = sj._REMAINDER_ASYMPTOTIC
+        omitted = abs(float(sj._BERNOULLI_BEYOND[34])) / (33 * 34) * z ** -33
+        leading = z ** -3 / 360.0
+        assert omitted * 33 * 34 <= 1e-16 * 3 * 4 * leading
 
     def test_zeta_against_closed_forms(self):
         assert abs(sj.zeta(2) - math.pi**2 / 6.0) < 1e-15
@@ -319,6 +345,11 @@ def _mp_jet(w):
 # the jet of the leading term 1/(12 z) is (1, -1, 2)/(12 z)
 LEADING_JET = (1, -1, 2)
 
+# Real, complex and near-imaginary-axis arguments on both sides of the
+# switch to the asymptotic series at |z| = 10, and at |z| = 14.
+SWITCH_POINTS = [cmath.rect(r, phi) for r in (9.99, 10.0, 10.01, 14.0)
+                 for phi in (0.0, 0.8, -1.2, 1.5707, -1.5707)]
+
 
 class TestRemainder:
     """J - 1/(12 z) and its scaled derivatives to full precision, against
@@ -345,6 +376,8 @@ class TestRemainder:
         for _ in range(80):
             self.check(cmath.rect(10.0 ** rng.uniform(-0.3, 3.0),
                                   rng.uniform(-1.55, 1.55)))
+        for z in SWITCH_POINTS:
+            self.check(z)
 
     def test_small_arguments(self):
         rng = np.random.default_rng(2024)
@@ -420,6 +453,11 @@ class TestDifferences:
             want, b = self.reference(a, delta, remainder=True)
             got = sj.j_remainder_difference(a, b, delta)
             self.close(got, want, 1e-14, (a, delta))
+        for a in SWITCH_POINTS:
+            for delta in (a * 1e-9, a * 3e-3):
+                want, b = self.reference(a, delta, remainder=True)
+                got = sj.j_remainder_difference(a, b, delta)
+                self.close(got, want, 1e-14, (a, delta))
 
     def test_difference_small_arguments(self):
         rng = np.random.default_rng(78)
@@ -434,11 +472,15 @@ class TestDifferences:
         # the reflection identity of the thermodynamic route differences
         # e + i b against -e + i b, |x| >= 1/2 and e < b/4: with e << b, and
         # the widest such pair, whose mirror image has |v^2| ~ 0.660, just
-        # inside the reach of the shift series
+        # inside the reach of the shift series; and a pair whose images
+        # after eight shifts land at |w| ~ 10.0004 and 10.0006, just past
+        # the switch to the asymptotic series
         widest = 0.5 / math.sqrt(1.0 + 1.0 / 16.0)
         for a, delta in ((complex(1e-9, 3.0), complex(2e-9, 0.0)),
                          (complex(0.25 * widest, widest),
-                          complex(0.5 * widest, 0.0))):
+                          complex(0.5 * widest, 0.0)),
+                         (complex(1e-4, math.sqrt(36.01)),
+                          complex(2e-4, 0.0))):
             want, b = self.reference(a, delta, remainder=True)
             got = sj.j_remainder_difference(a, b, delta)
             self.close(got, want, 1e-14, a)

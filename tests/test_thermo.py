@@ -7,6 +7,7 @@ re-derived independently inside the tests.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -153,9 +154,83 @@ class TestThermoPoint:
                 with pytest.raises(ValueError, match="subnormal"):
                     route(bath, 1e-309)
 
+    @pytest.mark.parametrize("bath", [
+        ohmic(1.0),
+        baths.canonicalize(SingleRelaxationSpec(gamma=0.5, tau=0.01)),
+        baths.canonicalize(QEDSpec(gamma=0.1, omega_prime=1e3)),
+        baths.canonicalize(QEDSpec(gamma=10.0, omega_prime=1e3)),   # overdamped
+    ])
+    def test_theta_too_large_raises_naming_it(self, bath):
+        # F = theta G overflows from theta ~ 2.6e305, and 2 pi theta from
+        # ~2.9e307: an error that names theta, not -inf or "z = 0"
+        routes = (thermo.thermo_point, thermo.free_energy_exact,
+                  lambda bath, theta: thermo.sweep(bath, [1.0, theta]))
+        for theta, error in ((3e305, OverflowError), (1e307, OverflowError),
+                             (1.7e308, ValueError)):
+            for route in routes:
+                with pytest.raises(error, match=re.escape(f"theta = {theta!r}")):
+                    route(bath, theta)
+        point = thermo.thermo_point(bath, 1e305)
+        assert all(math.isfinite(v) for v in (point.F, point.S, point.U, point.C))
+        assert thermo.free_energy_exact(bath, 1e305) == point.F
+
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             thermo.thermo_point(ohmic(1.0), 1.0, "series")
+        with pytest.raises(ValueError):
+            thermo.sweep(ohmic(1.0), [1.0], "series")
+
+
+# Baths for the sweep equivalence: every model, underdamped and overdamped,
+# critical damping, and the overdamped blackbody bath whose gap pair (Omega
+# and the smaller root) is differenced from its gap at some temperatures
+# and summed term by term where its arguments lie astride the series switch
+# (theta ~ 0.2 to 0.23 here).
+SWEEP_BATHS = [
+    ohmic(0.3), ohmic(2.0), ohmic(40.0),
+    baths.canonicalize(SingleRelaxationSpec(gamma=0.5, tau=0.01)),
+    baths.canonicalize(SingleRelaxationSpec(gamma=2.0, tau=1e-3)),
+    baths.canonicalize(QEDSpec(gamma=0.1, omega_prime=1e3)),
+    baths.canonicalize(QEDSpec(gamma=2.0, omega_prime=1e6)),
+    baths.canonicalize(QEDSpec(gamma=0.1, large_cutoff_limit=True)),
+    baths.canonicalize(QEDSpec(gamma=2.1, omega_prime=1.0)),
+]
+SWEEP_THETAS = [1e-4, 0.01, 0.1, 0.21, 0.22, 0.5, 3.0]
+
+
+class TestSweep:
+    @pytest.mark.parametrize("method", ["exact_j", "exact_quadrature"])
+    @pytest.mark.parametrize("bath", SWEEP_BATHS)
+    def test_sweep_is_thermo_point_bit_for_bit(self, bath, method):
+        points = thermo.sweep(bath, SWEEP_THETAS, method)
+        assert points == [thermo.thermo_point(bath, theta, method)
+                          for theta in SWEEP_THETAS]
+
+    def test_gap_pair_on_both_sides_of_its_switch(self, monkeypatch):
+        bath = SWEEP_BATHS[-1]
+        differenced = []
+        for name in ("j_difference", "j_remainder_difference"):
+            original = getattr(thermo, name)
+
+            def counting(*args, original=original):
+                differenced[-1] = True
+                return original(*args)
+
+            monkeypatch.setattr(thermo, name, counting)
+        for theta in SWEEP_THETAS:
+            differenced.append(False)
+            thermo.thermo_point(bath, theta)
+        assert True in differenced and False in differenced
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, 1e-309])
+    def test_rejects_a_bad_theta_in_any_position(self, bad):
+        methods = ["exact_j"] if bad > 0.0 else ["exact_j", "exact_quadrature"]
+        for method in methods:
+            for thetas in ([bad], [bad, 1.0], [1.0, 2.0, bad]):
+                with pytest.raises(ValueError):
+                    thermo.sweep(ohmic(1.0), thetas, method)
+            with pytest.raises(ValueError):
+                thermo.thermo_point(ohmic(1.0), bad, method)
 
 
 class TestOhmicLowTemperature:
@@ -512,9 +587,10 @@ class TestExactRouteAccuracy:
 
     def test_free_energy_exact_is_the_F_of_thermo_point(self):
         bath = bath_of("qed", 0.5, None, 1e3)
-        for theta in (1e-4, 0.1, 3.0):
+        thetas = (1e-4, 0.1, 3.0)
+        for theta, point in zip(thetas, thermo.sweep(bath, thetas)):
             assert thermo.free_energy_exact(bath, theta) \
-                == thermo.thermo_point(bath, theta).F
+                == thermo.thermo_point(bath, theta).F == point.F
 
 
 class TestQuadratureCost:
