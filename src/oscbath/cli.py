@@ -28,6 +28,11 @@ K_BOLTZMANN_SI = 1.380649e-23  # J / K
 
 _METHOD_ORDER = ("exact_j", "exact_quadrature", "low_T_series", "high_T_series")
 _EXACT_METHODS = ("exact_j", "exact_quadrature")
+# Sweep option values for flags and config files alike (log: config only).
+_CHOICES = {"model": ("ohmic", "srt", "qed"), "format": ("csv", "json"),
+            "units": ("reduced", "si"),
+            "log": {"1": True, "true": True, "yes": True, "on": True,
+                    "0": False, "false": False, "no": False, "off": False}}
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -50,7 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                          "temperature grid")
     sweep.add_argument("--config", help="key=value file; command-line flags "
                                         "take precedence")
-    sweep.add_argument("--model", choices=("ohmic", "srt", "qed"))
+    sweep.add_argument("--model", choices=_CHOICES["model"])
     sweep.add_argument("--gamma", type=float, help="friction, units of omega0")
     sweep.add_argument("--tau", type=float,
                        help="relaxation time times omega0 (srt)")
@@ -63,8 +68,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="log-spaced temperature grid")
     sweep.add_argument("--method", help="comma list from "
                                         f"{{{','.join(_METHOD_ORDER)}}}")
-    sweep.add_argument("--format", choices=("csv", "json"))
-    sweep.add_argument("--units", choices=("reduced", "si"))
+    sweep.add_argument("--format", choices=_CHOICES["format"])
+    sweep.add_argument("--units", choices=_CHOICES["units"])
     sweep.add_argument("--omega0-hz", type=float,
                        help="omega0 in rad/s, required for SI units")
 
@@ -78,7 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="series/asymptotic term count")
 
     zp = sub.add_parser("zeropoint", help="zero-point energy of a bath")
-    zp.add_argument("--model", required=True, choices=("ohmic", "srt", "qed"))
+    zp.add_argument("--model", required=True, choices=_CHOICES["model"])
     zp.add_argument("--gamma", type=float, required=True)
     zp.add_argument("--tau", type=float)
     zp.add_argument("--omega-prime", type=float)
@@ -100,6 +105,17 @@ _CONFIG_TYPES = {
 }
 
 
+def _config_value(key: str, value: str):
+    """A config file's value for ``key``, checked as its flag would be."""
+    if key not in _CHOICES:
+        return _CONFIG_TYPES.get(key, str)(value)
+    word = value.lower() if key == "log" else value
+    if word not in _CHOICES[key]:
+        raise ValueError(f"{key} must be one of "
+                         f"{', '.join(_CHOICES[key])} (got {value!r})")
+    return _CHOICES["log"][word] if key == "log" else word
+
+
 def _read_config(path: str) -> dict:
     values = {}
     try:
@@ -116,12 +132,10 @@ def _read_config(path: str) -> dict:
                 value = value.strip()
                 if key not in _SWEEP_DEFAULTS:
                     raise _ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-                if key == "log":
-                    values[key] = value.lower() in ("1", "true", "yes", "on")
-                elif key in _CONFIG_TYPES:
-                    values[key] = _CONFIG_TYPES[key](value)
-                else:
-                    values[key] = value
+                try:
+                    values[key] = _config_value(key, value)
+                except ValueError as exc:
+                    raise _ConfigError(f"{path}:{lineno}: {exc}") from None
     except OSError as exc:
         raise _ConfigError(f"cannot read config file: {exc}") from exc
     return values
@@ -274,21 +288,16 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_jfun(args) -> int:
     z = complex(args.re, args.im)
-    bound = None
-    if args.method == "auto":
+    name, bound = args.method, None
+    if name == "auto":
         value, name = stieltjes.j_auto_named(z)
-    elif args.method == "quadrature":
-        value, name = stieltjes.j_quadrature(z), "quadrature"
-    elif args.method == "loggamma":
-        value, name = stieltjes.j_loggamma(z), "loggamma"
-    elif args.method == "lanczos":
-        value, name = stieltjes.j_lanczos(z), "lanczos"
-    elif args.method == "series":
+    elif name == "series":
         value = stieltjes.j_series_small(z, args.terms or 60)
-        name = "series"
-    else:
+    elif name == "asymptotic":
         value, bound = stieltjes.j_asymptotic(z, args.terms or 11)
-        name = "asymptotic"
+    else:
+        value = {"quadrature": stieltjes.j_quadrature, "lanczos":
+                 stieltjes.j_lanczos, "loggamma": stieltjes.j_loggamma}[name](z)
     print(f"J({args.re:g}{args.im:+g}j) = {value.real:.14e} {value.imag:+.14e}j")
     print(f"method: {name}")
     if bound is not None:

@@ -20,8 +20,8 @@ axis, and reduces to the reflection identity
 Available routes:
 
 * :func:`j_quadrature`  -- the defining integral, via adaptive quadrature.
-  The only route not built on the Lanczos rational core, hence the
-  independent cross-check for all the others.
+  Independent of every series and of the Lanczos rational core, hence the
+  cross-check for all the others.
 * :func:`j_loggamma`    -- the log-gamma form, usable off the cut.
 * :func:`j_lanczos`     -- the Lanczos rational approximation (g = 5, N = 6),
   right half plane, error below one part per billion on the gamma scale
@@ -30,14 +30,15 @@ Available routes:
 * :func:`j_series_small` -- Taylor-type series for |z| < 1.
 * :func:`j_asymptotic`  -- divergent large-|z| series in even Bernoulli
   numbers, with the first omitted term reported as the truncation bound.
-* :func:`j_continue_left` -- the reflection identity above, left half plane.
+* :func:`j_continue_left` -- J in the left half plane, from :func:`j_jet`.
 * :func:`j_auto`        -- region dispatch over the routes.
 
 The thermodynamic functions need J and its first two derivatives to full
 double precision, as jets (J, z J', z^2 J''): :func:`j_jet` for J whole,
-:func:`j_remainder` with the leading 1/(12 z) term taken out, and
+:func:`j_remainder` with the leading 1/(12 z) term taken out,
 :func:`j_remainder_difference` / :func:`j_difference` between nearby
-arguments (see the section on remainders below).
+arguments (see the section on remainders below), and :func:`j_reflection`
+for J(w) + J(-w), which carries :func:`j_jet` into the left half plane.
 
 Everything here is pure and thread-safe; the coefficient tables are built
 once at import time.
@@ -58,7 +59,7 @@ __all__ = [
     "log_gamma",
     "j_quadrature", "j_loggamma", "j_lanczos", "j_series_small",
     "j_asymptotic", "j_continue_left", "j_auto", "j_auto_named",
-    "SMALL_ARGUMENT", "j_jet",
+    "SMALL_ARGUMENT", "j_jet", "j_reflection",
     "j_remainder", "j_remainder_difference", "j_difference",
 ]
 
@@ -281,30 +282,17 @@ def j_asymptotic(z: complex, n_terms: int = 11) -> tuple[complex, float]:
 
 
 def j_continue_left(w: complex) -> complex:
-    """J(w) for Re w < 0, off the negative real axis.
-
-    Writes w = z e^{+i pi} (Im w > 0) or w = z e^{-i pi} (Im w < 0) with
-    Re z > 0 and applies
-
-        J(z e^{+-i pi}) = -J(z) - log(1 - e^{-+ 2 pi i z}).
-
-    The sign choice keeps |e^{-+ 2 pi i z}| < 1, so the principal log is
-    safe.  Values from above and below the negative real axis genuinely
-    differ there (branch structure inherited from log Gamma).
-    """
+    """J(w) for Re w < 0, off the negative real axis: the value of
+    :func:`j_jet`, there from the reflection identity for |w| >= 1/2.
+    Values from above and below the negative real axis genuinely differ
+    (branch structure inherited from log Gamma)."""
     w = complex(w)
     if w.imag == 0.0:
         raise ValueError("j_continue_left: negative real axis is the branch cut")
     if w.real >= 0.0:
         raise ValueError("j_continue_left: requires Re w < 0 "
                          "(the imaginary axis is a natural boundary)")
-    z = -w
-    right_value = j_auto(z)
-    if w.imag > 0.0:
-        correction = _log1p(-cmath.exp(-2j * math.pi * z))
-    else:
-        correction = _log1p(-cmath.exp(2j * math.pi * z))
-    return -right_value - correction
+    return j_jet(w)[0]
 
 
 def j_quadrature(z: complex, spec: QuadratureSpec | None = None) -> complex:
@@ -616,16 +604,41 @@ def _leading(jet, lead):
     return jet[0] + lead, jet[1] - lead, jet[2] + 2.0 * lead
 
 
+def j_reflection(w: complex) -> tuple[complex, complex, complex]:
+    """The jet of J(w) + J(-w) = -log(1 - q), q = e^{+-2 pi i w} for
+    +-Im w > 0 (|q| < 1): the reflection identity of the module docstring,
+    and the jet of J at w plus that at -w.  The phase of q comes from
+    w - round(Re w), which is exact.  With k = +-2 pi i and r = q/(1 - q)
+    the jet is (-log(1 - q), k w r, (k w)^2 r (1 + r)).
+    """
+    w = complex(w)
+    if w.imag == 0.0:
+        raise ValueError("j_reflection: w on the real axis")
+    turn = math.copysign(2.0 * math.pi, w.imag)
+    angle = turn * (w.real - round(w.real))
+    q = cmath.rect(math.exp(-turn * w.imag), angle)
+    # 1 - q = 2 sin^2(angle/2) - (|q| - 1) cos(angle) - i Im q: no cancelling
+    rest = complex(2.0 * math.sin(0.5 * angle) ** 2
+                   - math.expm1(-turn * w.imag) * math.cos(angle), -q.imag)
+    r = q / rest
+    kw = complex(0.0, turn) * w
+    return (-(_log1p(-q) if abs(q) <= 0.5 else cmath.log(rest)),
+            kw * r, kw * kw * r * (1.0 + r))
+
+
 def j_jet(z: complex) -> tuple[complex, complex, complex]:
     """(J(z), z J'(z), z^2 J''(z)) on the plane cut along (-inf, 0].
 
     Below |z| = SMALL_ARGUMENT from the power series, to ~1e-16 of the
-    size of its terms; elsewhere :func:`j_remainder` plus the leading
-    1/(12 z), with the domain of that routine.
+    size of its terms; elsewhere in the right half plane :func:`j_remainder`
+    plus the leading 1/(12 z), and in the left half plane
+    :func:`j_reflection` minus the jet at -z.
     """
     z = _check_argument(z, "j_jet")
     if abs(z) < SMALL_ARGUMENT:
         return _series_jet(z)
+    if z.real < 0.0:
+        return tuple(k - j for k, j in zip(j_reflection(z), j_jet(-z)))
     return _leading(_remainder_jet("j_jet", z), 1.0 / (12.0 * z))
 
 
@@ -658,8 +671,8 @@ def j_remainder_difference(a: complex, b: complex,
     calls would lose it.  Both arguments need |z| >= 1/4 and, as for
     :func:`j_remainder`, |z + n + 1/2| >= sqrt(3/8) ~ 0.61 for n = 0, 1,
     2, ...; otherwise ValueError.  So they may lie in the left half plane
-    off the cut, near the imaginary axis, as in the reflection identity of
-    :func:`j_continue_left`.
+    off the cut, near the imaginary axis, as x and its mirror image
+    -conj(x) do where :func:`j_reflection` serves a conjugate pair.
     """
     a = _check_argument(a, "j_remainder_difference")
     b = _check_argument(b, "j_remainder_difference")

@@ -26,7 +26,6 @@ are implemented as printed series with their exact coefficients.
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
 import warnings
@@ -36,7 +35,8 @@ from typing import Callable, Iterable, NamedTuple
 from .baths import CanonicalBath, cutoff_relation, roots, spectral_weight, static_weight
 from .quadrature import QuadratureSpec, integrate_interval, integrate_semi_infinite
 from .stieltjes import (EULER_GAMMA, SMALL_ARGUMENT, j_difference, j_jet,
-                        j_remainder, j_remainder_difference, zeta)
+                        j_reflection, j_remainder, j_remainder_difference,
+                        zeta)
 
 __all__ = [
     "ThermoPoint", "ExpansionSpec", "DivergenceError",
@@ -47,9 +47,9 @@ __all__ = [
     "zero_point", "zero_point_ohmic_asymptotic",
 ]
 
-# An underdamped root argument nearer the imaginary axis than this (Re x <
-# _NEAR_AXIS Im x) goes through the reflection identity, which gives Re J
-# without the cancellation of the direct sum.
+# An underdamped root nearer the imaginary axis than this (Re c <
+# _NEAR_AXIS Im c) is paired with its mirror image through the reflection
+# identity, which gives Re J without the cancellation of the direct sum.
 _NEAR_AXIS = 0.25
 # Thermal factors exp(-w/theta) below exp(-_RESONANCE_REACH) underflow
 # against the resonance; colder points leave the resonance unresolved.
@@ -102,54 +102,27 @@ class ExpansionSpec:
                           stacklevel=2)
 
 
-def _pair_remainder(x: complex) -> tuple[float, float, float]:
-    """The jet of 2 Re R(x) at an underdamped root argument x, R = J -
-    1/(12 x) (see :func:`oscbath.stieltjes.j_remainder`), which stands for
-    the pair x, conj(x).
-
-    Near the imaginary axis, x = e + i b with e << b, Re R is O(e) while
-    the terms it is summed from are O(1/|x|^3).  There the reflection
-    identity of :func:`oscbath.stieltjes.j_continue_left` relates x to its
-    mirror image m = -e + i b:
-
-        2 Re R(x) = Re [R(x) - R(m)] - log|1 - q|,   q = e^{2 pi i m},
-
-    and the difference over the exact step 2e keeps relative accuracy.
-    With k = 2 pi i m and r = q/(1 - q), the jet of -log(1 - q) is
-    (-log(1 - q), k r, k^2 r (1 + r)).
-    """
-    eps, beta = x.real, x.imag
-    if eps >= _NEAR_AXIS * beta:
-        return tuple(2.0 * part.real for part in j_remainder(x))
-    mirror = complex(-eps, beta)
-    value, slope, curvature = j_remainder_difference(x, mirror, 2.0 * eps)
-    k = 2j * math.pi * mirror
-    q = cmath.exp(k)
-    r = q / (1.0 - q)
-    log_abs = 0.5 * math.log1p(-2.0 * q.real + abs(q) ** 2)     # log|1 - q|
-    kr = k * r                       # 0, not nan, where q underflows
-    return (value.real - log_abs, (slope + kr).real,
-            (curvature + kr * k * (1.0 + r)).real)
-
-
 class _Plan(NamedTuple):
     """What the exact routes need of one bath, in reduced units, made once
     per call and shared by every temperature of a sweep.
 
-    ``terms`` lists the closed form's characteristic frequencies as
-    (sigma, c, mate, gap), sigma = -1 for the two roots and Omega' and +1
-    for Omega.  A complex c is an underdamped root and stands for the
-    reflection pair c, conj(c).  A mate marks the gap pair of the
-    overdamped blackbody bath, sigma [J(c/(2 pi theta)) -
-    J(mate/(2 pi theta))], whose arguments nearly coincide; ``gap`` is
-    1/c - 1/mate, exactly c1 + 1/Omega', from which c - mate is formed
-    without cancellation.
+    ``terms`` lists the closed form's characteristic frequencies c as
+    (sigma, c, mate, gap) for sigma J(c/(2 pi theta)): sigma = -1 for a
+    root and Omega', +1 for Omega, -2 for an underdamped root c standing
+    for c and conj(c).  A mate marks a pair differenced over the exact
+    step c - mate: the overdamped blackbody gap pair, sigma [J(c) -
+    J(mate)], with gap = 1/c - 1/mate = c1 + 1/Omega', so that
+    c - mate = -c mate gap; or an underdamped root near the imaginary axis
+    (Re c < _NEAR_AXIS Im c) and its mirror image mate = -conj(c), where
+    c - mate = 2 Re c and J(c) + J(conj c) is J(c) - J(mate) plus the
+    reflection term of :func:`oscbath.stieltjes.j_reflection` at mate.
     ``static`` is :func:`oscbath.baths.static_weight`, minus the sum of
     sigma/c with the cutoff relation's cancellation done exactly, and
     ``weight`` is :func:`oscbath.baths.spectral_weight`, for the quadrature
     route.
     """
-    terms: tuple[tuple[float, complex | float, float | None, float | None], ...]
+    terms: tuple[tuple[float, complex | float, complex | float | None,
+                       float | None], ...]
     static: float
     gamma: float
     weight: Callable[[float, float], float]
@@ -160,7 +133,11 @@ def _plan(bath: CanonicalBath) -> _Plan:
     pair = roots(1.0, scaled.gamma)
     terms = []
     if pair.regime == "underdamped":
-        terms.append((-1.0, pair.z1, None, None))
+        c = pair.z1
+        if c.real < _NEAR_AXIS * c.imag:
+            terms.append((-1.0, c, -c.conjugate(), None))
+        else:
+            terms.append((-2.0, c, None, None))
         if math.isfinite(scaled.Omega):
             terms.append((1.0, scaled.Omega, None, None))
     else:
@@ -188,9 +165,11 @@ def _j_sum(plan: _Plan, theta: float) -> tuple[float, float, float]:
 
     Arguments of modulus >= SMALL_ARGUMENT contribute remainders after the
     leading 1/(12 x) of J, whose sum L enters G, A and B as (L, -L, 2L);
-    when all do, L is -(2 pi theta/12) times the plan's static weight.  The
-    blackbody gap pair is differenced directly from its gap while both
-    arguments lie on one side of the series switch.
+    when all do, L is -(2 pi theta/12) times the plan's static weight.  A
+    pair of the plan is differenced over x - b while both arguments lie
+    at or above SMALL_ARGUMENT/2, the gap pair also while both lie below
+    SMALL_ARGUMENT; below SMALL_ARGUMENT/2, where 2 Re J(x) cancels
+    little, a mirror pair is summed as that, from the power series.
     """
     if theta < sys.float_info.min:          # 2 pi x overflows
         raise ValueError(f"theta = {theta!r} is subnormal")
@@ -207,33 +186,32 @@ def _j_sum(plan: _Plan, theta: float) -> tuple[float, float, float]:
             singles = ((sign, x),)
         else:
             b = mate * s
-            small = max(x, b) < SMALL_ARGUMENT
-            if small or min(x, b) >= 0.5 * SMALL_ARGUMENT:
-                delta = -x * mate * gap                 # x - b
+            mirror = type(b) is complex
+            size = abs(x), abs(b)
+            small = max(size) < SMALL_ARGUMENT
+            if min(size) >= 0.5 * SMALL_ARGUMENT or small and not mirror:
+                delta = x - b if mirror else -x * mate * gap
                 if small:
                     all_remainders = False
                     jet = j_difference(x, b, delta)
                 else:
-                    inverse -= sign * delta / (x * b)
+                    inverse -= sign * (delta / (x * b)).real
                     jet = j_remainder_difference(x, b, delta)
+                if mirror:
+                    jet = [d + k for d, k in zip(jet, j_reflection(b))]
                 G += sign * jet[0].real
                 A += sign * jet[1].real
                 B += sign * jet[2].real
                 continue
-            # astride the series switch: term by term
-            singles = ((-sign, b), (sign, x))
+            # astride the series switch, or a mirror pair below the
+            # difference floor: term by term
+            singles = ((2.0 * sign, x),) if mirror else ((-sign, b), (sign, x))
         for sign, x in singles:
-            pair = type(x) is complex           # stands for x and conj(x)
             if abs(x) < SMALL_ARGUMENT:
                 all_remainders = False
                 jet = j_jet(x)
-                if pair:
-                    sign *= 2.0
-            elif pair:
-                inverse += 2.0 * sign * (1.0 / x).real
-                jet = _pair_remainder(x)
             else:
-                inverse += sign / x
+                inverse += sign * (1.0 / x).real
                 jet = j_remainder(x)
             G += sign * jet[0].real
             A += sign * jet[1].real

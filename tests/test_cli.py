@@ -185,6 +185,29 @@ class TestConfigFile:
                                     "--model", "ohmic", "--gamma", "1"])
         assert code == 2 and "no_such_key" in err
 
+    @pytest.mark.parametrize("key,value", [
+        ("model", "bogus"), ("format", "xml"), ("units", "furlongs"),
+        ("log", "maybe")])
+    def test_bad_config_value_rejected(self, tmp_path, capsys, key, value):
+        # checked as strictly as the matching flag, with the line named
+        config = tmp_path / "bad.cfg"
+        config.write_text("model = qed\ngamma = 0.1\nomega_prime = 1e3\n"
+                          f"{key} = {value}\n")
+        code, out, err = run(capsys, ["sweep", "--config", str(config)])
+        assert code == 2 and out == ""
+        assert f"{config}:4:" in err and value in err
+
+    def test_config_log_words(self, tmp_path, capsys):
+        outputs = []
+        for word in ("yes", "On", "false", "0"):
+            config = tmp_path / f"{word}.cfg"
+            config.write_text(f"model = ohmic\ngamma = 1\npoints = 3\n"
+                              f"log = {word}\n")
+            code, out, _ = run(capsys, ["sweep", "--config", str(config)])
+            assert code == 0
+            outputs.append(out)
+        assert outputs[0] == outputs[1] != outputs[2] == outputs[3]
+
     def test_missing_config_rejected(self, capsys):
         code, _, err = run(capsys, ["sweep", "--config", "/nonexistent.cfg",
                                     "--model", "ohmic", "--gamma", "1"])

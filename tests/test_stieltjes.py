@@ -203,7 +203,8 @@ class TestJContinueLeft:
     def test_direct_transcription(self):
         w = -1.0 + 1.0j
         z = 1.0 - 1.0j
-        expected = -sj.j_auto(z) - cmath.log(1.0 - cmath.exp(-2j * math.pi * z))
+        expected = (-sj.j_jet(z)[0]
+                    - cmath.log(1.0 - cmath.exp(-2j * math.pi * z)))
         assert abs(sj.j_continue_left(w) - expected) < 1e-14
         # the log-gamma form holds off the cut and must agree
         assert agreement(sj.j_continue_left(w), sj.j_loggamma(w)) < 1e-9
@@ -420,6 +421,47 @@ class TestRemainder:
             sj.j_remainder_difference(z, z - 1e-9, 1e-9)
         with pytest.raises(ValueError):
             sj.j_difference(z, z - 1e-9, 1e-9)
+
+
+class TestLeftHalfPlane:
+    """J and its jet for Re w < 0 through the reflection identity, against
+    mpmath, to full relative precision."""
+
+    # near -1/2 and -5/2, where the shift series alone is out of reach;
+    # far out along the cut, where the phase of e^{2 pi i w} must be
+    # reduced exactly; near the imaginary axis and the cut
+    POINTS = [-0.7 + 0.05j, -2.5 + 0.01j, -0.3 + 0.45j, -1000.0 + 1.0j,
+              -1000.0 - 1.0j, -1e-4 + 0.3j, -3.0 + 1e-9j, -12.25 - 0.3j]
+
+    @staticmethod
+    def reference(w):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            return [complex(j) for j in _mp_jet(mp.mpc(w.real, w.imag))]
+
+    def check(self, w):
+        want = self.reference(w)
+        got = sj.j_jet(w)
+        for i in range(3):
+            assert abs(got[i] - want[i]) <= 4e-15 * abs(want[i]), (w, i)
+        assert abs(sj.j_continue_left(w) - want[0]) <= 4e-15 * abs(want[0])
+
+    @pytest.mark.parametrize("w", POINTS)
+    def test_hard_points(self, w):
+        self.check(w)
+
+    def test_random_points(self):
+        rng = np.random.default_rng(2027)
+        for _ in range(400):
+            self.check(complex(rng.uniform(-30.0, -0.2),
+                               rng.uniform(0.01, 30.0) * rng.choice([-1, 1])))
+
+    def test_reflection_is_even_and_off_the_real_axis(self):
+        w = 2.3 + 0.4j
+        for a, b in zip(sj.j_reflection(w), sj.j_reflection(-w)):
+            assert abs(a - b) <= 1e-15 * abs(a)
+        with pytest.raises(ValueError):
+            sj.j_reflection(-2.0)
 
 
 class TestDifferences:

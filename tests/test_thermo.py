@@ -556,6 +556,10 @@ HARD_POINTS = [
     # friction term gamma theta^2: a plain stencil of F loses S to ~1e-11
     ("qed", 1.7e-8, 0.036, None, 2.6e3),
     ("qed", 1e-8, 0.033, None, 1e6),
+    # a weakly damped root argument with 1/4 <= |x1| < 1/2, where 2 Re J
+    # cancels and the reflection identity runs on the series difference
+    ("qed", 3.6136423841824986e-07, 0.32089392242469567, None,
+     18699616.644693326),
     # far below the edge grid: the theta^4 regime of the blackbody bath
     ("qed", 1e-3, 1e-10, None, 1e6),
     ("qed", 1e-3, 1e-12, None, 1e6),
