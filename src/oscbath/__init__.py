@@ -53,7 +53,6 @@ from .stieltjes import (
 )
 from .thermo import (
     DivergenceError,
-    ExpansionSpec,
     ThermoPoint,
     cutoff_correction,
     free_energy_exact,

@@ -55,7 +55,7 @@ class OhmicSpec:
     omega0: float = 1.0
 
     def __post_init__(self):
-        _require_positive(omega0=self.omega0, gamma=self.gamma)
+        _require_finite_positive(omega0=self.omega0, gamma=self.gamma)
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,8 @@ class SingleRelaxationSpec:
     omega0: float = 1.0
 
     def __post_init__(self):
-        _require_positive(omega0=self.omega0, gamma=self.gamma, tau=self.tau)
+        _require_finite_positive(omega0=self.omega0, gamma=self.gamma,
+                                 tau=self.tau)
         tau_gamma = self.tau * self.gamma / self.omega0
         if tau_gamma >= 1.0:
             raise ValueError(
@@ -99,7 +100,7 @@ class QEDSpec:
     omega0: float = 1.0
 
     def __post_init__(self):
-        _require_positive(omega0=self.omega0, gamma=self.gamma)
+        _require_finite_positive(omega0=self.omega0, gamma=self.gamma)
         if not self.large_cutoff_limit:
             if self.omega_prime is None:
                 raise ValueError("QED bath needs omega_prime "
@@ -120,8 +121,8 @@ class CanonicalBath:
     OmegaPrime: float = math.inf
 
     def __post_init__(self):
-        _require_positive(omega0=self.omega0, gamma=self.gamma,
-                          Omega=self.Omega, OmegaPrime=self.OmegaPrime)
+        _require_finite_positive(omega0=self.omega0, gamma=self.gamma)
+        _require_positive(Omega=self.Omega, OmegaPrime=self.OmegaPrime)
 
     @property
     def has_finite_cutoff(self) -> bool:
@@ -159,6 +160,12 @@ def _require_positive(**values: float):
             raise ValueError(f"{name} must be > 0 (got {value!r})")
 
 
+def _require_finite_positive(**values: float):
+    for name, value in values.items():
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be finite and > 0 (got {value!r})")
+
+
 def canonicalize(spec: BathSpec) -> CanonicalBath:
     """Map a bath description onto the canonical (omega0, gamma, Omega,
     Omega') quadruple, applying the cutoff relations exactly."""
@@ -184,7 +191,7 @@ def roots(omega0: float, gamma: float) -> RootPair:
     The smaller overdamped root is computed as omega0^2 / (gamma/2 + |omega1|)
     to avoid the cancellation in gamma/2 - |omega1|.
     """
-    _require_positive(omega0=omega0, gamma=gamma)
+    _require_finite_positive(omega0=omega0, gamma=gamma)
     disc = omega0 * omega0 - 0.25 * gamma * gamma
     if disc > 0.0:
         omega1 = math.sqrt(disc)
@@ -247,9 +254,9 @@ def mu_tilde(spec: BathSpec, z: complex) -> complex:
     raise TypeError(f"not a bath spec: {spec!r}")
 
 
-def susceptibility(bath: CanonicalBath, z: complex,
-                   mass_scale: float = 1.0) -> complex:
-    """Generalized susceptibility alpha(z) in the canonical form.
+def susceptibility(bath: CanonicalBath, z: complex) -> complex:
+    """Generalized susceptibility alpha(z) in the canonical form, per unit
+    mass (m = 1).
 
     For infinite cutoffs the ratio (z + i Omega)/(z + i Omega') is taken as
     1 analytically.  All poles lie in the open lower half plane.
@@ -263,10 +270,10 @@ def susceptibility(bath: CanonicalBath, z: complex,
             "susceptibility needs both cutoffs finite or both infinite; "
             "the point-electron limit has zero bare mass")
     if finite_O:
-        denominator = -mass_scale * (z + 1j * bath.OmegaPrime) * osc
+        denominator = -(z + 1j * bath.OmegaPrime) * osc
         numerator = z + 1j * bath.Omega
     else:
-        denominator = -mass_scale * osc
+        denominator = -osc
         numerator = 1.0 + 0.0j
     if denominator == 0:
         raise ValueError(f"susceptibility: z = {z!r} is a pole")

@@ -15,6 +15,7 @@ byte-identical between runs.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import baths, stieltjes, thermo
@@ -26,8 +27,6 @@ __all__ = ["main", "run_sweep"]
 HBAR_SI = 1.054571817e-34     # J s
 K_BOLTZMANN_SI = 1.380649e-23  # J / K
 
-_METHOD_ORDER = ("exact_j", "exact_quadrature", "low_T_series", "high_T_series")
-_EXACT_METHODS = ("exact_j", "exact_quadrature")
 # Sweep option values for flags and config files alike (log: config only).
 _CHOICES = {"model": ("ohmic", "srt", "qed"), "format": ("csv", "json"),
             "units": ("reduced", "si"),
@@ -67,7 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--log", action="store_true", default=None,
                        help="log-spaced temperature grid")
     sweep.add_argument("--method", help="comma list from "
-                                        f"{{{','.join(_METHOD_ORDER)}}}")
+                                        f"{{{','.join(thermo.METHODS)}}}")
     sweep.add_argument("--format", choices=_CHOICES["format"])
     sweep.add_argument("--units", choices=_CHOICES["units"])
     sweep.add_argument("--omega0-hz", type=float,
@@ -155,7 +154,7 @@ def _merge_sweep_options(args) -> dict:
     return merged
 
 
-def _bath_from_options(opt) -> tuple[baths.CanonicalBath, str]:
+def _bath_from_options(opt) -> baths.CanonicalBath:
     model = opt["model"]
     if model is None:
         raise _ConfigError("--model is required (ohmic|srt|qed)")
@@ -173,7 +172,7 @@ def _bath_from_options(opt) -> tuple[baths.CanonicalBath, str]:
                 raise _ConfigError("--omega-prime is required for the qed model")
             spec = baths.QEDSpec(gamma=opt["gamma"],
                                  omega_prime=opt["omega_prime"])
-        return baths.canonicalize(spec), model
+        return baths.canonicalize(spec)
     except ValueError as exc:
         raise _ConfigError(str(exc)) from exc
 
@@ -197,36 +196,38 @@ def _theta_grid(opt) -> list[float]:
 
 def _methods(opt) -> list[str]:
     requested = {name.strip() for name in opt["method"].split(",") if name.strip()}
-    unknown = requested.difference(_METHOD_ORDER)
+    unknown = requested.difference(thermo.METHODS)
     if unknown:
         raise _ConfigError(f"unknown method(s): {', '.join(sorted(unknown))}")
     if not requested:
         raise _ConfigError("no methods requested")
-    return [name for name in _METHOD_ORDER if name in requested]
+    return [name for name in thermo.METHODS if name in requested]
 
 
 def run_sweep(opt) -> str:
     """Compute a sweep from merged options and render it; returns the full
     output text (deterministic for a fixed configuration).
 
-    Each exact method runs as one :func:`oscbath.thermo.sweep` over the
-    whole grid; the series methods are evaluated point by point.  Rows are
-    in theta-major order, the methods in canonical order within a theta,
-    and every row of a layout (csv or json, reduced or SI units) is
-    rendered from one format string, floats as %.16e: 17 significant
-    digits, an exact float round trip."""
-    bath, model = _bath_from_options(opt)
+    Each requested method runs as one :func:`oscbath.thermo.sweep` over
+    the whole grid, which picks the route and, for the series, the bath's
+    series.  Rows are in theta-major order, the methods in canonical order
+    within a theta, and every row of a layout (csv or json, reduced or SI
+    units) is rendered from one format string, floats as %.16e: 17
+    significant digits, an exact float round trip."""
+    bath = _bath_from_options(opt)
     grid = _theta_grid(opt)
     methods = _methods(opt)
+    model = opt["model"]
     si = opt["units"] == "si"
     if si:
-        if not opt["omega0_hz"] or opt["omega0_hz"] <= 0.0:
-            raise _ConfigError("SI units need --omega0-hz > 0")
-        energy = HBAR_SI * opt["omega0_hz"]        # hbar omega0 in J
+        omega0 = opt["omega0_hz"]
+        if omega0 is None or not 0.0 < omega0 < math.inf:
+            raise _ConfigError("SI units need a finite --omega0-hz > 0 "
+                               f"(got {omega0!r})")
+        energy = HBAR_SI * omega0                  # hbar omega0 in J
         kelvin_per_theta = energy / K_BOLTZMANN_SI
 
-    exact = {method: iter(thermo.sweep(bath, grid, method))
-             for method in methods if method in _EXACT_METHODS}
+    columns = [thermo.sweep(bath, grid, method) for method in methods]
     floats = ["theta", "T_kelvin", "F", "S", "U", "C"] if si \
         else ["theta", "F", "S", "U", "C"]
     if opt["format"] == "csv":
@@ -237,20 +238,16 @@ def run_sweep(opt) -> str:
         row_format = "    {" + ", ".join(
             [f'"{name}": %.16e' for name in floats]
             + ['"method": "%s"', '"model": "%s"']) + "}"
-    for theta in grid:
-        for method in methods:
-            if method in exact:
-                point = next(exact[method])
-            else:
-                regime = "low_T" if method == "low_T_series" else "high_T"
-                point = thermo.series_point(bath, theta, regime, model)
+    for points in zip(*columns):
+        for point in points:
+            theta = point.theta
             if si:
                 values = (theta, theta * kelvin_per_theta, point.F * energy,
                           point.S * K_BOLTZMANN_SI, point.U * energy,
-                          point.C * K_BOLTZMANN_SI, method, model)
+                          point.C * K_BOLTZMANN_SI, point.method, model)
             else:
                 values = (theta, point.F, point.S, point.U, point.C,
-                          method, model)
+                          point.method, model)
             lines.append(row_format % values)
     if opt["format"] == "csv":
         return "\n".join(lines) + "\n"
@@ -308,28 +305,17 @@ def _cmd_jfun(args) -> int:
 # ------------------------------------------------------------ zeropoint ----
 
 def _cmd_zeropoint(args) -> int:
+    bath = _bath_from_options(vars(args))
     if args.model == "ohmic":
         if args.tau is None:
             raise _ConfigError("--tau is required for the ohmic zero point "
                                "(log-divergent limit)")
-        value = thermo.zero_point_ohmic_asymptotic(1.0, args.gamma, args.tau)
+        value = thermo.zero_point_ohmic_asymptotic(1.0, bath.gamma, args.tau)
         print(f"zero_point_asymptotic = {value:.14e}  "
               f"(tau = {args.tau:g}; diverges like -log tau as tau -> 0)")
         return EXIT_OK
-    if args.model == "srt":
-        if args.tau is None:
-            raise _ConfigError("--tau is required for the srt model")
-        bath = baths.canonicalize(
-            baths.SingleRelaxationSpec(gamma=args.gamma, tau=args.tau))
-        value = thermo.zero_point(bath)
-        print(f"zero_point = {value:.14e}")
-        return EXIT_OK
-    if args.omega_prime is None:
-        raise _ConfigError("--omega-prime is required for the qed model")
-    bath = baths.canonicalize(
-        baths.QEDSpec(gamma=args.gamma, omega_prime=args.omega_prime))
-    thermo.zero_point(bath)          # raises DivergenceError
-    raise AssertionError("unreachable: QED zero point must diverge")
+    print(f"zero_point = {thermo.zero_point(bath):.14e}")
+    return EXIT_OK
 
 
 # ----------------------------------------------------------------- main ----

@@ -50,7 +50,7 @@ import cmath
 import math
 from fractions import Fraction
 
-from .quadrature import QuadratureSpec, integrate_semi_infinite
+from .quadrature import integrate_semi_infinite
 
 __all__ = [
     "EULER_GAMMA", "LOG_SQRT_2PI",
@@ -295,7 +295,7 @@ def j_continue_left(w: complex) -> complex:
     return j_jet(w)[0]
 
 
-def j_quadrature(z: complex, spec: QuadratureSpec | None = None) -> complex:
+def j_quadrature(z: complex) -> complex:
     """J(z) from the defining integral, Re z > 0 only.
 
     Real and imaginary parts of the integrand are the two components of one
@@ -306,8 +306,6 @@ def j_quadrature(z: complex, spec: QuadratureSpec | None = None) -> complex:
     z = complex(z)
     if not z.real > 0.0:
         raise ValueError("j_quadrature: the integral requires Re z > 0")
-    if spec is None:
-        spec = QuadratureSpec()
     z_sq = z * z
     inv_pi = 1.0 / math.pi
 
@@ -323,7 +321,7 @@ def j_quadrature(z: complex, spec: QuadratureSpec | None = None) -> complex:
         weight = -inv_pi * log_factor
         return weight * kernel.real, weight * kernel.imag
 
-    value_re, value_im = integrate_semi_infinite(integrand, spec).value
+    value_re, value_im = integrate_semi_infinite(integrand).value
     return complex(value_re, value_im if z.imag else 0.0)
 
 
@@ -528,6 +526,11 @@ def _remainder_difference(name, a, b, delta):
     """The jet of R(a) - R(b) by the shift recurrence and the asymptotic
     series, each differenced term by term (see the section comment)."""
     a, b, delta = _plain(a, b, delta)
+    if abs(b) > abs(a):
+        # the derivative components scale g(a) - g(b) by b and b^2 below,
+        # which magnifies its rounding where the two parts cancel (the
+        # blackbody gap pair, a factor 2 apart at critical damping)
+        return tuple(-d for d in _remainder_difference(name, b, a, -delta))
     shifts = max(_shift_count(a), _shift_count(b))
     slope = curvature = d0 = d1 = d2 = 0.0
     wa, wb = a, b
@@ -564,7 +567,8 @@ def _remainder_difference(name, a, b, delta):
     difference = [d0 + dt * e0, -dt * (rb * e1 - shifts * p1),
                   dt * (rb * rb * e2 - shifts * (ra + rb) * p2)]
     if shifts:
-        # a g(a) - b g(b) = delta g(a) + b (g(a) - g(b)): nothing cancels
+        # a g(a) - b g(b) = delta g(a) + b (g(a) - g(b)), with |b| <= |a|
+        # so that the second part cannot outgrow the first by much
         difference[1] += delta * slope + b * d1
         difference[2] += delta * (a + b) * curvature + b * b * d2
     return tuple(map(complex, difference))

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple
 
 from .baths import CanonicalBath, cutoff_relation, roots, spectral_weight, static_weight
@@ -39,7 +39,7 @@ from .stieltjes import (EULER_GAMMA, SMALL_ARGUMENT, j_difference, j_jet,
                         zeta)
 
 __all__ = [
-    "ThermoPoint", "ExpansionSpec", "DivergenceError",
+    "ThermoPoint", "DivergenceError", "METHODS",
     "free_energy_exact", "free_energy_quadrature", "thermo_point", "sweep",
     "ohmic_low_temperature", "ohmic_high_temperature",
     "qed_low_temperature", "qed_high_temperature",
@@ -47,6 +47,8 @@ __all__ = [
     "zero_point", "zero_point_ohmic_asymptotic",
 ]
 
+# The routes of sweep() and thermo_point(), in the order rows list them.
+METHODS = ("exact_j", "exact_quadrature", "low_T_series", "high_T_series")
 # An underdamped root nearer the imaginary axis than this (Re c <
 # _NEAR_AXIS Im c) is paired with its mirror image through the reflection
 # identity, which gives Re J without the cancellation of the direct sum.
@@ -73,33 +75,6 @@ class ThermoPoint:
     U: float
     C: float
     method: str
-
-
-@dataclass(frozen=True)
-class ExpansionSpec:
-    """Requested series evaluation; regime bounds are advisory."""
-    regime: str               # "low_T" | "high_T"
-    n_terms: int
-    model: str                # "ohmic" | "srt" | "qed"
-
-    def __post_init__(self):
-        if self.regime not in ("low_T", "high_T"):
-            raise ValueError(f"unknown regime {self.regime!r}")
-        if self.n_terms < 1:
-            raise ValueError("n_terms must be >= 1")
-        if self.model not in ("ohmic", "srt", "qed"):
-            raise ValueError(f"unknown model {self.model!r}")
-
-    def warn_if_outside(self, theta: float):
-        boundary = 1.0 / (2.0 * math.pi)
-        if self.regime == "low_T" and theta > boundary:
-            warnings.warn(f"low-temperature series at theta = {theta:g} "
-                          f"(intended for theta << {boundary:.3g})",
-                          stacklevel=2)
-        if self.regime == "high_T" and theta < boundary:
-            warnings.warn(f"high-temperature series at theta = {theta:g} "
-                          f"(intended for theta >> {boundary:.3g})",
-                          stacklevel=2)
 
 
 class _Plan(NamedTuple):
@@ -232,19 +207,16 @@ def _exact_j_point(plan: _Plan, theta: float) -> ThermoPoint:
 
 
 def free_energy_exact(bath: CanonicalBath, theta: float) -> float:
-    """Oscillator free energy by the closed J-function form.
+    """Oscillator free energy by the closed J-function form: the F of
+    :func:`thermo_point` on the ``exact_j`` route.
 
     F = theta G, with G the signed sum of J over the characteristic
-    arguments (see :func:`thermo_point`), from the same pass that gives
-    :func:`thermo_point` its S, U and C.  Underdamped roots form one
-    complex-conjugate pair and contribute twice the real part of one
-    argument.  Infinite cutoffs contribute nothing (J -> 0 at infinity) and
-    are skipped analytically.
+    arguments.  Underdamped roots form one complex-conjugate pair and
+    contribute twice the real part of one argument.  Infinite cutoffs
+    contribute nothing (J -> 0 at infinity) and are skipped analytically.
+    The theta = 0 limit is :func:`zero_point`.
     """
-    if not theta > 0.0:
-        raise ValueError("free_energy_exact needs theta > 0; "
-                         "the theta = 0 limit is zero_point()")
-    return _exact_j_point(_plan(bath), theta).F
+    return thermo_point(bath, theta).F
 
 
 def _resonance_edges(gamma: float, theta: float) -> list[float]:
@@ -275,8 +247,7 @@ def _thermal_scale(weight, theta: float, static: float) -> float:
     return min(sizes) if sizes else 1.0
 
 
-def _spectral_moments(plan: _Plan, theta: float,
-                      spec: QuadratureSpec | None = None) -> tuple[float, float, float]:
+def _spectral_moments(plan: _Plan, theta: float) -> tuple[float, float, float]:
     """F, U and C by one vector-valued quadrature of the spectral form.
 
     With x = w/theta and b = free_energy_integrand (reduced units),
@@ -295,10 +266,8 @@ def _spectral_moments(plan: _Plan, theta: float,
     times the size of b on the thermal scale, so the absolute tolerance
     floor acts relative to the moments' own size, however small they are.
     """
-    if spec is None:
-        spec = QuadratureSpec()
-    first = min(spec.first_panel, theta)
-    spec = replace(spec, first_panel=first)
+    first = min(QuadratureSpec.first_panel, theta)
+    spec = QuadratureSpec(first_panel=first)
     weight_of = plan.weight
     scale = _thermal_scale(weight_of, theta, plan.static) * theta
     norm = 1.0 / scale                   # F/theta ~ scale * theta on this scale
@@ -336,34 +305,35 @@ def _spectral_moments(plan: _Plan, theta: float,
     return theta * factor * i_F, theta * factor * i_U, factor * i_C
 
 
-def free_energy_quadrature(bath: CanonicalBath, theta: float,
-                           spec: QuadratureSpec | None = None) -> float:
+def free_energy_quadrature(bath: CanonicalBath, theta: float) -> float:
     """Oscillator free energy by direct quadrature of the spectral form;
-    the independent cross-check of :func:`free_energy_exact`.  It is the F
-    component of the one pass that gives the quadrature route its U and C
-    as well."""
-    if not theta > 0.0:
-        raise ValueError("free_energy_quadrature needs theta > 0")
-    return _spectral_moments(_plan(bath), theta, spec)[0]
+    the independent cross-check of :func:`free_energy_exact`: the F of
+    :func:`thermo_point` on the ``exact_quadrature`` route."""
+    return thermo_point(bath, theta, "exact_quadrature").F
 
 
 def sweep(bath: CanonicalBath, thetas: Iterable[float],
           method: str = "exact_j") -> list[ThermoPoint]:
     """F, S, U, C at each temperature of ``thetas``, in order, from one
-    exact route (see :func:`thermo_point`).
+    route of :data:`METHODS` (see :func:`thermo_point`).
 
-    What the route needs of the bath (the characteristic frequencies, the
-    static weight, the spectral weight) is set up once for the whole list,
-    and every point is bit-identical to :func:`thermo_point` at its
-    temperature.  A temperature that is not > 0 raises ValueError before
-    any point is computed.
+    The two exact routes set up what they need of the bath (the
+    characteristic frequencies, the static weight, the spectral weight)
+    once for the whole list; the two series routes run
+    :func:`series_point` at each temperature.  Every point is
+    bit-identical to :func:`thermo_point` at its temperature.  An unknown
+    method, or a temperature that is not > 0, raises ValueError before any
+    point is computed.
     """
-    if method not in ("exact_j", "exact_quadrature"):
-        raise ValueError(f"unknown exact method {method!r}")
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
     thetas = list(thetas)
     for theta in thetas:
         if not theta > 0.0:
             raise ValueError(f"theta must be > 0 (got {theta!r})")
+    if method.endswith("_series"):
+        regime = method.removesuffix("_series")
+        return [series_point(bath, theta, regime) for theta in thetas]
     plan = _plan(bath)
     if method == "exact_j":
         return [_exact_j_point(plan, theta) for theta in thetas]
@@ -376,24 +346,26 @@ def sweep(bath: CanonicalBath, thetas: Iterable[float],
 
 def thermo_point(bath: CanonicalBath, theta: float,
                  method: str = "exact_j") -> ThermoPoint:
-    """F, S, U, C at one temperature from an exact route: the one-point
-    :func:`sweep`.
+    """F, S, U, C at one temperature: the one-point :func:`sweep`.
 
     ``exact_j``: one pass over the characteristic arguments
     x = c/(2 pi theta) sums G = sum sigma J(x), A = sum sigma x J'(x) and
     B = sum sigma x^2 J''(x) from the jets of :mod:`oscbath.stieltjes`;
     then F = theta G, S = A - G, U = theta A and C = -B.  Nothing is
     differenced and the closed form's cancellations are done analytically,
-    so each is good to a few 1e-15 relative, tiny values included.  F is
-    bit-identical to :func:`free_energy_exact`.  A subnormal theta, or one
-    so large that 2 pi theta overflows, raises ValueError; one where
-    F = theta G overflows (theta above ~2.6e305) raises OverflowError.
+    so each is good to a few 1e-15 relative, tiny values included.  A
+    subnormal theta, or one so large that 2 pi theta overflows, raises
+    ValueError; one where F = theta G overflows (theta above ~2.6e305)
+    raises OverflowError.
 
     ``exact_quadrature``: F, U and C are three spectral moments from one
     quadrature pass over shared nodes, and S = (U - F)/theta, which does
     not cancel because the thermal F is negative and U positive.  No
     differencing is involved, so S, U and C are cross-checked on their own
     rather than derived from F.
+
+    ``low_T_series`` and ``high_T_series``: :func:`series_point` in the
+    ``low_T`` or ``high_T`` regime.
     """
     return sweep(bath, [theta], method)[0]
 
@@ -562,27 +534,36 @@ def cutoff_correction(bath: CanonicalBath, theta: float) -> float:
     return math.pi * theta * theta / 6.0 * (inv_O - inv_Op)
 
 
-def series_point(bath: CanonicalBath, theta: float, regime: str,
-                 model: str, n_terms: int | None = None) -> ThermoPoint:
-    """Series-route ThermoPoint for a canonical bath.
+def series_point(bath: CanonicalBath, theta: float,
+                 regime: str) -> ThermoPoint:
+    """Series-route ThermoPoint for a canonical bath, in the ``low_T`` or
+    ``high_T`` regime.
 
-    Ohmic uses the Ohmic series; QED uses the dedicated QED series; the
-    single-relaxation-time model uses the Ohmic series plus the
-    finite-cutoff correction and its temperature derivatives.  Requests
-    outside the series' intended regime warn but still evaluate.
+    The bath picks the series.  Without a finite cutoff it is the Ohmic
+    series; a bath whose cutoffs satisfy the blackbody relation (see
+    :func:`oscbath.baths.cutoff_relation`) takes the dedicated QED series;
+    any other finite cutoffs, the single-relaxation-time bath among them,
+    take the Ohmic series plus the finite-cutoff correction and its
+    temperature derivatives.  Requests outside the series' intended regime
+    warn but still evaluate.
     """
-    ExpansionSpec(regime, n_terms or 2, model).warn_if_outside(theta)
-    scaled = bath.scaled()
-    g = scaled.gamma
-    if model == "qed":
-        if regime == "low_T":
-            return qed_low_temperature(theta, g, n_terms or 2)
-        return qed_high_temperature(theta, g, n_terms or 2)
-    if regime == "low_T":
-        point = ohmic_low_temperature(theta, g, n_terms or 3)
-    else:
-        point = ohmic_high_temperature(theta, g, n_terms or 6)
-    if model == "ohmic":
+    if regime not in ("low_T", "high_T"):
+        raise ValueError(f"unknown regime {regime!r}")
+    boundary = 1.0 / (2.0 * math.pi)
+    if regime == "low_T" and theta > boundary:
+        warnings.warn(f"low-temperature series at theta = {theta:g} "
+                      f"(intended for theta << {boundary:.3g})",
+                      stacklevel=2)
+    if regime == "high_T" and theta < boundary:
+        warnings.warn(f"high-temperature series at theta = {theta:g} "
+                      f"(intended for theta >> {boundary:.3g})",
+                      stacklevel=2)
+    g = bath.scaled().gamma
+    low = regime == "low_T"
+    if cutoff_relation(bath) == "blackbody":
+        return (qed_low_temperature if low else qed_high_temperature)(theta, g)
+    point = (ohmic_low_temperature if low else ohmic_high_temperature)(theta, g)
+    if not bath.has_finite_cutoff:
         return point
     # finite-cutoff shift: dF = pi theta^2 delta / 6
     delta = cutoff_correction(bath, theta)          # = pi theta^2 delta/6
@@ -596,8 +577,9 @@ def zero_point(bath: CanonicalBath) -> float:
     """Zero-point free energy (= zero-point energy), units hbar omega0.
 
     Finite only when the cutoff sum rule Omega = Omega' + gamma holds (the
-    single-relaxation-time bath): the four-Lorentzian spectral integrand
-    then decays fast enough.  The value is
+    single-relaxation-time bath, ``cutoff_relation(bath) ==
+    "relaxation"``): the four-Lorentzian spectral integrand then decays
+    fast enough.  The value is
 
         (1/2 pi) [ Omega' log((Omega'+gamma)/Omega')
                    + gamma log((Omega'+gamma)/omega0) + 2 arc ],
@@ -607,21 +589,16 @@ def zero_point(bath: CanonicalBath) -> float:
     rule no matter how large the cutoffs are, and the Ohmic limit diverges
     logarithmically; both raise :class:`DivergenceError`.
     """
+    if cutoff_relation(bath) != "relaxation":
+        if not bath.has_finite_cutoff:
+            raise DivergenceError(
+                "zero-point energy of the Ohmic bath is logarithmically "
+                "divergent; use zero_point_ohmic_asymptotic for small tau")
+        raise DivergenceError(
+            "zero-point energy diverges unless the cutoffs satisfy the "
+            "spectral sum rule Omega = Omega' + gamma: it diverges for the "
+            "QED model, for any value of the cutoff")
     scaled = bath.scaled()
-    if math.isinf(scaled.OmegaPrime) and math.isinf(scaled.Omega):
-        raise DivergenceError(
-            "zero-point energy of the Ohmic bath is logarithmically "
-            "divergent; use zero_point_ohmic_asymptotic for small tau")
-    if math.isinf(scaled.OmegaPrime) or math.isinf(scaled.Omega):
-        raise DivergenceError(
-            "zero-point energy diverges for the QED model, for any value "
-            "of the cutoff (the spectral sum rule Omega = Omega' + gamma "
-            "fails)")
-    mismatch = abs(scaled.Omega - scaled.OmegaPrime - scaled.gamma)
-    if mismatch > 1e-9 * scaled.Omega:
-        raise DivergenceError(
-            "zero-point energy diverges for the QED model, for any value "
-            f"of the cutoff (Omega - Omega' - gamma = {mismatch:.3g} != 0)")
     op, g = scaled.OmegaPrime, scaled.gamma
     value = op * math.log1p(g / op) + g * math.log(op + g) + 2.0 * _arc_term(g)
     return value / (2.0 * math.pi)
@@ -637,8 +614,8 @@ def zero_point_ohmic_asymptotic(omega0: float, gamma: float,
     which diverges logarithmically as tau -> 0: shrinking tau tenfold adds
     exactly (gamma / 2 pi) log 10.
     """
-    if not tau > 0.0:
-        raise ValueError("tau must be > 0")
+    if not 0.0 < tau < math.inf:
+        raise ValueError(f"tau must be finite and > 0 (got {tau!r})")
     g = gamma / omega0
     value = g * (1.0 - math.log(tau)) + 2.0 * _arc_term(g)
     return value / (2.0 * math.pi)

@@ -1,10 +1,13 @@
 """Tests for the heat-bath models and the canonical susceptibility."""
 
 import cmath
+import contextlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oscbath import baths
 from oscbath.baths import (
@@ -61,6 +64,27 @@ class TestCanonicalize:
             OhmicSpec(gamma=1.0, omega0=0.0)
         with pytest.raises(ValueError):
             QEDSpec(gamma=0.1)           # neither cutoff nor limit flag
+
+    @pytest.mark.parametrize("make, name", [
+        (lambda: OhmicSpec(gamma=math.inf), "gamma"),
+        (lambda: OhmicSpec(gamma=1.0, omega0=math.inf), "omega0"),
+        (lambda: SingleRelaxationSpec(gamma=math.inf, tau=0.01), "gamma"),
+        (lambda: SingleRelaxationSpec(gamma=1.0, tau=math.inf), "tau"),
+        (lambda: QEDSpec(gamma=math.inf, omega_prime=1e3), "gamma"),
+        (lambda: QEDSpec(gamma=0.1, large_cutoff_limit=True,
+                         omega0=math.inf), "omega0"),
+        (lambda: CanonicalBath(1.0, math.inf), "gamma"),
+        (lambda: CanonicalBath(math.inf, 1.0), "omega0"),
+    ])
+    def test_infinite_gamma_omega0_tau_rejected(self, make, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            make()
+
+    def test_infinite_cutoffs_allowed(self):
+        # the Ohmic and point-electron limits
+        assert canonicalize(QEDSpec(gamma=0.1, omega_prime=math.inf)) \
+            == canonicalize(QEDSpec(gamma=0.1, large_cutoff_limit=True))
+        assert CanonicalBath(1.0, 0.3, 10.0, math.inf).Omega == 10.0
 
 
 class TestRoots:
@@ -265,6 +289,39 @@ class TestSpectralWeight:
         assert baths.cutoff_relation(canonicalize(
             QEDSpec(gamma=3.0, omega_prime=50.0, omega0=2.0))) == "blackbody"
         assert baths.cutoff_relation(CanonicalBath(1.0, 0.3, 10.0, 20.0)) is None
+
+    @staticmethod
+    def log_uniform(low, high):
+        return st.floats(math.log10(low), math.log10(high)).map(
+            lambda e: 10.0 ** e)
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_every_model_classifies_as_itself(self, data):
+        # over the edge grid: gamma in [1e-8, 1e4], Omega' in [1e2, 1e12],
+        # the point-electron limit, and tau gamma up to just below 1
+        model = data.draw(st.sampled_from(("ohmic", "srt", "qed", "limit")))
+        gamma = data.draw(self.log_uniform(1e-8, 1e4), "gamma")
+        omega0 = data.draw(self.log_uniform(1e-3, 1e3), "omega0")
+        prime = data.draw(self.log_uniform(1e2, 1e12), "Omega'")
+        friction = gamma * omega0
+        if model == "ohmic":
+            spec, relation = OhmicSpec(friction, omega0), None
+        elif model == "qed":
+            spec = QEDSpec(friction, prime, omega0=omega0)
+            relation = "blackbody"
+        elif model == "limit":
+            spec = QEDSpec(friction, large_cutoff_limit=True, omega0=omega0)
+            relation = "blackbody"
+        else:
+            tau = data.draw(st.one_of(
+                st.just(gamma / (prime + gamma)),
+                st.floats(0.1, 1.0 - 1e-9)), "tau gamma") / gamma
+            slow = tau * friction / omega0 > 0.1     # as the spec tests it
+            with pytest.warns(UserWarning) if slow else contextlib.nullcontext():
+                spec = SingleRelaxationSpec(friction, tau, omega0)
+            relation = "relaxation"
+        assert baths.cutoff_relation(canonicalize(spec)) == relation
 
     def test_static_weight(self):
         assert baths.static_weight(canonicalize(

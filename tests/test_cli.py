@@ -153,6 +153,21 @@ class TestSweepSI:
         assert code == 2
         assert "omega0" in err
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_si_rejects_non_finite_omega0(self, tmp_path, capsys, value,
+                                          source):
+        argv = ["sweep", "--model", "ohmic", "--gamma", "1", "--units", "si"]
+        if source == "flag":
+            argv += ["--omega0-hz", value]
+        else:
+            config = tmp_path / "si.cfg"
+            config.write_text(f"omega0_hz = {value}\n")
+            argv += ["--config", str(config)]
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        assert "omega0-hz" in err
+
 
 class TestConfigFile:
     def test_flags_override_config(self, tmp_path, capsys):
@@ -223,6 +238,17 @@ class TestSweepValidation:
         code, _, err = run(capsys, ["sweep", "--model", "srt", "--gamma", "1"])
         assert code == 2 and "tau" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["--model", "ohmic", "--gamma", "inf"],
+        ["--model", "srt", "--gamma", "1", "--tau", "inf"],
+        ["--model", "qed", "--gamma", "inf", "--omega-prime", "1e3"],
+    ])
+    def test_infinite_parameter_named(self, capsys, argv):
+        code, out, err = run(capsys, ["sweep", *argv])
+        name = argv[argv.index("inf") - 1].lstrip("-")
+        assert code == 2 and out == ""
+        assert f"{name} must be finite" in err
+
     def test_bad_theta_range(self, capsys):
         code, _, err = run(capsys, [
             "sweep", "--model", "ohmic", "--gamma", "1",
@@ -292,6 +318,22 @@ class TestZeropoint:
                                       "--omega-prime", "1000"])
         assert code == 4
         assert "diverges for the QED model" in err
+
+    def test_infinite_gamma_named(self, capsys):
+        for model, extra in (("ohmic", ["--tau", "1e-5"]),
+                             ("srt", ["--tau", "1e-2"]),
+                             ("qed", ["--omega-prime", "1e3"])):
+            code, out, err = run(capsys, ["zeropoint", "--model", model,
+                                          "--gamma", "inf", *extra])
+            assert code == 2 and out == ""
+            assert "gamma must be finite" in err
+
+    @pytest.mark.parametrize("tau", ["inf", "nan", "0"])
+    def test_ohmic_rejects_a_bad_tau(self, capsys, tau):
+        code, out, err = run(capsys, ["zeropoint", "--model", "ohmic",
+                                      "--gamma", "1", "--tau", tau])
+        assert code == 2 and out == ""
+        assert "tau must be finite" in err
 
     def test_ohmic_requires_tau(self, capsys):
         code, _, err = run(capsys, ["zeropoint", "--model", "ohmic",

@@ -501,6 +501,24 @@ class TestDifferences:
                 got = sj.j_remainder_difference(a, b, delta)
                 self.close(got, want, 1e-14, (a, delta))
 
+    def test_remainder_difference_a_factor_two_apart(self):
+        # the blackbody gap pair at critical damping, x_Omega ~ x_c1 / 2 from
+        # 1/4 up: a^2 R''(a) - b^2 R''(b) nearly cancels there, so its two
+        # parts must be formed with the smaller argument second
+        rng = np.random.default_rng(80)
+        pairs = [(0.2501, 0.2501 - 0.5002)]
+        for _ in range(100):
+            a = rng.uniform(0.25, 0.35)
+            pairs.append((a, a * (1.0 - rng.uniform(1.9, 2.0))))
+        for a, delta in pairs:
+            want, b = self.reference(complex(a), complex(delta),
+                                     remainder=True)
+            self.close(sj.j_remainder_difference(a, b.real, delta), want,
+                       3e-15, a)
+            swapped = [-d for d in want]
+            self.close(sj.j_remainder_difference(b.real, a, -delta), swapped,
+                       3e-15, a)
+
     def test_difference_small_arguments(self):
         rng = np.random.default_rng(78)
         for _ in range(40):

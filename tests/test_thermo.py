@@ -206,6 +206,19 @@ class TestSweep:
         assert points == [thermo.thermo_point(bath, theta, method)
                           for theta in SWEEP_THETAS]
 
+    @pytest.mark.parametrize("method, thetas", [
+        ("low_T_series", [1e-4, 0.01, 0.1]),
+        ("high_T_series", [0.5, 3.0, 40.0]),
+    ])
+    @pytest.mark.parametrize("bath", SWEEP_BATHS)
+    def test_series_sweep_is_series_point(self, bath, method, thetas):
+        regime = method.removesuffix("_series")
+        points = thermo.sweep(bath, thetas, method)
+        assert points == [thermo.series_point(bath, theta, regime)
+                          for theta in thetas]
+        assert points == [thermo.thermo_point(bath, theta, method)
+                          for theta in thetas]
+
     def test_gap_pair_on_both_sides_of_its_switch(self, monkeypatch):
         bath = SWEEP_BATHS[-1]
         differenced = []
@@ -224,7 +237,7 @@ class TestSweep:
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, 1e-309])
     def test_rejects_a_bad_theta_in_any_position(self, bad):
-        methods = ["exact_j"] if bad > 0.0 else ["exact_j", "exact_quadrature"]
+        methods = ["exact_j"] if bad > 0.0 else thermo.METHODS
         for method in methods:
             for thetas in ([bad], [bad, 1.0], [1.0, 2.0, bad]):
                 with pytest.raises(ValueError):
@@ -403,10 +416,6 @@ class TestCutoffCorrection:
         assert abs(value - expected) < 1e-18
         assert value < 0.0
 
-    def test_series_point_closes_thermodynamically(self):
-        bath = baths.canonicalize(SingleRelaxationSpec(gamma=1.0, tau=0.01))
-        point = thermo.series_point(bath, 0.05, "low_T", "srt")
-        assert abs(point.U - point.F - 0.05 * point.S) < 1e-15
 
 
 class TestZeroPoint:
@@ -436,6 +445,17 @@ class TestZeroPoint:
 
         total = integrate_semi_infinite(integrand).value
         assert abs(total - thermo.zero_point(bath)) < 2e-6
+
+    def test_relaxation_relation_to_rounding_is_finite(self):
+        # a hand-built bath with Omega = Omega' + gamma, as cutoff_relation
+        # recognises it
+        bath = CanonicalBath(1.0, 1.0, 100.0, 99.0)
+        srt = baths.canonicalize(SingleRelaxationSpec(gamma=1.0, tau=0.01))
+        assert thermo.zero_point(bath) == thermo.zero_point(srt)
+
+    def test_independent_cutoffs_diverge(self):
+        with pytest.raises(thermo.DivergenceError, match="sum rule"):
+            thermo.zero_point(CanonicalBath(1.0, 0.3, 10.0, 20.0))
 
     def test_ohmic_diverges(self):
         with pytest.raises(thermo.DivergenceError, match="asymptotic"):
@@ -471,22 +491,60 @@ class TestZeroPointAsymptotic:
         assert gaps[0] > gaps[1] > gaps[2]
 
 
-class TestExpansionSpec:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            thermo.ExpansionSpec("mid_T", 2, "ohmic")
-        with pytest.raises(ValueError):
-            thermo.ExpansionSpec("low_T", 0, "ohmic")
-        with pytest.raises(ValueError):
-            thermo.ExpansionSpec("low_T", 2, "debye")
+class TestSeriesPoint:
+    """series_point takes its series from the bath's cutoff relation."""
+
+    def test_unknown_regime(self):
+        with pytest.raises(ValueError, match="mid_T"):
+            thermo.series_point(ohmic(1.0), 0.05, "mid_T")
 
     def test_regime_warnings_advisory(self):
-        spec = thermo.ExpansionSpec("low_T", 2, "ohmic")
-        with pytest.warns(UserWarning):
-            spec.warn_if_outside(1.0)
-        spec = thermo.ExpansionSpec("high_T", 2, "ohmic")
-        with pytest.warns(UserWarning):
-            spec.warn_if_outside(0.01)
+        with pytest.warns(UserWarning, match="low-temperature"):
+            thermo.series_point(ohmic(1.0), 1.0, "low_T")
+        with pytest.warns(UserWarning, match="high-temperature"):
+            thermo.series_point(ohmic(1.0), 0.01, "high_T")
+
+    @pytest.mark.parametrize("regime, theta, series", [
+        ("low_T", 0.05, thermo.ohmic_low_temperature),
+        ("high_T", 3.0, thermo.ohmic_high_temperature),
+    ])
+    def test_ohmic_bath_takes_the_ohmic_series(self, regime, theta, series):
+        point = thermo.series_point(ohmic(0.3), theta, regime)
+        assert point == series(theta, 0.3)
+
+    @pytest.mark.parametrize("spec", [
+        QEDSpec(gamma=0.3, omega_prime=1e3),
+        QEDSpec(gamma=3.0, omega_prime=50.0, omega0=2.0),
+        QEDSpec(gamma=0.3, large_cutoff_limit=True),
+    ])
+    @pytest.mark.parametrize("regime, theta, series", [
+        ("low_T", 0.05, thermo.qed_low_temperature),
+        ("high_T", 3.0, thermo.qed_high_temperature),
+    ])
+    def test_blackbody_bath_takes_the_qed_series(self, spec, regime, theta,
+                                                 series):
+        bath = baths.canonicalize(spec)
+        point = thermo.series_point(bath, theta, regime)
+        assert point == series(theta, spec.gamma / spec.omega0)
+
+    @pytest.mark.parametrize("regime, theta, series", [
+        ("low_T", 0.05, thermo.ohmic_low_temperature),
+        ("high_T", 3.0, thermo.ohmic_high_temperature),
+    ])
+    def test_other_cutoffs_correct_the_ohmic_series(self, regime, theta,
+                                                    series):
+        for bath in (baths.canonicalize(SingleRelaxationSpec(gamma=1.0,
+                                                             tau=0.01)),
+                     CanonicalBath(1.0, 1.0, 10.0, 20.0)):
+            point = thermo.series_point(bath, theta, regime)
+            delta = thermo.cutoff_correction(bath, theta)
+            assert delta != 0.0
+            assert point.F == series(theta, 1.0).F + delta
+
+    def test_series_point_closes_thermodynamically(self):
+        bath = baths.canonicalize(SingleRelaxationSpec(gamma=1.0, tau=0.01))
+        point = thermo.series_point(bath, 0.05, "low_T")
+        assert abs(point.U - point.F - 0.05 * point.S) < 1e-15
 
 
 def closed_form_reference(model, gamma, theta, tau=None, omega_prime=None):
