@@ -36,7 +36,6 @@ from .quadrature import (
     IntegrandEvaluationError,
     QuadratureConvergenceError,
     QuadratureResult,
-    QuadratureSpec,
     integrate_interval,
     integrate_semi_infinite,
 )

@@ -8,22 +8,23 @@ unit oscillator mass):
 * single relaxation time: mu(z) = zeta / (1 - i z tau)   (Drude cutoff 1/tau)
 * blackbody radiation:    mu(z) ~ z Omega^2 / (z + i Omega)  (electron form factor)
 
+Reduced units are the package's only units: frequencies are in units of
+the oscillator frequency omega0, times in 1/omega0.  The spec types take
+gamma/omega0, tau omega0 and Omega'/omega0.
+
 All three give a generalized susceptibility of one canonical shape,
 
-    alpha(z) = (z + i Omega) / ( -m (z + i Omega') (z^2 + i gamma z - omega0^2) ),
+    alpha(z) = (z + i Omega) / ( -m (z + i Omega') (z^2 + i gamma z - 1) ),
 
-parametrized by the quadruple (omega0, gamma, Omega, Omega'), with the
-cutoffs related to the native parameters by
+parametrized by the triple (gamma, Omega, Omega'), with the cutoffs related
+to the native parameters by
 
     single relaxation time:  tau = 1/Omega,  Omega = Omega' + gamma
-    blackbody (QED):         1/Omega = 1/Omega' + gamma / omega0^2
+    blackbody (QED):         1/Omega = 1/Omega' + gamma
 
 and the Ohmic model the limit Omega, Omega' -> infinity.  Infinite cutoffs
-are represented exactly (math.inf), never as large finite numbers.
-
-Frequencies (gamma, omega0 and the cutoffs) share one unit; reduced units
-set omega0 = 1.  tau and omega_prime in the spec types below are
-dimensionless (tau * omega0 and Omega'/omega0 respectively).
+are represented exactly (math.inf), never as large finite numbers:
+omega_prime = math.inf is the blackbody bath's point-electron limit.
 """
 
 from __future__ import annotations
@@ -44,23 +45,23 @@ __all__ = [
 ]
 
 # Electron radiation-reaction time 2 e^2 / (3 M c^3); the large-cutoff limit
-# of the blackbody bath has gamma = omega0^2 * tau_e.
+# of the blackbody bath has gamma/omega0 = omega0 * tau_e.
 TAU_E_SECONDS = 6e-24
 
 
 @dataclass(frozen=True)
 class OhmicSpec:
-    """Frequency-independent friction gamma = zeta / m."""
+    """Frequency-independent friction gamma = zeta / m, in units of omega0."""
     gamma: float
-    omega0: float = 1.0
 
     def __post_init__(self):
-        _require_finite_positive(omega0=self.omega0, gamma=self.gamma)
+        _require_finite_positive(gamma=self.gamma)
 
 
 @dataclass(frozen=True)
 class SingleRelaxationSpec:
-    """Drude-type friction with relaxation time tau (dimensionless, tau*omega0).
+    """Drude-type friction gamma (units of omega0) with relaxation time tau
+    (units of 1/omega0).
 
     The model is meant for short memory, tau * gamma << 1 (equivalently a
     cutoff Omega = 1/tau far above gamma); construction warns when that
@@ -69,12 +70,10 @@ class SingleRelaxationSpec:
     """
     gamma: float
     tau: float
-    omega0: float = 1.0
 
     def __post_init__(self):
-        _require_finite_positive(omega0=self.omega0, gamma=self.gamma,
-                                 tau=self.tau)
-        tau_gamma = self.tau * self.gamma / self.omega0
+        _require_finite_positive(gamma=self.gamma, tau=self.tau)
+        tau_gamma = self.tau * self.gamma
         if tau_gamma >= 1.0:
             raise ValueError(
                 f"single-relaxation-time bath needs 1/tau > gamma "
@@ -88,62 +87,47 @@ class SingleRelaxationSpec:
 
 @dataclass(frozen=True)
 class QEDSpec:
-    """Blackbody-radiation bath with form-factor cutoff.
-
-    ``omega_prime`` is Omega'/omega0.  ``large_cutoff_limit`` selects the
-    point-electron limit Omega' -> infinity (bare mass -> 0), in which case
-    Omega = omega0^2 / gamma and ``omega_prime`` is ignored.
+    """Blackbody-radiation bath: friction gamma and form-factor cutoff
+    ``omega_prime`` = Omega', both in units of omega0.  ``omega_prime =
+    math.inf`` is the point-electron limit (bare mass -> 0), with
+    Omega = 1/gamma.
     """
     gamma: float
-    omega_prime: float | None = None
-    large_cutoff_limit: bool = False
-    omega0: float = 1.0
+    omega_prime: float
 
     def __post_init__(self):
-        _require_finite_positive(omega0=self.omega0, gamma=self.gamma)
-        if not self.large_cutoff_limit:
-            if self.omega_prime is None:
-                raise ValueError("QED bath needs omega_prime "
-                                 "(or large_cutoff_limit=True)")
-            _require_positive(omega_prime=self.omega_prime)
+        _require_finite_positive(gamma=self.gamma)
+        _require_positive(omega_prime=self.omega_prime)
 
 
 BathSpec = Union[OhmicSpec, SingleRelaxationSpec, QEDSpec]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class CanonicalBath:
-    """The (omega0, gamma, Omega, Omega') quadruple of the canonical
-    susceptibility.  Cutoffs are math.inf for the Ohmic case."""
-    omega0: float
+    """The (gamma, Omega, Omega') triple of the canonical susceptibility,
+    in units of omega0; cutoffs are math.inf for the Ohmic case.  Fields are
+    keyword-only, so no positional call can mistake one for another."""
     gamma: float
     Omega: float = math.inf
     OmegaPrime: float = math.inf
 
     def __post_init__(self):
-        _require_finite_positive(omega0=self.omega0, gamma=self.gamma)
+        _require_finite_positive(gamma=self.gamma)
         _require_positive(Omega=self.Omega, OmegaPrime=self.OmegaPrime)
 
     @property
     def has_finite_cutoff(self) -> bool:
         return math.isfinite(self.Omega) or math.isfinite(self.OmegaPrime)
 
-    def scaled(self) -> "CanonicalBath":
-        """The same bath in reduced units (frequencies over omega0)."""
-        if self.omega0 == 1.0:
-            return self
-        w = self.omega0
-        return CanonicalBath(1.0, self.gamma / w, self.Omega / w,
-                             self.OmegaPrime / w)
-
 
 @dataclass(frozen=True)
 class RootPair:
-    """Characteristic roots of z^2 + i gamma z - omega0^2 written as
-    z = -i z1, -i z1*: z1 z1* = omega0^2 and z1 + z1* = gamma.
+    """Characteristic roots of z^2 + i gamma z - 1 (units of omega0)
+    written as z = -i z1, -i z1*: z1 z1* = 1 and z1 + z1* = gamma.
 
-    Underdamped (gamma < 2 omega0): z1 = gamma/2 + i omega1 with
-    omega1 = sqrt(omega0^2 - gamma^2/4).  Overdamped: both roots real and
+    Underdamped (gamma < 2): z1 = gamma/2 + i omega1 with
+    omega1 = sqrt(1 - gamma^2/4).  Overdamped: both roots real and
     positive, z1 = gamma/2 - |omega1| the smaller; ``omega1`` then holds the
     magnitude of the imaginary frequency.  Critical damping is handled by
     the overdamped branch with omega1 = 0.
@@ -167,32 +151,29 @@ def _require_finite_positive(**values: float):
 
 
 def canonicalize(spec: BathSpec) -> CanonicalBath:
-    """Map a bath description onto the canonical (omega0, gamma, Omega,
-    Omega') quadruple, applying the cutoff relations exactly."""
+    """Map a bath description onto the canonical (gamma, Omega, Omega')
+    triple, applying the cutoff relations exactly."""
     if isinstance(spec, OhmicSpec):
-        return CanonicalBath(spec.omega0, spec.gamma)
+        return CanonicalBath(gamma=spec.gamma)
     if isinstance(spec, SingleRelaxationSpec):
-        big_omega = spec.omega0 / spec.tau
-        return CanonicalBath(spec.omega0, spec.gamma, big_omega,
-                             big_omega - spec.gamma)
+        big_omega = 1.0 / spec.tau
+        return CanonicalBath(gamma=spec.gamma, Omega=big_omega,
+                             OmegaPrime=big_omega - spec.gamma)
     if isinstance(spec, QEDSpec):
-        if spec.large_cutoff_limit:
-            return CanonicalBath(spec.omega0, spec.gamma,
-                                 spec.omega0 ** 2 / spec.gamma, math.inf)
-        omega_prime = spec.omega_prime * spec.omega0
-        big_omega = 1.0 / (1.0 / omega_prime + spec.gamma / spec.omega0 ** 2)
-        return CanonicalBath(spec.omega0, spec.gamma, big_omega, omega_prime)
+        big_omega = 1.0 / (1.0 / spec.omega_prime + spec.gamma)
+        return CanonicalBath(gamma=spec.gamma, Omega=big_omega,
+                             OmegaPrime=spec.omega_prime)
     raise TypeError(f"not a bath spec: {spec!r}")
 
 
-def roots(omega0: float, gamma: float) -> RootPair:
-    """Characteristic root pair for given oscillator frequency and friction.
+def roots(gamma: float) -> RootPair:
+    """Characteristic root pair for friction gamma (units of omega0).
 
-    The smaller overdamped root is computed as omega0^2 / (gamma/2 + |omega1|)
+    The smaller overdamped root is computed as 1 / (gamma/2 + |omega1|)
     to avoid the cancellation in gamma/2 - |omega1|.
     """
-    _require_finite_positive(omega0=omega0, gamma=gamma)
-    disc = omega0 * omega0 - 0.25 * gamma * gamma
+    _require_finite_positive(gamma=gamma)
+    disc = 1.0 - 0.25 * gamma * gamma
     if disc > 0.0:
         omega1 = math.sqrt(disc)
         return RootPair(complex(0.5 * gamma, omega1),
@@ -202,28 +183,20 @@ def roots(omega0: float, gamma: float) -> RootPair:
         return RootPair(complex(half, 0.0), complex(half, 0.0), 0.0, "critical")
     omega1 = math.sqrt(-disc)
     larger = 0.5 * gamma + omega1
-    smaller = omega0 * omega0 / larger
+    smaller = 1.0 / larger
     return RootPair(complex(smaller, 0.0), complex(larger, 0.0), omega1,
                     "overdamped")
-
-
-def _friction_strength(spec: SingleRelaxationSpec) -> float:
-    """zeta/m for the single-relaxation-time bath in terms of
-    (gamma, Omega', omega0); tends to gamma in the Ohmic limit."""
-    bath = canonicalize(spec)
-    op, g, w0 = bath.OmegaPrime, bath.gamma, bath.omega0
-    return g * (op * op + g * op + w0 * w0) / (op + g) ** 2
 
 
 def _spring_rate(spec: BathSpec) -> float:
     """K/m, the oscillator spring constant per unit (bare) mass."""
     if isinstance(spec, OhmicSpec):
-        return spec.omega0 ** 2
+        return 1.0
     bath = canonicalize(spec)
-    op, g, w0 = bath.OmegaPrime, bath.gamma, bath.omega0
+    op, g = bath.OmegaPrime, bath.gamma
     if isinstance(spec, SingleRelaxationSpec):
-        return w0 * w0 * op / (op + g)
-    return w0 * w0 + g * op
+        return op / (op + g)
+    return 1.0 + g * op
 
 
 def mu_tilde(spec: BathSpec, z: complex) -> complex:
@@ -241,10 +214,12 @@ def mu_tilde(spec: BathSpec, z: complex) -> complex:
         return complex(spec.gamma, 0.0)
     if isinstance(spec, SingleRelaxationSpec):
         bath = canonicalize(spec)
-        zeta = _friction_strength(spec)
+        op, g = bath.OmegaPrime, bath.gamma
+        # zeta/m, which tends to gamma in the Ohmic limit
+        zeta = g * (op * op + g * op + 1.0) / (op + g) ** 2
         return zeta / (1.0 - 1j * z / bath.Omega)
     if isinstance(spec, QEDSpec):
-        if spec.large_cutoff_limit:
+        if math.isinf(spec.omega_prime):
             raise ValueError(
                 "mu_tilde per unit bare mass is undefined in the "
                 "point-electron limit (bare mass -> 0)")
@@ -262,7 +237,7 @@ def susceptibility(bath: CanonicalBath, z: complex) -> complex:
     1 analytically.  All poles lie in the open lower half plane.
     """
     z = complex(z)
-    osc = z * z + 1j * bath.gamma * z - bath.omega0 ** 2
+    osc = z * z + 1j * bath.gamma * z - 1.0
     finite_O = math.isfinite(bath.Omega)
     finite_Op = math.isfinite(bath.OmegaPrime)
     if finite_O != finite_Op:
@@ -292,19 +267,18 @@ def susceptibility_kernel_form(spec: BathSpec, z: complex) -> complex:
 
 def cutoff_relation(bath: CanonicalBath) -> str | None:
     """The cutoff relation the bath satisfies, to rounding: ``"blackbody"``
-    (1/Omega = 1/Omega' + gamma/omega0^2, with Omega' = inf in the
-    point-electron limit), ``"relaxation"`` (Omega = Omega' + gamma), or
-    None (the Ohmic bath, or cutoffs set independently)."""
-    scaled = bath.scaled()
-    if not math.isfinite(scaled.Omega):
+    (1/Omega = 1/Omega' + gamma, with Omega' = inf in the point-electron
+    limit), ``"relaxation"`` (Omega = Omega' + gamma), or None (the Ohmic
+    bath, or cutoffs set independently)."""
+    if not math.isfinite(bath.Omega):
         return None
-    inv_o = 1.0 / scaled.Omega
-    inv_op = 1.0 / scaled.OmegaPrime
-    if abs(inv_o - inv_op - scaled.gamma) <= _RELATION_ULPS * inv_o:
+    inv_o = 1.0 / bath.Omega
+    inv_op = 1.0 / bath.OmegaPrime
+    if abs(inv_o - inv_op - bath.gamma) <= _RELATION_ULPS * inv_o:
         return "blackbody"
-    if math.isfinite(scaled.OmegaPrime) and abs(
-            scaled.Omega - scaled.OmegaPrime - scaled.gamma) \
-            <= _RELATION_ULPS * scaled.Omega:
+    if math.isfinite(bath.OmegaPrime) and abs(
+            bath.Omega - bath.OmegaPrime - bath.gamma) \
+            <= _RELATION_ULPS * bath.Omega:
         return "relaxation"
     return None
 
@@ -314,27 +288,26 @@ _RELATION_ULPS = 16 * 2.220446049250313e-16
 
 
 def static_weight(bath: CanonicalBath) -> float:
-    """The spectral factor at zero frequency in reduced units,
+    """The spectral factor at zero frequency,
 
-        gamma - 1/Omega + 1/Omega'    (omega0 = 1),
+        gamma - 1/Omega + 1/Omega',
 
     which is minus the sum of sigma/c over the characteristic frequencies
     of the closed form.  The cutoff relation's cancellation is done
     exactly: 0 for the blackbody bath, gamma (1 + 1/(Omega Omega')) for
     the single-relaxation-time bath."""
-    scaled = bath.scaled()
-    relation = cutoff_relation(scaled)
+    relation = cutoff_relation(bath)
     if relation == "blackbody":
         return 0.0
     if relation == "relaxation":
-        return scaled.gamma * (1.0 + 1.0 / (scaled.Omega * scaled.OmegaPrime))
-    return scaled.gamma - 1.0 / scaled.Omega + 1.0 / scaled.OmegaPrime
+        return bath.gamma * (1.0 + 1.0 / (bath.Omega * bath.OmegaPrime))
+    return bath.gamma - 1.0 / bath.Omega + 1.0 / bath.OmegaPrime
 
 
 def spectral_weight(bath: CanonicalBath) -> Callable[[float, float], float]:
-    """:func:`free_energy_integrand` of the bath in reduced units (omega0 =
-    1), as a function ``weight(w, detuning)`` of w > 0 and the detuning
-    w - 1, with the bath's constants bound once.
+    """:func:`free_energy_integrand` of the bath as a function
+    ``weight(w, detuning)`` of w > 0 and the detuning w - 1, with the
+    bath's constants bound once.
 
     The detuning is passed separately so that a caller integrating in the
     detuning near the resonance keeps it exact: w^2 - 1 is formed as
@@ -343,11 +316,10 @@ def spectral_weight(bath: CanonicalBath) -> Callable[[float, float], float]:
     closed form for each cutoff relation, so that their static values,
     which cancel exactly for the blackbody bath, are never subtracted in
     floating point: the weight keeps full relative accuracy at small w."""
-    scaled = bath.scaled()
-    g = scaled.gamma
+    g = bath.gamma
     g2 = g * g
-    relation = cutoff_relation(scaled)
-    p = 1.0 / scaled.OmegaPrime                 # 0 for an infinite cutoff
+    relation = cutoff_relation(bath)
+    p = 1.0 / bath.OmegaPrime                   # 0 for an infinite cutoff
     if relation == "blackbody":
         q = g + p                               # 1/Omega
         pq = p * q
@@ -362,7 +334,7 @@ def spectral_weight(bath: CanonicalBath) -> Callable[[float, float], float]:
             return (lead * w2 * (3.0 + (middle + pq * w2) * w2)
                     / (resonance * (1.0 + q2 * w2) * (1.0 + p2 * w2)))
         return weight
-    q = 1.0 / scaled.Omega
+    q = 1.0 / bath.Omega
     if relation == "relaxation":
         pq = p * q
         q2, p2 = q * q, p * p
@@ -390,11 +362,11 @@ def spectral_weight(bath: CanonicalBath) -> Callable[[float, float], float]:
 
 
 def free_energy_integrand(bath: CanonicalBath, omega: float) -> float:
-    """Spectral factor of the free-energy integral (the thermal log factor
-    is applied by the caller):
+    """Spectral factor of the free-energy integral at frequency ``omega``
+    (units of omega0; the thermal log factor is applied by the caller):
 
         -Omega/(w^2+Omega^2) + Omega'/(w^2+Omega'^2)
-            + gamma (w^2 + omega0^2) / ((w^2-omega0^2)^2 + gamma^2 w^2)
+            + gamma (w^2 + 1) / ((w^2 - 1)^2 + gamma^2 w^2)
 
     which is Im d log alpha(w + i0+)/dw.  Infinite cutoffs drop their
     Lorentzian terms analytically; see :func:`spectral_weight` for the
@@ -402,19 +374,16 @@ def free_energy_integrand(bath: CanonicalBath, omega: float) -> float:
     """
     if not omega > 0.0:
         raise ValueError("free_energy_integrand: omega must be > 0")
-    w = omega / bath.omega0
-    return spectral_weight(bath)(w, w - 1.0) / bath.omega0
+    return spectral_weight(bath)(omega, omega - 1.0)
 
 
 def qed_mass_ratio(spec: QEDSpec) -> float:
-    """Renormalized over bare mass, M/m = (omega0^2 + gamma Omega')
-    (Omega' + gamma) / (omega0^2 Omega'); infinite in the point-electron
-    limit."""
-    if spec.large_cutoff_limit:
+    """Renormalized over bare mass, M/m = (1 + gamma Omega') (Omega' + gamma)
+    / Omega'; infinite in the point-electron limit."""
+    if math.isinf(spec.omega_prime):
         return math.inf
-    bath = canonicalize(spec)
-    op, g, w0sq = bath.OmegaPrime, bath.gamma, bath.omega0 ** 2
-    return (w0sq + g * op) * (op + g) / (w0sq * op)
+    op, g = spec.omega_prime, spec.gamma
+    return (1.0 + g * op) * (op + g) / op
 
 
 def gamma_large_cutoff(omega0_si: float) -> float:

@@ -79,7 +79,7 @@ def _build_parser() -> argparse.ArgumentParser:
                       choices=("auto", "quadrature", "loggamma", "lanczos",
                                "series", "asymptotic"))
     jfun.add_argument("--terms", type=int, default=None,
-                      help="series/asymptotic term count")
+                      help="term count of the series and asymptotic methods")
 
     zp = sub.add_parser("zeropoint", help="zero-point energy of a bath")
     zp.add_argument("--model", required=True, choices=_CHOICES["model"])
@@ -179,14 +179,15 @@ def _bath_from_options(opt) -> baths.CanonicalBath:
 
 def _theta_grid(opt) -> list[float]:
     lo, hi, count = opt["theta_min"], opt["theta_max"], opt["points"]
-    if not lo > 0.0:
-        raise _ConfigError(f"theta-min must be > 0 (got {lo!r})")
+    if not 0.0 < lo < math.inf:
+        raise _ConfigError(f"theta-min must be finite and > 0 (got {lo!r})")
     if count < 1:
         raise _ConfigError(f"points must be >= 1 (got {count!r})")
     if count == 1:
         return [lo]
-    if hi < lo:
-        raise _ConfigError("theta-max must be >= theta-min")
+    if not lo <= hi < math.inf:
+        raise _ConfigError("theta-max must be finite and >= theta-min "
+                           f"(got {hi!r})")
     if opt["log"]:
         ratio = (hi / lo) ** (1.0 / (count - 1))
         return [lo * ratio ** i for i in range(count)]
@@ -286,12 +287,15 @@ def _cmd_sweep(args) -> int:
 def _cmd_jfun(args) -> int:
     z = complex(args.re, args.im)
     name, bound = args.method, None
+    terms = {} if args.terms is None else {"n_terms": args.terms}
+    if terms and name not in ("series", "asymptotic"):
+        raise _ConfigError(f"--terms does not apply to --method {name}")
     if name == "auto":
         value, name = stieltjes.j_auto_named(z)
     elif name == "series":
-        value = stieltjes.j_series_small(z, args.terms or 60)
+        value = stieltjes.j_series_small(z, **terms)
     elif name == "asymptotic":
-        value, bound = stieltjes.j_asymptotic(z, args.terms or 11)
+        value, bound = stieltjes.j_asymptotic(z, **terms)
     else:
         value = {"quadrature": stieltjes.j_quadrature, "lanczos":
                  stieltjes.j_lanczos, "loggamma": stieltjes.j_loggamma}[name](z)
@@ -310,7 +314,7 @@ def _cmd_zeropoint(args) -> int:
         if args.tau is None:
             raise _ConfigError("--tau is required for the ohmic zero point "
                                "(log-divergent limit)")
-        value = thermo.zero_point_ohmic_asymptotic(1.0, bath.gamma, args.tau)
+        value = thermo.zero_point_ohmic_asymptotic(bath.gamma, args.tau)
         print(f"zero_point_asymptotic = {value:.14e}  "
               f"(tau = {args.tau:g}; diverges like -log tau as tau -> 0)")
         return EXIT_OK

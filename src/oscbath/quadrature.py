@@ -28,7 +28,6 @@ from operator import mul
 from typing import Callable, Sequence, Union
 
 __all__ = [
-    "QuadratureSpec",
     "QuadratureResult",
     "IntegrandEvaluationError",
     "QuadratureConvergenceError",
@@ -60,37 +59,13 @@ _GAUSS_WEIGHTS = (
 
 _EPS = 2.220446049250313e-16
 
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerances and budget for one integration.
-
-    Each component's tolerance target is the larger of
-    ``absolute_tolerance`` and ``relative_tolerance`` times its current
-    value.  ``first_panel`` is the width of the panel touching the origin;
-    ``tail_growth`` is the width ratio of successive panels marching toward
-    infinity, and the march stops (the tail is cut) once two consecutive
-    panels contribute less than the current tolerance target.
-    """
-
-    relative_tolerance: float = 1e-12
-    absolute_tolerance: float = 1e-15
-    max_subdivisions: int = 4000
-    first_panel: float = 1.0
-    tail_growth: float = 2.0
-    max_tail_panels: int = 400
-
-    def __post_init__(self):
-        if not self.relative_tolerance > 0.0:
-            raise ValueError("relative_tolerance must be > 0")
-        if not self.absolute_tolerance > 0.0:
-            raise ValueError("absolute_tolerance must be > 0")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
-        if not self.first_panel > 0.0:
-            raise ValueError("first_panel must be > 0")
-        if not self.tail_growth > 1.0:
-            raise ValueError("tail_growth must be > 1")
+# A component's tolerance target is the larger of the absolute tolerance and
+# the relative tolerance times its current value.
+_RELATIVE_TOLERANCE = 1e-12
+_ABSOLUTE_TOLERANCE = 1e-15
+_MAX_SUBDIVISIONS = 4000    # bisections per integral
+_TAIL_GROWTH = 2.0          # width ratio of successive tail panels
+_MAX_TAIL_PANELS = 400      # tail panels before the decay counts as too slow
 
 
 Components = Union[float, tuple[float, ...]]
@@ -175,9 +150,8 @@ class _PanelSet:
     badness is its largest component error over that component's target.
     Running totals are kept per component."""
 
-    def __init__(self, f, spec):
+    def __init__(self, f):
         self.f = f
-        self.spec = spec
         self.heap = []          # (-badness, seq, a, b, values, errors)
         self.seq = 0
         self.scalar = True
@@ -204,9 +178,7 @@ class _PanelSet:
         return values, errors
 
     def targets(self):
-        spec = self.spec
-        return [max(spec.absolute_tolerance,
-                    spec.relative_tolerance * abs(value))
+        return [max(_ABSOLUTE_TOLERANCE, _RELATIVE_TOLERANCE * abs(value))
                 for value in self.value]
 
     def badness(self, errors):
@@ -233,13 +205,12 @@ class _PanelSet:
         self.heap = [(-self.badness(errors), seq, a, b, values, errors)
                      for _, seq, a, b, values, errors in self.heap]
         heapq.heapify(self.heap)
-        spec = self.spec
         subdivisions = 0
         while not self.converged():
-            if subdivisions >= spec.max_subdivisions:
+            if subdivisions >= _MAX_SUBDIVISIONS:
                 raise QuadratureConvergenceError(
                     self.result(subdivisions, tail_bound),
-                    f"no convergence within {spec.max_subdivisions} "
+                    f"no convergence within {_MAX_SUBDIVISIONS} "
                     "subdivisions")
             if not self.heap:
                 raise QuadratureConvergenceError(
@@ -262,15 +233,12 @@ class _PanelSet:
 
 
 def integrate_interval(f: Callable[[float], Components], a: float, b: float,
-                       spec: QuadratureSpec | None = None,
-                       points: Sequence[float] = ()) -> QuadratureResult:
+                       *, points: Sequence[float] = ()) -> QuadratureResult:
     """Integrate f, float- or tuple-valued, over the finite interval [a, b];
     ``points`` inside it are the edges of the initial panels."""
-    if spec is None:
-        spec = QuadratureSpec()
     if not b > a:
         raise ValueError("requires b > a")
-    panels = _PanelSet(f, spec)
+    panels = _PanelSet(f)
     edges = [a] + sorted(x for x in points if a < x < b) + [b]
     for left, right in zip(edges, edges[1:]):
         if right > left:
@@ -278,26 +246,28 @@ def integrate_interval(f: Callable[[float], Components], a: float, b: float,
     return panels.refine()
 
 
-def integrate_semi_infinite(f: Callable[[float], Components],
-                            spec: QuadratureSpec | None = None,
+def integrate_semi_infinite(f: Callable[[float], Components], *,
                             start: float = 0.0,
-                            points: Sequence[float] = ()) -> QuadratureResult:
+                            points: Sequence[float] = (),
+                            first_panel: float = 1.0) -> QuadratureResult:
     """Integrate f, float- or tuple-valued, over (start, infinity).
 
     The integrand may have a logarithmic singularity at ``start`` and must
-    decay at least like an inverse power beyond a finite scale.  ``points``
-    beyond ``start`` become panel edges, as in QUADPACK's ``points``: a
-    sharp feature is resolved in few panels when they are graded toward it.
-    The tail is cut only beyond the last of them.  Returns the
-    estimate together with an error bound combining the panel estimates, the
-    truncated-tail bound, and a floating-point accumulation floor, per
-    component.  Raises :class:`QuadratureConvergenceError` when the budget
+    decay at least like an inverse power beyond a finite scale.  Panels
+    march toward infinity from one of width ``first_panel`` (> 0) at
+    ``start``, each twice as wide as the last, and the tail is cut once two
+    in a row are negligible.  ``points`` beyond ``start`` become panel
+    edges, as in QUADPACK's ``points``: a sharp feature is resolved in few
+    panels when they are graded toward it.  The tail is cut only beyond the
+    last of them.  Returns the estimate together with an error bound
+    combining the panel estimates, the truncated-tail bound, and a
+    floating-point accumulation floor, per component.  Raises :class:`QuadratureConvergenceError` when the budget
     is exhausted and :class:`IntegrandEvaluationError` on a non-finite
     integrand value.
     """
-    if spec is None:
-        spec = QuadratureSpec()
-    panels = _PanelSet(f, spec)
+    if not first_panel > 0.0:
+        raise ValueError("first_panel must be > 0")
+    panels = _PanelSet(f)
     edges = sorted(x for x in points if x > start)
     if edges and not math.isfinite(edges[-1]):
         raise ValueError("integrate_semi_infinite: points must be finite")
@@ -305,18 +275,18 @@ def integrate_semi_infinite(f: Callable[[float], Components],
     # March panels toward infinity until two consecutive ones are negligible
     # against the running tolerance target of every component.
     a = start
-    width = spec.first_panel
+    width = first_panel
     quiet = 0
     next_edge = 0
     last_edge = edges[-1] if edges else start
-    for _ in range(spec.max_tail_panels + len(edges)):
+    for _ in range(_MAX_TAIL_PANELS + len(edges)):
         while next_edge < len(edges) and edges[next_edge] <= a:
             next_edge += 1
         b = a + width
         if next_edge < len(edges) and edges[next_edge] < b:
             b = edges[next_edge]
         else:
-            width *= spec.tail_growth
+            width *= _TAIL_GROWTH
         values, errors = panels.add(a, b)
         a = b
         if a >= last_edge and all(
@@ -332,7 +302,7 @@ def integrate_semi_infinite(f: Callable[[float], Components],
     else:
         raise QuadratureConvergenceError(
             panels.result(0),
-            f"tail not negligible after {spec.max_tail_panels} panels "
+            f"tail not negligible after {_MAX_TAIL_PANELS} panels "
             f"(reached t = {a:.3e}); integrand may decay too slowly")
 
     return panels.refine(tail_bound)

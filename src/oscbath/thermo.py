@@ -12,7 +12,7 @@ frequencies,
 
     F(theta) = theta [ J(W) - J(W') - J(x1) - J(x1*) ],
 
-with W = Omega/(2 pi theta omega0) etc. and x1 from the root pair of the
+with W = Omega/(2 pi theta) etc. and x1 from the root pair of the
 oscillator factor; for the Ohmic bath the cutoff terms are absent.  The
 quadrature route integrates the spectral form
 
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple
 
 from .baths import CanonicalBath, cutoff_relation, roots, spectral_weight, static_weight
-from .quadrature import QuadratureSpec, integrate_interval, integrate_semi_infinite
+from .quadrature import integrate_interval, integrate_semi_infinite
 from .stieltjes import (EULER_GAMMA, SMALL_ARGUMENT, j_difference, j_jet,
                         j_reflection, j_remainder, j_remainder_difference,
                         zeta)
@@ -56,7 +56,7 @@ _NEAR_AXIS = 0.25
 # Thermal factors exp(-w/theta) below exp(-_RESONANCE_REACH) underflow
 # against the resonance; colder points leave the resonance unresolved.
 _RESONANCE_REACH = 700.0
-# Panel edges graded toward the weak-damping resonance at w = omega0 stop
+# Panel edges graded toward the weak-damping resonance at w = 1 stop
 # this far from it; broader resonances (gamma >= 2 x this) need none.
 _RESONANCE_SPAN = 0.25
 
@@ -78,8 +78,8 @@ class ThermoPoint:
 
 
 class _Plan(NamedTuple):
-    """What the exact routes need of one bath, in reduced units, made once
-    per call and shared by every temperature of a sweep.
+    """What the exact routes need of one bath, made once per call and
+    shared by every temperature of a sweep.
 
     ``terms`` lists the closed form's characteristic frequencies c as
     (sigma, c, mate, gap) for sigma J(c/(2 pi theta)): sigma = -1 for a
@@ -104,8 +104,7 @@ class _Plan(NamedTuple):
 
 
 def _plan(bath: CanonicalBath) -> _Plan:
-    scaled = bath.scaled()
-    pair = roots(1.0, scaled.gamma)
+    pair = roots(bath.gamma)
     terms = []
     if pair.regime == "underdamped":
         c = pair.z1
@@ -113,23 +112,23 @@ def _plan(bath: CanonicalBath) -> _Plan:
             terms.append((-1.0, c, -c.conjugate(), None))
         else:
             terms.append((-2.0, c, None, None))
-        if math.isfinite(scaled.Omega):
-            terms.append((1.0, scaled.Omega, None, None))
+        if math.isfinite(bath.Omega):
+            terms.append((1.0, bath.Omega, None, None))
     else:
         smaller = pair.z1.real
-        if cutoff_relation(scaled) == "blackbody":
+        if cutoff_relation(bath) == "blackbody":
             # 1/Omega - 1/c1 = (gamma + 1/Omega') - (gamma/2 + |omega1|)
-            terms.append((1.0, scaled.Omega, smaller,
-                          smaller + 1.0 / scaled.OmegaPrime))
+            terms.append((1.0, bath.Omega, smaller,
+                          smaller + 1.0 / bath.OmegaPrime))
         else:
             terms.append((-1.0, smaller, None, None))
-            if math.isfinite(scaled.Omega):
-                terms.append((1.0, scaled.Omega, None, None))
+            if math.isfinite(bath.Omega):
+                terms.append((1.0, bath.Omega, None, None))
         terms.append((-1.0, pair.z1_conj.real, None, None))
-    if math.isfinite(scaled.OmegaPrime):
-        terms.append((-1.0, scaled.OmegaPrime, None, None))
-    return _Plan(tuple(terms), static_weight(scaled), scaled.gamma,
-                 spectral_weight(scaled))
+    if math.isfinite(bath.OmegaPrime):
+        terms.append((-1.0, bath.OmegaPrime, None, None))
+    return _Plan(tuple(terms), static_weight(bath), bath.gamma,
+                 spectral_weight(bath))
 
 
 def _j_sum(plan: _Plan, theta: float) -> tuple[float, float, float]:
@@ -221,7 +220,7 @@ def free_energy_exact(bath: CanonicalBath, theta: float) -> float:
 
 def _resonance_edges(gamma: float, theta: float) -> list[float]:
     """Panel edges in the detuning w - 1, graded geometrically toward the
-    resonance at w = omega0 = 1 from both sides, from half the weak-damping
+    resonance at w = 1 from both sides, from half the weak-damping
     line width (gamma/2) out to _RESONANCE_SPAN, so that every panel is
     about as wide as its distance from the peak; none for a broad resonance
     or one the thermal factor has already extinguished."""
@@ -250,7 +249,7 @@ def _thermal_scale(weight, theta: float, static: float) -> float:
 def _spectral_moments(plan: _Plan, theta: float) -> tuple[float, float, float]:
     """F, U and C by one vector-valued quadrature of the spectral form.
 
-    With x = w/theta and b = free_energy_integrand (reduced units),
+    With x = w/theta and b = free_energy_integrand,
 
         F = (theta/pi) Integral dw log(1 - e^{-x}) b(w)
         U = (1/pi)     Integral dw w / (e^x - 1) b(w)
@@ -258,7 +257,7 @@ def _spectral_moments(plan: _Plan, theta: float) -> tuple[float, float, float]:
 
     and the three kernels share every node.  The half line is integrated
     in two coordinates, each exact where it matters: w on (0, 1/2), with
-    panels from the thermal scale min(first_panel, theta) doubling outward,
+    panels from the thermal scale min(1, theta) doubling outward,
     and the detuning u = w - 1 beyond, so that node positions near the
     resonance keep their relative precision.  A weak-damping resonance
     within thermal reach gets panel edges graded toward it, so the cost
@@ -266,8 +265,7 @@ def _spectral_moments(plan: _Plan, theta: float) -> tuple[float, float, float]:
     times the size of b on the thermal scale, so the absolute tolerance
     floor acts relative to the moments' own size, however small they are.
     """
-    first = min(QuadratureSpec.first_panel, theta)
-    spec = QuadratureSpec(first_panel=first)
+    first = min(1.0, theta)
     weight_of = plan.weight
     scale = _thermal_scale(weight_of, theta, plan.static) * theta
     norm = 1.0 / scale                   # F/theta ~ scale * theta on this scale
@@ -297,9 +295,10 @@ def _spectral_moments(plan: _Plan, theta: float) -> tuple[float, float, float]:
     while edge < split:
         march.append(edge)
         edge *= 2.0
-    inner = integrate_interval(near_origin, 0.0, split, spec, points=march)
-    outer = integrate_semi_infinite(by_detuning, spec, start=split - 1.0,
-                                    points=_resonance_edges(plan.gamma, theta))
+    inner = integrate_interval(near_origin, 0.0, split, points=march)
+    outer = integrate_semi_infinite(by_detuning, start=split - 1.0,
+                                    points=_resonance_edges(plan.gamma, theta),
+                                    first_panel=first)
     i_F, i_U, i_C = (a + b for a, b in zip(inner.value, outer.value))
     factor = scale / math.pi
     return theta * factor * i_F, theta * factor * i_U, factor * i_C
@@ -322,15 +321,15 @@ def sweep(bath: CanonicalBath, thetas: Iterable[float],
     once for the whole list; the two series routes run
     :func:`series_point` at each temperature.  Every point is
     bit-identical to :func:`thermo_point` at its temperature.  An unknown
-    method, or a temperature that is not > 0, raises ValueError before any
-    point is computed.
+    method, or a temperature that is not finite and > 0, raises ValueError
+    before any point is computed.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     thetas = list(thetas)
     for theta in thetas:
-        if not theta > 0.0:
-            raise ValueError(f"theta must be > 0 (got {theta!r})")
+        if not 0.0 < theta < math.inf:
+            raise ValueError(f"theta must be finite and > 0 (got {theta!r})")
     if method.endswith("_series"):
         regime = method.removesuffix("_series")
         return [series_point(bath, theta, regime) for theta in thetas]
@@ -371,25 +370,32 @@ def thermo_point(bath: CanonicalBath, theta: float,
 
 
 def _low_t_tables(theta: float, gamma: float):
-    """Term-by-term low-temperature series of F, S, U, C (omega0 = 1)."""
+    """Term-by-term low-temperature series of F, S, U, C.  A theta so
+    large that a term overflows (above ~1e50) raises OverflowError."""
     g2 = gamma * gamma
     a = gamma
     b = gamma * (3.0 - g2)
     c = gamma * (5.0 - 5.0 * g2 + g2 * g2)
     pi = math.pi
     t = theta
-    F_terms = (pi * t**2 * a / 6.0,
-               pi**3 * t**4 * b / 45.0,
-               8.0 * pi**5 * t**6 * c / 315.0)
-    S_terms = (pi * t * a / 3.0,
-               4.0 * pi**3 * t**3 * b / 45.0,
-               16.0 * pi**5 * t**5 * c / 105.0)
-    U_terms = (pi * t**2 * a / 6.0,
-               pi**3 * t**4 * b / 15.0,
-               8.0 * pi**5 * t**6 * c / 63.0)
-    C_terms = (pi * t * a / 3.0,
-               4.0 * pi**3 * t**3 * b / 15.0,
-               16.0 * pi**5 * t**5 * c / 21.0)
+    try:
+        F_terms = (pi * t**2 * a / 6.0,
+                   pi**3 * t**4 * b / 45.0,
+                   8.0 * pi**5 * t**6 * c / 315.0)
+        S_terms = (pi * t * a / 3.0,
+                   4.0 * pi**3 * t**3 * b / 45.0,
+                   16.0 * pi**5 * t**5 * c / 105.0)
+        U_terms = (pi * t**2 * a / 6.0,
+                   pi**3 * t**4 * b / 15.0,
+                   8.0 * pi**5 * t**6 * c / 63.0)
+        C_terms = (pi * t * a / 3.0,
+                   4.0 * pi**3 * t**3 * b / 15.0,
+                   16.0 * pi**5 * t**5 * c / 21.0)
+        if not all(map(math.isfinite, F_terms + S_terms + U_terms + C_terms)):
+            raise OverflowError
+    except OverflowError:
+        raise OverflowError(f"theta = {theta!r} is too large for the "
+                            "low-temperature series: it overflows") from None
     return F_terms, S_terms, U_terms, C_terms
 
 
@@ -437,8 +443,8 @@ def _chebyshev(n: int, x: float) -> float:
 
 def _arc_term(gamma: float) -> float:
     """omega1 * arccos(gamma/2) continued through critical damping as
-    |omega1| * log(gamma/2 - |omega1|) (omega0 = 1)."""
-    pair = roots(1.0, gamma)
+    |omega1| * log(gamma/2 - |omega1|)."""
+    pair = roots(gamma)
     if pair.regime == "underdamped":
         return pair.omega1 * math.acos(0.5 * gamma)
     if pair.regime == "critical":
@@ -460,6 +466,8 @@ def ohmic_high_temperature(theta: float, gamma: float,
     as |omega1| log(gamma/2 - |omega1|); S, U, C are the term-by-term
     derivatives.  The sum runs over n = 2 .. n_terms+1.  As gamma -> 0 the
     series resums to the uncoupled result theta log(1 - e^{-1/theta}).
+    A theta where the series overflows (its powers of x below theta ~ 1e-45
+    with 6 terms, theta log theta above ~2.5e305) raises OverflowError.
     """
     if not theta > 0.0:
         raise ValueError("ohmic_high_temperature needs theta > 0")
@@ -487,6 +495,9 @@ def ohmic_high_temperature(theta: float, gamma: float,
     U = (theta - half_g * (log_2pt - EULER_GAMMA) - arc / math.pi
          - 2.0 * theta * sum_U)
     C = 1.0 - half_g / theta + 2.0 * sum_C
+    if not all(map(math.isfinite, (F, S, U, C))):
+        raise OverflowError(f"theta = {theta!r} is out of the range of the "
+                            "high-temperature series: it overflows")
     return ThermoPoint(theta, F, S, U, C, "high_T_series")
 
 
@@ -522,15 +533,13 @@ def qed_high_temperature(theta: float, gamma: float,
 def cutoff_correction(bath: CanonicalBath, theta: float) -> float:
     """Leading finite-cutoff shift of the free energy away from Ohmic,
 
-        pi theta^2 / 6 * (1/Omega - 1/Omega')      (reduced units),
+        pi theta^2 / 6 * (1/Omega - 1/Omega'),
 
     valid while both cutoffs are large against kT.  Zero when the cutoffs
     are infinite; for the QED bath it equals + pi theta^2 gamma / 6, for
     the single-relaxation-time bath it is small and negative.
     """
-    scaled = bath.scaled()
-    inv_O = 0.0 if math.isinf(scaled.Omega) else 1.0 / scaled.Omega
-    inv_Op = 0.0 if math.isinf(scaled.OmegaPrime) else 1.0 / scaled.OmegaPrime
+    inv_O, inv_Op = 1.0 / bath.Omega, 1.0 / bath.OmegaPrime    # 0 if inf
     return math.pi * theta * theta / 6.0 * (inv_O - inv_Op)
 
 
@@ -558,7 +567,7 @@ def series_point(bath: CanonicalBath, theta: float,
         warnings.warn(f"high-temperature series at theta = {theta:g} "
                       f"(intended for theta >> {boundary:.3g})",
                       stacklevel=2)
-    g = bath.scaled().gamma
+    g = bath.gamma
     low = regime == "low_T"
     if cutoff_relation(bath) == "blackbody":
         return (qed_low_temperature if low else qed_high_temperature)(theta, g)
@@ -582,9 +591,9 @@ def zero_point(bath: CanonicalBath) -> float:
     fast enough.  The value is
 
         (1/2 pi) [ Omega' log((Omega'+gamma)/Omega')
-                   + gamma log((Omega'+gamma)/omega0) + 2 arc ],
+                   + gamma log(Omega'+gamma) + 2 arc ],
 
-    with arc = omega1 arccos(gamma/2 omega0) continued overdamped as for
+    with arc = omega1 arccos(gamma/2) continued overdamped as for
     the high-temperature series.  The QED cutoff relation breaks the sum
     rule no matter how large the cutoffs are, and the Ohmic limit diverges
     logarithmically; both raise :class:`DivergenceError`.
@@ -598,16 +607,14 @@ def zero_point(bath: CanonicalBath) -> float:
             "zero-point energy diverges unless the cutoffs satisfy the "
             "spectral sum rule Omega = Omega' + gamma: it diverges for the "
             "QED model, for any value of the cutoff")
-    scaled = bath.scaled()
-    op, g = scaled.OmegaPrime, scaled.gamma
+    op, g = bath.OmegaPrime, bath.gamma
     value = op * math.log1p(g / op) + g * math.log(op + g) + 2.0 * _arc_term(g)
     return value / (2.0 * math.pi)
 
 
-def zero_point_ohmic_asymptotic(omega0: float, gamma: float,
-                                tau: float) -> float:
-    """Small-tau zero-point energy of the Ohmic bath (tau dimensionless,
-    tau * omega0):
+def zero_point_ohmic_asymptotic(gamma: float, tau: float) -> float:
+    """Small-tau zero-point energy of the Ohmic bath (gamma in units of
+    omega0, tau in units of 1/omega0):
 
         (1/2 pi) [ gamma (1 - log tau) + 2 arc ]      (units hbar omega0)
 
@@ -616,6 +623,5 @@ def zero_point_ohmic_asymptotic(omega0: float, gamma: float,
     """
     if not 0.0 < tau < math.inf:
         raise ValueError(f"tau must be finite and > 0 (got {tau!r})")
-    g = gamma / omega0
-    value = g * (1.0 - math.log(tau)) + 2.0 * _arc_term(g)
+    value = gamma * (1.0 - math.log(tau)) + 2.0 * _arc_term(gamma)
     return value / (2.0 * math.pi)

@@ -226,7 +226,7 @@ def test_criterion_10_zero_point(capsys):
     for tau in (1e-3, 1e-5, 1e-7):
         srt = baths.canonicalize(SingleRelaxationSpec(gamma=1.0, tau=tau))
         gaps.append(abs(thermo.zero_point(srt)
-                        - thermo.zero_point_ohmic_asymptotic(1.0, 1.0, tau)))
+                        - thermo.zero_point_ohmic_asymptotic(1.0, tau)))
     shrink_ok = gaps[0] > gaps[1] > gaps[2]
 
     code = cli.main(["zeropoint", "--model", "qed", "--gamma", "0.1",

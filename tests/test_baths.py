@@ -27,8 +27,9 @@ from oscbath.baths import (
 
 class TestCanonicalize:
     def test_ohmic_is_the_cutoff_free_limit(self):
-        bath = canonicalize(OhmicSpec(gamma=1.0, omega0=1.0))
-        assert bath == CanonicalBath(1.0, 1.0, math.inf, math.inf)
+        bath = canonicalize(OhmicSpec(gamma=1.0))
+        assert bath == CanonicalBath(gamma=1.0, Omega=math.inf,
+                                     OmegaPrime=math.inf)
         assert not bath.has_finite_cutoff
 
     def test_srt_cutoffs(self):
@@ -41,11 +42,11 @@ class TestCanonicalize:
     def test_qed_cutoffs(self):
         bath = canonicalize(QEDSpec(gamma=0.1, omega_prime=1000.0))
         assert abs(bath.Omega - 9.900990099009901) < 1e-14
-        # 1/Omega - 1/Omega' = gamma/omega0^2 to 1e-14
+        # 1/Omega - 1/Omega' = gamma to 1e-14
         assert abs(1.0 / bath.Omega - 1.0 / bath.OmegaPrime - 0.1) < 1e-14
 
-    def test_qed_large_cutoff_limit(self):
-        bath = canonicalize(QEDSpec(gamma=0.1, large_cutoff_limit=True))
+    def test_qed_point_electron_limit(self):
+        bath = canonicalize(QEDSpec(gamma=0.1, omega_prime=math.inf))
         assert bath.OmegaPrime == math.inf
         assert abs(bath.Omega - 10.0) < 1e-14
 
@@ -60,47 +61,48 @@ class TestCanonicalize:
     def test_validation(self):
         with pytest.raises(ValueError):
             OhmicSpec(gamma=-1.0)
-        with pytest.raises(ValueError):
-            OhmicSpec(gamma=1.0, omega0=0.0)
-        with pytest.raises(ValueError):
-            QEDSpec(gamma=0.1)           # neither cutoff nor limit flag
+        with pytest.raises(TypeError):
+            QEDSpec(gamma=0.1)           # the cutoff is required
+        with pytest.raises(ValueError, match="omega_prime"):
+            QEDSpec(gamma=0.1, omega_prime=0.0)
 
     @pytest.mark.parametrize("make, name", [
         (lambda: OhmicSpec(gamma=math.inf), "gamma"),
-        (lambda: OhmicSpec(gamma=1.0, omega0=math.inf), "omega0"),
         (lambda: SingleRelaxationSpec(gamma=math.inf, tau=0.01), "gamma"),
         (lambda: SingleRelaxationSpec(gamma=1.0, tau=math.inf), "tau"),
         (lambda: QEDSpec(gamma=math.inf, omega_prime=1e3), "gamma"),
-        (lambda: QEDSpec(gamma=0.1, large_cutoff_limit=True,
-                         omega0=math.inf), "omega0"),
-        (lambda: CanonicalBath(1.0, math.inf), "gamma"),
-        (lambda: CanonicalBath(math.inf, 1.0), "omega0"),
+        (lambda: CanonicalBath(gamma=math.inf), "gamma"),
     ])
-    def test_infinite_gamma_omega0_tau_rejected(self, make, name):
+    def test_infinite_gamma_tau_rejected(self, make, name):
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             make()
 
     def test_infinite_cutoffs_allowed(self):
-        # the Ohmic and point-electron limits
+        # the Ohmic and point-electron limits; the latter has Omega = 1/gamma
         assert canonicalize(QEDSpec(gamma=0.1, omega_prime=math.inf)) \
-            == canonicalize(QEDSpec(gamma=0.1, large_cutoff_limit=True))
-        assert CanonicalBath(1.0, 0.3, 10.0, math.inf).Omega == 10.0
+            == CanonicalBath(gamma=0.1, Omega=10.0, OmegaPrime=math.inf)
+        assert CanonicalBath(gamma=0.3, Omega=10.0).Omega == 10.0
+
+    def test_canonical_fields_are_keyword_only(self):
+        # (1.0, 0.3) must not pass for gamma = 1, Omega = 0.3
+        with pytest.raises(TypeError):
+            CanonicalBath(1.0, 0.3)
 
 
 class TestRoots:
     def test_small_gamma_limit(self):
-        pair = roots(1.0, 1e-6)
+        pair = roots(1e-6)
         assert pair.regime == "underdamped"
         assert abs(pair.z1 - complex(5e-7, 1.0)) < 1e-9
 
     def test_critical(self):
-        pair = roots(1.0, 2.0)
+        pair = roots(2.0)
         assert pair.regime == "critical"
         assert pair.omega1 == 0.0
         assert pair.z1 == pair.z1_conj == complex(1.0, 0.0)
 
     def test_overdamped(self):
-        pair = roots(1.0, 4.0)
+        pair = roots(4.0)
         assert pair.regime == "overdamped"
         assert abs(pair.omega1 - math.sqrt(3.0)) < 1e-15
         assert abs(pair.z1.real - (2.0 - math.sqrt(3.0))) < 1e-15
@@ -110,13 +112,12 @@ class TestRoots:
     def test_sum_and_product_invariants(self):
         rng = np.random.default_rng(2718)
         for _ in range(1000):
-            omega0 = rng.uniform(0.1, 10.0)
             gamma = rng.uniform(0.01, 40.0)
-            pair = roots(omega0, gamma)
+            pair = roots(gamma)
             total = pair.z1 + pair.z1_conj
             product = pair.z1 * pair.z1_conj
             assert abs(total - gamma) <= 1e-12 * gamma
-            assert abs(product - omega0**2) <= 1e-12 * omega0**2
+            assert abs(product - 1.0) <= 1e-12
             if pair.regime == "overdamped":
                 assert pair.z1.real > 0.0 and pair.z1_conj.real > 0.0
 
@@ -130,7 +131,7 @@ class TestMuTilde:
     def test_srt_static_value_is_zeta(self):
         spec = SingleRelaxationSpec(gamma=1.0, tau=0.01)
         zeta_over_m = mu_tilde(spec, 0.0).real
-        # gamma (Omega'^2 + gamma Omega' + omega0^2) / (Omega' + gamma)^2
+        # gamma (Omega'^2 + gamma Omega' + 1) / (Omega' + gamma)^2
         expected = (99.0**2 + 99.0 + 1.0) / 100.0**2
         assert abs(zeta_over_m - expected) < 1e-14
 
@@ -160,17 +161,17 @@ class TestMuTilde:
 class TestSusceptibility:
     def test_ohmic_static_value(self):
         bath = canonicalize(OhmicSpec(gamma=1.0))
-        assert abs(susceptibility(bath, 0.0) - 1.0) < 1e-15  # 1/(m omega0^2)
+        assert abs(susceptibility(bath, 0.0) - 1.0) < 1e-15  # 1/m
 
     def test_static_value_is_inverse_spring_rate(self):
         spec = SingleRelaxationSpec(gamma=1.0, tau=0.01)
         bath = canonicalize(spec)
-        spring = bath.omega0**2 * bath.OmegaPrime / (bath.OmegaPrime + bath.gamma)
+        spring = bath.OmegaPrime / (bath.OmegaPrime + bath.gamma)
         assert abs(susceptibility(bath, 0.0) - 1.0 / spring) < 1e-15
 
     @pytest.mark.parametrize("spec", [
         SingleRelaxationSpec(gamma=1.0, tau=0.01),
-        SingleRelaxationSpec(gamma=0.3, tau=0.05, omega0=2.0),
+        SingleRelaxationSpec(gamma=0.15, tau=0.1),
         QEDSpec(gamma=0.1, omega_prime=1000.0),
         QEDSpec(gamma=1.5, omega_prime=30.0),
         OhmicSpec(gamma=2.0),
@@ -186,9 +187,9 @@ class TestSusceptibility:
 
     def test_poles_in_lower_half_plane(self):
         bath = canonicalize(SingleRelaxationSpec(gamma=1.0, tau=0.01))
-        pair = roots(bath.omega0, bath.gamma)
+        pair = roots(bath.gamma)
         for pole in (-1j * pair.z1, -1j * pair.z1_conj):
-            residual = pole * pole + 1j * bath.gamma * pole - bath.omega0**2
+            residual = pole * pole + 1j * bath.gamma * pole - 1.0
             assert abs(residual) < 1e-12
             assert pole.imag < 0.0
         third = -1j * bath.OmegaPrime
@@ -197,7 +198,7 @@ class TestSusceptibility:
             susceptibility(bath, third)
 
     def test_point_electron_limit_rejected(self):
-        bath = canonicalize(QEDSpec(gamma=0.1, large_cutoff_limit=True))
+        bath = canonicalize(QEDSpec(gamma=0.1, omega_prime=math.inf))
         with pytest.raises(ValueError):
             susceptibility(bath, 1.0 + 1.0j)
 
@@ -228,7 +229,7 @@ class TestFreeEnergyIntegrand:
         rng = np.random.default_rng(81)
         for gamma in [0.2, 1.0, 2.0, 4.0]:
             bath = canonicalize(OhmicSpec(gamma=gamma))
-            pair = roots(1.0, gamma)
+            pair = roots(gamma)
             for _ in range(20):
                 w = rng.uniform(0.01, 10.0)
                 total = (pair.z1 / (w * w + pair.z1**2)
@@ -255,8 +256,10 @@ class TestQEDMassRatio:
         assert abs(qed_mass_ratio(spec) - expected) < 1e-12
 
     def test_point_electron_limit(self):
-        assert qed_mass_ratio(QEDSpec(gamma=0.1, large_cutoff_limit=True)) \
+        assert qed_mass_ratio(QEDSpec(gamma=0.1, omega_prime=math.inf)) \
             == math.inf
+        with pytest.raises(ValueError, match="point-electron"):
+            mu_tilde(QEDSpec(gamma=0.1, omega_prime=math.inf), 1.0j)
 
 
 class TestLargeCutoffGamma:
@@ -285,10 +288,11 @@ class TestSpectralWeight:
         assert baths.cutoff_relation(canonicalize(
             QEDSpec(gamma=0.3, omega_prime=100.0))) == "blackbody"
         assert baths.cutoff_relation(canonicalize(
-            QEDSpec(gamma=0.3, large_cutoff_limit=True))) == "blackbody"
+            QEDSpec(gamma=0.3, omega_prime=math.inf))) == "blackbody"
         assert baths.cutoff_relation(canonicalize(
-            QEDSpec(gamma=3.0, omega_prime=50.0, omega0=2.0))) == "blackbody"
-        assert baths.cutoff_relation(CanonicalBath(1.0, 0.3, 10.0, 20.0)) is None
+            QEDSpec(gamma=1.5, omega_prime=25.0))) == "blackbody"
+        assert baths.cutoff_relation(
+            CanonicalBath(gamma=0.3, Omega=10.0, OmegaPrime=20.0)) is None
 
     @staticmethod
     def log_uniform(low, high):
@@ -302,24 +306,22 @@ class TestSpectralWeight:
         # the point-electron limit, and tau gamma up to just below 1
         model = data.draw(st.sampled_from(("ohmic", "srt", "qed", "limit")))
         gamma = data.draw(self.log_uniform(1e-8, 1e4), "gamma")
-        omega0 = data.draw(self.log_uniform(1e-3, 1e3), "omega0")
         prime = data.draw(self.log_uniform(1e2, 1e12), "Omega'")
-        friction = gamma * omega0
         if model == "ohmic":
-            spec, relation = OhmicSpec(friction, omega0), None
+            spec, relation = OhmicSpec(gamma), None
         elif model == "qed":
-            spec = QEDSpec(friction, prime, omega0=omega0)
+            spec = QEDSpec(gamma, prime)
             relation = "blackbody"
         elif model == "limit":
-            spec = QEDSpec(friction, large_cutoff_limit=True, omega0=omega0)
+            spec = QEDSpec(gamma, math.inf)
             relation = "blackbody"
         else:
             tau = data.draw(st.one_of(
                 st.just(gamma / (prime + gamma)),
                 st.floats(0.1, 1.0 - 1e-9)), "tau gamma") / gamma
-            slow = tau * friction / omega0 > 0.1     # as the spec tests it
+            slow = tau * gamma > 0.1     # as the spec tests it
             with pytest.warns(UserWarning) if slow else contextlib.nullcontext():
-                spec = SingleRelaxationSpec(friction, tau, omega0)
+                spec = SingleRelaxationSpec(gamma, tau)
             relation = "relaxation"
         assert baths.cutoff_relation(canonicalize(spec)) == relation
 
@@ -336,7 +338,7 @@ class TestSpectralWeight:
         SingleRelaxationSpec(gamma=0.3, tau=0.01),
         QEDSpec(gamma=0.3, omega_prime=100.0),
         QEDSpec(gamma=30.0, omega_prime=1e3),
-        QEDSpec(gamma=0.3, large_cutoff_limit=True),
+        QEDSpec(gamma=0.3, omega_prime=math.inf),
     ])
     def test_matches_textbook_form_away_from_cancellation(self, spec):
         bath = canonicalize(spec)
@@ -354,10 +356,3 @@ class TestSpectralWeight:
             w = 1e-7 / max(1.0, gamma)
             value = free_energy_integrand(bath, w)
             assert abs(value / (w * w) - leading) <= 1e-6 * leading
-
-    def test_units(self):
-        spec = QEDSpec(gamma=3.0, omega_prime=50.0, omega0=2.0)
-        bath = canonicalize(spec)
-        reduced = bath.scaled()
-        assert abs(free_energy_integrand(bath, 3.0)
-                   - free_energy_integrand(reduced, 1.5) / 2.0) < 1e-15

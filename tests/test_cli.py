@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from oscbath import cli
+from oscbath import cli, stieltjes
 
 REDUCED_HEADER = "theta,F,S,U,C,method,model"
 
@@ -261,6 +261,33 @@ class TestSweepValidation:
             "--method", "exact_j,magic"])
         assert code == 2 and "magic" in err
 
+    @pytest.mark.parametrize("flag, value, points", [
+        ("theta-max", "inf", "3"), ("theta-max", "nan", "3"),
+        ("theta-min", "inf", "1"), ("theta-min", "nan", "1"),
+    ])
+    def test_non_finite_theta_named(self, capsys, flag, value, points):
+        code, out, err = run(capsys, [
+            "sweep", "--model", "ohmic", "--gamma", "1", f"--{flag}", value,
+            "--points", points, "--method", "low_T_series,high_T_series"])
+        assert code == 2 and out == ""
+        assert f"{flag} must be finite" in err and f"got {value}" in err
+
+
+class TestNumericalFailure:
+    @pytest.mark.parametrize("method, theta, notice", [
+        ("high_T_series", "1e-300", "high-temperature"),
+        ("low_T_series", "1e+52", "low-temperature"),
+    ])
+    def test_series_overflow_exits_3_naming_theta(self, capsys, method, theta,
+                                                  notice):
+        with pytest.warns(UserWarning, match=notice):
+            code, out, err = run(capsys, [
+                "sweep", "--model", "ohmic", "--gamma", "1", "--points", "2",
+                "--theta-min", theta, "--theta-max", theta,
+                "--method", method])
+        assert code == 3 and out == ""
+        assert f"theta = {theta}" in err
+
 
 class TestJfun:
     def test_loggamma_value(self, capsys):
@@ -287,6 +314,31 @@ class TestJfun:
         code, out, _ = run(capsys, ["jfun", "2", "3", "--method", "auto"])
         assert code == 0
         assert "method: lanczos" in out
+
+    @pytest.mark.parametrize("method", ["series", "asymptotic"])
+    def test_terms_zero_rejected(self, capsys, method):
+        code, out, err = run(capsys, ["jfun", "0.3", "0.1", "--method",
+                                      method, "--terms", "0"])
+        assert code == 2 and out == ""
+        assert "n_terms" in err
+
+    def test_series_takes_the_terms_given(self, capsys):
+        z = complex(0.3, 0.1)
+        value = stieltjes.j_series_small(z, 5)
+        assert value != stieltjes.j_series_small(z)
+        code, out, _ = run(capsys, ["jfun", "0.3", "0.1", "--method",
+                                    "series", "--terms", "5"])
+        assert code == 0
+        assert f"{value.real:.14e} {value.imag:+.14e}j" in out
+        assert "method: series" in out
+
+    @pytest.mark.parametrize("method",
+                             ["auto", "quadrature", "loggamma", "lanczos"])
+    def test_terms_rejected_where_unused(self, capsys, method):
+        code, out, err = run(capsys, ["jfun", "2", "3", "--method", method,
+                                      "--terms", "5"])
+        assert code == 2 and out == ""
+        assert "--terms" in err
 
     def test_domain_error_guides(self, capsys):
         code, _, err = run(capsys, ["jfun", "-1", "0", "--method", "auto"])

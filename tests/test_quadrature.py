@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oscbath import quadrature
 from oscbath.quadrature import (
     IntegrandEvaluationError,
     QuadratureConvergenceError,
-    QuadratureSpec,
     integrate_interval,
     integrate_semi_infinite,
 )
@@ -66,31 +66,25 @@ class TestFailures:
             integrate_semi_infinite(f)
         assert excinfo.value.abscissa > 3.0
 
-    def test_non_convergence_carries_best_estimate(self):
-        spec = QuadratureSpec(max_subdivisions=3)
+    def test_non_convergence_carries_best_estimate(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 3)
         with pytest.raises(QuadratureConvergenceError) as excinfo:
-            integrate_semi_infinite(bose_log, spec)
+            integrate_semi_infinite(bose_log)
         best = excinfo.value.best
         assert math.isfinite(best.value)
         assert best.error > 0.0
         # crude but real: the carried estimate is in the right ballpark
         assert abs(best.value + math.pi**2 / 6.0) < 0.1
 
-    def test_slow_tail_rejected(self):
-        spec = QuadratureSpec(max_tail_panels=10)
-        with pytest.raises(QuadratureConvergenceError):
-            integrate_semi_infinite(lambda t: 1.0 / (1.0 + t), spec)
+    def test_slow_tail_rejected(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "_MAX_TAIL_PANELS", 10)
+        with pytest.raises(QuadratureConvergenceError, match="10 panels"):
+            integrate_semi_infinite(lambda t: 1.0 / (1.0 + t))
 
-    @pytest.mark.parametrize("field,value", [
-        ("relative_tolerance", 0.0),
-        ("absolute_tolerance", -1e-3),
-        ("max_subdivisions", 0),
-        ("first_panel", 0.0),
-        ("tail_growth", 1.0),
-    ])
-    def test_spec_validation(self, field, value):
-        with pytest.raises(ValueError):
-            QuadratureSpec(**{field: value})
+    @pytest.mark.parametrize("width", [0.0, -1.0, math.nan])
+    def test_first_panel_must_be_positive(self, width):
+        with pytest.raises(ValueError, match="first_panel"):
+            integrate_semi_infinite(lambda t: math.exp(-t), first_panel=width)
 
 
 class TestProperties:
@@ -119,15 +113,16 @@ class TestProperties:
         tol = 10.0 * max(1e-15, 1e-12 * abs(full.value))
         assert abs(full.value - split) <= tol
 
-    def test_monotone_refinement(self):
+    def test_monotone_refinement(self, monkeypatch):
         # tightening the relative tolerance never worsens the achieved
         # error against a closed form (above the double-precision floor)
         expected = 1.0
         previous = math.inf
         for exponent in range(4, 13):
-            spec = QuadratureSpec(relative_tolerance=10.0**-exponent)
+            monkeypatch.setattr(quadrature, "_RELATIVE_TOLERANCE",
+                                10.0**-exponent)
             achieved = abs(
-                integrate_semi_infinite(lambda t: math.exp(-t), spec).value
+                integrate_semi_infinite(lambda t: math.exp(-t)).value
                 - expected)
             assert achieved <= previous + 5e-16
             previous = achieved
@@ -208,10 +203,10 @@ class TestVector:
             integrate_semi_infinite(f)
         assert excinfo.value.abscissa > 3.0
 
-    def test_non_convergence_reports_every_component(self):
-        spec = QuadratureSpec(max_subdivisions=3)
+    def test_non_convergence_reports_every_component(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 3)
         with pytest.raises(QuadratureConvergenceError) as excinfo:
-            integrate_semi_infinite(lambda t: (math.exp(-t), bose_log(t)), spec)
+            integrate_semi_infinite(lambda t: (math.exp(-t), bose_log(t)))
         best = excinfo.value.best
         assert len(best.value) == len(best.error) == 2
         assert abs(best.value[1] + math.pi**2 / 6.0) < 0.1

@@ -527,6 +527,14 @@ class TestDifferences:
             want, b = self.reference(a, delta, remainder=False)
             got = sj.j_difference(a, b, delta)
             self.close(got, want, 1e-14, (a, delta))
+        # at and above SMALL_ARGUMENT: the remainder difference plus the
+        # differenced leading term
+        for _ in range(10):
+            a = complex(10.0 ** rng.uniform(math.log10(0.5), math.log10(30.0)))
+            delta = a * 10.0 ** rng.uniform(-12.0, -2.0)
+            want, b = self.reference(a, delta, remainder=False)
+            got = sj.j_difference(a, b, delta)
+            self.close(got, want, 1e-14, (a, delta))
 
     def test_mirror_pair_across_the_imaginary_axis(self):
         # the reflection identity of the thermodynamic route differences

@@ -14,7 +14,7 @@ import pytest
 
 from oscbath import baths, thermo
 from oscbath.baths import CanonicalBath, OhmicSpec, QEDSpec, SingleRelaxationSpec
-from oscbath.quadrature import QuadratureSpec, integrate_semi_infinite
+from oscbath.quadrature import integrate_semi_infinite
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -42,9 +42,11 @@ class TestFreeEnergyExact:
             thermo.free_energy_exact(ohmic(1.0), 0.0)
 
     @pytest.mark.parametrize("bath,theta", [
-        (CanonicalBath(1.0, 1.0), 1.0),
-        (CanonicalBath(1.0, 4.0), 0.5),       # overdamped, real roots
+        (CanonicalBath(gamma=1.0), 1.0),
+        (CanonicalBath(gamma=4.0), 0.5),      # overdamped, real roots
         (baths.canonicalize(QEDSpec(gamma=0.1, omega_prime=1e3)), 0.2),
+        # cutoffs set independently of each other
+        (CanonicalBath(gamma=0.3, Omega=10.0, OmegaPrime=20.0), 0.3),
     ])
     def test_against_quadrature_route(self, bath, theta):
         a = thermo.free_energy_exact(bath, theta)
@@ -59,7 +61,7 @@ class TestFreeEnergyExact:
 
     def test_large_cutoff_qed_single_term(self):
         # Omega' infinite: only the Omega term contributes
-        bath = baths.canonicalize(QEDSpec(gamma=0.1, large_cutoff_limit=True))
+        bath = baths.canonicalize(QEDSpec(gamma=0.1, omega_prime=math.inf))
         a = thermo.free_energy_exact(bath, 0.3)
         b = thermo.free_energy_quadrature(bath, 0.3)
         assert abs(a - b) < 1e-8
@@ -109,7 +111,7 @@ class TestThermoPoint:
         # route, so they check the exact_j differencing independently
         for bath, theta in [
                 (ohmic(1.0), 1.0),                    # underdamped
-                (CanonicalBath(1.0, 4.0), 0.5),       # overdamped
+                (CanonicalBath(gamma=4.0), 0.5),      # overdamped
                 (baths.canonicalize(QEDSpec(gamma=0.1, omega_prime=1e3)), 0.2)]:
             a = thermo.thermo_point(bath, theta, "exact_j")
             b = thermo.thermo_point(bath, theta, "exact_quadrature")
@@ -192,7 +194,7 @@ SWEEP_BATHS = [
     baths.canonicalize(SingleRelaxationSpec(gamma=2.0, tau=1e-3)),
     baths.canonicalize(QEDSpec(gamma=0.1, omega_prime=1e3)),
     baths.canonicalize(QEDSpec(gamma=2.0, omega_prime=1e6)),
-    baths.canonicalize(QEDSpec(gamma=0.1, large_cutoff_limit=True)),
+    baths.canonicalize(QEDSpec(gamma=0.1, omega_prime=math.inf)),
     baths.canonicalize(QEDSpec(gamma=2.1, omega_prime=1.0)),
 ]
 SWEEP_THETAS = [1e-4, 0.01, 0.1, 0.21, 0.22, 0.5, 3.0]
@@ -235,9 +237,10 @@ class TestSweep:
             thermo.thermo_point(bath, theta)
         assert True in differenced and False in differenced
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, 1e-309])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, 1e-309])
     def test_rejects_a_bad_theta_in_any_position(self, bad):
-        methods = ["exact_j"] if bad > 0.0 else thermo.METHODS
+        # a subnormal theta is the exact_j route's own limit
+        methods = ["exact_j"] if bad == 1e-309 else thermo.METHODS
         for method in methods:
             for thetas in ([bad], [bad, 1.0], [1.0, 2.0, bad]):
                 with pytest.raises(ValueError):
@@ -250,6 +253,14 @@ class TestOhmicLowTemperature:
     def test_gamma_zero_vanishes(self):
         point = thermo.ohmic_low_temperature(0.1, 0.0)
         assert point.F == point.S == point.U == point.C == 0.0
+
+    @pytest.mark.parametrize("series", [thermo.ohmic_low_temperature,
+                                        thermo.qed_low_temperature])
+    @pytest.mark.parametrize("theta", [1e51, 1e52])
+    def test_overflow_names_theta(self, series, theta):
+        # at 1e51 the theta^6 term is inf; at 1e52 theta**6 itself raises
+        with pytest.raises(OverflowError, match=re.escape(f"theta = {theta!r}")):
+            series(theta, 1.0)
 
     def test_leading_entropy_coefficient(self):
         # S = pi theta gamma / 3 at first order
@@ -281,6 +292,13 @@ class TestOhmicLowTemperature:
 
 
 class TestOhmicHighTemperature:
+    @pytest.mark.parametrize("theta", [1e-46, 1e-300, 1e306])
+    def test_overflow_names_theta(self, theta):
+        # powers of 1/(2 pi theta) overflow at tiny theta, theta log theta
+        # at huge theta
+        with pytest.raises(OverflowError, match=re.escape(f"theta = {theta!r}")):
+            thermo.ohmic_high_temperature(theta, 1.0)
+
     def test_resums_to_uncoupled_oscillator(self):
         for theta in (0.3, 1.0):
             point = thermo.ohmic_high_temperature(theta, 1e-12, 40)
@@ -409,7 +427,7 @@ class TestCutoffCorrection:
         assert abs(thermo.cutoff_correction(bath, theta) - expected) < 1e-15
 
     def test_srt_small_and_negative(self):
-        bath = CanonicalBath(1.0, 1.0, 100.0, 99.0)
+        bath = CanonicalBath(gamma=1.0, Omega=100.0, OmegaPrime=99.0)
         theta = 0.3
         expected = math.pi * theta**2 / 6.0 * (1.0 / 100.0 - 1.0 / 99.0)
         value = thermo.cutoff_correction(bath, theta)
@@ -449,13 +467,14 @@ class TestZeroPoint:
     def test_relaxation_relation_to_rounding_is_finite(self):
         # a hand-built bath with Omega = Omega' + gamma, as cutoff_relation
         # recognises it
-        bath = CanonicalBath(1.0, 1.0, 100.0, 99.0)
+        bath = CanonicalBath(gamma=1.0, Omega=100.0, OmegaPrime=99.0)
         srt = baths.canonicalize(SingleRelaxationSpec(gamma=1.0, tau=0.01))
         assert thermo.zero_point(bath) == thermo.zero_point(srt)
 
     def test_independent_cutoffs_diverge(self):
         with pytest.raises(thermo.DivergenceError, match="sum rule"):
-            thermo.zero_point(CanonicalBath(1.0, 0.3, 10.0, 20.0))
+            thermo.zero_point(
+                CanonicalBath(gamma=0.3, Omega=10.0, OmegaPrime=20.0))
 
     def test_ohmic_diverges(self):
         with pytest.raises(thermo.DivergenceError, match="asymptotic"):
@@ -466,20 +485,20 @@ class TestZeroPoint:
             bath = baths.canonicalize(QEDSpec(gamma=0.1, omega_prime=omega_prime))
             with pytest.raises(thermo.DivergenceError, match="QED"):
                 thermo.zero_point(bath)
-        bath = baths.canonicalize(QEDSpec(gamma=0.1, large_cutoff_limit=True))
+        bath = baths.canonicalize(QEDSpec(gamma=0.1, omega_prime=math.inf))
         with pytest.raises(thermo.DivergenceError, match="QED"):
             thermo.zero_point(bath)
 
 
 class TestZeroPointAsymptotic:
     def test_free_oscillator_limit(self):
-        value = thermo.zero_point_ohmic_asymptotic(1.0, 1e-12, 1e-5)
+        value = thermo.zero_point_ohmic_asymptotic(1e-12, 1e-5)
         assert abs(value - 0.5) < 1e-9
 
     def test_logarithmic_scaling(self):
         gamma = 1.7
-        step = (thermo.zero_point_ohmic_asymptotic(1.0, gamma, 1e-6)
-                - thermo.zero_point_ohmic_asymptotic(1.0, gamma, 1e-5))
+        step = (thermo.zero_point_ohmic_asymptotic(gamma, 1e-6)
+                - thermo.zero_point_ohmic_asymptotic(gamma, 1e-5))
         assert abs(step - gamma * math.log(10.0) / (2.0 * math.pi)) < 1e-12
 
     def test_asymptotic_to_exact_gap_shrinks(self):
@@ -487,7 +506,7 @@ class TestZeroPointAsymptotic:
         for tau in (1e-3, 1e-5, 1e-7):
             bath = baths.canonicalize(SingleRelaxationSpec(gamma=1.0, tau=tau))
             gaps.append(abs(thermo.zero_point(bath)
-                            - thermo.zero_point_ohmic_asymptotic(1.0, 1.0, tau)))
+                            - thermo.zero_point_ohmic_asymptotic(1.0, tau)))
         assert gaps[0] > gaps[1] > gaps[2]
 
 
@@ -514,8 +533,8 @@ class TestSeriesPoint:
 
     @pytest.mark.parametrize("spec", [
         QEDSpec(gamma=0.3, omega_prime=1e3),
-        QEDSpec(gamma=3.0, omega_prime=50.0, omega0=2.0),
-        QEDSpec(gamma=0.3, large_cutoff_limit=True),
+        QEDSpec(gamma=1.5, omega_prime=25.0),
+        QEDSpec(gamma=0.3, omega_prime=math.inf),
     ])
     @pytest.mark.parametrize("regime, theta, series", [
         ("low_T", 0.05, thermo.qed_low_temperature),
@@ -525,7 +544,7 @@ class TestSeriesPoint:
                                                  series):
         bath = baths.canonicalize(spec)
         point = thermo.series_point(bath, theta, regime)
-        assert point == series(theta, spec.gamma / spec.omega0)
+        assert point == series(theta, spec.gamma)
 
     @pytest.mark.parametrize("regime, theta, series", [
         ("low_T", 0.05, thermo.ohmic_low_temperature),
@@ -535,7 +554,7 @@ class TestSeriesPoint:
                                                     series):
         for bath in (baths.canonicalize(SingleRelaxationSpec(gamma=1.0,
                                                              tau=0.01)),
-                     CanonicalBath(1.0, 1.0, 10.0, 20.0)):
+                     CanonicalBath(gamma=1.0, Omega=10.0, OmegaPrime=20.0)):
             point = thermo.series_point(bath, theta, regime)
             delta = thermo.cutoff_correction(bath, theta)
             assert delta != 0.0
