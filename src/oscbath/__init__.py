@@ -37,6 +37,7 @@ from .quadrature import (
     QuadratureConvergenceError,
     QuadratureResult,
     integrate_interval,
+    integrate_log_endpoint,
     integrate_semi_infinite,
 )
 from .stieltjes import (

@@ -189,8 +189,13 @@ def _theta_grid(opt) -> list[float]:
         raise _ConfigError("theta-max must be finite and >= theta-min "
                            f"(got {hi!r})")
     if opt["log"]:
-        ratio = (hi / lo) ** (1.0 / (count - 1))
-        return [lo * ratio ** i for i in range(count)]
+        span = hi / lo
+        if span < math.inf:
+            ratio = span ** (1.0 / (count - 1))
+            return [lo * ratio ** i for i in range(count)]
+        # hi / lo overflows: weight the ends instead, each factor finite
+        return [lo ** ((count - 1 - i) / (count - 1))
+                * hi ** (i / (count - 1)) for i in range(count)]
     step = (hi - lo) / (count - 1)
     return [lo + step * i for i in range(count)]
 

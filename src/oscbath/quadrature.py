@@ -1,12 +1,15 @@
-"""Adaptive Gauss-Kronrod quadrature on the half line.
+"""Adaptive Gauss-Kronrod quadrature on finite intervals and the half line.
 
-Built for integrands that are smooth on (0, inf) except for an integrable
-logarithmic singularity at the origin and that decay exponentially or as an
-inverse power beyond some finite scale.  The half line is covered by a first
-panel at the origin followed by geometrically growing panels; panels are then
-bisected adaptively, worst error first.  The 7/15-point Gauss-Kronrod pair is
-an open rule (no node sits on a panel edge), so the endpoint singularity is
-never evaluated.
+Built for integrands that are smooth except at a few known points and that
+decay exponentially or as an inverse power beyond some finite scale.  The
+half line is covered by a first panel at its start followed by
+geometrically growing panels; panels are then bisected adaptively, worst
+error first, until every component meets its tolerance target; refinement
+that stops gaining on the rounding noise raises.  The 7/15-point
+Gauss-Kronrod pair is an open rule (no node sits on a panel edge), so an
+endpoint singularity is never evaluated.  An integrable logarithmic
+singularity at an endpoint is integrated by :func:`integrate_log_endpoint`
+in the coordinate log(1/t), where it is smooth.
 
 The integrand returns either a float or a tuple of floats.  A tuple-valued
 integrand is integrated in one pass: each node is evaluated once, every
@@ -33,6 +36,7 @@ __all__ = [
     "QuadratureConvergenceError",
     "integrate_interval",
     "integrate_semi_infinite",
+    "integrate_log_endpoint",
 ]
 
 # Kronrod-15 nodes on [-1, 1] with Kronrod weights; the odd-indexed nodes are
@@ -58,6 +62,7 @@ _GAUSS_WEIGHTS = (
 )
 
 _EPS = 2.220446049250313e-16
+_SMALLEST = math.ulp(0.0)   # the smallest positive float
 
 # A component's tolerance target is the larger of the absolute tolerance and
 # the relative tolerance times its current value.
@@ -66,6 +71,17 @@ _ABSOLUTE_TOLERANCE = 1e-15
 _MAX_SUBDIVISIONS = 4000    # bisections per integral
 _TAIL_GROWTH = 2.0          # width ratio of successive tail panels
 _MAX_TAIL_PANELS = 400      # tail panels before the decay counts as too slow
+# Round-off detection, as QUADPACK's qage: a bisection stagnates when the
+# two halves reproduce their parent's value to _STAGNANT_CHANGE relative
+# without shrinking its error below _STAGNANT_SHRINK of it, and it grows
+# the error when made after the first _GROWTH_GRACE bisections.  Too many
+# of either mean the error estimates are rounding noise, which no further
+# bisection removes.
+_STAGNANT_CHANGE = 1e-5
+_STAGNANT_SHRINK = 0.99
+_GROWTH_GRACE = 10
+_MAX_STAGNANT = 6
+_MAX_GROWING = 20
 
 
 Components = Union[float, tuple[float, ...]]
@@ -106,9 +122,10 @@ class QuadratureConvergenceError(RuntimeError):
 def _eval_panel(f, a, b):
     """Gauss-Kronrod pair on [a, b] for every component of f.
 
-    Returns (kronrod values, error estimates, resasc + |kronrod| per
-    component, f returned a bare float); the third bounds Integral |f| over
-    the panel and scales its rounding floor."""
+    Returns (kronrod values, error estimates, resasc per component, f
+    returned a bare float); resasc + |kronrod| bounds Integral |f| over the
+    panel and scales its rounding floor, and an error as large as resasc
+    marks a panel the rule does not resolve."""
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     nodes = [mid + half * t for t in _KRONROD_NODES]
@@ -117,7 +134,7 @@ def _eval_panel(f, a, b):
     columns = (rows,) if scalar else tuple(zip(*rows))
     values = []
     errors = []
-    sizes = []
+    variations = []
     for column in columns:
         if not all(map(math.isfinite, column)):
             raise IntegrandEvaluationError(next(
@@ -141,18 +158,21 @@ def _eval_panel(f, a, b):
         err += 10.0 * _EPS * abs(kronrod)
         values.append(kronrod)
         errors.append(err)
-        sizes.append(resasc + abs(kronrod))
-    return values, errors, sizes, scalar
+        variations.append(resasc)
+    return values, errors, variations, scalar
 
 
 class _PanelSet:
     """Mutable workspace: a heap of panels, worst first, where a panel's
     badness is its largest component error over that component's target.
-    Running totals are kept per component."""
+    Running totals are kept per component; the result sums the panels
+    afresh, exactly rounded, so that the rounding of the many updates of
+    a running value does not reach it."""
 
     def __init__(self, f):
         self.f = f
         self.heap = []          # (-badness, seq, a, b, values, errors)
+        self.retired = []       # values of panels too narrow to bisect
         self.seq = 0
         self.scalar = True
         self.value = []
@@ -161,21 +181,22 @@ class _PanelSet:
         self.evaluations = 0
 
     def add(self, a, b):
-        values, errors, sizes, self.scalar = _eval_panel(self.f, a, b)
+        values, errors, variations, self.scalar = _eval_panel(self.f, a, b)
         if not self.value:
             n = len(values)
             self.value = [0.0] * n
             self.error = [0.0] * n
             self.size = [0.0] * n
-        for k, (val, err, size) in enumerate(zip(values, errors, sizes)):
+        for k, (val, err, resasc) in enumerate(zip(values, errors,
+                                                   variations)):
             self.value[k] += val
             self.error[k] += err
-            self.size[k] += size
+            self.size[k] += resasc + abs(val)
         self.evaluations += 15
         heapq.heappush(self.heap, (-self.badness(errors), self.seq, a, b,
                                    values, errors))
         self.seq += 1
-        return values, errors
+        return values, errors, variations
 
     def targets(self):
         return [max(_ABSOLUTE_TOLERANCE, _RELATIVE_TOLERANCE * abs(value))
@@ -190,28 +211,41 @@ class _PanelSet:
 
     def result(self, subdivisions, tail_bound=None):
         tail_bound = tail_bound or [0.0] * len(self.value)
+        panels = [entry[4] for entry in self.heap] + self.retired
+        values = [math.fsum(panel[k] for panel in panels)
+                  for k in range(len(self.value))]
         errors = [err + 50.0 * _EPS * size + tail
                   for err, size, tail in zip(self.error, self.size, tail_bound)]
         if self.scalar:
-            return QuadratureResult(self.value[0], errors[0],
+            return QuadratureResult(values[0], errors[0],
                                     self.evaluations, subdivisions)
-        return QuadratureResult(tuple(self.value), tuple(errors),
+        return QuadratureResult(tuple(values), tuple(errors),
                                 self.evaluations, subdivisions)
 
     def refine(self, tail_bound=None):
-        """Bisect worst panels until every component meets its target."""
+        """Bisect worst panels until every component meets its target.
+
+        Counts the bisections that fail on the component that chose the
+        panel (the largest error over target) and raises once they show
+        that rounding noise, not truncation, sets the error estimates."""
         # badness was keyed against the targets at push time; re-key it
         # against the targets as they stand now
         self.heap = [(-self.badness(errors), seq, a, b, values, errors)
                      for _, seq, a, b, values, errors in self.heap]
         heapq.heapify(self.heap)
         subdivisions = 0
+        stagnant = growing = 0
         while not self.converged():
             if subdivisions >= _MAX_SUBDIVISIONS:
                 raise QuadratureConvergenceError(
                     self.result(subdivisions, tail_bound),
                     f"no convergence within {_MAX_SUBDIVISIONS} "
                     "subdivisions")
+            if stagnant >= _MAX_STAGNANT or growing >= _MAX_GROWING:
+                raise QuadratureConvergenceError(
+                    self.result(subdivisions, tail_bound),
+                    "round-off error keeps the estimate above the "
+                    f"tolerance target after {subdivisions} subdivisions")
             if not self.heap:
                 raise QuadratureConvergenceError(
                     self.result(subdivisions, tail_bound),
@@ -222,13 +256,26 @@ class _PanelSet:
             if mid <= a or mid >= b:
                 # panel narrower than machine resolution: it leaves the
                 # heap and its error stays in the totals
+                self.retired.append(values)
                 continue
             for k, (val, err) in enumerate(zip(values, errors)):
                 self.value[k] -= val
                 self.error[k] -= err
-            self.add(a, mid)
-            self.add(mid, b)
+            targets = self.targets()
+            k = max(range(len(errors)), key=lambda j: errors[j] / targets[j])
+            halves = self.add(a, mid), self.add(mid, b)
             subdivisions += 1
+            if any(err[k] >= resasc[k] for _, err, resasc in halves):
+                # a half the rule does not resolve yet: its error is its
+                # variation and says nothing about round-off
+                continue
+            value = sum(vals[k] for vals, _, _ in halves)
+            error = sum(err[k] for _, err, _ in halves)
+            if (abs(values[k] - value) <= _STAGNANT_CHANGE * abs(value)
+                    and error >= _STAGNANT_SHRINK * errors[k]):
+                stagnant += 1
+            if subdivisions > _GROWTH_GRACE and error > errors[k]:
+                growing += 1
         return self.result(subdivisions, tail_bound)
 
 
@@ -252,8 +299,9 @@ def integrate_semi_infinite(f: Callable[[float], Components], *,
                             first_panel: float = 1.0) -> QuadratureResult:
     """Integrate f, float- or tuple-valued, over (start, infinity).
 
-    The integrand may have a logarithmic singularity at ``start`` and must
-    decay at least like an inverse power beyond a finite scale.  Panels
+    The integrand must be bounded near ``start`` (for a logarithmic
+    singularity there, see :func:`integrate_log_endpoint`) and must decay
+    at least like an inverse power beyond a finite scale.  Panels
     march toward infinity from one of width ``first_panel`` (> 0) at
     ``start``, each twice as wide as the last, and the tail is cut once two
     in a row are negligible.  ``points`` beyond ``start`` become panel
@@ -261,9 +309,10 @@ def integrate_semi_infinite(f: Callable[[float], Components], *,
     panels when they are graded toward it.  The tail is cut only beyond the
     last of them.  Returns the estimate together with an error bound
     combining the panel estimates, the truncated-tail bound, and a
-    floating-point accumulation floor, per component.  Raises :class:`QuadratureConvergenceError` when the budget
-    is exhausted and :class:`IntegrandEvaluationError` on a non-finite
-    integrand value.
+    floating-point accumulation floor, per component.  Raises
+    :class:`QuadratureConvergenceError` when the budget is exhausted or
+    round-off stalls the refinement, and :class:`IntegrandEvaluationError`
+    on a non-finite integrand value.
     """
     if not first_panel > 0.0:
         raise ValueError("first_panel must be > 0")
@@ -287,7 +336,7 @@ def integrate_semi_infinite(f: Callable[[float], Components], *,
             b = edges[next_edge]
         else:
             width *= _TAIL_GROWTH
-        values, errors = panels.add(a, b)
+        values, errors, _ = panels.add(a, b)
         a = b
         if a >= last_edge and all(
                 abs(val) + err < 0.25 * target for val, err, target
@@ -306,3 +355,40 @@ def integrate_semi_infinite(f: Callable[[float], Components], *,
             f"(reached t = {a:.3e}); integrand may decay too slowly")
 
     return panels.refine(tail_bound)
+
+
+def integrate_log_endpoint(f: Callable[[float], Components],
+                           width: float) -> QuadratureResult:
+    """Integrate f, float- or tuple-valued, over (0, width), where f may
+    have an integrable logarithmic singularity at 0.
+
+    In the coordinate s = log(width/t) the integral is
+
+        Integral_0^inf f(width e^{-s}) width e^{-s} ds,
+
+    whose integrand is smooth wherever f is smooth in log t, a log t
+    factor included, and decays like s e^{-s}: the half-line march of
+    :func:`integrate_semi_infinite` resolves in a few panels what
+    bisection toward t = 0 resolves in dozens.  Value and error are those
+    of the integral over t; evaluations and subdivisions count the panels
+    in s.  A non-finite integrand value raises
+    :class:`IntegrandEvaluationError` naming its t.
+    """
+    if not 0.0 < width < math.inf:
+        raise ValueError("integrate_log_endpoint: width must be finite "
+                         "and > 0")
+
+    def mapped(s: float) -> Components:
+        # far out in s a small width underflows t to 0, where f may not
+        # be defined; the smallest positive t leaves t f(t) as negligible
+        t = max(width * math.exp(-s), _SMALLEST)
+        y = f(t)
+        if isinstance(y, tuple):
+            return tuple(t * v for v in y)
+        return t * y
+
+    try:
+        return integrate_semi_infinite(mapped)
+    except IntegrandEvaluationError as exc:
+        raise IntegrandEvaluationError(
+            width * math.exp(-exc.abscissa)) from None

@@ -50,7 +50,7 @@ import cmath
 import math
 from fractions import Fraction
 
-from .quadrature import integrate_semi_infinite
+from .quadrature import integrate_log_endpoint, integrate_semi_infinite
 
 __all__ = [
     "EULER_GAMMA", "LOG_SQRT_2PI",
@@ -298,10 +298,11 @@ def j_continue_left(w: complex) -> complex:
 def j_quadrature(z: complex) -> complex:
     """J(z) from the defining integral, Re z > 0 only.
 
-    Real and imaginary parts of the integrand are the two components of one
-    adaptive semi-infinite pass over shared nodes, making this route
-    independent of the Lanczos rational core used by every analytic formula
-    here.
+    Real and imaginary parts of the integrand are the two components of
+    one adaptive pass over shared nodes, making this route independent of
+    the Lanczos rational core used by every analytic formula here.  The
+    log singularity of the integrand at t = 0 is integrated over (0, 1) in
+    the coordinate log(1/t), the rest over (1, inf) in t.
     """
     z = complex(z)
     if not z.real > 0.0:
@@ -321,7 +322,9 @@ def j_quadrature(z: complex) -> complex:
         weight = -inv_pi * log_factor
         return weight * kernel.real, weight * kernel.imag
 
-    value_re, value_im = integrate_semi_infinite(integrand).value
+    head = integrate_log_endpoint(integrand, 1.0).value
+    tail = integrate_semi_infinite(integrand, start=1.0).value
+    value_re, value_im = head[0] + tail[0], head[1] + tail[1]
     return complex(value_re, value_im if z.imag else 0.0)
 
 

@@ -33,7 +33,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple
 
 from .baths import CanonicalBath, cutoff_relation, roots, spectral_weight, static_weight
-from .quadrature import integrate_interval, integrate_semi_infinite
+from .quadrature import (integrate_interval, integrate_log_endpoint,
+                         integrate_semi_infinite)
 from .stieltjes import (EULER_GAMMA, SMALL_ARGUMENT, j_difference, j_jet,
                         j_reflection, j_remainder, j_remainder_difference,
                         zeta)
@@ -256,14 +257,18 @@ def _spectral_moments(plan: _Plan, theta: float) -> tuple[float, float, float]:
         C = (1/pi)     Integral dw x^2 e^{-x} / (1 - e^{-x})^2 b(w)
 
     and the three kernels share every node.  The half line is integrated
-    in two coordinates, each exact where it matters: w on (0, 1/2), with
-    panels from the thermal scale min(1, theta) doubling outward,
-    and the detuning u = w - 1 beyond, so that node positions near the
-    resonance keep their relative precision.  A weak-damping resonance
-    within thermal reach gets panel edges graded toward it, so the cost
-    grows with log(1/gamma) only.  Each component is divided by theta^2
-    times the size of b on the thermal scale, so the absolute tolerance
-    floor acts relative to the moments' own size, however small they are.
+    in three pieces, each in the coordinate that is exact where it
+    matters: (0, h), h = min(theta, 1/2), in log(h/w), where the log
+    singularity of the F kernel at w = 0 is smooth
+    (:func:`oscbath.quadrature.integrate_log_endpoint`); (h, 1/2) in w,
+    with panel edges at h doubling outward; and the detuning u = w - 1
+    beyond, with panels from the thermal scale min(1, theta) doubling
+    outward, so that node positions near the resonance keep their relative
+    precision.  A weak-damping resonance within thermal reach gets panel
+    edges graded toward it, so the cost grows with log(1/gamma) only.
+    Each component is divided by theta^2 times the size of b on the
+    thermal scale, so the absolute tolerance floor acts relative to the
+    moments' own size, however small they are.
     """
     first = min(1.0, theta)
     weight_of = plan.weight
@@ -290,16 +295,21 @@ def _spectral_moments(plan: _Plan, theta: float) -> tuple[float, float, float]:
         return moments(w, weight_of(w, u))
 
     split = 0.5
-    march = []
-    edge = first
-    while edge < split:
-        march.append(edge)
-        edge *= 2.0
-    inner = integrate_interval(near_origin, 0.0, split, points=march)
-    outer = integrate_semi_infinite(by_detuning, start=split - 1.0,
-                                    points=_resonance_edges(plan.gamma, theta),
-                                    first_panel=first)
-    i_F, i_U, i_C = (a + b for a, b in zip(inner.value, outer.value))
+    head = min(theta, split)
+    pieces = [integrate_log_endpoint(near_origin, head)]
+    if head < split:
+        march = []
+        edge = 2.0 * head
+        while edge < split:
+            march.append(edge)
+            edge *= 2.0
+        pieces.append(integrate_interval(near_origin, head, split,
+                                         points=march))
+    pieces.append(integrate_semi_infinite(
+        by_detuning, start=split - 1.0,
+        points=_resonance_edges(plan.gamma, theta), first_panel=first))
+    i_F, i_U, i_C = (sum(parts) for parts in
+                     zip(*(piece.value for piece in pieces)))
     factor = scale / math.pi
     return theta * factor * i_F, theta * factor * i_U, factor * i_C
 

@@ -272,6 +272,19 @@ class TestSweepValidation:
         assert code == 2 and out == ""
         assert f"{flag} must be finite" in err and f"got {value}" in err
 
+    def test_log_grid_spanning_the_float_range(self, capsys):
+        # hi / lo overflows although both ends and every grid point are
+        # finite
+        code, out, err = run(capsys, [
+            "sweep", "--model", "ohmic", "--gamma", "1",
+            "--theta-min", "1e-300", "--theta-max", "1e300", "--points", "3",
+            "--log", "--method", "exact_j"])
+        assert code == 0 and err == ""
+        thetas = [float(line.split(",")[0])
+                  for line in out.strip().split("\n")[1:]]
+        assert thetas[0] == 1e-300 and thetas[2] == 1e300
+        assert abs(thetas[1] - 1.0) < 1e-12
+
 
 class TestNumericalFailure:
     @pytest.mark.parametrize("method, theta, notice", [

@@ -7,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oscbath import quadrature
+from oscbath.baths import OhmicSpec, canonicalize, free_energy_integrand
 from oscbath.quadrature import (
     IntegrandEvaluationError,
     QuadratureConvergenceError,
     integrate_interval,
+    integrate_log_endpoint,
     integrate_semi_infinite,
 )
 
@@ -86,6 +88,25 @@ class TestFailures:
         with pytest.raises(ValueError, match="first_panel"):
             integrate_semi_infinite(lambda t: math.exp(-t), first_panel=width)
 
+    def test_round_off_stops_refinement_early(self):
+        # the weak-damping resonance of the Ohmic gamma = 1e-6 free-energy
+        # integrand sits inside one panel; its rounding noise (~1e-16/gamma
+        # relative) keeps the error estimate above the 1e-12 target however
+        # far the panel is bisected
+        bath = canonicalize(OhmicSpec(gamma=1e-6))
+        theta = 0.5
+
+        def f(w):
+            return (math.log(-math.expm1(-w / theta))
+                    * free_energy_integrand(bath, w))
+
+        with pytest.raises(QuadratureConvergenceError,
+                           match="round-off") as excinfo:
+            integrate_semi_infinite(f, first_panel=0.5)
+        best = excinfo.value.best
+        assert best.subdivisions <= 0.1 * quadrature._MAX_SUBDIVISIONS
+        assert abs(best.value + 0.456830530591) < 1e-9
+
 
 class TestProperties:
     @given(a=st.floats(0.2, 5.0), b=st.floats(0.2, 5.0),
@@ -149,6 +170,60 @@ class TestInterval:
     def test_interval_rejects_bad_bounds(self):
         with pytest.raises(ValueError):
             integrate_interval(math.sin, 1.0, 1.0)
+
+
+class TestLogEndpoint:
+    """A log singularity at 0, integrated in the coordinate log(1/t)."""
+
+    def test_log(self):
+        result = integrate_log_endpoint(math.log, 1.0)
+        assert abs(result.value + 1.0) <= 1e-14
+        assert abs(result.value + 1.0) <= result.error
+        # bisection toward t = 0 takes several times the work
+        assert 3 * result.evaluations < \
+            integrate_interval(math.log, 0.0, 1.0).evaluations
+
+    def test_tuple_integrand(self):
+        result = integrate_log_endpoint(
+            lambda t: (math.log(t), math.log(t) / (1.0 + t), t * math.log(t)),
+            1.0)
+        for value, error, expected in zip(result.value, result.error,
+                                          (-1.0, -math.pi**2 / 12.0, -0.25)):
+            assert abs(value - expected) <= 1e-14 * abs(expected)
+            assert abs(value - expected) <= error
+
+    def test_width(self):
+        expected = 2.0 * math.log(2.0) - 2.0
+        result = integrate_log_endpoint(math.log, 2.0)
+        assert abs(result.value - expected) <= 1e-14 * abs(expected)
+
+    def test_width_where_t_underflows(self):
+        # far out in log(1/t), t = width e^{-s} underflows to 0, where
+        # log t is not defined
+        width = 1e-300
+        expected = math.log(width) - 1.0
+        result = integrate_log_endpoint(lambda t: math.log(t) / width, width)
+        assert abs(result.value - expected) <= 1e-14 * abs(expected)
+
+    def test_bose_integral_in_two_pieces(self):
+        head = integrate_log_endpoint(bose_log, 1.0)
+        tail = integrate_semi_infinite(bose_log, start=1.0)
+        expected = -math.pi**2 / 6.0
+        assert abs(head.value + tail.value - expected) <= \
+            1e-14 * abs(expected)
+
+    @pytest.mark.parametrize("width", [0.0, -1.0, math.inf, math.nan])
+    def test_width_must_be_finite_and_positive(self, width):
+        with pytest.raises(ValueError, match="width"):
+            integrate_log_endpoint(math.log, width)
+
+    def test_non_finite_integrand_reports_t(self):
+        def f(t):
+            return math.nan if t < 1e-3 else math.log(t)
+
+        with pytest.raises(IntegrandEvaluationError) as excinfo:
+            integrate_log_endpoint(f, 1.0)
+        assert 0.0 < excinfo.value.abscissa < 1e-3
 
 
 class TestVector:

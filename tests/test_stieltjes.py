@@ -241,6 +241,19 @@ class TestJQuadrature:
         assert abs(value.real - 1.0 / 120.0) < 1e-5   # leading term only
         assert agreement(value, sj.j_loggamma(10.0)) < 1e-11
 
+    def test_cost(self, monkeypatch):
+        # the log singularity at t = 0 is integrated in log(1/t), not by
+        # bisection toward it: evaluations summed over every quadrature call
+        evaluations = []
+        for name in ("integrate_log_endpoint", "integrate_semi_infinite"):
+            def counting(*args, _original=getattr(sj, name), **kwargs):
+                result = _original(*args, **kwargs)
+                evaluations.append(result.evaluations)
+                return result
+            monkeypatch.setattr(sj, name, counting)
+        sj.j_quadrature(0.5 + 3j)
+        assert 0 < sum(evaluations) < 700
+
     def test_domain(self):
         with pytest.raises(ValueError):
             sj.j_quadrature(-1.0 + 1j)

@@ -674,22 +674,38 @@ class TestExactRouteAccuracy:
                 == thermo.thermo_point(bath, theta).F == point.F
 
 
-class TestQuadratureCost:
-    def test_cost_does_not_jump_with_the_last_bit_of_theta(self, monkeypatch):
-        # a sweep ending at theta = 1 can land one ulp either side of it
-        counts = []
-        original = thermo.integrate_semi_infinite
-
-        def counting(*args, **kwargs):
-            result = original(*args, **kwargs)
-            counts.append(result.evaluations)
+@pytest.fixture
+def point_evaluations(monkeypatch):
+    """Integrand evaluations of one exact_quadrature point, summed over
+    every quadrature call that the point makes."""
+    calls = []
+    for name in ("integrate_log_endpoint", "integrate_interval",
+                 "integrate_semi_infinite"):
+        def counting(*args, _original=getattr(thermo, name), **kwargs):
+            result = _original(*args, **kwargs)
+            calls.append(result.evaluations)
             return result
+        monkeypatch.setattr(thermo, name, counting)
 
-        monkeypatch.setattr(thermo, "integrate_semi_infinite", counting)
-        bath = ohmic(1e-8)
-        for theta in (1.0 - 2**-53, 1.0, 1.0 + 2**-52):
-            thermo.thermo_point(bath, theta, "exact_quadrature")
+    def evaluations(bath, theta):
+        calls.clear()
+        thermo.thermo_point(bath, theta, "exact_quadrature")
+        return sum(calls)
+    return evaluations
+
+
+class TestQuadratureCost:
+    def test_cost_does_not_jump_with_the_last_bit_of_theta(
+            self, point_evaluations):
+        # a sweep ending at theta = 1 can land one ulp either side of it
+        counts = [point_evaluations(ohmic(1e-8), theta)
+                  for theta in (1.0 - 2**-53, 1.0, 1.0 + 2**-52)]
         assert max(counts) - min(counts) <= 0.05 * min(counts)
+
+    def test_log_singularity_costs_few_evaluations(self, point_evaluations):
+        # the log singularity of the F kernel at w = 0 is integrated in
+        # log(1/w), not by bisection toward it
+        assert point_evaluations(ohmic(1.0), 1e-5) < 1000
 
     def test_weak_damping_cost_grows_with_log_of_friction(self, monkeypatch):
         counts = {}
