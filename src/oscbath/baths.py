@@ -22,15 +22,15 @@ to the native parameters by
     single relaxation time:  tau = 1/Omega,  Omega = Omega' + gamma
     blackbody (QED):         1/Omega = 1/Omega' + gamma
 
-and the Ohmic model the limit Omega, Omega' -> infinity.  Infinite cutoffs
-are represented exactly (math.inf), never as large finite numbers:
-omega_prime = math.inf is the blackbody bath's point-electron limit.
+and the Ohmic model the limit Omega, Omega' -> infinity: the three kinds
+of triple that :class:`CanonicalBath` admits.  Infinite cutoffs are math.inf,
+never large finite numbers: omega_prime = math.inf is the blackbody bath's
+point-electron limit.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -63,10 +63,9 @@ class SingleRelaxationSpec:
     """Drude-type friction gamma (units of omega0) with relaxation time tau
     (units of 1/omega0).
 
-    The model is meant for short memory, tau * gamma << 1 (equivalently a
-    cutoff Omega = 1/tau far above gamma); construction warns when that
-    ordering is violated and fails outright when the implied second cutoff
-    Omega' = 1/tau - gamma would not be positive.
+    Construction fails when the implied second cutoff Omega' = 1/tau - gamma
+    would not be positive (tau * gamma >= 1); any shorter memory is computed
+    exactly by both exact routes.
     """
     gamma: float
     tau: float
@@ -78,11 +77,6 @@ class SingleRelaxationSpec:
             raise ValueError(
                 f"single-relaxation-time bath needs 1/tau > gamma "
                 f"(got tau*gamma = {tau_gamma:g}); Omega' would be <= 0")
-        if tau_gamma > 0.1:
-            warnings.warn(
-                f"relaxation time is not small (tau*gamma = {tau_gamma:.3g}); "
-                "the single-relaxation-time model assumes tau*gamma << 1",
-                stacklevel=2)
 
 
 @dataclass(frozen=True)
@@ -106,8 +100,10 @@ BathSpec = Union[OhmicSpec, SingleRelaxationSpec, QEDSpec]
 @dataclass(frozen=True, kw_only=True)
 class CanonicalBath:
     """The (gamma, Omega, Omega') triple of the canonical susceptibility,
-    in units of omega0; cutoffs are math.inf for the Ohmic case.  Fields are
-    keyword-only, so no positional call can mistake one for another."""
+    in units of omega0, keyword-only.  Admitted are both cutoffs math.inf
+    (Ohmic) and cutoffs on the relaxation or the blackbody relation
+    (:func:`cutoff_relation`; Omega' = inf only as the point-electron limit
+    Omega = 1/gamma), all of them passive.  Any other triple raises."""
     gamma: float
     Omega: float = math.inf
     OmegaPrime: float = math.inf
@@ -115,10 +111,12 @@ class CanonicalBath:
     def __post_init__(self):
         _require_finite_positive(gamma=self.gamma)
         _require_positive(Omega=self.Omega, OmegaPrime=self.OmegaPrime)
-
-    @property
-    def has_finite_cutoff(self) -> bool:
-        return math.isfinite(self.Omega) or math.isfinite(self.OmegaPrime)
+        ohmic = math.isinf(self.Omega) and math.isinf(self.OmegaPrime)
+        if not ohmic and cutoff_relation(self) is None:
+            raise ValueError(
+                f"{self!r} is on neither the relaxation relation Omega = "
+                "Omega' + gamma nor the blackbody relation 1/Omega = "
+                "1/Omega' + gamma")
 
 
 @dataclass(frozen=True)
@@ -269,7 +267,7 @@ def cutoff_relation(bath: CanonicalBath) -> str | None:
     """The cutoff relation the bath satisfies, to rounding: ``"blackbody"``
     (1/Omega = 1/Omega' + gamma, with Omega' = inf in the point-electron
     limit), ``"relaxation"`` (Omega = Omega' + gamma), or None (the Ohmic
-    bath, or cutoffs set independently)."""
+    bath, both cutoffs infinite)."""
     if not math.isfinite(bath.Omega):
         return None
     inv_o = 1.0 / bath.Omega
@@ -295,13 +293,10 @@ def static_weight(bath: CanonicalBath) -> float:
     which is minus the sum of sigma/c over the characteristic frequencies
     of the closed form.  The cutoff relation's cancellation is done
     exactly: 0 for the blackbody bath, gamma (1 + 1/(Omega Omega')) for
-    the single-relaxation-time bath."""
-    relation = cutoff_relation(bath)
-    if relation == "blackbody":
+    the single-relaxation-time bath and so gamma for the Ohmic bath."""
+    if cutoff_relation(bath) == "blackbody":
         return 0.0
-    if relation == "relaxation":
-        return bath.gamma * (1.0 + 1.0 / (bath.Omega * bath.OmegaPrime))
-    return bath.gamma - 1.0 / bath.Omega + 1.0 / bath.OmegaPrime
+    return bath.gamma * (1.0 + 1.0 / (bath.Omega * bath.OmegaPrime))
 
 
 def spectral_weight(bath: CanonicalBath) -> Callable[[float, float], float]:
@@ -334,8 +329,8 @@ def spectral_weight(bath: CanonicalBath) -> Callable[[float, float], float]:
             return (lead * w2 * (3.0 + (middle + pq * w2) * w2)
                     / (resonance * (1.0 + q2 * w2) * (1.0 + p2 * w2)))
         return weight
-    q = 1.0 / bath.Omega
     if relation == "relaxation":
+        q = 1.0 / bath.Omega
         pq = p * q
         q2, p2 = q * q, p * p
 
@@ -347,17 +342,11 @@ def spectral_weight(bath: CanonicalBath) -> Callable[[float, float], float]:
                         + pq * (1.0 - pq * w2)
                         / ((1.0 + q2 * w2) * (1.0 + p2 * w2)))
         return weight
-    q2, p2 = q * q, p * p
 
     def weight(w: float, detuning: float) -> float:
         w2 = w * w
         diff = detuning * (w + 1.0)
-        value = g * (w2 + 1.0) / (diff * diff + g2 * w2)
-        if q:
-            value -= q / (1.0 + q2 * w2)
-        if p:
-            value += p / (1.0 + p2 * w2)
-        return value
+        return g * (w2 + 1.0) / (diff * diff + g2 * w2)
     return weight
 
 

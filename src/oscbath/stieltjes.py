@@ -629,8 +629,9 @@ def j_reflection(w: complex) -> tuple[complex, complex, complex]:
                    - math.expm1(-turn * w.imag) * math.cos(angle), -q.imag)
     r = q / rest
     kw = complex(0.0, turn) * w
+    # where q underflows to 0, (k w)^2 may overflow: the jet is then 0
     return (-(_log1p(-q) if abs(q) <= 0.5 else cmath.log(rest)),
-            kw * r, kw * kw * r * (1.0 + r))
+            kw * r, kw * kw * r * (1.0 + r) if r else 0j)
 
 
 def j_jet(z: complex) -> tuple[complex, complex, complex]:

@@ -33,8 +33,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple
 
 from .baths import CanonicalBath, cutoff_relation, roots, spectral_weight, static_weight
-from .quadrature import (integrate_interval, integrate_log_endpoint,
-                         integrate_semi_infinite)
+from .quadrature import (IntegrandEvaluationError, integrate_interval,
+                         integrate_log_endpoint, integrate_semi_infinite)
 from .stieltjes import (EULER_GAMMA, SMALL_ARGUMENT, j_difference, j_jet,
                         j_reflection, j_remainder, j_remainder_difference,
                         zeta)
@@ -236,19 +236,8 @@ def _resonance_edges(gamma: float, theta: float) -> list[float]:
     return edges
 
 
-def _thermal_scale(weight, theta: float, static: float) -> float:
-    """The size of the spectral weight on the thermal scale: the smallest
-    nonzero magnitude among the static value and w = theta/2, theta and
-    2 theta (several probes, so one that lands on the resonance or on a
-    zero of the weight does not set it)."""
-    sizes = [abs(static)] + [abs(weight(w, w - 1.0))
-                             for w in (0.5 * theta, theta, 2.0 * theta)]
-    sizes = [size for size in sizes if size > 0.0]
-    return min(sizes) if sizes else 1.0
-
-
-def _spectral_moments(plan: _Plan, theta: float) -> tuple[float, float, float]:
-    """F, U and C by one vector-valued quadrature of the spectral form.
+def _spectral_moments(plan: _Plan, theta: float) -> tuple[float, ...]:
+    """F, S, U and C by one vector-valued quadrature of the spectral form.
 
     With x = w/theta and b = free_energy_integrand,
 
@@ -256,36 +245,45 @@ def _spectral_moments(plan: _Plan, theta: float) -> tuple[float, float, float]:
         U = (1/pi)     Integral dw w / (e^x - 1) b(w)
         C = (1/pi)     Integral dw x^2 e^{-x} / (1 - e^{-x})^2 b(w)
 
-    and the three kernels share every node.  The half line is integrated
-    in three pieces, each in the coordinate that is exact where it
-    matters: (0, h), h = min(theta, 1/2), in log(h/w), where the log
-    singularity of the F kernel at w = 0 is smooth
+    and the three kernels share every node; S = (U - F)/theta.  The half
+    line is integrated in three pieces: (0, h), h = min(theta, 1/2), in
+    log(h/w), where the log singularity of the F kernel at w = 0 is smooth
     (:func:`oscbath.quadrature.integrate_log_endpoint`); (h, 1/2) in w,
-    with panel edges at h doubling outward; and the detuning u = w - 1
-    beyond, with panels from the thermal scale min(1, theta) doubling
-    outward, so that node positions near the resonance keep their relative
-    precision.  A weak-damping resonance within thermal reach gets panel
-    edges graded toward it, so the cost grows with log(1/gamma) only.
-    Each component is divided by theta^2 times the size of b on the
-    thermal scale, so the absolute tolerance floor acts relative to the
-    moments' own size, however small they are.
+    with panel edges doubling outward from h; and the detuning w - 1
+    beyond, with panels doubling outward from the thermal scale
+    t = min(1, theta) and edges graded toward a weak-damping resonance in
+    thermal reach, so node positions near it keep their precision and the
+    cost grows with log(1/gamma) only.  Each component is divided by t
+    times the size of b at w ~ t, so the absolute tolerance floor acts
+    relative to the moments' own size.  A theta where that scale, a kernel
+    or F leaves the float range raises OverflowError naming theta.
     """
-    first = min(1.0, theta)
+    t = min(1.0, theta)
     weight_of = plan.weight
-    scale = _thermal_scale(weight_of, theta, plan.static) * theta
+    # b on the thermal scale: the smallest nonzero size of the static value
+    # and of b at t/2, t, 2t (so that one probe on the resonance cannot set it)
+    sizes = [abs(plan.static)] + [abs(weight_of(w, w - 1.0))
+                                  for w in (0.5 * t, t, 2.0 * t)]
+    scale = min((size for size in sizes if size > 0.0), default=0.0) * t
+    if scale < sys.float_info.min:
+        raise OverflowError(f"theta = {theta!r} is too small for the "
+                            "quadrature route: the spectral weight underflows")
     norm = 1.0 / scale                   # F/theta ~ scale * theta on this scale
 
     def moments(w: float, weight: float) -> tuple[float, float, float]:
         weight *= norm
         x = w / theta
+        if x < 1e-150:  # x*x and 1/x leave the float range: log x, 1, 1
+            return (math.log(w) - math.log(theta)) * weight, weight, weight
         decay = math.exp(-x)
         rise = -math.expm1(-x)                       # 1 - e^{-x}
         # log(1 - e^{-x}): log(-expm1) keeps x -> 0 accurate; log1p keeps
         # large x from rounding to log 1 = 0
         log_factor = math.log(rise) if x < 1.0 else math.log1p(-decay)
         bose = decay / rise                          # 1 / (e^x - 1)
-        return (log_factor * weight, x * bose * weight,
-                x * x * bose / rise * weight)
+        # beyond x ~ 745 bose is 0, and x * x may overflow
+        heat = x * x * bose / rise if bose else 0.0
+        return log_factor * weight, x * bose * weight, heat * weight
 
     def near_origin(w: float) -> tuple[float, float, float]:
         return moments(w, weight_of(w, w - 1.0))
@@ -296,22 +294,35 @@ def _spectral_moments(plan: _Plan, theta: float) -> tuple[float, float, float]:
 
     split = 0.5
     head = min(theta, split)
-    pieces = [integrate_log_endpoint(near_origin, head)]
-    if head < split:
-        march = []
-        edge = 2.0 * head
-        while edge < split:
-            march.append(edge)
-            edge *= 2.0
-        pieces.append(integrate_interval(near_origin, head, split,
-                                         points=march))
-    pieces.append(integrate_semi_infinite(
-        by_detuning, start=split - 1.0,
-        points=_resonance_edges(plan.gamma, theta), first_panel=first))
+    try:
+        pieces = [integrate_log_endpoint(near_origin, head)]
+        if head < split:
+            march = []
+            edge = 2.0 * head
+            while edge < split:
+                march.append(edge)
+                edge *= 2.0
+            pieces.append(integrate_interval(near_origin, head, split,
+                                             points=march))
+        pieces.append(integrate_semi_infinite(
+            by_detuning, start=split - 1.0,
+            points=_resonance_edges(plan.gamma, theta), first_panel=t))
+    except IntegrandEvaluationError as exc:
+        raise OverflowError(f"theta = {theta!r} is out of the range of the "
+                            f"quadrature route: {exc}") from None
     i_F, i_U, i_C = (sum(parts) for parts in
                      zip(*(piece.value for piece in pieces)))
     factor = scale / math.pi
-    return theta * factor * i_F, theta * factor * i_U, factor * i_C
+    F, U = theta * factor * i_F, theta * factor * i_U
+    if U - F >= sys.float_info.min:
+        S = (U - F) / theta
+    else:                       # theta S leaves the normal range before S
+        S = factor * (i_U - i_F)
+    C = factor * i_C
+    if not all(map(math.isfinite, (F, S, U, C))):
+        raise OverflowError(f"theta = {theta!r} is too large for the "
+                            "quadrature route: F overflows")
+    return F, S, U, C
 
 
 def free_energy_quadrature(bath: CanonicalBath, theta: float) -> float:
@@ -346,11 +357,8 @@ def sweep(bath: CanonicalBath, thetas: Iterable[float],
     plan = _plan(bath)
     if method == "exact_j":
         return [_exact_j_point(plan, theta) for theta in thetas]
-    points = []
-    for theta in thetas:
-        F, U, C = _spectral_moments(plan, theta)
-        points.append(ThermoPoint(theta, F, (U - F) / theta, U, C, method))
-    return points
+    return [ThermoPoint(theta, *_spectral_moments(plan, theta), method)
+            for theta in thetas]
 
 
 def thermo_point(bath: CanonicalBath, theta: float,
@@ -558,13 +566,12 @@ def series_point(bath: CanonicalBath, theta: float,
     """Series-route ThermoPoint for a canonical bath, in the ``low_T`` or
     ``high_T`` regime.
 
-    The bath picks the series.  Without a finite cutoff it is the Ohmic
-    series; a bath whose cutoffs satisfy the blackbody relation (see
-    :func:`oscbath.baths.cutoff_relation`) takes the dedicated QED series;
-    any other finite cutoffs, the single-relaxation-time bath among them,
-    take the Ohmic series plus the finite-cutoff correction and its
-    temperature derivatives.  Requests outside the series' intended regime
-    warn but still evaluate.
+    The bath picks the series.  The Ohmic bath takes the Ohmic series, the
+    blackbody bath (see :func:`oscbath.baths.cutoff_relation`) the
+    dedicated QED series, and the single-relaxation-time bath the Ohmic
+    series plus the finite-cutoff correction and its temperature
+    derivatives.  Requests outside the series' intended regime warn but
+    still evaluate.
     """
     if regime not in ("low_T", "high_T"):
         raise ValueError(f"unknown regime {regime!r}")
@@ -579,10 +586,11 @@ def series_point(bath: CanonicalBath, theta: float,
                       stacklevel=2)
     g = bath.gamma
     low = regime == "low_T"
-    if cutoff_relation(bath) == "blackbody":
+    relation = cutoff_relation(bath)
+    if relation == "blackbody":
         return (qed_low_temperature if low else qed_high_temperature)(theta, g)
     point = (ohmic_low_temperature if low else ohmic_high_temperature)(theta, g)
-    if not bath.has_finite_cutoff:
+    if relation is None:
         return point
     # finite-cutoff shift: dF = pi theta^2 delta / 6
     delta = cutoff_correction(bath, theta)          # = pi theta^2 delta/6
@@ -595,8 +603,8 @@ def series_point(bath: CanonicalBath, theta: float,
 def zero_point(bath: CanonicalBath) -> float:
     """Zero-point free energy (= zero-point energy), units hbar omega0.
 
-    Finite only when the cutoff sum rule Omega = Omega' + gamma holds (the
-    single-relaxation-time bath, ``cutoff_relation(bath) ==
+    Finite only for the single-relaxation-time bath, whose cutoffs obey
+    the sum rule Omega = Omega' + gamma (``cutoff_relation(bath) ==
     "relaxation"``): the four-Lorentzian spectral integrand then decays
     fast enough.  The value is
 
@@ -608,11 +616,12 @@ def zero_point(bath: CanonicalBath) -> float:
     rule no matter how large the cutoffs are, and the Ohmic limit diverges
     logarithmically; both raise :class:`DivergenceError`.
     """
-    if cutoff_relation(bath) != "relaxation":
-        if not bath.has_finite_cutoff:
-            raise DivergenceError(
-                "zero-point energy of the Ohmic bath is logarithmically "
-                "divergent; use zero_point_ohmic_asymptotic for small tau")
+    relation = cutoff_relation(bath)
+    if relation is None:
+        raise DivergenceError(
+            "zero-point energy of the Ohmic bath is logarithmically "
+            "divergent; use zero_point_ohmic_asymptotic for small tau")
+    if relation == "blackbody":
         raise DivergenceError(
             "zero-point energy diverges unless the cutoffs satisfy the "
             "spectral sum rule Omega = Omega' + gamma: it diverges for the "

@@ -3,6 +3,7 @@
 import cmath
 import contextlib
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ class TestCanonicalize:
         bath = canonicalize(OhmicSpec(gamma=1.0))
         assert bath == CanonicalBath(gamma=1.0, Omega=math.inf,
                                      OmegaPrime=math.inf)
-        assert not bath.has_finite_cutoff
+        assert baths.cutoff_relation(bath) is None
 
     def test_srt_cutoffs(self):
         bath = canonicalize(SingleRelaxationSpec(gamma=1.0, tau=0.01))
@@ -54,9 +55,11 @@ class TestCanonicalize:
         with pytest.raises(ValueError):
             SingleRelaxationSpec(gamma=2.0, tau=0.5)   # 1/tau = gamma
 
-    def test_srt_smallness_warning(self):
-        with pytest.warns(UserWarning, match="tau"):
-            SingleRelaxationSpec(gamma=2.0, tau=0.2)
+    def test_srt_long_memory_builds_without_warning(self, recwarn):
+        # tau gamma = 0.4: no advisory; both exact routes are exact here
+        bath = canonicalize(SingleRelaxationSpec(gamma=2.0, tau=0.2))
+        assert baths.cutoff_relation(bath) == "relaxation"
+        assert len(recwarn) == 0
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -81,12 +84,114 @@ class TestCanonicalize:
         # the Ohmic and point-electron limits; the latter has Omega = 1/gamma
         assert canonicalize(QEDSpec(gamma=0.1, omega_prime=math.inf)) \
             == CanonicalBath(gamma=0.1, Omega=10.0, OmegaPrime=math.inf)
-        assert CanonicalBath(gamma=0.3, Omega=10.0).Omega == 10.0
+        # any other Omega with Omega' = inf is no bath of the three
+        with pytest.raises(ValueError, match="blackbody"):
+            CanonicalBath(gamma=0.3, Omega=10.0)
 
     def test_canonical_fields_are_keyword_only(self):
         # (1.0, 0.3) must not pass for gamma = 1, Omega = 0.3
         with pytest.raises(TypeError):
             CanonicalBath(1.0, 0.3)
+
+
+def log_uniform(low, high):
+    return st.floats(math.log10(low), math.log10(high)).map(
+        lambda e: 10.0 ** e)
+
+
+@st.composite
+def cutoff_triples(draw):
+    """(gamma, Omega, Omega'): one of the three baths, one nudged off its
+    relation by a relative 1e-12 .. 1, or two cutoffs drawn freely
+    (infinity included)."""
+    gamma = draw(log_uniform(1e-8, 1e4))
+    prime = draw(log_uniform(1e-2, 1e12))
+    family = draw(st.sampled_from(("ohmic", "relaxation", "blackbody",
+                                   "point electron", "free")))
+    if family == "ohmic":
+        return gamma, math.inf, math.inf
+    if family == "free":
+        cutoff = st.one_of(log_uniform(1e-3, 1e6), st.just(math.inf))
+        return gamma, draw(cutoff), draw(cutoff)
+    if family == "relaxation":
+        omega = prime + gamma
+    elif family == "blackbody":
+        omega = 1.0 / (1.0 / prime + gamma)
+    else:
+        omega, prime = 1.0 / gamma, math.inf
+    if draw(st.booleans()):
+        nudge = draw(log_uniform(1e-12, 1.0)) \
+            * draw(st.sampled_from((-0.5, 1.0)))
+        omega *= 1.0 + nudge
+    return gamma, omega, prime
+
+
+def relation_residual(gamma, omega, prime):
+    """The smaller relative residual of the two cutoff relations in exact
+    arithmetic: |Omega - Omega' - gamma| / Omega and
+    |1/Omega - 1/Omega' - gamma| Omega; 0 for two infinite cutoffs and
+    inf for an infinite Omega alone."""
+    if math.isinf(omega):
+        return 0.0 if math.isinf(prime) else math.inf
+    o, g = Fraction(omega), Fraction(gamma)
+    inverse_prime = 0 if math.isinf(prime) else 1 / Fraction(prime)
+    residual = abs(1 / o - inverse_prime - g) * o
+    if math.isfinite(prime):
+        residual = min(residual, abs(o - Fraction(prime) - g) / o)
+    return float(residual)
+
+
+class TestAdmission:
+    """CanonicalBath admits the Ohmic, relaxation and blackbody triples and
+    nothing else; every triple it admits is a passive bath."""
+
+    EPS = 2.220446049250313e-16
+
+    @given(triple=cutoff_triples())
+    @settings(max_examples=400, deadline=None)
+    def test_admitted_exactly_when_a_relation_holds(self, triple):
+        gamma, omega, prime = triple
+        residual = relation_residual(gamma, omega, prime)
+        # the relations are checked in floating point to 16 ulps
+        if 8 * self.EPS < residual < 32 * self.EPS:
+            return
+        try:
+            bath = CanonicalBath(gamma=gamma, Omega=omega, OmegaPrime=prime)
+        except ValueError as exc:
+            assert residual >= 32 * self.EPS, (triple, exc)
+            assert "relaxation" in str(exc) and "blackbody" in str(exc)
+            return
+        assert residual <= 8 * self.EPS, triple
+        relation = baths.cutoff_relation(bath)
+        assert (relation is None) == math.isinf(omega)
+
+    @given(triple=cutoff_triples(),
+           frequencies=st.lists(log_uniform(1e-3, 1e3), min_size=1,
+                                max_size=9))
+    @settings(max_examples=400, deadline=None)
+    def test_admitted_baths_are_passive(self, triple, frequencies):
+        # Im alpha(w) >= 0 on the real axis: the bath absorbs energy
+        gamma, omega, prime = triple
+        try:
+            bath = CanonicalBath(gamma=gamma, Omega=omega, OmegaPrime=prime)
+        except ValueError:
+            return
+        if math.isinf(bath.OmegaPrime):     # no bare-mass susceptibility
+            return
+        for w in frequencies:
+            with contextlib.suppress(ValueError):      # w on a real pole
+                assert susceptibility(bath, w).imag >= 0.0, (triple, w)
+
+    def test_an_active_bath_is_rejected(self):
+        # Re mu(0) < 0 here: C would change sign with temperature
+        with pytest.raises(ValueError, match="neither the relaxation"):
+            CanonicalBath(gamma=1.0, Omega=0.5)
+
+    @pytest.mark.parametrize("omega, prime", [
+        (10.0, 20.0), (math.inf, 20.0), (0.5, 3.0), (101.0, 99.0)])
+    def test_independent_cutoffs_rejected(self, omega, prime):
+        with pytest.raises(ValueError, match="blackbody relation"):
+            CanonicalBath(gamma=1.0, Omega=omega, OmegaPrime=prime)
 
 
 class TestRoots:
@@ -291,13 +396,6 @@ class TestSpectralWeight:
             QEDSpec(gamma=0.3, omega_prime=math.inf))) == "blackbody"
         assert baths.cutoff_relation(canonicalize(
             QEDSpec(gamma=1.5, omega_prime=25.0))) == "blackbody"
-        assert baths.cutoff_relation(
-            CanonicalBath(gamma=0.3, Omega=10.0, OmegaPrime=20.0)) is None
-
-    @staticmethod
-    def log_uniform(low, high):
-        return st.floats(math.log10(low), math.log10(high)).map(
-            lambda e: 10.0 ** e)
 
     @given(data=st.data())
     @settings(max_examples=300, deadline=None)
@@ -305,8 +403,8 @@ class TestSpectralWeight:
         # over the edge grid: gamma in [1e-8, 1e4], Omega' in [1e2, 1e12],
         # the point-electron limit, and tau gamma up to just below 1
         model = data.draw(st.sampled_from(("ohmic", "srt", "qed", "limit")))
-        gamma = data.draw(self.log_uniform(1e-8, 1e4), "gamma")
-        prime = data.draw(self.log_uniform(1e2, 1e12), "Omega'")
+        gamma = data.draw(log_uniform(1e-8, 1e4), "gamma")
+        prime = data.draw(log_uniform(1e2, 1e12), "Omega'")
         if model == "ohmic":
             spec, relation = OhmicSpec(gamma), None
         elif model == "qed":
@@ -319,9 +417,7 @@ class TestSpectralWeight:
             tau = data.draw(st.one_of(
                 st.just(gamma / (prime + gamma)),
                 st.floats(0.1, 1.0 - 1e-9)), "tau gamma") / gamma
-            slow = tau * gamma > 0.1     # as the spec tests it
-            with pytest.warns(UserWarning) if slow else contextlib.nullcontext():
-                spec = SingleRelaxationSpec(gamma, tau)
+            spec = SingleRelaxationSpec(gamma, tau)
             relation = "relaxation"
         assert baths.cutoff_relation(canonicalize(spec)) == relation
 

@@ -285,6 +285,19 @@ class TestSweepValidation:
         assert thetas[0] == 1e-300 and thetas[2] == 1e300
         assert abs(thetas[1] - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("argv", [
+        ["--model", "ohmic", "--gamma", "0.1", "--theta-min", "1e-300",
+         "--theta-max", "1e300", "--points", "13", "--log"],
+        ["--model", "qed", "--gamma", "0.1", "--omega-prime", "1e3",
+         "--theta-min", "1e-200", "--points", "1"],
+    ])
+    def test_exact_j_rows_finite_over_the_float_range(self, capsys, argv):
+        # C was nan below theta ~ 1e-155 for an underdamped root near the
+        # imaginary axis
+        code, out, err = run(capsys, ["sweep", *argv, "--method", "exact_j"])
+        assert code == 0 and err == ""
+        assert "nan" not in out and "inf" not in out
+
 
 class TestNumericalFailure:
     @pytest.mark.parametrize("method, theta, notice", [
@@ -298,6 +311,17 @@ class TestNumericalFailure:
                 "sweep", "--model", "ohmic", "--gamma", "1", "--points", "2",
                 "--theta-min", theta, "--theta-max", theta,
                 "--method", method])
+        assert code == 3 and out == ""
+        assert f"theta = {theta}" in err
+
+    @pytest.mark.parametrize("theta", ["1e-150", "1e+306"])
+    def test_quadrature_out_of_range_exits_3_naming_theta(self, capsys,
+                                                          theta):
+        # the blackbody weight underflows at 1e-150; F overflows at 1e306
+        code, out, err = run(capsys, [
+            "sweep", "--model", "qed", "--gamma", "0.1", "--omega-prime",
+            "1e3", "--points", "1", "--theta-min", theta,
+            "--method", "exact_quadrature"])
         assert code == 3 and out == ""
         assert f"theta = {theta}" in err
 

@@ -476,6 +476,13 @@ class TestLeftHalfPlane:
         with pytest.raises(ValueError):
             sj.j_reflection(-2.0)
 
+    @pytest.mark.parametrize("w", [1e200 * (0.1 + 1j), -3e199 + 1e200j,
+                                   1e200 * (0.2 - 1j)])
+    def test_reflection_far_from_the_real_axis(self, w):
+        # q = e^{2 pi i w} underflows to 0 while (2 pi w)^2 overflows: the
+        # whole jet is 0, not inf * 0 = nan
+        assert sj.j_reflection(w) == (0j, 0j, 0j)
+
 
 class TestDifferences:
     """Differences between nearby arguments keep the relative accuracy of

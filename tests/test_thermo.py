@@ -8,6 +8,7 @@ re-derived independently inside the tests.
 
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -45,8 +46,7 @@ class TestFreeEnergyExact:
         (CanonicalBath(gamma=1.0), 1.0),
         (CanonicalBath(gamma=4.0), 0.5),      # overdamped, real roots
         (baths.canonicalize(QEDSpec(gamma=0.1, omega_prime=1e3)), 0.2),
-        # cutoffs set independently of each other
-        (CanonicalBath(gamma=0.3, Omega=10.0, OmegaPrime=20.0), 0.3),
+        (baths.canonicalize(SingleRelaxationSpec(gamma=0.3, tau=0.1)), 0.3),
     ])
     def test_against_quadrature_route(self, bath, theta):
         a = thermo.free_energy_exact(bath, theta)
@@ -471,11 +471,6 @@ class TestZeroPoint:
         srt = baths.canonicalize(SingleRelaxationSpec(gamma=1.0, tau=0.01))
         assert thermo.zero_point(bath) == thermo.zero_point(srt)
 
-    def test_independent_cutoffs_diverge(self):
-        with pytest.raises(thermo.DivergenceError, match="sum rule"):
-            thermo.zero_point(
-                CanonicalBath(gamma=0.3, Omega=10.0, OmegaPrime=20.0))
-
     def test_ohmic_diverges(self):
         with pytest.raises(thermo.DivergenceError, match="asymptotic"):
             thermo.zero_point(ohmic(1.0))
@@ -550,11 +545,10 @@ class TestSeriesPoint:
         ("low_T", 0.05, thermo.ohmic_low_temperature),
         ("high_T", 3.0, thermo.ohmic_high_temperature),
     ])
-    def test_other_cutoffs_correct_the_ohmic_series(self, regime, theta,
-                                                    series):
-        for bath in (baths.canonicalize(SingleRelaxationSpec(gamma=1.0,
-                                                             tau=0.01)),
-                     CanonicalBath(gamma=1.0, Omega=10.0, OmegaPrime=20.0)):
+    def test_relaxation_bath_corrects_the_ohmic_series(self, regime, theta,
+                                                       series):
+        for tau in (0.01, 0.1):
+            bath = baths.canonicalize(SingleRelaxationSpec(gamma=1.0, tau=tau))
             point = thermo.series_point(bath, theta, regime)
             delta = thermo.cutoff_correction(bath, theta)
             assert delta != 0.0
@@ -672,6 +666,82 @@ class TestExactRouteAccuracy:
         for theta, point in zip(thetas, thermo.sweep(bath, thetas)):
             assert thermo.free_energy_exact(bath, theta) \
                 == thermo.thermo_point(bath, theta).F == point.F
+
+
+class TestFloatRange:
+    """Both exact routes over the whole float range of theta: each point is
+    finite F, S, U and C or an error that names theta, never nan, inf or
+    a silent 0.0."""
+
+    SPECS = [OhmicSpec(gamma=0.1), OhmicSpec(gamma=1.0), OhmicSpec(gamma=1e4),
+             QEDSpec(gamma=0.1, omega_prime=1e3),
+             QEDSpec(gamma=0.1, omega_prime=math.inf),
+             SingleRelaxationSpec(gamma=0.5, tau=0.1)]    # tau gamma = 0.05
+    THETAS = [10.0 ** e for e in range(-300, 301, 15)]
+
+    @staticmethod
+    def point_or_error(bath, theta, method):
+        try:
+            point = thermo.thermo_point(bath, theta, method)
+        except (ArithmeticError, ValueError) as exc:
+            assert f"theta = {theta!r}" in str(exc), (method, exc)
+            return None
+        values = (point.F, point.S, point.U, point.C)
+        assert all(map(math.isfinite, values)), (method, theta, values)
+        return values
+
+    @pytest.mark.parametrize("spec", SPECS, ids=repr)
+    def test_finite_or_named_and_the_routes_agree(self, spec):
+        bath = baths.canonicalize(spec)
+        for theta in self.THETAS:
+            exact = self.point_or_error(bath, theta, "exact_j")
+            quadrature = self.point_or_error(bath, theta, "exact_quadrature")
+            if exact is None or quadrature is None:
+                continue
+            for name, a, b in zip("FSUC", exact, quadrature):
+                if abs(a) >= sys.float_info.min:
+                    assert abs(a - b) <= 1e-10 * abs(a), (theta, name, a, b)
+
+    @pytest.mark.parametrize("spec", [OhmicSpec(gamma=0.1),
+                                      QEDSpec(gamma=0.1, omega_prime=1e3)],
+                             ids=repr)
+    def test_exact_j_near_axis_root_at_tiny_theta(self, spec):
+        # the root pair near the imaginary axis goes through the reflection
+        # identity, whose (2 pi w)^2 overflows here; C was nan
+        bath = baths.canonicalize(spec)
+        point = thermo.thermo_point(bath, 1e-200)
+        assert all(map(math.isfinite, (point.F, point.S, point.U, point.C)))
+        if isinstance(spec, OhmicSpec):
+            leading = math.pi * spec.gamma * 1e-200 / 3.0
+            assert abs(point.C - leading) <= 1e-14 * leading
+            assert abs(point.S - leading) <= 1e-14 * leading
+
+    @pytest.mark.parametrize("spec, theta", [
+        (SingleRelaxationSpec(gamma=1.0, tau=0.01), 1e20),
+        (QEDSpec(gamma=0.1, omega_prime=1e3), 1e50),
+        (OhmicSpec(gamma=1.0), 1e100),
+        (OhmicSpec(gamma=1.0), 1e200),
+        (OhmicSpec(gamma=1.0), 1e-200),
+    ])
+    def test_quadrature_far_from_theta_one(self, spec, theta):
+        # C was 10% off at 1e20 and 1e100 and 0.0 at 1e200; 1e-200 raised
+        # from an inf * 0 in the C kernel
+        bath = baths.canonicalize(spec)
+        exact = thermo.thermo_point(bath, theta)
+        point = thermo.thermo_point(bath, theta, "exact_quadrature")
+        for name in "SC":
+            want = getattr(exact, name)
+            assert abs(getattr(point, name) - want) <= 1e-10 * abs(want)
+
+    @pytest.mark.parametrize("spec, theta, match", [
+        (QEDSpec(gamma=0.1, omega_prime=1e3), 1e-150, "too small"),
+        (OhmicSpec(gamma=1.0), 1e306, "too large"),
+    ])
+    def test_quadrature_out_of_range_names_theta(self, spec, theta, match):
+        bath = baths.canonicalize(spec)
+        with pytest.raises(OverflowError,
+                           match=re.escape(f"theta = {theta!r} is {match}")):
+            thermo.thermo_point(bath, theta, "exact_quadrature")
 
 
 @pytest.fixture
