@@ -42,7 +42,6 @@ from .quadrature import (
 )
 from .stieltjes import (
     j_asymptotic,
-    j_auto,
     j_continue_left,
     j_lanczos,
     j_loggamma,
@@ -54,7 +53,6 @@ from .stieltjes import (
 from .thermo import (
     DivergenceError,
     ThermoPoint,
-    cutoff_correction,
     free_energy_exact,
     free_energy_quadrature,
     ohmic_high_temperature,

@@ -125,10 +125,11 @@ class RootPair:
     written as z = -i z1, -i z1*: z1 z1* = 1 and z1 + z1* = gamma.
 
     Underdamped (gamma < 2): z1 = gamma/2 + i omega1 with
-    omega1 = sqrt(1 - gamma^2/4).  Overdamped: both roots real and
-    positive, z1 = gamma/2 - |omega1| the smaller; ``omega1`` then holds the
-    magnitude of the imaginary frequency.  Critical damping is handled by
-    the overdamped branch with omega1 = 0.
+    omega1 = sqrt(1 - gamma^2/4).  Overdamped (gamma >= 2): both roots real
+    and positive, z1 = gamma/2 - |omega1| the smaller; ``omega1`` then holds
+    the magnitude of the imaginary frequency.  ``regime`` is
+    "underdamped" or "overdamped"; critical damping is the overdamped case
+    z1 = z1* = 1, omega1 = 0.
     """
     z1: complex
     z1_conj: complex
@@ -172,17 +173,12 @@ def roots(gamma: float) -> RootPair:
     """
     _require_finite_positive(gamma=gamma)
     disc = 1.0 - 0.25 * gamma * gamma
+    omega1 = math.sqrt(abs(disc))
     if disc > 0.0:
-        omega1 = math.sqrt(disc)
         return RootPair(complex(0.5 * gamma, omega1),
                         complex(0.5 * gamma, -omega1), omega1, "underdamped")
-    if disc == 0.0:
-        half = 0.5 * gamma
-        return RootPair(complex(half, 0.0), complex(half, 0.0), 0.0, "critical")
-    omega1 = math.sqrt(-disc)
     larger = 0.5 * gamma + omega1
-    smaller = 1.0 / larger
-    return RootPair(complex(smaller, 0.0), complex(larger, 0.0), omega1,
+    return RootPair(complex(1.0 / larger, 0.0), complex(larger, 0.0), omega1,
                     "overdamped")
 
 
@@ -310,12 +306,13 @@ def spectral_weight(bath: CanonicalBath) -> Callable[[float, float], float]:
     resolved to full precision.  The three Lorentzian terms are combined in
     closed form for each cutoff relation, so that their static values,
     which cancel exactly for the blackbody bath, are never subtracted in
-    floating point: the weight keeps full relative accuracy at small w."""
+    floating point: the weight keeps full relative accuracy at small w.
+    The Ohmic bath takes the relaxation form, whose cutoff terms vanish
+    with 1/Omega = 1/Omega' = 0."""
     g = bath.gamma
     g2 = g * g
-    relation = cutoff_relation(bath)
     p = 1.0 / bath.OmegaPrime                   # 0 for an infinite cutoff
-    if relation == "blackbody":
+    if cutoff_relation(bath) == "blackbody":
         q = g + p                               # 1/Omega
         pq = p * q
         lead = g * (1.0 + pq)
@@ -329,24 +326,17 @@ def spectral_weight(bath: CanonicalBath) -> Callable[[float, float], float]:
             return (lead * w2 * (3.0 + (middle + pq * w2) * w2)
                     / (resonance * (1.0 + q2 * w2) * (1.0 + p2 * w2)))
         return weight
-    if relation == "relaxation":
-        q = 1.0 / bath.Omega
-        pq = p * q
-        q2, p2 = q * q, p * p
-
-        def weight(w: float, detuning: float) -> float:
-            w2 = w * w
-            diff = detuning * (w + 1.0)
-            resonance = diff * diff + g2 * w2
-            return g * ((w2 + 1.0) / resonance
-                        + pq * (1.0 - pq * w2)
-                        / ((1.0 + q2 * w2) * (1.0 + p2 * w2)))
-        return weight
+    q = 1.0 / bath.Omega
+    pq = p * q
+    q2, p2 = q * q, p * p
 
     def weight(w: float, detuning: float) -> float:
         w2 = w * w
         diff = detuning * (w + 1.0)
-        return g * (w2 + 1.0) / (diff * diff + g2 * w2)
+        resonance = diff * diff + g2 * w2
+        return g * ((w2 + 1.0) / resonance
+                    + pq * (1.0 - pq * w2)
+                    / ((1.0 + q2 * w2) * (1.0 + p2 * w2)))
     return weight
 
 
@@ -358,8 +348,8 @@ def free_energy_integrand(bath: CanonicalBath, omega: float) -> float:
             + gamma (w^2 + 1) / ((w^2 - 1)^2 + gamma^2 w^2)
 
     which is Im d log alpha(w + i0+)/dw.  Infinite cutoffs drop their
-    Lorentzian terms analytically; see :func:`spectral_weight` for the
-    form that is evaluated.
+    Lorentzian terms; see :func:`spectral_weight` for the form that is
+    evaluated.
     """
     if not omega > 0.0:
         raise ValueError("free_energy_integrand: omega must be > 0")

@@ -31,7 +31,7 @@ Available routes:
 * :func:`j_asymptotic`  -- divergent large-|z| series in even Bernoulli
   numbers, with the first omitted term reported as the truncation bound.
 * :func:`j_continue_left` -- J in the left half plane, from :func:`j_jet`.
-* :func:`j_auto`        -- region dispatch over the routes.
+* :func:`j_auto_named`  -- region dispatch over the routes, named.
 
 The thermodynamic functions need J and its first two derivatives to full
 double precision, as jets (J, z J', z^2 J''): :func:`j_jet` for J whole,
@@ -58,7 +58,7 @@ __all__ = [
     "BERNOULLI_EVEN", "zeta",
     "log_gamma",
     "j_quadrature", "j_loggamma", "j_lanczos", "j_series_small",
-    "j_asymptotic", "j_continue_left", "j_auto", "j_auto_named",
+    "j_asymptotic", "j_continue_left", "j_auto_named",
     "SMALL_ARGUMENT", "j_jet", "j_reflection",
     "j_remainder", "j_remainder_difference", "j_difference",
 ]
@@ -338,15 +338,10 @@ def j_auto_named(z: complex) -> tuple[complex, str]:
     """
     z = complex(z)
     if _on_cut(z):
-        raise ValueError("j_auto: z on the branch cut (-inf, 0]")
+        raise ValueError("j_auto_named: z on the branch cut (-inf, 0]")
     if z.real > 0.0:
         return j_lanczos(z), "lanczos"
     return j_continue_left(z), "continuation"
-
-
-def j_auto(z: complex) -> complex:
-    """J(z) by region dispatch (see :func:`j_auto_named`)."""
-    return j_auto_named(z)[0]
 
 
 # ------------------------------------------------------------ remainders ----
@@ -616,7 +611,10 @@ def j_reflection(w: complex) -> tuple[complex, complex, complex]:
     +-Im w > 0 (|q| < 1): the reflection identity of the module docstring,
     and the jet of J at w plus that at -w.  The phase of q comes from
     w - round(Re w), which is exact.  With k = +-2 pi i and r = q/(1 - q)
-    the jet is (-log(1 - q), k w r, (k w)^2 r (1 + r)).
+    the jet is (-log(1 - q), k w r, (k w)^2 r (1 + r)); where k w or
+    (k w)^2 overflows, k (w r) and k^2 (w r)(w + w r) with real products
+    by k and k^2, so that no part is nan, and inf only beyond the float
+    range.
     """
     w = complex(w)
     if w.imag == 0.0:
@@ -629,9 +627,14 @@ def j_reflection(w: complex) -> tuple[complex, complex, complex]:
                    - math.expm1(-turn * w.imag) * math.cos(angle), -q.imag)
     r = q / rest
     kw = complex(0.0, turn) * w
-    # where q underflows to 0, (k w)^2 may overflow: the jet is then 0
+    first, second = kw * r, kw * kw * r * (1.0 + r)
+    if not cmath.isfinite(first + second):     # k w or (k w)^2 overflowed
+        wr = w * r
+        curve = wr * (w + wr)                   # w^2 r (1 + r)
+        first = complex(-turn * wr.imag, turn * wr.real)
+        second = complex(-turn * turn * curve.real, -turn * turn * curve.imag)
     return (-(_log1p(-q) if abs(q) <= 0.5 else cmath.log(rest)),
-            kw * r, kw * kw * r * (1.0 + r) if r else 0j)
+            first, second)
 
 
 def j_jet(z: complex) -> tuple[complex, complex, complex]:

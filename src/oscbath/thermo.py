@@ -19,9 +19,9 @@ quadrature route integrates the spectral form
     F(theta) = (theta/pi) Integral dw log(1 - e^{-w/theta}) * bracket(w)
 
 directly, together with the matching moments for U and C in the same
-pass, and exists purely to cross-check the closed form.  Low- and
-high-temperature expansions of both the Ohmic and blackbody (QED) models
-are implemented as printed series with their exact coefficients.
+pass, and exists purely to cross-check the closed form.  The series
+route (:func:`series_point`) takes the printed low- and high-temperature
+expansions, with the theta^2 coefficient and cutoff shift of the bath.
 """
 
 from __future__ import annotations
@@ -43,8 +43,7 @@ __all__ = [
     "ThermoPoint", "DivergenceError", "METHODS",
     "free_energy_exact", "free_energy_quadrature", "thermo_point", "sweep",
     "ohmic_low_temperature", "ohmic_high_temperature",
-    "qed_low_temperature", "qed_high_temperature",
-    "cutoff_correction", "series_point",
+    "qed_low_temperature", "qed_high_temperature", "series_point",
     "zero_point", "zero_point_ohmic_asymptotic",
 ]
 
@@ -387,11 +386,13 @@ def thermo_point(bath: CanonicalBath, theta: float,
     return sweep(bath, [theta], method)[0]
 
 
-def _low_t_tables(theta: float, gamma: float):
-    """Term-by-term low-temperature series of F, S, U, C.  A theta so
-    large that a term overflows (above ~1e50) raises OverflowError."""
+def _low_t_series(theta: float, gamma: float, a: float,
+                  n_terms: int) -> ThermoPoint:
+    """The first n_terms terms of the low-temperature series of F, S, U, C,
+    with theta^2 coefficient ``a``: the bath's static weight, gamma for the
+    Ohmic bath and 0 for the blackbody bath.  A theta so large that a term
+    overflows (above ~1e50) raises OverflowError."""
     g2 = gamma * gamma
-    a = gamma
     b = gamma * (3.0 - g2)
     c = gamma * (5.0 - 5.0 * g2 + g2 * g2)
     pi = math.pi
@@ -414,7 +415,9 @@ def _low_t_tables(theta: float, gamma: float):
     except OverflowError:
         raise OverflowError(f"theta = {theta!r} is too large for the "
                             "low-temperature series: it overflows") from None
-    return F_terms, S_terms, U_terms, C_terms
+    F, S, U, C = (sum(terms[:n_terms])
+                  for terms in (F_terms, S_terms, U_terms, C_terms))
+    return ThermoPoint(theta, -F, S, U, C, "low_T_series")
 
 
 def ohmic_low_temperature(theta: float, gamma: float,
@@ -429,23 +432,17 @@ def ohmic_low_temperature(theta: float, gamma: float,
     """
     if not 1 <= n_terms <= 3:
         raise ValueError("ohmic_low_temperature: n_terms must be 1..3")
-    F_terms, S_terms, U_terms, C_terms = _low_t_tables(theta, gamma)
-    n = n_terms
-    return ThermoPoint(theta, -sum(F_terms[:n]), sum(S_terms[:n]),
-                       sum(U_terms[:n]), sum(C_terms[:n]), "low_T_series")
+    return _low_t_series(theta, gamma, gamma, n_terms)
 
 
 def qed_low_temperature(theta: float, gamma: float,
                         n_terms: int = 2) -> ThermoPoint:
-    """Low-temperature series for the blackbody (QED) bath: the theta^2
-    term of the Ohmic series is cancelled exactly by the cutoff
-    correction, leaving the theta^4 term in front."""
+    """Low-temperature series for the blackbody (QED) bath: the Ohmic
+    table with theta^2 coefficient 0, the static weight of the blackbody
+    bath, leaving the theta^4 term in front."""
     if not 1 <= n_terms <= 2:
         raise ValueError("qed_low_temperature: n_terms must be 1..2")
-    F_terms, S_terms, U_terms, C_terms = _low_t_tables(theta, gamma)
-    n = n_terms + 1
-    return ThermoPoint(theta, -sum(F_terms[1:n]), sum(S_terms[1:n]),
-                       sum(U_terms[1:n]), sum(C_terms[1:n]), "low_T_series")
+    return _low_t_series(theta, gamma, 0.0, n_terms + 1)
 
 
 def _chebyshev(n: int, x: float) -> float:
@@ -460,13 +457,11 @@ def _chebyshev(n: int, x: float) -> float:
 
 
 def _arc_term(gamma: float) -> float:
-    """omega1 * arccos(gamma/2) continued through critical damping as
-    |omega1| * log(gamma/2 - |omega1|)."""
+    """omega1 * arccos(gamma/2) continued through critical damping (where
+    it is 0) as |omega1| * log(gamma/2 - |omega1|)."""
     pair = roots(gamma)
     if pair.regime == "underdamped":
         return pair.omega1 * math.acos(0.5 * gamma)
-    if pair.regime == "critical":
-        return 0.0
     return pair.omega1 * math.log(pair.z1.real)
 
 
@@ -513,10 +508,16 @@ def ohmic_high_temperature(theta: float, gamma: float,
     U = (theta - half_g * (log_2pt - EULER_GAMMA) - arc / math.pi
          - 2.0 * theta * sum_U)
     C = 1.0 - half_g / theta + 2.0 * sum_C
-    if not all(map(math.isfinite, (F, S, U, C))):
+    return _high_t_point(theta, F, S, U, C)
+
+
+def _high_t_point(theta: float, *values: float) -> ThermoPoint:
+    """The high_T_series ThermoPoint of F, S, U, C; raises OverflowError
+    naming theta where one of them overflows."""
+    if not all(map(math.isfinite, values)):
         raise OverflowError(f"theta = {theta!r} is out of the range of the "
                             "high-temperature series: it overflows")
-    return ThermoPoint(theta, F, S, U, C, "high_T_series")
+    return ThermoPoint(theta, *values, "high_T_series")
 
 
 def qed_high_temperature(theta: float, gamma: float,
@@ -530,7 +531,8 @@ def qed_high_temperature(theta: float, gamma: float,
 
     These are truncations at different orders of the same expansion, so
     U - F - theta S is not zero here but of the dropped order
-    (pi theta^2 gamma / 6).
+    (pi theta^2 gamma / 6).  A theta where they overflow raises
+    OverflowError.
     """
     if not 1 <= n_terms <= 2:
         raise ValueError("qed_high_temperature: n_terms must be 1..2")
@@ -545,20 +547,7 @@ def qed_high_temperature(theta: float, gamma: float,
         S -= math.pi * theta * gamma / 3.0
         U -= math.pi * theta * theta * gamma / 3.0
         C -= 2.0 * math.pi * theta * gamma / 3.0
-    return ThermoPoint(theta, F, S, U, C, "high_T_series")
-
-
-def cutoff_correction(bath: CanonicalBath, theta: float) -> float:
-    """Leading finite-cutoff shift of the free energy away from Ohmic,
-
-        pi theta^2 / 6 * (1/Omega - 1/Omega'),
-
-    valid while both cutoffs are large against kT.  Zero when the cutoffs
-    are infinite; for the QED bath it equals + pi theta^2 gamma / 6, for
-    the single-relaxation-time bath it is small and negative.
-    """
-    inv_O, inv_Op = 1.0 / bath.Omega, 1.0 / bath.OmegaPrime    # 0 if inf
-    return math.pi * theta * theta / 6.0 * (inv_O - inv_Op)
+    return _high_t_point(theta, F, S, U, C)
 
 
 def series_point(bath: CanonicalBath, theta: float,
@@ -566,12 +555,12 @@ def series_point(bath: CanonicalBath, theta: float,
     """Series-route ThermoPoint for a canonical bath, in the ``low_T`` or
     ``high_T`` regime.
 
-    The bath picks the series.  The Ohmic bath takes the Ohmic series, the
-    blackbody bath (see :func:`oscbath.baths.cutoff_relation`) the
-    dedicated QED series, and the single-relaxation-time bath the Ohmic
-    series plus the finite-cutoff correction and its temperature
-    derivatives.  Requests outside the series' intended regime warn but
-    still evaluate.
+    Low T: one table whose theta^2 coefficient is the bath's
+    :func:`oscbath.baths.static_weight` (0 for the blackbody bath).  High
+    T: the printed QED series for the blackbody bath, else the Ohmic series
+    plus the shift dF = pi theta^2 (1/Omega - 1/Omega')/6 (0 if Ohmic) and
+    its derivatives.  Requests outside the intended regime warn but still
+    evaluate; a theta where a series overflows raises OverflowError.
     """
     if regime not in ("low_T", "high_T"):
         raise ValueError(f"unknown regime {regime!r}")
@@ -585,19 +574,17 @@ def series_point(bath: CanonicalBath, theta: float,
                       f"(intended for theta >> {boundary:.3g})",
                       stacklevel=2)
     g = bath.gamma
-    low = regime == "low_T"
-    relation = cutoff_relation(bath)
-    if relation == "blackbody":
-        return (qed_low_temperature if low else qed_high_temperature)(theta, g)
-    point = (ohmic_low_temperature if low else ohmic_high_temperature)(theta, g)
-    if relation is None:
-        return point
-    # finite-cutoff shift: dF = pi theta^2 delta / 6
-    delta = cutoff_correction(bath, theta)          # = pi theta^2 delta/6
+    if regime == "low_T":
+        return _low_t_series(theta, g, static_weight(bath), 3)
+    if cutoff_relation(bath) == "blackbody":
+        return qed_high_temperature(theta, g)
+    point = ohmic_high_temperature(theta, g)
+    cut = 1.0 / bath.Omega - 1.0 / bath.OmegaPrime       # 0 if Ohmic
+    # dF, which stays 0.0 for the Ohmic bath where theta^2 overflows
+    delta = math.pi * theta * theta / 6.0 * cut if cut else 0.0
     dS = -2.0 * delta / theta                        # -d(dF)/dtheta
-    return ThermoPoint(theta, point.F + delta, point.S + dS,
-                       point.U + delta + theta * dS, point.C + dS,
-                       point.method)
+    return _high_t_point(theta, point.F + delta, point.S + dS,
+                         point.U + delta + theta * dS, point.C + dS)
 
 
 def zero_point(bath: CanonicalBath) -> float:

