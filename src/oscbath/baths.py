@@ -31,6 +31,7 @@ point-electron limit.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -308,29 +309,47 @@ def spectral_weight(bath: CanonicalBath) -> Callable[[float, float], float]:
     which cancel exactly for the blackbody bath, are never subtracted in
     floating point: the weight keeps full relative accuracy at small w.
     The Ohmic bath takes the relaxation form, whose cutoff terms vanish
-    with 1/Omega = 1/Omega' = 0."""
+    with 1/Omega = 1/Omega' = 0.  Beyond _LARGE_W (and 4 Omega, where the
+    two relaxation tails ~1/w^2 cancel) one numerator polynomial in w^2 is
+    divided by factors that do not overflow."""
     g = bath.gamma
     g2 = g * g
     p = 1.0 / bath.OmegaPrime                   # 0 for an infinite cutoff
-    if cutoff_relation(bath) == "blackbody":
-        q = g + p                               # 1/Omega
-        pq = p * q
+    blackbody = cutoff_relation(bath) == "blackbody"
+    q = g + p if blackbody else 1.0 / bath.Omega            # 1/Omega
+    pq = p * q
+    q2, p2 = q * q, p * p
+
+    def far(w: float) -> tuple[float, float, float]:
+        # |w - 1/w + i g|, c = 1/(|1 + i q w| |1 + i p w|) and w c: the
+        # denominator is (w h / c)^2, and none of them overflows
+        c = 1.0 / (math.hypot(1.0, q * w) * math.hypot(1.0, p * w))
+        return math.hypot(w - 1.0 / w, g), c, w * c
+
+    if blackbody:
         lead = g * (1.0 + pq)
         middle = q * g + p * p - 1.0            # g^2 + g p + p^2 - 1
-        q2, p2 = q * q, p * p
 
         def weight(w: float, detuning: float) -> float:
+            if w > _LARGE_W:
+                h, c, wc = far(w)
+                return lead * ((pq * w * w + middle) * wc * wc
+                               + 3.0 * c * c) / h / h
             w2 = w * w
             diff = detuning * (w + 1.0)
             resonance = diff * diff + g2 * w2
             return (lead * w2 * (3.0 + (middle + pq * w2) * w2)
                     / (resonance * (1.0 + q2 * w2) * (1.0 + p2 * w2)))
         return weight
-    q = 1.0 / bath.Omega
-    pq = p * q
-    q2, p2 = q * q, p * p
+    # the numerator g (n2 w^4 + n1 w^2 + 1 + pq) over the common denominator
+    n2 = q2 + pq * (2.0 + q * g + 3.0 * pq)
+    n1 = 1.0 + pq * (g2 * (1.0 + pq) - pq)
+    tails = min(4.0 * bath.Omega, _LARGE_W)
 
     def weight(w: float, detuning: float) -> float:
+        if w > tails:
+            h, c, wc = far(w)
+            return g * (n2 * wc * wc + (n1 + (1.0 + pq) / w / w) * c * c) / h / h
         w2 = w * w
         diff = detuning * (w + 1.0)
         resonance = diff * diff + g2 * w2
@@ -338,6 +357,10 @@ def spectral_weight(bath: CanonicalBath) -> Callable[[float, float], float]:
                     + pq * (1.0 - pq * w2)
                     / ((1.0 + q2 * w2) * (1.0 + p2 * w2)))
     return weight
+
+
+# Above the quadrature nodes of theta <= 1e3, below the w^8 overflow (~1e38).
+_LARGE_W = 1e30
 
 
 def free_energy_integrand(bath: CanonicalBath, omega: float) -> float:
@@ -349,11 +372,15 @@ def free_energy_integrand(bath: CanonicalBath, omega: float) -> float:
 
     which is Im d log alpha(w + i0+)/dw.  Infinite cutoffs drop their
     Lorentzian terms; see :func:`spectral_weight` for the form that is
-    evaluated.
+    evaluated.  Outside the normal range it raises OverflowError.
     """
     if not omega > 0.0:
         raise ValueError("free_energy_integrand: omega must be > 0")
-    return spectral_weight(bath)(omega, omega - 1.0)
+    value = spectral_weight(bath)(omega, omega - 1.0)
+    if not sys.float_info.min <= abs(value) < math.inf:
+        raise OverflowError(f"omega = {omega!r}: the spectral weight leaves "
+                            "the float range")
+    return value
 
 
 def qed_mass_ratio(spec: QEDSpec) -> float:

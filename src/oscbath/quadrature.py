@@ -11,12 +11,11 @@ endpoint singularity is never evaluated.  An integrable logarithmic
 singularity at an endpoint is integrated by :func:`integrate_log_endpoint`
 in the coordinate log(1/t), where it is smooth.
 
-The integrand returns either a float or a tuple of floats.  A tuple-valued
-integrand is integrated in one pass: each node is evaluated once, every
-component gets its own Kronrod value, error estimate and tolerance target,
-and the tail march and the refinement stop only when every component meets
-its target.  A float-valued integrand is the one-component case, and its
-result carries floats instead of tuples.
+The integrand returns a tuple of floats, which is integrated in one pass:
+each node is evaluated once, every component gets its own Kronrod value,
+error estimate and tolerance target, and the tail march and the refinement
+stop only when every component meets its target.  A single integral is the
+one-component case, a 1-tuple.
 
 All routines are pure functions of their arguments and are safe to call
 concurrently.
@@ -28,7 +27,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from operator import mul
-from typing import Callable, Sequence, Union
+from typing import Callable, Sequence
 
 __all__ = [
     "QuadratureResult",
@@ -84,15 +83,14 @@ _MAX_STAGNANT = 6
 _MAX_GROWING = 20
 
 
-Components = Union[float, tuple[float, ...]]
+Integrand = Callable[[float], tuple[float, ...]]
 
 
 @dataclass(frozen=True)
 class QuadratureResult:
-    """``value`` and ``error`` are floats for a float-valued integrand and
-    tuples, one entry per component, for a tuple-valued one."""
-    value: Components
-    error: Components     # estimated bound on |value - true integral|
+    """``value`` and ``error`` hold one entry per integrand component."""
+    value: tuple[float, ...]
+    error: tuple[float, ...]  # estimated bound on |value - true integral|
     evaluations: int      # integrand calls (one per node, all components)
     subdivisions: int
 
@@ -113,8 +111,7 @@ class QuadratureConvergenceError(RuntimeError):
 
     def __init__(self, best: QuadratureResult, message: str):
         self.best = best
-        errors = best.error if isinstance(best.error, tuple) else (best.error,)
-        bound = ", ".join(f"{e:.3e}" for e in errors)
+        bound = ", ".join(f"{e:.3e}" for e in best.error)
         super().__init__(f"{message} (best value {best.value!r}, "
                          f"error bound {bound})")
 
@@ -122,20 +119,15 @@ class QuadratureConvergenceError(RuntimeError):
 def _eval_panel(f, a, b):
     """Gauss-Kronrod pair on [a, b] for every component of f.
 
-    Returns (kronrod values, error estimates, resasc per component, f
-    returned a bare float); resasc + |kronrod| bounds Integral |f| over the
-    panel and scales its rounding floor, and an error as large as resasc
-    marks a panel the rule does not resolve."""
+    Returns (kronrod values, error estimates, resasc) per component;
+    resasc + |kronrod| bounds Integral |f| over the panel and scales its
+    rounding floor, and an error as large as resasc marks a panel the rule
+    does not resolve."""
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     nodes = [mid + half * t for t in _KRONROD_NODES]
-    rows = [f(x) for x in nodes]
-    scalar = not isinstance(rows[0], tuple)
-    columns = (rows,) if scalar else tuple(zip(*rows))
-    values = []
-    errors = []
-    variations = []
-    for column in columns:
+    values, errors, variations = [], [], []
+    for column in zip(*(f(x) for x in nodes)):
         if not all(map(math.isfinite, column)):
             raise IntegrandEvaluationError(next(
                 x for x, y in zip(nodes, column) if not math.isfinite(y)))
@@ -159,7 +151,7 @@ def _eval_panel(f, a, b):
         values.append(kronrod)
         errors.append(err)
         variations.append(resasc)
-    return values, errors, variations, scalar
+    return values, errors, variations
 
 
 class _PanelSet:
@@ -174,19 +166,16 @@ class _PanelSet:
         self.heap = []          # (-badness, seq, a, b, values, errors)
         self.retired = []       # values of panels too narrow to bisect
         self.seq = 0
-        self.scalar = True
         self.value = []
         self.error = []
         self.size = []          # bound on Integral |f|, for the rounding floor
         self.evaluations = 0
 
     def add(self, a, b):
-        values, errors, variations, self.scalar = _eval_panel(self.f, a, b)
+        values, errors, variations = _eval_panel(self.f, a, b)
         if not self.value:
-            n = len(values)
-            self.value = [0.0] * n
-            self.error = [0.0] * n
-            self.size = [0.0] * n
+            self.value, self.error, self.size = ([0.0] * len(values)
+                                                 for _ in range(3))
         for k, (val, err, resasc) in enumerate(zip(values, errors,
                                                    variations)):
             self.value[k] += val
@@ -212,15 +201,11 @@ class _PanelSet:
     def result(self, subdivisions, tail_bound=None):
         tail_bound = tail_bound or [0.0] * len(self.value)
         panels = [entry[4] for entry in self.heap] + self.retired
-        values = [math.fsum(panel[k] for panel in panels)
-                  for k in range(len(self.value))]
-        errors = [err + 50.0 * _EPS * size + tail
-                  for err, size, tail in zip(self.error, self.size, tail_bound)]
-        if self.scalar:
-            return QuadratureResult(values[0], errors[0],
-                                    self.evaluations, subdivisions)
-        return QuadratureResult(tuple(values), tuple(errors),
-                                self.evaluations, subdivisions)
+        values = tuple(math.fsum(panel[k] for panel in panels)
+                       for k in range(len(self.value)))
+        errors = tuple(err + 50.0 * _EPS * size + tail for err, size, tail
+                       in zip(self.error, self.size, tail_bound))
+        return QuadratureResult(values, errors, self.evaluations, subdivisions)
 
     def refine(self, tail_bound=None):
         """Bisect worst panels until every component meets its target.
@@ -279,9 +264,9 @@ class _PanelSet:
         return self.result(subdivisions, tail_bound)
 
 
-def integrate_interval(f: Callable[[float], Components], a: float, b: float,
+def integrate_interval(f: Integrand, a: float, b: float,
                        *, points: Sequence[float] = ()) -> QuadratureResult:
-    """Integrate f, float- or tuple-valued, over the finite interval [a, b];
+    """Integrate every component of f over the finite interval [a, b];
     ``points`` inside it are the edges of the initial panels."""
     if not b > a:
         raise ValueError("requires b > a")
@@ -293,11 +278,10 @@ def integrate_interval(f: Callable[[float], Components], a: float, b: float,
     return panels.refine()
 
 
-def integrate_semi_infinite(f: Callable[[float], Components], *,
-                            start: float = 0.0,
+def integrate_semi_infinite(f: Integrand, *, start: float = 0.0,
                             points: Sequence[float] = (),
                             first_panel: float = 1.0) -> QuadratureResult:
-    """Integrate f, float- or tuple-valued, over (start, infinity).
+    """Integrate every component of f over (start, infinity).
 
     The integrand must be bounded near ``start`` (for a logarithmic
     singularity there, see :func:`integrate_log_endpoint`) and must decay
@@ -357,10 +341,9 @@ def integrate_semi_infinite(f: Callable[[float], Components], *,
     return panels.refine(tail_bound)
 
 
-def integrate_log_endpoint(f: Callable[[float], Components],
-                           width: float) -> QuadratureResult:
-    """Integrate f, float- or tuple-valued, over (0, width), where f may
-    have an integrable logarithmic singularity at 0.
+def integrate_log_endpoint(f: Integrand, width: float) -> QuadratureResult:
+    """Integrate every component of f over (0, width), where f may have an
+    integrable logarithmic singularity at 0.
 
     In the coordinate s = log(width/t) the integral is
 
@@ -378,14 +361,11 @@ def integrate_log_endpoint(f: Callable[[float], Components],
         raise ValueError("integrate_log_endpoint: width must be finite "
                          "and > 0")
 
-    def mapped(s: float) -> Components:
+    def mapped(s: float) -> tuple[float, ...]:
         # far out in s a small width underflows t to 0, where f may not
         # be defined; the smallest positive t leaves t f(t) as negligible
         t = max(width * math.exp(-s), _SMALLEST)
-        y = f(t)
-        if isinstance(y, tuple):
-            return tuple(t * v for v in y)
-        return t * y
+        return tuple(t * v for v in f(t))
 
     try:
         return integrate_semi_infinite(mapped)

@@ -611,10 +611,10 @@ def j_reflection(w: complex) -> tuple[complex, complex, complex]:
     +-Im w > 0 (|q| < 1): the reflection identity of the module docstring,
     and the jet of J at w plus that at -w.  The phase of q comes from
     w - round(Re w), which is exact.  With k = +-2 pi i and r = q/(1 - q)
-    the jet is (-log(1 - q), k w r, (k w)^2 r (1 + r)); where k w or
-    (k w)^2 overflows, k (w r) and k^2 (w r)(w + w r) with real products
-    by k and k^2, so that no part is nan, and inf only beyond the float
-    range.
+    the jet is (-log(1 - q), k w r, (k w)^2 r (1 + r)); where k w, (k w)^2
+    or r overflows, k (w r) and k^2 (w r)(w + w r) with real products by k
+    and k^2, so that no part is nan, and inf only beyond the float range;
+    1 - q is scaled by 2^64 where Im w is subnormal, to keep its digits.
     """
     w = complex(w)
     if w.imag == 0.0:
@@ -622,19 +622,23 @@ def j_reflection(w: complex) -> tuple[complex, complex, complex]:
     turn = math.copysign(2.0 * math.pi, w.imag)
     angle = turn * (w.real - round(w.real))
     q = cmath.rect(math.exp(-turn * w.imag), angle)
-    # 1 - q = 2 sin^2(angle/2) - (|q| - 1) cos(angle) - i Im q: no cancelling
-    rest = complex(2.0 * math.sin(0.5 * angle) ** 2
-                   - math.expm1(-turn * w.imag) * math.cos(angle), -q.imag)
-    r = q / rest
+    # rest = scale (1 - q), 1 - q = 2 sin^2(angle/2) - (|q| - 1) cos(angle)
+    # - i Im q: no cancelling; scale lifts a subnormal Im w (and 1 - q)
+    scale = 2.0 ** 64 if abs(w.imag) < 2.0 ** -1022 else 1.0
+    rest = complex(scale * 2.0 * math.sin(0.5 * angle) ** 2
+                   - math.expm1(-turn * (w.imag * scale)) * math.cos(angle),
+                   -scale * q.imag)
+    r = q / rest * scale
     kw = complex(0.0, turn) * w
     first, second = kw * r, kw * kw * r * (1.0 + r)
-    if not cmath.isfinite(first + second):     # k w or (k w)^2 overflowed
-        wr = w * r
+    if not cmath.isfinite(first + second):     # k w, (k w)^2 or r overflowed
+        wr = w * q / rest
+        wr = complex(scale * wr.real, scale * wr.imag)   # no inf * 0
         curve = wr * (w + wr)                   # w^2 r (1 + r)
         first = complex(-turn * wr.imag, turn * wr.real)
         second = complex(-turn * turn * curve.real, -turn * turn * curve.imag)
-    return (-(_log1p(-q) if abs(q) <= 0.5 else cmath.log(rest)),
-            first, second)
+    return (-(_log1p(-q) if abs(q) <= 0.5
+              else cmath.log(rest) - math.log(scale)), first, second)
 
 
 def j_jet(z: complex) -> tuple[complex, complex, complex]:

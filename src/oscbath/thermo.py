@@ -18,10 +18,11 @@ quadrature route integrates the spectral form
 
     F(theta) = (theta/pi) Integral dw log(1 - e^{-w/theta}) * bracket(w)
 
-directly, together with the matching moments for U and C in the same
-pass, and exists purely to cross-check the closed form.  The series
-route (:func:`series_point`) takes the printed low- and high-temperature
-expansions, with the theta^2 coefficient and cutoff shift of the bath.
+directly, with the matching moments in the same pass, and exists purely
+to cross-check the closed form.  The series route (:func:`series_point`)
+sums the printed low- and high-temperature expansions term by term.
+Every route returns the jet (G, A, B) of F/theta, from which one rule
+(:func:`_point`) makes F, S, U and C.
 """
 
 from __future__ import annotations
@@ -196,13 +197,17 @@ def _j_sum(plan: _Plan, theta: float) -> tuple[float, float, float]:
     return G + lead, A - lead, B + 2.0 * lead
 
 
-def _exact_j_point(plan: _Plan, theta: float) -> ThermoPoint:
-    G, A, B = _j_sum(plan, theta)
-    F = theta * G
-    if not math.isfinite(F):
-        raise OverflowError(f"theta = {theta!r} is too large: F = theta G "
-                            "overflows")
-    return ThermoPoint(theta, F, A - G, theta * A, -B, "exact_j")
+def _point(theta: float, G: float, A: float, B: float,
+           method: str) -> ThermoPoint:
+    """The ThermoPoint of the jet (G, A, B) of F/theta, G = F/theta,
+    A = -theta dG/dtheta and B = -A - theta dA/dtheta: F = theta G,
+    S = A - G, U = theta A and C = -B.  Where one of them is not finite,
+    raises OverflowError naming theta and the route."""
+    point = ThermoPoint(theta, theta * G, A - G, theta * A, -B, method)
+    if not all(map(math.isfinite, (point.F, point.S, point.U, point.C))):
+        raise OverflowError(f"theta = {theta!r} is out of the range of the "
+                            f"{method} route: it overflows")
+    return point
 
 
 def free_energy_exact(bath: CanonicalBath, theta: float) -> float:
@@ -235,18 +240,17 @@ def _resonance_edges(gamma: float, theta: float) -> list[float]:
     return edges
 
 
-def _spectral_moments(plan: _Plan, theta: float) -> tuple[float, ...]:
-    """F, S, U and C by one vector-valued quadrature of the spectral form.
+def _spectral_moments(plan: _Plan, theta: float) -> tuple[float, float, float]:
+    """The jet (G, A, B) of F/theta by one vector-valued quadrature of the
+    spectral form.  With x = w/theta and b = free_energy_integrand,
 
-    With x = w/theta and b = free_energy_integrand,
+        G =  (1/pi) Integral dw log(1 - e^{-x}) b(w)             = F/theta
+        A =  (1/pi) Integral dw x / (e^x - 1) b(w)               = U/theta
+        B = -(1/pi) Integral dw x^2 e^{-x} / (1 - e^{-x})^2 b(w) = -C
 
-        F = (theta/pi) Integral dw log(1 - e^{-x}) b(w)
-        U = (1/pi)     Integral dw w / (e^x - 1) b(w)
-        C = (1/pi)     Integral dw x^2 e^{-x} / (1 - e^{-x})^2 b(w)
-
-    and the three kernels share every node; S = (U - F)/theta.  The half
-    line is integrated in three pieces: (0, h), h = min(theta, 1/2), in
-    log(h/w), where the log singularity of the F kernel at w = 0 is smooth
+    and the three kernels share every node.  The half line is integrated
+    in three pieces: (0, h), h = min(theta, 1/2), in log(h/w), where the
+    log singularity of the G kernel at w = 0 is smooth
     (:func:`oscbath.quadrature.integrate_log_endpoint`); (h, 1/2) in w,
     with panel edges doubling outward from h; and the detuning w - 1
     beyond, with panels doubling outward from the thermal scale
@@ -254,8 +258,8 @@ def _spectral_moments(plan: _Plan, theta: float) -> tuple[float, ...]:
     thermal reach, so node positions near it keep their precision and the
     cost grows with log(1/gamma) only.  Each component is divided by t
     times the size of b at w ~ t, so the absolute tolerance floor acts
-    relative to the moments' own size.  A theta where that scale, a kernel
-    or F leaves the float range raises OverflowError naming theta.
+    relative to the moments' own size.  A theta where that scale or a
+    kernel leaves the float range raises OverflowError naming theta.
     """
     t = min(1.0, theta)
     weight_of = plan.weight
@@ -267,7 +271,7 @@ def _spectral_moments(plan: _Plan, theta: float) -> tuple[float, ...]:
     if scale < sys.float_info.min:
         raise OverflowError(f"theta = {theta!r} is too small for the "
                             "quadrature route: the spectral weight underflows")
-    norm = 1.0 / scale                   # F/theta ~ scale * theta on this scale
+    norm = 1.0 / scale                   # G = F/theta ~ scale
 
     def moments(w: float, weight: float) -> tuple[float, float, float]:
         weight *= norm
@@ -309,19 +313,9 @@ def _spectral_moments(plan: _Plan, theta: float) -> tuple[float, ...]:
     except IntegrandEvaluationError as exc:
         raise OverflowError(f"theta = {theta!r} is out of the range of the "
                             f"quadrature route: {exc}") from None
-    i_F, i_U, i_C = (sum(parts) for parts in
-                     zip(*(piece.value for piece in pieces)))
-    factor = scale / math.pi
-    F, U = theta * factor * i_F, theta * factor * i_U
-    if U - F >= sys.float_info.min:
-        S = (U - F) / theta
-    else:                       # theta S leaves the normal range before S
-        S = factor * (i_U - i_F)
-    C = factor * i_C
-    if not all(map(math.isfinite, (F, S, U, C))):
-        raise OverflowError(f"theta = {theta!r} is too large for the "
-                            "quadrature route: F overflows")
-    return F, S, U, C
+    k = scale / math.pi
+    G, A, heat = (k * sum(parts) for parts in zip(*(p.value for p in pieces)))
+    return G, A, -heat
 
 
 def free_energy_quadrature(bath: CanonicalBath, theta: float) -> float:
@@ -354,29 +348,30 @@ def sweep(bath: CanonicalBath, thetas: Iterable[float],
         regime = method.removesuffix("_series")
         return [series_point(bath, theta, regime) for theta in thetas]
     plan = _plan(bath)
-    if method == "exact_j":
-        return [_exact_j_point(plan, theta) for theta in thetas]
-    return [ThermoPoint(theta, *_spectral_moments(plan, theta), method)
-            for theta in thetas]
+    jet = _j_sum if method == "exact_j" else _spectral_moments
+    return [_point(theta, *jet(plan, theta), method) for theta in thetas]
 
 
 def thermo_point(bath: CanonicalBath, theta: float,
                  method: str = "exact_j") -> ThermoPoint:
     """F, S, U, C at one temperature: the one-point :func:`sweep`.
 
+    Every route forms the jet (G, A, B) of F/theta (A = U/theta, B = -C),
+    and one rule makes the point: F = theta G, S = A - G, U = theta A and
+    C = -B; where one is not finite, OverflowError names theta and route.
+
     ``exact_j``: one pass over the characteristic arguments
     x = c/(2 pi theta) sums G = sum sigma J(x), A = sum sigma x J'(x) and
-    B = sum sigma x^2 J''(x) from the jets of :mod:`oscbath.stieltjes`;
-    then F = theta G, S = A - G, U = theta A and C = -B.  Nothing is
-    differenced and the closed form's cancellations are done analytically,
-    so each is good to a few 1e-15 relative, tiny values included.  A
-    subnormal theta, or one so large that 2 pi theta overflows, raises
-    ValueError; one where F = theta G overflows (theta above ~2.6e305)
-    raises OverflowError.
+    B = sum sigma x^2 J''(x) from the jets of :mod:`oscbath.stieltjes`.
+    Nothing is differenced and the closed form's cancellations are done
+    analytically, so each is good to a few 1e-15 relative, tiny values
+    included.  A subnormal theta, or one so large that 2 pi theta
+    overflows, raises ValueError; F = theta G overflows above theta
+    ~2.6e305.
 
-    ``exact_quadrature``: F, U and C are three spectral moments from one
-    quadrature pass over shared nodes, and S = (U - F)/theta, which does
-    not cancel because the thermal F is negative and U positive.  No
+    ``exact_quadrature``: G, A and B are three spectral moments from one
+    quadrature pass over shared nodes, and S = A - G, which does not
+    cancel because the thermal G is negative and A positive.  No
     differencing is involved, so S, U and C are cross-checked on their own
     rather than derived from F.
 
@@ -386,38 +381,34 @@ def thermo_point(bath: CanonicalBath, theta: float,
     return sweep(bath, [theta], method)[0]
 
 
+def _power_jet(terms: Iterable[tuple[int, float]]
+               ) -> tuple[float, float, float]:
+    """The jet (G, A, B) of a sum of power terms c theta^p of G = F/theta,
+    given as (p, c theta^p): each enters G, A and B with the factors 1, -p
+    and p (p + 1)."""
+    G = A = B = 0.0
+    for p, term in terms:
+        G += term
+        A -= p * term
+        B += p * (p + 1) * term
+    return G, A, B
+
+
 def _low_t_series(theta: float, gamma: float, a: float,
                   n_terms: int) -> ThermoPoint:
-    """The first n_terms terms of the low-temperature series of F, S, U, C,
-    with theta^2 coefficient ``a``: the bath's static weight, gamma for the
-    Ohmic bath and 0 for the blackbody bath.  A theta so large that a term
-    overflows (above ~1e50) raises OverflowError."""
+    """The first n_terms terms of the low-temperature series, with theta^2
+    coefficient ``a`` of F: the bath's static weight, gamma for the Ohmic
+    bath and 0 for the blackbody bath.  A theta so large that a term
+    overflows raises OverflowError."""
     g2 = gamma * gamma
-    b = gamma * (3.0 - g2)
-    c = gamma * (5.0 - 5.0 * g2 + g2 * g2)
     pi = math.pi
-    t = theta
-    try:
-        F_terms = (pi * t**2 * a / 6.0,
-                   pi**3 * t**4 * b / 45.0,
-                   8.0 * pi**5 * t**6 * c / 315.0)
-        S_terms = (pi * t * a / 3.0,
-                   4.0 * pi**3 * t**3 * b / 45.0,
-                   16.0 * pi**5 * t**5 * c / 105.0)
-        U_terms = (pi * t**2 * a / 6.0,
-                   pi**3 * t**4 * b / 15.0,
-                   8.0 * pi**5 * t**6 * c / 63.0)
-        C_terms = (pi * t * a / 3.0,
-                   4.0 * pi**3 * t**3 * b / 15.0,
-                   16.0 * pi**5 * t**5 * c / 21.0)
-        if not all(map(math.isfinite, F_terms + S_terms + U_terms + C_terms)):
-            raise OverflowError
-    except OverflowError:
-        raise OverflowError(f"theta = {theta!r} is too large for the "
-                            "low-temperature series: it overflows") from None
-    F, S, U, C = (sum(terms[:n_terms])
-                  for terms in (F_terms, S_terms, U_terms, C_terms))
-    return ThermoPoint(theta, -F, S, U, C, "low_T_series")
+    coefficients = (-pi * a / 6.0,
+                    -pi**3 * gamma * (3.0 - g2) / 45.0,
+                    -8.0 * pi**5 * gamma * (5.0 - 5.0 * g2 + g2 * g2) / 315.0)
+    # theta^p as a product, which overflows to inf where ** would raise
+    return _point(theta, *_power_jet(
+        (p, c * math.prod([theta] * p))
+        for p, c in zip((1, 3, 5), coefficients[:n_terms])), "low_T_series")
 
 
 def ohmic_low_temperature(theta: float, gamma: float,
@@ -447,9 +438,7 @@ def qed_low_temperature(theta: float, gamma: float,
 
 def _chebyshev(n: int, x: float) -> float:
     """T_n(x) by the recurrence; for x > 1 this continues cos(n arccos x)
-    to cosh(n arccosh x), which is what the overdamped case needs."""
-    if n == 0:
-        return 1.0
+    to cosh(n arccosh x), which is what the overdamped case needs; n >= 1."""
     prev, cur = 1.0, x
     for _ in range(n - 1):
         prev, cur = cur, 2.0 * x * cur - prev
@@ -486,38 +475,25 @@ def ohmic_high_temperature(theta: float, gamma: float,
         raise ValueError("ohmic_high_temperature needs theta > 0")
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
+    return _point(theta, *_ohmic_high_t_jet(theta, gamma, n_terms),
+                  "high_T_series")
+
+
+def _ohmic_high_t_jet(theta: float, gamma: float,
+                      n_terms: int) -> tuple[float, float, float]:
+    """The jet (G, A, B) of :func:`ohmic_high_temperature`'s F/theta: the
+    sum by :func:`_power_jet` (its x^n is a power theta^-n), the log terms
+    in closed form."""
     x = 1.0 / (2.0 * math.pi * theta)
-    arc = _arc_term(gamma)
+    G, A, B = _power_jet((-n, -2.0 * zeta(n) * math.prod([-x] * n)
+                          * _chebyshev(n, 0.5 * gamma) / n)
+                         for n in range(2, n_terms + 2))
     half_g = gamma / (2.0 * math.pi)
-
-    sum_F = sum_S = sum_U = sum_C = 0.0
-    xn = x
-    half = 0.5 * gamma
-    for n in range(2, n_terms + 2):
-        xn *= x
-        base = (-1.0) ** n * zeta(n) * xn * _chebyshev(n, half)
-        sum_F += base / n
-        sum_S += base * (n - 1) / n
-        sum_U += base
-        sum_C += base * (n - 1)
-
     log_2pt = math.log(2.0 * math.pi * theta)
-    F = (-theta * math.log(theta) - half_g * log_2pt - arc / math.pi
-         - half_g * (1.0 - EULER_GAMMA) - 2.0 * theta * sum_F)
-    S = math.log(theta) + 1.0 + half_g / theta - 2.0 * sum_S
-    U = (theta - half_g * (log_2pt - EULER_GAMMA) - arc / math.pi
-         - 2.0 * theta * sum_U)
-    C = 1.0 - half_g / theta + 2.0 * sum_C
-    return _high_t_point(theta, F, S, U, C)
-
-
-def _high_t_point(theta: float, *values: float) -> ThermoPoint:
-    """The high_T_series ThermoPoint of F, S, U, C; raises OverflowError
-    naming theta where one of them overflows."""
-    if not all(map(math.isfinite, values)):
-        raise OverflowError(f"theta = {theta!r} is out of the range of the "
-                            "high-temperature series: it overflows")
-    return ThermoPoint(theta, *values, "high_T_series")
+    constant = _arc_term(gamma) / math.pi + half_g * (1.0 - EULER_GAMMA)
+    return (G - math.log(theta) - (half_g * log_2pt + constant) / theta,
+            A + 1.0 + (half_g * (1.0 - log_2pt) - constant) / theta,
+            B - 1.0 + half_g / theta)
 
 
 def qed_high_temperature(theta: float, gamma: float,
@@ -538,16 +514,16 @@ def qed_high_temperature(theta: float, gamma: float,
         raise ValueError("qed_high_temperature: n_terms must be 1..2")
     if not theta > 0.0:
         raise ValueError("qed_high_temperature needs theta > 0")
-    F = -theta * math.log(theta)
-    S = math.log(theta) + 1.0
-    U = theta
-    C = 1.0
+    F, S, U, C = -theta * math.log(theta), math.log(theta) + 1.0, theta, 1.0
     if n_terms == 2:
         F += math.pi * theta * theta * gamma / 6.0
         S -= math.pi * theta * gamma / 3.0
         U -= math.pi * theta * theta * gamma / 3.0
         C -= 2.0 * math.pi * theta * gamma / 3.0
-    return _high_t_point(theta, F, S, U, C)
+    if not all(map(math.isfinite, (F, S, U, C))):
+        raise OverflowError(f"theta = {theta!r} is out of the range of the "
+                            "high_T_series route: it overflows")
+    return ThermoPoint(theta, F, S, U, C, "high_T_series")
 
 
 def series_point(bath: CanonicalBath, theta: float,
@@ -558,8 +534,8 @@ def series_point(bath: CanonicalBath, theta: float,
     Low T: one table whose theta^2 coefficient is the bath's
     :func:`oscbath.baths.static_weight` (0 for the blackbody bath).  High
     T: the printed QED series for the blackbody bath, else the Ohmic series
-    plus the shift dF = pi theta^2 (1/Omega - 1/Omega')/6 (0 if Ohmic) and
-    its derivatives.  Requests outside the intended regime warn but still
+    plus dF = pi theta^2 (1/Omega - 1/Omega')/6 (0 if Ohmic), a power term
+    of F/theta.  Requests outside the intended regime warn but still
     evaluate; a theta where a series overflows raises OverflowError.
     """
     if regime not in ("low_T", "high_T"):
@@ -578,13 +554,11 @@ def series_point(bath: CanonicalBath, theta: float,
         return _low_t_series(theta, g, static_weight(bath), 3)
     if cutoff_relation(bath) == "blackbody":
         return qed_high_temperature(theta, g)
-    point = ohmic_high_temperature(theta, g)
-    cut = 1.0 / bath.Omega - 1.0 / bath.OmegaPrime       # 0 if Ohmic
-    # dF, which stays 0.0 for the Ohmic bath where theta^2 overflows
-    delta = math.pi * theta * theta / 6.0 * cut if cut else 0.0
-    dS = -2.0 * delta / theta                        # -d(dF)/dtheta
-    return _high_t_point(theta, point.F + delta, point.S + dS,
-                         point.U + delta + theta * dS, point.C + dS)
+    G, A, B = _ohmic_high_t_jet(theta, g, 6)
+    # dF/theta = pi theta (1/Omega - 1/Omega')/6, 0.0 for the Ohmic bath
+    shift = math.pi / 6.0 * (1.0 / bath.Omega - 1.0 / bath.OmegaPrime) * theta
+    return _point(theta, G + shift, A - shift, B + 2.0 * shift,
+                  "high_T_series")
 
 
 def zero_point(bath: CanonicalBath) -> float:

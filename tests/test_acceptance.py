@@ -216,10 +216,10 @@ def test_criterion_10_zero_point(capsys):
     closed = thermo.zero_point(bath)
 
     def integrand(w):
-        return w * baths.free_energy_integrand(bath, w) / (2.0 * math.pi)
+        return (w * baths.free_energy_integrand(bath, w) / (2.0 * math.pi),)
 
     from oscbath.quadrature import integrate_semi_infinite
-    oracle = integrate_semi_infinite(integrand).value
+    (oracle,) = integrate_semi_infinite(integrand).value
     oracle_ok = abs(closed - oracle) < 1e-8
 
     gaps = []

@@ -453,3 +453,40 @@ class TestSpectralWeight:
             w = 1e-7 / max(1.0, gamma)
             value = free_energy_integrand(bath, w)
             assert abs(value / (w * w) - leading) <= 1e-6 * leading
+
+    @pytest.mark.parametrize("spec", [
+        OhmicSpec(gamma=1.0), OhmicSpec(gamma=1e4),
+        SingleRelaxationSpec(gamma=1.0, tau=0.1),
+        SingleRelaxationSpec(gamma=1e-8, tau=1e-12),
+        QEDSpec(gamma=1.0, omega_prime=1e3),
+        QEDSpec(gamma=1e4, omega_prime=1e12),
+        QEDSpec(gamma=0.1, omega_prime=math.inf),
+    ], ids=repr)
+    def test_large_omega_against_mpmath(self, spec):
+        # the product form gave 0.0 at 1e50 (QED) and 1e80 (Ohmic) and nan
+        # beyond; the relaxation tails cancel.  Each value is within 1e-13
+        # of the three Lorentzians summed in exact-enough arithmetic, with
+        # Omega from the cutoff relation; an omega whose value is at the
+        # edge of the float range or beyond raises, naming it
+        mp = pytest.importorskip("mpmath")
+        bath = canonicalize(spec)
+        relation = baths.cutoff_relation(bath)
+        for exponent in range(30, 301, 15):
+            omega = 10.0 ** exponent
+            with mp.workdps(80 + 3 * exponent):
+                w, g = mp.mpf(omega), mp.mpf(bath.gamma)
+                exact = g * (w * w + 1) / ((w * w - 1) ** 2 + (g * w) ** 2)
+                prime = mp.mpf(bath.OmegaPrime)
+                if relation is not None:
+                    cutoff = (prime + g if relation == "relaxation"
+                              else 1 / (g + 1 / prime))
+                    exact -= cutoff / (w * w + cutoff ** 2)
+                if mp.isfinite(prime):
+                    exact += prime / (w * w + prime ** 2)
+            try:
+                value = free_energy_integrand(bath, omega)
+            except OverflowError as exc:
+                assert f"omega = {omega!r}" in str(exc)
+                assert abs(exact) < 1e-290, (omega, exact)
+                continue
+            assert abs(value - exact) <= 1e-13 * abs(exact), (omega, exact)

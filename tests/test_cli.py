@@ -439,44 +439,44 @@ PINNED_COMMON = ("--theta-min", "0.05", "--theta-max", "5", "--points", "3",
 PINNED_SWEEPS = [
     (('--model', 'qed', '--gamma', '0.1', '--omega-prime', '1e3', '--format', 'csv'), """\
 theta,F,S,U,C,method,model
-5.0000000000000003e-02,-1.3477339915710076e-06,1.1022320828068953e-04,4.1634264224634695e-06,3.4509655857212213e-04,low_T_series,qed
+5.0000000000000003e-02,-1.3477339915710078e-06,1.1022320828068955e-04,4.1634264224634695e-06,3.4509655857212218e-04,low_T_series,qed
 5.0000000000000003e-02,1.4991751337159911e-01,-2.0009682613099740e+00,4.9738200612200856e-02,9.8952802448803401e-01,high_T_series,qed
 5.0000000000000000e-01,-7.2988441552180927e-02,8.2435642791833974e-01,3.3918977240698894e-01,3.9157626567603732e+00,low_T_series,qed
 5.0000000000000000e-01,3.5966355966993013e-01,2.5449294188022481e-01,4.7382006122008508e-01,8.9528024488034019e-01,high_T_series,qed
-5.0000000000000000e+00,-6.0240986051992659e+04,7.2237678391683352e+04,3.0094740590642410e+05,3.6098237247558543e+05,low_T_series,qed
+5.0000000000000000e+00,-6.0240986051992659e+04,7.2237678391683352e+04,3.0094740590642416e+05,3.6098237247558543e+05,low_T_series,qed
 5.0000000000000000e+00,-6.7381926231747542e+00,2.0858391368358018e+00,2.3820061220085056e+00,-4.7197551196597631e-02,high_T_series,qed
 """),
     (('--model', 'srt', '--gamma', '0.5', '--tau', '0.01', '--format', 'json'), """\
 {
   "config": {"model": "srt", "gamma": 5.0000000000000000e-01, "tau": 1.0000000000000000e-02, "omega_prime": null, "theta_min": 5.0000000000000003e-02, "theta_max": 5.0000000000000000e+00, "points": 3, "log": true, "method": "low_T_series,high_T_series", "units": "reduced", "omega0_hz": null},
   "rows": [
-    {"theta": 5.0000000000000003e-02, "F": -6.6071707390381092e-04, "S": 2.6684055506956218e-02, "U": 6.7348570144399992e-04, "C": 2.7742583806940987e-02, "method": "low_T_series", "model": "srt"},
-    {"theta": 5.0000000000000003e-02, "F": -4.1171706662627763e+01, "S": -5.1082115014281999e+03, "U": -2.9658228173403774e+02, "C": 3.6549124613503278e+04, "method": "high_T_series", "model": "srt"},
-    {"theta": 5.0000000000000000e-01, "F": -3.5615790523888669e-01, "S": 3.5133899618568614e+00, "U": 1.4005370756895441e+00, "C": 1.5572233002426836e+01, "method": "low_T_series", "model": "srt"},
-    {"theta": 5.0000000000000000e-01, "F": -1.2125270739515437e-01, "S": 5.7217840659968000e-01, "U": 1.6483649590468560e-01, "C": 6.6874639200780162e-01, "method": "high_T_series", "model": "srt"},
-    {"theta": 5.0000000000000000e+00, "F": -2.3208678420882454e+05, "S": 2.7826205103418452e+05, "U": 1.1592234709620983e+06, "C": 1.3903523681332748e+06, "method": "low_T_series", "model": "srt"},
-    {"theta": 5.0000000000000000e+00, "F": -8.7548649579210505e+00, "S": 2.6270384838385663e+00, "U": 4.3803274612717784e+00, "C": 9.8154084959327703e-01, "method": "high_T_series", "model": "srt"}
+    {"theta": 5.0000000000000003e-02, "F": -6.6071707390381092e-04, "S": 2.6684055506956218e-02, "U": 6.7348570144400003e-04, "C": 2.7742583806940987e-02, "method": "low_T_series", "model": "srt"},
+    {"theta": 5.0000000000000003e-02, "F": -4.1171706662627749e+01, "S": -5.1082115014281999e+03, "U": -2.9658228173403774e+02, "C": 3.6549124613503278e+04, "method": "high_T_series", "model": "srt"},
+    {"theta": 5.0000000000000000e-01, "F": -3.5615790523888669e-01, "S": 3.5133899618568618e+00, "U": 1.4005370756895441e+00, "C": 1.5572233002426836e+01, "method": "low_T_series", "model": "srt"},
+    {"theta": 5.0000000000000000e-01, "F": -1.2125270739515434e-01, "S": 5.7217840659968000e-01, "U": 1.6483649590468566e-01, "C": 6.6874639200780162e-01, "method": "high_T_series", "model": "srt"},
+    {"theta": 5.0000000000000000e+00, "F": -2.3208678420882454e+05, "S": 2.7826205103418458e+05, "U": 1.1592234709620983e+06, "C": 1.3903523681332753e+06, "method": "low_T_series", "model": "srt"},
+    {"theta": 5.0000000000000000e+00, "F": -8.7548649579210522e+00, "S": 2.6270384838385659e+00, "U": 4.3803274612717775e+00, "C": 9.8154084959327703e-01, "method": "high_T_series", "model": "srt"}
   ]
 }
 """),
     (('--model', 'ohmic', '--gamma', '1', '--format', 'csv', '--units', 'si', '--omega0-hz', '1e12'), """\
 theta,T_kelvin,F,S,U,C,method,model
-5.0000000000000003e-02,3.8191162887888230e-01,-1.3896422175514159e-25,7.3262038246509001e-25,1.4083202186197075e-25,7.5245128198255215e-25,low_T_series,ohmic
-5.0000000000000003e-02,3.8191162887888230e-01,1.0640777573709542e-21,1.9470051772015918e-20,8.4999169439777201e-21,-1.5189842469651993e-19,high_T_series,ohmic
-5.0000000000000000e-01,3.8191162887888228e+00,-3.5693525255701395e-23,3.6861447034399871e-23,1.0508462754170158e-22,1.3636486351592348e-22,low_T_series,ohmic
-5.0000000000000000e-01,3.8191162887888228e+00,-1.7006028103294302e-23,9.2002543454364188e-24,1.8130813128362076e-23,8.7227740841540444e-24,high_T_series,ohmic
-5.0000000000000000e+00,3.8191162887888225e+01,-1.2898547860224128e-17,2.0215176004892204e-18,6.4305560100792649e-17,1.0088272713376895e-17,low_T_series,ohmic
-5.0000000000000000e+00,3.8191162887888225e+01,-9.4360674088363061e-22,3.6477456263759197e-23,4.4950973302141541e-22,1.3346098217625382e-23,high_T_series,ohmic
+5.0000000000000003e-02,3.8191162887888230e-01,-1.3896422175514159e-25,7.3262038246509001e-25,1.4083202186197073e-25,7.5245128198255215e-25,low_T_series,ohmic
+5.0000000000000003e-02,3.8191162887888230e-01,1.0640777573709542e-21,1.9470051772015912e-20,8.4999169439777201e-21,-1.5189842469651993e-19,high_T_series,ohmic
+5.0000000000000000e-01,3.8191162887888228e+00,-3.5693525255701395e-23,3.6861447034399865e-23,1.0508462754170158e-22,1.3636486351592348e-22,low_T_series,ohmic
+5.0000000000000000e-01,3.8191162887888228e+00,-1.7006028103294294e-23,9.2002543454364174e-24,1.8130813128362076e-23,8.7227740841540444e-24,high_T_series,ohmic
+5.0000000000000000e+00,3.8191162887888225e+01,-1.2898547860224130e-17,2.0215176004892204e-18,6.4305560100792649e-17,1.0088272713376895e-17,low_T_series,ohmic
+5.0000000000000000e+00,3.8191162887888225e+01,-9.4360674088363061e-22,3.6477456263759191e-23,4.4950973302141541e-22,1.3346098217625382e-23,high_T_series,ohmic
 """),
     (('--model', 'qed', '--gamma', '0.1', '--omega-prime', '1e3', '--format', 'json', '--units', 'si', '--omega0-hz', '2.5e13'), """\
 {
   "config": {"model": "qed", "gamma": 1.0000000000000001e-01, "tau": null, "omega_prime": 1.0000000000000000e+03, "theta_min": 5.0000000000000003e-02, "theta_max": 5.0000000000000000e+00, "points": 3, "log": true, "method": "low_T_series,high_T_series", "units": "si", "omega0_hz": 2.5000000000000000e+13},
   "rows": [
-    {"theta": 5.0000000000000003e-02, "T_kelvin": 9.5477907219720564e+00, "F": -3.5532057108092502e-27, "S": 1.5217956228952573e-27, "U": 1.0976580418207776e-26, "C": 4.7645721849604190e-27, "method": "low_T_series", "model": "qed"},
+    {"theta": 5.0000000000000003e-02, "T_kelvin": 9.5477907219720564e+00, "F": -3.5532057108092509e-27, "S": 1.5217956228952575e-27, "U": 1.0976580418207776e-26, "C": 4.7645721849604197e-27, "method": "low_T_series", "model": "qed"},
     {"theta": 5.0000000000000003e-02, "T_kelvin": 9.5477907219720564e+00, "F": 3.9524696119102268e-22, "S": -2.7626348290093543e-23, "U": 1.3113126148479791e-22, "C": 1.3661908774813799e-23, "method": "high_T_series", "model": "qed"},
     {"theta": 5.0000000000000000e-01, "T_kelvin": 9.5477907219720564e+01, "F": -1.9242888356920433e-22, "S": 1.1381468778490279e-23, "U": 8.9424993648763697e-22, "C": 5.4062937962935526e-23, "method": "low_T_series", "model": "qed"},
     {"theta": 5.0000000000000000e-01, "T_kelvin": 9.5477907219720564e+01, "F": 9.4822763407451524e-22, "S": 3.5136542571399054e-24, "U": 1.2491932072297909e-21, "C": 1.2360677748137968e-23, "method": "high_T_series", "model": "qed"},
-    {"theta": 5.0000000000000000e+00, "T_kelvin": 9.5477907219720566e+02, "F": -1.5882111529680387e-16, "S": 9.9734878433799235e-19, "U": 7.9342663167043542e-16, "C": 4.9838995157604459e-18, "method": "low_T_series", "model": "qed"},
+    {"theta": 5.0000000000000000e+00, "T_kelvin": 9.5477907219720566e+02, "F": -1.5882111529680387e-16, "S": 9.9734878433799235e-19, "U": 7.9342663167043562e-16, "C": 4.9838995157604459e-18, "method": "low_T_series", "model": "qed"},
     {"theta": 5.0000000000000000e+00, "T_kelvin": 9.5477907219720566e+02, "F": -1.7764770094793492e-20, "S": 2.8798117184332133e-23, "U": 6.2799913104790831e-21, "C": -6.5163251862031331e-25, "method": "high_T_series", "model": "qed"}
   ]
 }

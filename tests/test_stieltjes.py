@@ -478,24 +478,28 @@ class TestLeftHalfPlane:
             sj.j_reflection(-2.0)
 
     @pytest.mark.parametrize("w", [-1e308 + 1j, -1e200 + 0.001j,
-                                   -1e100 + 0.001j, -1e200 - 0.001j])
+                                   -1e100 + 0.001j, -1e200 - 0.001j,
+                                   -1e5 + 1e-310j, -1e5 - 1e-310j,
+                                   -1e308 + 1e-320j, -1e308 - 1e-320j])
     def test_huge_arguments_near_the_real_axis(self, w):
         # k w = 2 pi i w overflows here, and (k w)^2 where the jet's
-        # imaginary part does not: each part is within 1e-15 of the
+        # imaginary part does not; at a subnormal Im w and integer Re w,
+        # r = q/(1 - q) itself: each part is within 1e-15 of the
         # reference, or inf where the reference leaves the float range
-        # (and 0 where it underflows); never nan
+        # (0 where it underflows, an ulp where it is subnormal); never nan
         mp = pytest.importorskip("mpmath")
         with mp.workdps(40):
             side = 1 if w.imag > 0 else -1
             a, b = mp.mpf(w.real), mp.mpf(w.imag)
             k = mp.mpc(0, 2 * side) * mp.pi
-            q = mp.exp(-2 * mp.pi * abs(b)) * mp.mpc(mp.cospi(2 * a),
-                                                     side * mp.sinpi(2 * a))
-            r = q / (1 - q)
+            # log q, with the phase reduced exactly; 1 - q by expm1
+            log_q = 2 * mp.pi * mp.mpc(-abs(b), side * (a - mp.nint(a)))
+            q, rest = mp.exp(log_q), -mp.expm1(log_q)
+            r = q / rest
             kw = k * mp.mpc(a, b)
             # J(u) = 1/(12 u) to all digits at u = -w
             lead = 1 / (12 * mp.mpc(-a, -b))
-            want = (-mp.log1p(-q) - lead, kw * r + lead,
+            want = (-mp.log(rest) - lead, kw * r + lead,
                     kw * kw * r * (1 + r) - 2 * lead)
         for got, ref in zip(sj.j_jet(w), want):
             for part, exact in ((got.real, ref.real), (got.imag, ref.imag)):
@@ -504,6 +508,8 @@ class TestLeftHalfPlane:
                     assert part == math.copysign(math.inf, exact), (w, got)
                 elif abs(exact) < 5e-324:
                     assert part == 0.0, (w, got)
+                elif abs(exact) < sys.float_info.min:   # subnormal: to an ulp
+                    assert abs(part - exact) <= math.ulp(0.0), (w, got)
                 else:
                     assert abs(part - exact) <= 1e-15 * abs(exact), (w, got)
 

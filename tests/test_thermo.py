@@ -6,9 +6,11 @@ residual order they promise, and printed low-order truncations are
 re-derived independently inside the tests.
 """
 
+import contextlib
 import math
 import re
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -256,11 +258,33 @@ class TestOhmicLowTemperature:
 
     @pytest.mark.parametrize("series", [thermo.ohmic_low_temperature,
                                         thermo.qed_low_temperature])
-    @pytest.mark.parametrize("theta", [1e51, 1e52])
+    @pytest.mark.parametrize("theta", [1e52, 1e70])
     def test_overflow_names_theta(self, series, theta):
-        # at 1e51 the theta^6 term is inf; at 1e52 theta**6 itself raises
-        with pytest.raises(OverflowError, match=re.escape(f"theta = {theta!r}")):
+        # F = theta G overflows at 1e52, theta^5 in G at 1e70
+        with pytest.raises(OverflowError, match=re.escape(
+                f"theta = {theta!r} is out of the range of the low_T_series")):
             series(theta, 1.0)
+
+    @pytest.mark.parametrize("series, a", [(thermo.ohmic_low_temperature, 1),
+                                           (thermo.qed_low_temperature, 0)])
+    def test_finite_up_to_the_overflow(self, series, a):
+        # at theta = 1e51 F is ~-7.8e306: the printed truncation, evaluated
+        # in exact rationals (pi as its float), to 4 ulps
+        pi, t, b, c = Fraction(math.pi), Fraction(1e51), 2, 1   # gamma = 1
+        exact = {
+            "F": -(pi * t**2 * a / 6 + pi**3 * t**4 * b / 45
+                   + 8 * pi**5 * t**6 * c / 315),
+            "S": (pi * t * a / 3 + 4 * pi**3 * t**3 * b / 45
+                  + 16 * pi**5 * t**5 * c / 105),
+            "U": (pi * t**2 * a / 6 + pi**3 * t**4 * b / 15
+                  + 8 * pi**5 * t**6 * c / 63),
+            "C": (pi * t * a / 3 + 4 * pi**3 * t**3 * b / 15
+                  + 16 * pi**5 * t**5 * c / 21),
+        }
+        point = series(1e51, 1.0)
+        for name, want in exact.items():
+            got = getattr(point, name)
+            assert abs(Fraction(got) - want) <= 4 * math.ulp(float(want)), name
 
     def test_leading_entropy_coefficient(self):
         # S = pi theta gamma / 3 at first order
@@ -417,11 +441,9 @@ class TestQEDSeries:
 
 
 def cutoff_shift(bath, theta):
-    """The finite-cutoff shift of the free energy away from the Ohmic
-    series, pi theta^2 (1/Omega - 1/Omega')/6, rounded as series_point
-    rounds it."""
-    cut = 1.0 / bath.Omega - 1.0 / bath.OmegaPrime
-    return math.pi * theta * theta / 6.0 * cut
+    """The finite-cutoff shift of F/theta away from the Ohmic series,
+    pi theta (1/Omega - 1/Omega')/6, rounded as series_point rounds it."""
+    return math.pi / 6.0 * (1.0 / bath.Omega - 1.0 / bath.OmegaPrime) * theta
 
 
 class TestCutoffCorrection:
@@ -449,11 +471,16 @@ class TestCutoffCorrection:
         bath = CanonicalBath(gamma=1.0, Omega=100.0, OmegaPrime=99.0)
         theta = 0.3
         value = cutoff_shift(bath, theta)
-        expected = math.pi * theta**2 / 6.0 * (1.0 / 100.0 - 1.0 / 99.0)
+        expected = math.pi * theta / 6.0 * (1.0 / 100.0 - 1.0 / 99.0)
         assert abs(value - expected) < 1e-18
         assert value < 0.0
+        # the shift enters the jet of F/theta as (value, -value, 2 value)
+        G, A, B = thermo._ohmic_high_t_jet(theta, 1.0, 6)
         point = thermo.series_point(bath, theta, "high_T")
-        assert point.F == thermo.ohmic_high_temperature(theta, 1.0).F + value
+        assert point == thermo._point(theta, G + value, A - value,
+                                      B + 2.0 * value, "high_T_series")
+        want = thermo.ohmic_high_temperature(theta, 1.0).F + theta * value
+        assert abs(point.F - want) <= 4 * math.ulp(want)
 
 
 class TestZeroPoint:
@@ -466,9 +493,9 @@ class TestZeroPoint:
         closed = thermo.zero_point(bath)
 
         def integrand(w):
-            return w * baths.free_energy_integrand(bath, w) / (2.0 * math.pi)
+            return (w * baths.free_energy_integrand(bath, w) / (2.0 * math.pi),)
 
-        oracle = integrate_semi_infinite(integrand).value
+        (oracle,) = integrate_semi_infinite(integrand).value
         assert abs(closed - oracle) < 1e-8
 
     def test_zero_temperature_limit_of_modified_integrand(self):
@@ -479,9 +506,9 @@ class TestZeroPoint:
 
         def integrand(w):
             thermal = theta * math.log(-math.expm1(-w / theta)) + 0.5 * w
-            return thermal * baths.free_energy_integrand(bath, w) / math.pi
+            return (thermal * baths.free_energy_integrand(bath, w) / math.pi,)
 
-        total = integrate_semi_infinite(integrand).value
+        (total,) = integrate_semi_infinite(integrand).value
         assert abs(total - thermo.zero_point(bath)) < 2e-6
 
     def test_relaxation_relation_to_rounding_is_finite(self):
@@ -572,13 +599,13 @@ class TestSeriesPoint:
         for tau in (0.01, 0.1):
             bath = baths.canonicalize(SingleRelaxationSpec(gamma=1.0, tau=tau))
             point = thermo.series_point(bath, theta, regime)
-            delta = cutoff_shift(bath, theta)
+            delta = theta * cutoff_shift(bath, theta)
             assert delta < 0.0
             want = series(theta, 1.0).F + delta
             if regime == "low_T":
                 assert abs(point.F - want) <= 1e-15 * abs(want)
             else:
-                assert point.F == want
+                assert abs(point.F - want) <= 4 * math.ulp(want)
 
     @pytest.mark.parametrize("spec", [
         SingleRelaxationSpec(gamma=1.0, tau=0.1),
@@ -772,13 +799,29 @@ class TestFloatRange:
 
     @pytest.mark.parametrize("spec, theta, match", [
         (QEDSpec(gamma=0.1, omega_prime=1e3), 1e-150, "too small"),
-        (OhmicSpec(gamma=1.0), 1e306, "too large"),
+        (OhmicSpec(gamma=1.0), 1e306,
+         "out of the range of the exact_quadrature route"),
     ])
     def test_quadrature_out_of_range_names_theta(self, spec, theta, match):
         bath = baths.canonicalize(spec)
         with pytest.raises(OverflowError,
                            match=re.escape(f"theta = {theta!r} is {match}")):
             thermo.thermo_point(bath, theta, "exact_quadrature")
+
+    @pytest.mark.parametrize("method, theta", [
+        ("exact_j", 1e306), ("exact_quadrature", 1e306),
+        ("low_T_series", 1e60), ("high_T_series", 1e306),
+    ])
+    def test_every_route_names_theta_and_itself_where_it_overflows(
+            self, method, theta):
+        bath = baths.canonicalize(OhmicSpec(gamma=1.0))
+        # the low-T series overflows only far outside its regime, and says so
+        notice = (pytest.warns(UserWarning, match="low-temperature series")
+                  if method == "low_T_series" else contextlib.nullcontext())
+        with notice, pytest.raises(OverflowError, match=re.escape(
+                f"theta = {theta!r} is out of the range of the "
+                f"{method} route")):
+            thermo.thermo_point(bath, theta, method)
 
 
 @pytest.fixture
