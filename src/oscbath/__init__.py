@@ -5,14 +5,15 @@ blackbody-radiation (QED) heat bath has an exact free energy expressible
 through the Stieltjes J-function at the characteristic frequencies of its
 susceptibility.  This package provides
 
-* a multi-route J-function engine whose independent evaluation methods
-  cross-validate one another (:mod:`oscbath.stieltjes`),
+* the J-function jet ``j_jet`` that the exact route runs on, and the
+  independent J routes that cross-check it (:mod:`oscbath.stieltjes`),
 * an adaptive quadrature oracle for the underlying spectral integrals
   (:mod:`oscbath.quadrature`),
 * the bath models and their canonical susceptibility parameters
   (:mod:`oscbath.baths`),
 * exact and series thermodynamics F, S, U, C plus zero-point energies
-  (:mod:`oscbath.thermo`),
+  (:mod:`oscbath.thermo`; ``sweep`` tabulates a temperature list by any of
+  ``METHODS``, ``series_point`` gives one series point),
 * a command-line interface (``oscbath sweep | jfun | zeropoint``).
 
 Reduced units throughout: hbar = k = 1, frequencies in units of omega0,
@@ -43,6 +44,7 @@ from .quadrature import (
 from .stieltjes import (
     j_asymptotic,
     j_continue_left,
+    j_jet,
     j_lanczos,
     j_loggamma,
     j_quadrature,
@@ -51,6 +53,7 @@ from .stieltjes import (
     zeta,
 )
 from .thermo import (
+    METHODS,
     DivergenceError,
     ThermoPoint,
     free_energy_exact,
@@ -59,6 +62,8 @@ from .thermo import (
     ohmic_low_temperature,
     qed_high_temperature,
     qed_low_temperature,
+    series_point,
+    sweep,
     thermo_point,
     zero_point,
     zero_point_ohmic_asymptotic,

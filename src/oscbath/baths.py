@@ -229,7 +229,9 @@ def susceptibility(bath: CanonicalBath, z: complex) -> complex:
     mass (m = 1).
 
     For infinite cutoffs the ratio (z + i Omega)/(z + i Omega') is taken as
-    1 analytically.  All poles lie in the open lower half plane.
+    1 analytically.  All poles lie in the open lower half plane.  Finite
+    Omega with Omega' = inf, the point-electron limit (bare mass m = 0),
+    raises ValueError; :mod:`oscbath.thermo` computes that bath all the same.
     """
     z = complex(z)
     osc = z * z + 1j * bath.gamma * z - 1.0
@@ -301,66 +303,55 @@ def spectral_weight(bath: CanonicalBath) -> Callable[[float, float], float]:
     ``weight(w, detuning)`` of w > 0 and the detuning w - 1, with the
     bath's constants bound once.
 
-    The detuning is passed separately so that a caller integrating in the
-    detuning near the resonance keeps it exact: w^2 - 1 is formed as
-    detuning (w + 1), and a weak-damping resonance of width gamma is
-    resolved to full precision.  The three Lorentzian terms are combined in
-    closed form for each cutoff relation, so that their static values,
-    which cancel exactly for the blackbody bath, are never subtracted in
-    floating point: the weight keeps full relative accuracy at small w.
-    The Ohmic bath takes the relaxation form, whose cutoff terms vanish
-    with 1/Omega = 1/Omega' = 0.  Beyond _LARGE_W (and 4 Omega, where the
-    two relaxation tails ~1/w^2 cancel) one numerator polynomial in w^2 is
-    divided by factors that do not overflow."""
+    One formula per cutoff relation over the whole float range: the three
+    Lorentzians over their common denominator (w^2 - 1)^2 + gamma^2 w^2
+    times (1 + q^2 w^2)(1 + p^2 w^2), q = 1/Omega, p = 1/Omega', with a
+    numerator polynomial in w^2, so the static values (which cancel for the
+    blackbody bath) and the relaxation tails ~1/w^2 are never subtracted.
+    The Ohmic bath takes the relaxation formula with p = q = 0.  It is
+    evaluated on w = u/v, v = 1/w above 1 and 1 below, so that no power
+    overflows, with (w^2 - 1) v^2 = detuning (u + v) v exact near a
+    weak-damping resonance for a caller that integrates in the detuning.
+    The two cutoff factors are never multiplied together: one that
+    overflows alone leaves a weight below the normal range."""
     g = bath.gamma
-    g2 = g * g
     p = 1.0 / bath.OmegaPrime                   # 0 for an infinite cutoff
     blackbody = cutoff_relation(bath) == "blackbody"
     q = g + p if blackbody else 1.0 / bath.Omega            # 1/Omega
-    pq = p * q
-    q2, p2 = q * q, p * p
-
-    def far(w: float) -> tuple[float, float, float]:
-        # |w - 1/w + i g|, c = 1/(|1 + i q w| |1 + i p w|) and w c: the
-        # denominator is (w h / c)^2, and none of them overflows
-        c = 1.0 / (math.hypot(1.0, q * w) * math.hypot(1.0, p * w))
-        return math.hypot(w - 1.0 / w, g), c, w * c
+    pq, g2 = p * q, g * g
 
     if blackbody:
+        # gamma (1 + pq) w^2 (pq w^4 + middle w^2 + 3)
         lead = g * (1.0 + pq)
-        middle = q * g + p * p - 1.0            # g^2 + g p + p^2 - 1
+        n2, n0 = lead * pq, 3.0 * lead
+        n1 = lead * ((g - 1.0) * (g + 1.0) + p * (g + p))         # middle
 
         def weight(w: float, detuning: float) -> float:
-            if w > _LARGE_W:
-                h, c, wc = far(w)
-                return lead * ((pq * w * w + middle) * wc * wc
-                               + 3.0 * c * c) / h / h
-            w2 = w * w
-            diff = detuning * (w + 1.0)
-            resonance = diff * diff + g2 * w2
-            return (lead * w2 * (3.0 + (middle + pq * w2) * w2)
-                    / (resonance * (1.0 + q2 * w2) * (1.0 + p2 * w2)))
+            v = 1.0 / w if w > 1.0 else 1.0
+            u = w * v
+            u2, v2 = u * u, v * v
+            diff = detuning * (u + v) * v
+            # r = 1/(v^2 + (q u)^2) takes up the w^2 of the numerator; v (v r)
+            # keeps a power of v from underflowing before it is divided
+            r = 1.0 / (v2 + q * u * (q * u))
+            return (u2 * (n2 * u2 * u2 * r + (n1 * u2 + n0 * v2) * v * (v * r))
+                    / ((diff * diff + g2 * u2 * v2) * (1.0 + p * w * (p * w))))
         return weight
-    # the numerator g (n2 w^4 + n1 w^2 + 1 + pq) over the common denominator
-    n2 = q2 + pq * (2.0 + q * g + 3.0 * pq)
-    n1 = 1.0 + pq * (g2 * (1.0 + pq) - pq)
-    tails = min(4.0 * bath.Omega, _LARGE_W)
+    # gamma (n2 w^4 + n1 w^2 + 1 + pq): the w^6 terms cancel exactly
+    n2 = g * (q * q + pq * (2.0 + q * g + 3.0 * pq))
+    n1 = g * (1.0 + pq * (g2 * (1.0 + pq) - pq))
+    n0 = g * (1.0 + pq)
 
     def weight(w: float, detuning: float) -> float:
-        if w > tails:
-            h, c, wc = far(w)
-            return g * (n2 * wc * wc + (n1 + (1.0 + pq) / w / w) * c * c) / h / h
-        w2 = w * w
-        diff = detuning * (w + 1.0)
-        resonance = diff * diff + g2 * w2
-        return g * ((w2 + 1.0) / resonance
-                    + pq * (1.0 - pq * w2)
-                    / ((1.0 + q2 * w2) * (1.0 + p2 * w2)))
+        v = 1.0 / w if w > 1.0 else 1.0
+        u = w * v
+        u2, v2 = u * u, v * v
+        diff = detuning * (u + v) * v
+        # (x v) v, not x v2: v2 is subnormal where gamma v^2 may not be
+        return ((n2 * u2 * u2 + (n1 * u2 + n0 * v2) * v * v)
+                / ((diff * diff + g2 * u2 * v2) * (1.0 + q * w * (q * w)))
+                / (1.0 + p * w * (p * w)))
     return weight
-
-
-# Above the quadrature nodes of theta <= 1e3, below the w^8 overflow (~1e38).
-_LARGE_W = 1e30
 
 
 def free_energy_integrand(bath: CanonicalBath, omega: float) -> float:
@@ -370,9 +361,12 @@ def free_energy_integrand(bath: CanonicalBath, omega: float) -> float:
         -Omega/(w^2+Omega^2) + Omega'/(w^2+Omega'^2)
             + gamma (w^2 + 1) / ((w^2 - 1)^2 + gamma^2 w^2)
 
-    which is Im d log alpha(w + i0+)/dw.  Infinite cutoffs drop their
-    Lorentzian terms; see :func:`spectral_weight` for the form that is
-    evaluated.  Outside the normal range it raises OverflowError.
+    which is Im d log alpha(w + i0+)/dw; infinite cutoffs drop their
+    Lorentzians.  :func:`spectral_weight` evaluates it within 8 eps (1 +
+    kappa), kappa = |w b'/b| (measured for gamma 1e-6 .. 1e3, Omega' 1e2 ..
+    inf, w 1e-10 .. 1e20), and to 1e-15 from there to the largest float.
+    A value not finite or below the smallest normal float raises
+    OverflowError naming omega (the blackbody ~3 gamma w^2 at tiny omega).
     """
     if not omega > 0.0:
         raise ValueError("free_energy_integrand: omega must be > 0")

@@ -3,6 +3,7 @@
 import cmath
 import contextlib
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -387,6 +388,31 @@ class TestSpectralWeight:
             value += bath.OmegaPrime / (w * w + bath.OmegaPrime ** 2)
         return value
 
+    @staticmethod
+    def definition(mp, spec):
+        """The three Lorentzians as a function of an mpf w, with Omega from
+        the cutoff relation on the bath's gamma and Omega', at the working
+        precision of the call."""
+        bath = canonicalize(spec)
+        g, relation = mp.mpf(bath.gamma), baths.cutoff_relation(bath)
+        prime = (mp.mpf(bath.OmegaPrime) if math.isfinite(bath.OmegaPrime)
+                 else None)
+        if relation is None:
+            cutoff = None
+        elif relation == "relaxation":
+            cutoff = prime + g
+        else:
+            cutoff = 1 / g if prime is None else 1 / (g + 1 / prime)
+
+        def exact(w):
+            value = g * (w * w + 1) / ((w * w - 1) ** 2 + (g * w) ** 2)
+            if cutoff is not None:
+                value -= cutoff / (w * w + cutoff * cutoff)
+            if prime is not None:
+                value += prime / (w * w + prime * prime)
+            return value
+        return exact
+
     def test_relations_are_recognised(self):
         assert baths.cutoff_relation(canonicalize(OhmicSpec(gamma=0.3))) is None
         assert baths.cutoff_relation(canonicalize(
@@ -453,6 +479,87 @@ class TestSpectralWeight:
             w = 1e-7 / max(1.0, gamma)
             value = free_energy_integrand(bath, w)
             assert abs(value / (w * w) - leading) <= 1e-6 * leading
+
+    def test_within_eight_eps_of_the_definition(self):
+        # the three Lorentzians, Im d log alpha/dw for the three factors of
+        # alpha, in 60 digits with Omega from the cutoff relation; the error
+        # is measured in eps (1 + kappa), kappa = |w b'/b| the condition
+        # number.  Forming gamma^2 + gamma p + p^2 - 1 as written cancels
+        # near gamma = 1 (3.5e4 at Omega' = 1e12, w = 3162); summing the
+        # relaxation bath's oscillator and cutoff fractions was 10.4 off at
+        # gamma = 0.5, tau gamma = 0.9, w = 0.316
+        mp = pytest.importorskip("mpmath")
+        eps = 2.0 ** -52
+        gammas = (1e-6, 1e-3, 0.1, 0.5, 0.9, 1.0, 1.1, 2.0, 10.0, 1e3)
+        ws = [10.0 ** (k / 2) for k in range(-20, 41)] + [1 - 1e-6, 1 + 1e-6]
+        worst = {}
+        specs = []
+        for g in gammas:
+            specs.append(OhmicSpec(g))
+            specs += [QEDSpec(g, prime)
+                      for prime in (1e2, 1e3, 1e6, 1e9, 1e12, math.inf)]
+            specs += [SingleRelaxationSpec(g, tau_gamma / g)
+                      for tau_gamma in (1e-8, 0.1, 0.5, 0.9)]
+        with mp.workdps(60):
+            for spec in specs:
+                exact = self.definition(mp, spec)
+                weight = baths.spectral_weight(canonicalize(spec))
+                for w in ws:
+                    b = exact(mp.mpf(w))
+                    if b == 0:
+                        continue
+                    kappa = abs(w * mp.diff(exact, mp.mpf(w)) / b)
+                    error = float(abs(weight(w, w - 1.0) - b)
+                                  / (abs(b) * eps * (1 + kappa)))
+                    model = type(spec).__name__
+                    if error > worst.get(model, (0.0,))[0]:
+                        worst[model] = (error, spec, w)
+        assert max(item[0] for item in worst.values()) <= 8.0, worst
+
+    def test_large_omega_normal_values(self):
+        # where the weight is a normal float it is returned to 1e-14, from
+        # w = 1e20 to the largest float; only a value below the normal range
+        # raises.  Multiplying the two cutoff factors together overflowed
+        # at SRT gamma = 1e-8 near w = 1e70 (value 3e-289), forming v^2
+        # before dividing by v^2 + (q u)^2 lost digits at the point electron
+        # gamma = 1e-8 near w = 1e157, a hypot product overflowed at QED
+        # gamma = 1e4, Omega' = 100 near w = 1e153, and v^2 formed before
+        # gamma would at Ohmic gamma = 1e4 near w = 1e155
+        mp = pytest.importorskip("mpmath")
+        for spec in (SingleRelaxationSpec(gamma=1e-8, tau=1e7),
+                     QEDSpec(gamma=1e-8, omega_prime=math.inf),
+                     QEDSpec(gamma=1e4, omega_prime=100.0),
+                     OhmicSpec(gamma=1e4)):
+            bath = canonicalize(spec)
+            for k in range(80, 1233):
+                omega = 10.0 ** (k / 4)
+                with mp.workdps(60 + int(0.55 * k)):
+                    exact = self.definition(mp, spec)(mp.mpf(omega))
+                try:
+                    value = free_energy_integrand(bath, omega)
+                except OverflowError:
+                    assert abs(exact) < sys.float_info.min, (spec, omega)
+                    continue
+                assert abs(value - exact) <= 1e-14 * abs(exact), (spec, omega)
+
+    @pytest.mark.parametrize("omega", [1e-300, 5e-324])
+    def test_small_omega(self, omega):
+        # the Ohmic and relaxation weights tend to the static weight; the
+        # blackbody weight ~ 3 gamma w^2 underflows and raises, naming omega
+        for spec in (OhmicSpec(gamma=1.0), OhmicSpec(gamma=1e-8),
+                     OhmicSpec(gamma=1e4),
+                     SingleRelaxationSpec(gamma=1.0, tau=0.1),
+                     SingleRelaxationSpec(gamma=1e-3, tau=900.0),
+                     SingleRelaxationSpec(gamma=1e-8, tau=1e-12)):
+            bath = canonicalize(spec)
+            static = baths.static_weight(bath)
+            assert abs(free_energy_integrand(bath, omega) - static) \
+                <= 2 * math.ulp(static), spec
+        for spec in (QEDSpec(gamma=0.1, omega_prime=1e3),
+                     QEDSpec(gamma=1e4, omega_prime=1e12),
+                     QEDSpec(gamma=0.1, omega_prime=math.inf)):
+            with pytest.raises(OverflowError, match=f"omega = {omega!r}"):
+                free_energy_integrand(canonicalize(spec), omega)
 
     @pytest.mark.parametrize("spec", [
         OhmicSpec(gamma=1.0), OhmicSpec(gamma=1e4),

@@ -870,3 +870,7 @@ class TestQuadratureCost:
         for gamma in (1e-2, 1e-5):
             thermo.thermo_point(ohmic(gamma), 0.5, "exact_quadrature")
         assert counts[1e-5] < 3 * counts[1e-2]
+
+
+def test_package_exports_the_engine():
+    from oscbath import METHODS, j_jet, series_point, sweep  # noqa: F401
