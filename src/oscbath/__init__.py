@@ -29,7 +29,6 @@ from .baths import (
     SingleRelaxationSpec,
     canonicalize,
     free_energy_integrand,
-    mu_tilde,
     roots,
     susceptibility,
 )

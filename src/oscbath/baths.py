@@ -36,18 +36,12 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 __all__ = [
-    "TAU_E_SECONDS",
     "OhmicSpec", "SingleRelaxationSpec", "QEDSpec", "BathSpec",
     "CanonicalBath", "RootPair",
-    "canonicalize", "roots", "mu_tilde",
-    "susceptibility", "susceptibility_kernel_form",
+    "canonicalize", "roots", "susceptibility",
     "free_energy_integrand", "spectral_weight", "static_weight",
-    "cutoff_relation", "qed_mass_ratio", "gamma_large_cutoff",
+    "cutoff_relation",
 ]
-
-# Electron radiation-reaction time 2 e^2 / (3 M c^3); the large-cutoff limit
-# of the blackbody bath has gamma/omega0 = omega0 * tau_e.
-TAU_E_SECONDS = 6e-24
 
 
 @dataclass(frozen=True)
@@ -183,47 +177,6 @@ def roots(gamma: float) -> RootPair:
                     "overdamped")
 
 
-def _spring_rate(spec: BathSpec) -> float:
-    """K/m, the oscillator spring constant per unit (bare) mass."""
-    if isinstance(spec, OhmicSpec):
-        return 1.0
-    bath = canonicalize(spec)
-    op, g = bath.OmegaPrime, bath.gamma
-    if isinstance(spec, SingleRelaxationSpec):
-        return op / (op + g)
-    return 1.0 + g * op
-
-
-def mu_tilde(spec: BathSpec, z: complex) -> complex:
-    """Memory-friction kernel mu(z) per unit mass, upper half plane only.
-
-    Ohmic: the constant gamma.  Single relaxation time: zeta/(1 - i z tau)
-    with zeta and tau from the cutoff relations.  QED (finite cutoff):
-    (gamma + Omega' - Omega) z / (z + i Omega), the form-factor kernel
-    rewritten in the canonical parameters.
-    """
-    z = complex(z)
-    if z.imag < 0.0:
-        raise ValueError("mu_tilde: kernel is analytic for Im z >= 0 only")
-    if isinstance(spec, OhmicSpec):
-        return complex(spec.gamma, 0.0)
-    if isinstance(spec, SingleRelaxationSpec):
-        bath = canonicalize(spec)
-        op, g = bath.OmegaPrime, bath.gamma
-        # zeta/m, which tends to gamma in the Ohmic limit
-        zeta = g * (op * op + g * op + 1.0) / (op + g) ** 2
-        return zeta / (1.0 - 1j * z / bath.Omega)
-    if isinstance(spec, QEDSpec):
-        if math.isinf(spec.omega_prime):
-            raise ValueError(
-                "mu_tilde per unit bare mass is undefined in the "
-                "point-electron limit (bare mass -> 0)")
-        bath = canonicalize(spec)
-        strength = bath.gamma + bath.OmegaPrime - bath.Omega
-        return strength * z / (z + 1j * bath.Omega)
-    raise TypeError(f"not a bath spec: {spec!r}")
-
-
 def susceptibility(bath: CanonicalBath, z: complex) -> complex:
     """Generalized susceptibility alpha(z) in the canonical form, per unit
     mass (m = 1).
@@ -250,16 +203,6 @@ def susceptibility(bath: CanonicalBath, z: complex) -> complex:
     if denominator == 0:
         raise ValueError(f"susceptibility: z = {z!r} is a pole")
     return numerator / denominator
-
-
-def susceptibility_kernel_form(spec: BathSpec, z: complex) -> complex:
-    """alpha(z) = 1 / (-z^2 - i z mu(z) + K/m) straight from the kernel;
-    agrees with :func:`susceptibility` of the canonicalized bath (mass 1)."""
-    z = complex(z)
-    denominator = -z * z - 1j * z * mu_tilde(spec, z) + _spring_rate(spec)
-    if denominator == 0:
-        raise ValueError(f"susceptibility: z = {z!r} is a pole")
-    return 1.0 / denominator
 
 
 def cutoff_relation(bath: CanonicalBath) -> str | None:
@@ -375,19 +318,3 @@ def free_energy_integrand(bath: CanonicalBath, omega: float) -> float:
         raise OverflowError(f"omega = {omega!r}: the spectral weight leaves "
                             "the float range")
     return value
-
-
-def qed_mass_ratio(spec: QEDSpec) -> float:
-    """Renormalized over bare mass, M/m = (1 + gamma Omega') (Omega' + gamma)
-    / Omega'; infinite in the point-electron limit."""
-    if math.isinf(spec.omega_prime):
-        return math.inf
-    op, g = spec.omega_prime, spec.gamma
-    return (1.0 + g * op) * (op + g) / op
-
-
-def gamma_large_cutoff(omega0_si: float) -> float:
-    """Reduced friction gamma/omega0 = omega0 * tau_e of the large-cutoff
-    blackbody bath, for an oscillator frequency omega0 in rad/s."""
-    _require_positive(omega0_si=omega0_si)
-    return omega0_si * TAU_E_SECONDS

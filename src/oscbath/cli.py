@@ -15,6 +15,7 @@ byte-identical between runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -43,7 +44,11 @@ class _ConfigError(ValueError):
     pass
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built on first use and then kept:
+    parsing leaves it unchanged, and building it costs over ten times a
+    parse."""
     parser = argparse.ArgumentParser(
         prog="oscbath",
         description="Thermodynamics of a damped quantum oscillator in "
@@ -329,13 +334,20 @@ def _cmd_zeropoint(args) -> int:
 
 # ----------------------------------------------------------------- main ----
 
+_HANDLERS = {"sweep": _cmd_sweep, "jfun": _cmd_jfun,
+             "zeropoint": _cmd_zeropoint}
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    handlers = {"sweep": _cmd_sweep, "jfun": _cmd_jfun,
-                "zeropoint": _cmd_zeropoint}
+    """Run one ``oscbath`` command line (``sys.argv[1:]`` when ``argv`` is
+    None) and return its exit code: stdout carries the result, stderr an
+    ``error:`` line for exit codes 2, 3 and 4, and argparse usage errors
+    raise SystemExit(2) as in a fresh process.  The parser is built once
+    per process, so repeated calls in one process give the same stdout,
+    stderr and exit code as ``python -m oscbath.cli`` with the same argv."""
+    args = _build_parser().parse_args(argv)
     try:
-        return handlers[args.command](args)
+        return _HANDLERS[args.command](args)
     except thermo.DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGENT

@@ -33,6 +33,12 @@ Available routes:
 * :func:`j_continue_left` -- J in the left half plane, from :func:`j_jet`.
 * :func:`j_auto_named`  -- region dispatch over the routes, named.
 
+Each of these routes rejects a non-finite z with ValueError naming z.  The
+Lanczos, log-gamma, asymptotic and continuation routes raise OverflowError
+naming z where their value of J is not finite; the series is finite on its
+disk, and the quadrature raises IntegrandEvaluationError where its
+integrand is not finite.
+
 The thermodynamic functions need J and its first two derivatives to full
 double precision, as jets (J, z J', z^2 J''): :func:`j_jet` for J whole,
 :func:`j_remainder` with the leading 1/(12 z) term taken out,
@@ -143,6 +149,22 @@ def _on_cut(z: complex) -> bool:
     return z.imag == 0.0 and z.real <= 0.0
 
 
+def _finite_argument(name, z):
+    """z as a complex number; ValueError naming z where it is not finite."""
+    z = complex(z)
+    if not cmath.isfinite(z):
+        raise ValueError(f"{name}: z = {z!r} is not finite")
+    return z
+
+
+def _finite_value(name, z, value):
+    """A route's value of J at z; OverflowError naming z where it is not
+    finite, so that no route returns inf or nan."""
+    if not cmath.isfinite(value):
+        raise OverflowError(f"{name}: J is not finite at z = {z!r}")
+    return value
+
+
 def _log1p(z: complex) -> complex:
     """Principal log(1 + z) for complex z, accurate for small |z|."""
     if abs(z) > 0.5:
@@ -188,10 +210,11 @@ def j_loggamma(z: complex) -> complex:
     log-gamma and Stirling terms; prefer :func:`j_lanczos` or
     :func:`j_asymptotic` there.
     """
-    z = complex(z)
+    z = _finite_argument("j_loggamma", z)
     if _on_cut(z):
         raise ValueError("j_loggamma: z on the branch cut (-inf, 0]")
-    return log_gamma(z + 1.0) - LOG_SQRT_2PI - (z + 0.5) * cmath.log(z) + z
+    return _finite_value("j_loggamma", z, log_gamma(z + 1.0) - LOG_SQRT_2PI
+                         - (z + 0.5) * cmath.log(z) + z)
 
 
 def j_lanczos(z: complex) -> complex:
@@ -204,14 +227,14 @@ def j_lanczos(z: complex) -> complex:
     analytically, so no large-|z| cancellation).  The imaginary axis
     (z != 0) is allowed: the formula remains finite and continuous there.
     """
-    z = complex(z)
+    z = _finite_argument("j_lanczos", z)
     if z == 0:
         raise ValueError("j_lanczos: z = 0 is a singular point")
     if z.real < 0.0:
         raise ValueError("j_lanczos: requires Re z >= 0; use j_continue_left")
     g_half = LANCZOS_G + 0.5
-    return ((z + 0.5) * _log1p(g_half / z) - g_half
-            + cmath.log(_lanczos_series(z)))
+    return _finite_value("j_lanczos", z, (z + 0.5) * _log1p(g_half / z)
+                         - g_half + cmath.log(_lanczos_series(z)))
 
 
 def j_series_small(z: complex, n_terms: int = 60) -> complex:
@@ -223,7 +246,7 @@ def j_series_small(z: complex, n_terms: int = 60) -> complex:
     Terms shrink like |z|^n, so n_terms must grow as |z| -> 1 (about 300
     terms at |z| = 0.9 for full double precision).
     """
-    z = complex(z)
+    z = _finite_argument("j_series_small", z)
     if n_terms < 2:
         raise ValueError("j_series_small: n_terms must be >= 2")
     if abs(z) >= 1.0:
@@ -253,7 +276,7 @@ def j_asymptotic(z: complex, n_terms: int = 11) -> tuple[complex, float]:
     kept one the requested order is in the divergent regime and a
     ValueError is raised instead.
     """
-    z = complex(z)
+    z = _finite_argument("j_asymptotic", z)
     if z == 0:
         raise ValueError("j_asymptotic: z = 0 is a singular point")
     if not 1 <= n_terms <= _MAX_ASYMPTOTIC_TERMS:
@@ -278,7 +301,7 @@ def j_asymptotic(z: complex, n_terms: int = 11) -> tuple[complex, float]:
             "j_asymptotic: divergent regime at this order "
             f"(first omitted term {bound:.2e} exceeds last kept "
             f"{last_magnitude:.2e}); use fewer terms or another method")
-    return value, bound
+    return _finite_value("j_asymptotic", z, value), bound
 
 
 def j_continue_left(w: complex) -> complex:
@@ -286,13 +309,13 @@ def j_continue_left(w: complex) -> complex:
     :func:`j_jet`, there from the reflection identity for |w| >= 1/2.
     Values from above and below the negative real axis genuinely differ
     (branch structure inherited from log Gamma)."""
-    w = complex(w)
+    w = _finite_argument("j_continue_left", w)
     if w.imag == 0.0:
         raise ValueError("j_continue_left: negative real axis is the branch cut")
     if w.real >= 0.0:
         raise ValueError("j_continue_left: requires Re w < 0 "
                          "(the imaginary axis is a natural boundary)")
-    return j_jet(w)[0]
+    return _finite_value("j_continue_left", w, j_jet(w)[0])
 
 
 def j_quadrature(z: complex) -> complex:
@@ -304,7 +327,7 @@ def j_quadrature(z: complex) -> complex:
     log singularity of the integrand at t = 0 is integrated over (0, 1) in
     the coordinate log(1/t), the rest over (1, inf) in t.
     """
-    z = complex(z)
+    z = _finite_argument("j_quadrature", z)
     if not z.real > 0.0:
         raise ValueError("j_quadrature: the integral requires Re z > 0")
     z_sq = z * z
@@ -336,7 +359,7 @@ def j_auto_named(z: complex) -> tuple[complex, str]:
     continuation route (natural boundary); call a formula route directly if
     a boundary value is wanted.
     """
-    z = complex(z)
+    z = _finite_argument("j_auto_named", z)
     if _on_cut(z):
         raise ValueError("j_auto_named: z on the branch cut (-inf, 0]")
     if z.real > 0.0:

@@ -11,6 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bath_kernels
+from bath_kernels import mu_tilde, qed_mass_ratio, susceptibility_kernel_form
 from oscbath import baths
 from oscbath.baths import (
     CanonicalBath,
@@ -19,11 +21,8 @@ from oscbath.baths import (
     SingleRelaxationSpec,
     canonicalize,
     free_energy_integrand,
-    mu_tilde,
-    qed_mass_ratio,
     roots,
     susceptibility,
-    susceptibility_kernel_form,
 )
 
 
@@ -372,7 +371,7 @@ class TestQEDMassRatio:
 class TestLargeCutoffGamma:
     def test_reduced_friction(self):
         # gamma/omega0 = omega0 * tau_e
-        assert abs(baths.gamma_large_cutoff(1e15) - 1e15 * 6e-24) < 1e-22
+        assert abs(bath_kernels.gamma_large_cutoff(1e15) - 1e15 * 6e-24) < 1e-22
 
 
 class TestSpectralWeight:

@@ -1,9 +1,14 @@
 """Tests for the command-line surface: schema, determinism, round trips,
 exit codes, and config precedence."""
 
+import argparse
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +19,12 @@ REDUCED_HEADER = "theta,F,S,U,C,method,model"
 
 
 def run(capsys, argv):
-    code = cli.main(argv)
+    """cli.main as a process runs it: a usage error's SystemExit gives the
+    exit code."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -382,6 +392,33 @@ class TestJfun:
         assert code == 2
         assert "branch cut" in err
 
+    @pytest.mark.parametrize("re_part,im_part,method", [
+        ("inf", "0", "auto"), ("inf", "0", "lanczos"),
+        ("inf", "0", "loggamma"), ("nan", "nan", "series"),
+        ("nan", "0", "auto")])
+    def test_non_finite_z_rejected(self, capsys, re_part, im_part, method):
+        code, out, err = run(capsys, ["jfun", re_part, im_part,
+                                      "--method", method])
+        assert code == 2 and out == ""
+        z = complex(float(re_part), float(im_part))
+        assert f"z = {z!r} is not finite" in err
+
+    @pytest.mark.parametrize("method", ["auto", "lanczos"])
+    def test_overflow_exits_3_naming_z(self, capsys, method):
+        # the Lanczos formula's (z + 1/2) log(1 + 5.5/z) overflows
+        code, out, err = run(capsys, ["jfun", "1e-320", "0",
+                                      "--method", method])
+        assert code == 3 and out == ""
+        assert "J is not finite at z = (1e-320+0j)" in err
+
+    @pytest.mark.parametrize("method", ["loggamma", "series"])
+    def test_tiny_z_finite_by_the_other_routes(self, capsys, method):
+        # J(z) ~ -log sqrt(2 pi) - log(z)/2 = 367.49...
+        code, out, _ = run(capsys, ["jfun", "1e-320", "0",
+                                    "--method", method])
+        assert code == 0
+        assert "= 3.67494681912282e+02 +0.00000000000000e+00j" in out
+
 
 class TestZeropoint:
     def test_srt_free_oscillator(self, capsys):
@@ -428,6 +465,68 @@ class TestZeropoint:
         code, _, err = run(capsys, ["zeropoint", "--model", "ohmic",
                                     "--gamma", "1"])
         assert code == 2 and "tau" in err
+
+
+class TestParserReuse:
+    """main builds its parser once per process; no call may leak state into
+    the next."""
+
+    def test_repeated_calls_match_a_fresh_process(self, tmp_path, capsys,
+                                                   monkeypatch):
+        config = tmp_path / "sweep.cfg"
+        config.write_text("model = srt\ngamma = 0.5\ntau = 0.01\n"
+                          "points = 3\nlog = yes\nformat = json\n")
+        sweep = ["sweep", "--model", "ohmic", "--gamma", "1",
+                 "--theta-min", "0.1", "--theta-max", "10", "--points", "3"]
+        asymptotic = ["jfun", "8", "1", "--method", "asymptotic"]
+        sequence = [
+            sweep + ["--log"],
+            asymptotic + ["--terms", "3"],
+            ["jfun", "2", "3", "--method", "bogus"],           # usage error
+            sweep,
+            asymptotic,
+            ["sweep", "--config", str(config)],
+            ["sweep", "--model", "qed", "--points", "x"],     # usage error
+            sweep + ["--method", "exact_j,low_T_series"],
+            ["jfun", "inf", "0"],
+            ["zeropoint", "--model", "srt", "--gamma", "1", "--tau", "0.01"],
+        ]
+        # usage text wraps at the terminal width; pin it for both sides
+        monkeypatch.setenv("COLUMNS", "80")
+        env = dict(os.environ)
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")      # the series regime notices
+            in_process = [run(capsys, argv) for argv in sequence]
+        assert [code for code, _, _ in in_process] == \
+            [0, 0, 2, 0, 0, 0, 2, 0, 2, 0]
+        for argv, result in zip(sequence, in_process):
+            fresh = subprocess.run(
+                [sys.executable, "-W", "ignore", "-m", "oscbath.cli", *argv],
+                capture_output=True, text=True, env=env, timeout=120)
+            assert result == (fresh.returncode, fresh.stdout, fresh.stderr), \
+                argv
+
+    def test_parser_built_once(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(parser, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                            counting_init)
+        cli._build_parser.cache_clear()
+        for _ in range(5):
+            assert run(capsys, ["jfun", "1", "0"])[0] == 0
+            assert run(capsys, ["jfun", "1", "0", "--terms", "x"])[0] == 2
+            assert run(capsys, ["zeropoint", "--model", "srt", "--gamma", "1",
+                                "--tau", "0.01"])[0] == 0
+        assert built == ["oscbath", "oscbath sweep", "oscbath jfun",
+                         "oscbath zeropoint"]
 
 
 # stdout of four layouts (csv and json, reduced and SI units), pinned byte

@@ -11,6 +11,7 @@ absolute differences in J (the Lanczos coefficients carry an intrinsic
 
 import cmath
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -283,6 +284,49 @@ class TestJAuto:
             sj.j_auto_named(0.3j)
         with pytest.raises(ValueError):
             sj.j_auto_named(-2.0)
+
+
+# every route a ``jfun`` method runs, as z -> J(z)
+ROUTES = {
+    "j_auto_named": lambda z: sj.j_auto_named(z)[0],
+    "j_quadrature": sj.j_quadrature,
+    "j_loggamma": sj.j_loggamma,
+    "j_lanczos": sj.j_lanczos,
+    "j_series_small": sj.j_series_small,
+    "j_asymptotic": lambda z: sj.j_asymptotic(z)[0],
+    "j_continue_left": sj.j_continue_left,
+}
+
+
+class TestNonFinite:
+    """Every route returns a finite J or raises: ValueError naming a
+    non-finite z, OverflowError naming z where its value is not finite."""
+
+    @pytest.mark.parametrize("name", ROUTES)
+    @pytest.mark.parametrize("z", [
+        complex(math.inf, 0.0), complex(-math.inf, 0.0),
+        complex(math.nan, 0.0), complex(math.nan, math.nan),
+        complex(0.5, math.inf), complex(-1.0, math.nan)])
+    def test_non_finite_argument_named(self, name, z):
+        with pytest.raises(ValueError, match=re.escape(
+                f"{name}: z = {z!r} is not finite")):
+            ROUTES[name](z)
+
+    @pytest.mark.parametrize("name", ["j_auto_named", "j_lanczos"])
+    def test_lanczos_overflow_named(self, name):
+        with pytest.raises(OverflowError,
+                           match=re.escape("J is not finite at z = (1e-320+0j)")):
+            ROUTES[name](1e-320)
+
+    def test_asymptotic_overflow_named(self):
+        with pytest.raises(OverflowError,
+                           match=re.escape("j_asymptotic: J is not finite")):
+            sj.j_asymptotic(1e-320, n_terms=1)
+
+    @pytest.mark.parametrize("name", ["j_loggamma", "j_series_small"])
+    def test_tiny_argument_finite(self, name):
+        expected = -sj.LOG_SQRT_2PI - 0.5 * math.log(1e-320)
+        assert abs(ROUTES[name](1e-320) - expected) <= 1e-15 * expected
 
 
 class TestInvariantsAndProperties:
