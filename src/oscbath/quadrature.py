@@ -11,11 +11,15 @@ endpoint singularity is never evaluated.  An integrable logarithmic
 singularity at an endpoint is integrated by :func:`integrate_log_endpoint`
 in the coordinate log(1/t), where it is smooth.
 
-The integrand returns a tuple of floats, which is integrated in one pass:
-each node is evaluated once, every component gets its own Kronrod value,
-error estimate and tolerance target, and the tail march and the refinement
-stop only when every component meets its target.  A single integral is the
-one-component case, a 1-tuple.
+The panel, not the node, is the unit of work.  An integrand takes the 15
+abscissae of one panel, as a list, and returns one column of 15 floats
+per component (a sequence of lists or tuples, column k holding component
+k at every abscissa in order); it is called once per panel.  All
+components are integrated in one pass: each node is evaluated once, every
+component gets its own Kronrod value, error estimate and tolerance target,
+and the tail march and the refinement stop only when every component
+meets its target.  A single integral is the one-component case, one
+column.
 
 All routines are pure functions of their arguments and are safe to call
 concurrently.
@@ -26,7 +30,8 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from operator import mul
+from itertools import repeat
+from operator import mul, sub
 from typing import Callable, Sequence
 
 __all__ = [
@@ -83,7 +88,8 @@ _MAX_STAGNANT = 6
 _MAX_GROWING = 20
 
 
-Integrand = Callable[[float], tuple[float, ...]]
+# One panel's 15 abscissae -> one column of 15 values per component.
+Integrand = Callable[[list[float]], Sequence[Sequence[float]]]
 
 
 @dataclass(frozen=True)
@@ -91,7 +97,7 @@ class QuadratureResult:
     """``value`` and ``error`` hold one entry per integrand component."""
     value: tuple[float, ...]
     error: tuple[float, ...]  # estimated bound on |value - true integral|
-    evaluations: int      # integrand calls (one per node, all components)
+    evaluations: int      # abscissae evaluated: 15 per panel, all components
     subdivisions: int
 
 
@@ -117,29 +123,33 @@ class QuadratureConvergenceError(RuntimeError):
 
 
 def _eval_panel(f, a, b):
-    """Gauss-Kronrod pair on [a, b] for every component of f.
+    """Gauss-Kronrod pair on [a, b] for every component of f, from one
+    call of f on the panel's 15 abscissae.
 
     Returns (kronrod values, error estimates, resasc) per component;
     resasc + |kronrod| bounds Integral |f| over the panel and scales its
     rounding floor, and an error as large as resasc marks a panel the rule
-    does not resolve."""
+    does not resolve.  A component whose Kronrod sum is not finite is
+    scanned node by node, and the first non-finite value raises
+    IntegrandEvaluationError naming its abscissa."""
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     nodes = [mid + half * t for t in _KRONROD_NODES]
     values, errors, variations = [], [], []
-    for column in zip(*(f(x) for x in nodes)):
-        if not all(map(math.isfinite, column)):
-            raise IntegrandEvaluationError(next(
-                x for x, y in zip(nodes, column) if not math.isfinite(y)))
+    for column in f(nodes):
         kronrod = sum(map(mul, _KRONROD_WEIGHTS, column))
+        if not math.isfinite(kronrod):
+            for x, y in zip(nodes, column):
+                if not math.isfinite(y):
+                    raise IntegrandEvaluationError(x)
         gauss = sum(map(mul, _GAUSS_WEIGHTS, column[1::2]))
         # QUADPACK-style estimate: sharpen |K - G| by the panel's own
         # variation scale resasc ~ Integral |f - mean|, so smooth panels get
         # the realistic (much smaller) Kronrod error while rough or singular
         # panels keep a conservative bound.
         mean = 0.5 * kronrod
-        resasc = half * sum(w * abs(y - mean)
-                            for w, y in zip(_KRONROD_WEIGHTS, column))
+        resasc = half * sum(map(mul, _KRONROD_WEIGHTS,
+                                map(abs, map(sub, column, repeat(mean)))))
         kronrod *= half
         gauss *= half
         diff = abs(kronrod - gauss)
@@ -361,11 +371,11 @@ def integrate_log_endpoint(f: Integrand, width: float) -> QuadratureResult:
         raise ValueError("integrate_log_endpoint: width must be finite "
                          "and > 0")
 
-    def mapped(s: float) -> tuple[float, ...]:
+    def mapped(nodes: list[float]) -> list[list[float]]:
         # far out in s a small width underflows t to 0, where f may not
         # be defined; the smallest positive t leaves t f(t) as negligible
-        t = max(width * math.exp(-s), _SMALLEST)
-        return tuple(t * v for v in f(t))
+        ts = [max(width * math.exp(-s), _SMALLEST) for s in nodes]
+        return [list(map(mul, ts, column)) for column in f(ts)]
 
     try:
         return integrate_semi_infinite(mapped)

@@ -33,11 +33,13 @@ Available routes:
 * :func:`j_continue_left` -- J in the left half plane, from :func:`j_jet`.
 * :func:`j_auto_named`  -- region dispatch over the routes, named.
 
-Each of these routes rejects a non-finite z with ValueError naming z.  The
-Lanczos, log-gamma, asymptotic and continuation routes raise OverflowError
-naming z where their value of J is not finite; the series is finite on its
-disk, and the quadrature raises IntegrandEvaluationError where its
-integrand is not finite.
+Each of these routes rejects a non-finite z with ValueError naming z, and
+the quadrature and log-gamma routes also a z outside the domain where they
+were measured to meet their bounds (:data:`QUADRATURE_RANGE` of |z|,
+:data:`LOGGAMMA_FLOOR` of Re z).  The Lanczos, log-gamma, asymptotic and
+continuation routes raise OverflowError naming z where their value of J is
+not finite; the series is finite on its disk, and the quadrature raises
+IntegrandEvaluationError where its integrand is not finite.
 
 The thermodynamic functions need J and its first two derivatives to full
 double precision, as jets (J, z J', z^2 J''): :func:`j_jet` for J whole,
@@ -62,7 +64,7 @@ __all__ = [
     "EULER_GAMMA", "LOG_SQRT_2PI",
     "LANCZOS_G", "LANCZOS_N", "LANCZOS_D",
     "BERNOULLI_EVEN", "zeta",
-    "log_gamma",
+    "log_gamma", "LOGGAMMA_FLOOR", "QUADRATURE_RANGE",
     "j_quadrature", "j_loggamma", "j_lanczos", "j_series_small",
     "j_asymptotic", "j_continue_left", "j_auto_named",
     "SMALL_ARGUMENT", "j_jet", "j_reflection",
@@ -112,6 +114,16 @@ _BERNOULLI_BEYOND = {
 }
 
 _MAX_ASYMPTOTIC_TERMS = len(BERNOULLI_EVEN)  # 11
+
+# The |z| range where j_quadrature is measured to stay within 5e-15 of J
+# (relative) off the imaginary axis: below 1e-16 the peak of its kernel at
+# t ~ |z| falls inside the first panel unseen, above 1e11 J ~ 1/(12 z)
+# approaches the 1e-15 absolute tolerance of the quadrature.
+QUADRATURE_RANGE = (1e-16, 1e11)
+# Re z below which j_loggamma no longer meets its 1e-9 absolute bound:
+# log_gamma shifts the argument right one unit per step, whose rounding
+# (and time) grows with |Re z|; 6.4e-10 worst seen on (-1e4, -1e3).
+LOGGAMMA_FLOOR = -1e4
 
 
 def _zeta_euler_maclaurin(s: int, cut: int = 50, corrections: int = 8) -> float:
@@ -187,11 +199,16 @@ def log_gamma(w: complex) -> complex:
 
     Lanczos form for Re w >= 0.5; smaller real parts are shifted right with
     the recurrence log Gamma(w) = log Gamma(w+n) - sum log(w+k), which
-    preserves the continuous branch for w off the cut.
+    preserves the continuous branch for w off the cut.  The shift takes
+    one step per unit of Re w, so Re w < LOGGAMMA_FLOOR raises ValueError
+    naming w.
     """
     w = complex(w)
     if _on_cut(w):
         raise ValueError("log_gamma: argument on the branch cut (-inf, 0]")
+    if w.real < LOGGAMMA_FLOOR:
+        raise ValueError(f"log_gamma: w = {w!r} has Re w < "
+                         f"{LOGGAMMA_FLOOR:g}, beyond the reach of its shift")
     shift = 0.0 + 0.0j
     while w.real < 0.5:
         shift += cmath.log(w)
@@ -204,15 +221,22 @@ def log_gamma(w: complex) -> complex:
 
 
 def j_loggamma(z: complex) -> complex:
-    """J(z) from the log-gamma form; valid off the cut (-inf, 0].
+    """J(z) from the log-gamma form; valid off the cut (-inf, 0] with
+    Re z >= LOGGAMMA_FLOOR.
 
     At very large |z| this route loses accuracy to cancellation between the
     log-gamma and Stirling terms; prefer :func:`j_lanczos` or
-    :func:`j_asymptotic` there.
+    :func:`j_asymptotic` there.  Left of the floor the shift of
+    :func:`log_gamma` misses the 1e-9 absolute bound (4e-9 at
+    -1e5 + 1j), so Re z < LOGGAMMA_FLOOR raises ValueError naming z.
     """
     z = _finite_argument("j_loggamma", z)
     if _on_cut(z):
         raise ValueError("j_loggamma: z on the branch cut (-inf, 0]")
+    if z.real < LOGGAMMA_FLOOR:
+        raise ValueError(f"j_loggamma: z = {z!r} has Re z < "
+                         f"{LOGGAMMA_FLOOR:g}, where the route misses its "
+                         "1e-9 bound")
     return _finite_value("j_loggamma", z, log_gamma(z + 1.0) - LOG_SQRT_2PI
                          - (z + 0.5) * cmath.log(z) + z)
 
@@ -319,31 +343,43 @@ def j_continue_left(w: complex) -> complex:
 
 
 def j_quadrature(z: complex) -> complex:
-    """J(z) from the defining integral, Re z > 0 only.
+    """J(z) from the defining integral, Re z > 0 and
+    QUADRATURE_RANGE[0] <= |z| <= QUADRATURE_RANGE[1] only.
 
     Real and imaginary parts of the integrand are the two components of
     one adaptive pass over shared nodes, making this route independent of
     the Lanczos rational core used by every analytic formula here.  The
     log singularity of the integrand at t = 0 is integrated over (0, 1) in
-    the coordinate log(1/t), the rest over (1, inf) in t.
+    the coordinate log(1/t), the rest over (1, inf) in t.  Outside that
+    range of |z| the kernel z / (z^2 + t^2) is a peak the panels miss or a
+    value below the absolute tolerance, and the result would be silently
+    wrong, so a z there raises ValueError naming it.
     """
     z = _finite_argument("j_quadrature", z)
     if not z.real > 0.0:
         raise ValueError("j_quadrature: the integral requires Re z > 0")
+    low, high = QUADRATURE_RANGE
+    if not low <= abs(z) <= high:
+        raise ValueError(f"j_quadrature: z = {z!r} is outside the range "
+                         f"{low:g} <= |z| <= {high:g} of the quadrature")
     z_sq = z * z
     inv_pi = 1.0 / math.pi
 
-    def integrand(t: float) -> tuple[float, float]:
-        # log(1 - e^{-2 pi t}): log(-expm1) keeps t -> 0 accurate; log1p
-        # keeps large t from rounding to log 1 = 0
-        x = 2.0 * math.pi * t
-        if x < 1.0:
-            log_factor = math.log(-math.expm1(-x))
-        else:
-            log_factor = math.log1p(-math.exp(-x))
-        kernel = z / (z_sq + t * t)
-        weight = -inv_pi * log_factor
-        return weight * kernel.real, weight * kernel.imag
+    def integrand(ts: list[float]) -> tuple[list[float], list[float]]:
+        real, imag = [], []
+        for t in ts:
+            # log(1 - e^{-2 pi t}): log(-expm1) keeps t -> 0 accurate;
+            # log1p keeps large t from rounding to log 1 = 0
+            x = 2.0 * math.pi * t
+            if x < 1.0:
+                log_factor = math.log(-math.expm1(-x))
+            else:
+                log_factor = math.log1p(-math.exp(-x))
+            kernel = z / (z_sq + t * t)
+            weight = -inv_pi * log_factor
+            real.append(weight * kernel.real)
+            imag.append(weight * kernel.imag)
+        return real, imag
 
     head = integrate_log_endpoint(integrand, 1.0).value
     tail = integrate_semi_infinite(integrand, start=1.0).value

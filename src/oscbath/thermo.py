@@ -60,6 +60,9 @@ _RESONANCE_REACH = 700.0
 # Panel edges graded toward the weak-damping resonance at w = 1 stop
 # this far from it; broader resonances (gamma >= 2 x this) need none.
 _RESONANCE_SPAN = 0.25
+# Beyond x = w/theta ~ 745.2, exp(-x) is 0.0 and every thermal kernel is
+# exactly 0: the quadrature route integrates nothing at w >= _DARK theta.
+_DARK = 746.0
 
 
 class DivergenceError(ValueError):
@@ -240,6 +243,36 @@ def _resonance_edges(gamma: float, theta: float) -> list[float]:
     return edges
 
 
+def _moments(ws: list[float], weights: list[float], theta: float,
+             norm: float) -> tuple[list[float], list[float], list[float]]:
+    """The three thermal kernels of :func:`_spectral_moments` times
+    norm b(w), one column each, at the abscissae ``ws`` with the spectral
+    weights b(w) of ``weights``.  At x = w/theta beyond ~745.2 all three
+    are exactly 0 (of either sign)."""
+    exp, expm1, log, log1p = math.exp, math.expm1, math.log, math.log1p
+    free, energy, heat = [], [], []
+    for w, weight in zip(ws, weights):
+        weight *= norm
+        x = w / theta
+        if x < 1e-150:  # x*x and 1/x leave the float range: log x, 1, 1
+            free.append((log(w) - log(theta)) * weight)
+            energy.append(weight)
+            heat.append(weight)
+            continue
+        decay = exp(-x)
+        rise = -expm1(-x)                            # 1 - e^{-x}
+        # log(1 - e^{-x}): log(-expm1) keeps x -> 0 accurate; log1p keeps
+        # large x from rounding to log 1 = 0
+        log_factor = log(rise) if x < 1.0 else log1p(-decay)
+        bose = decay / rise                          # 1 / (e^x - 1)
+        # beyond x ~ 745 bose is 0, and x * x may overflow
+        kernel = x * x * bose / rise if bose else 0.0
+        free.append(log_factor * weight)
+        energy.append(x * bose * weight)
+        heat.append(kernel * weight)
+    return free, energy, heat
+
+
 def _spectral_moments(plan: _Plan, theta: float) -> tuple[float, float, float]:
     """The jet (G, A, B) of F/theta by one vector-valued quadrature of the
     spectral form.  With x = w/theta and b = free_energy_integrand,
@@ -248,18 +281,23 @@ def _spectral_moments(plan: _Plan, theta: float) -> tuple[float, float, float]:
         A =  (1/pi) Integral dw x / (e^x - 1) b(w)               = U/theta
         B = -(1/pi) Integral dw x^2 e^{-x} / (1 - e^{-x})^2 b(w) = -C
 
-    and the three kernels share every node.  The half line is integrated
-    in three pieces: (0, h), h = min(theta, 1/2), in log(h/w), where the
-    log singularity of the G kernel at w = 0 is smooth
+    and the three kernels (:func:`_moments`) share every node.  The half
+    line is integrated in three pieces: (0, h), h = min(theta, 1/2), in
+    log(h/w), where the log singularity of the G kernel at w = 0 is smooth
     (:func:`oscbath.quadrature.integrate_log_endpoint`); (h, 1/2) in w,
     with panel edges doubling outward from h; and the detuning w - 1
     beyond, with panels doubling outward from the thermal scale
     t = min(1, theta) and edges graded toward a weak-damping resonance in
     thermal reach, so node positions near it keep their precision and the
-    cost grows with log(1/gamma) only.  Each component is divided by t
-    times the size of b at w ~ t, so the absolute tolerance floor acts
-    relative to the moments' own size.  A theta where that scale or a
-    kernel leaves the float range raises OverflowError naming theta.
+    cost grows with log(1/gamma) only.  The dark cut: at w >= 746 theta
+    every kernel is exactly 0 (e^{-x} underflows), so the march of
+    (h, 1/2) ends at its first doubling edge at or beyond 746 theta, and
+    the piece beyond 1/2 is skipped when 1/2 >= 746 theta; the panels
+    left out would add 0 to every value, error and size total, so the
+    result is the same to the bit.  Each component is divided by t times
+    the size of b at w ~ t, so the absolute tolerance floor acts relative
+    to the moments' own size.  A theta where that scale or a kernel leaves
+    the float range raises OverflowError naming theta.
     """
     t = min(1.0, theta)
     weight_of = plan.weight
@@ -273,43 +311,30 @@ def _spectral_moments(plan: _Plan, theta: float) -> tuple[float, float, float]:
                             "quadrature route: the spectral weight underflows")
     norm = 1.0 / scale                   # G = F/theta ~ scale
 
-    def moments(w: float, weight: float) -> tuple[float, float, float]:
-        weight *= norm
-        x = w / theta
-        if x < 1e-150:  # x*x and 1/x leave the float range: log x, 1, 1
-            return (math.log(w) - math.log(theta)) * weight, weight, weight
-        decay = math.exp(-x)
-        rise = -math.expm1(-x)                       # 1 - e^{-x}
-        # log(1 - e^{-x}): log(-expm1) keeps x -> 0 accurate; log1p keeps
-        # large x from rounding to log 1 = 0
-        log_factor = math.log(rise) if x < 1.0 else math.log1p(-decay)
-        bose = decay / rise                          # 1 / (e^x - 1)
-        # beyond x ~ 745 bose is 0, and x * x may overflow
-        heat = x * x * bose / rise if bose else 0.0
-        return log_factor * weight, x * bose * weight, heat * weight
+    def near_origin(ws: list[float]) -> tuple[list[float], ...]:
+        return _moments(ws, [weight_of(w, w - 1.0) for w in ws], theta, norm)
 
-    def near_origin(w: float) -> tuple[float, float, float]:
-        return moments(w, weight_of(w, w - 1.0))
-
-    def by_detuning(u: float) -> tuple[float, float, float]:
-        w = 1.0 + u
-        return moments(w, weight_of(w, u))
+    def by_detuning(us: list[float]) -> tuple[list[float], ...]:
+        ws = [1.0 + u for u in us]
+        return _moments(ws, list(map(weight_of, ws, us)), theta, norm)
 
     split = 0.5
     head = min(theta, split)
+    dark = _DARK * theta
     try:
         pieces = [integrate_log_endpoint(near_origin, head)]
         if head < split:
             march = []
             edge = 2.0 * head
-            while edge < split:
+            while edge < split and edge < dark:
                 march.append(edge)
                 edge *= 2.0
-            pieces.append(integrate_interval(near_origin, head, split,
-                                             points=march))
-        pieces.append(integrate_semi_infinite(
-            by_detuning, start=split - 1.0,
-            points=_resonance_edges(plan.gamma, theta), first_panel=t))
+            pieces.append(integrate_interval(near_origin, head,
+                                             min(edge, split), points=march))
+        if split < dark:
+            pieces.append(integrate_semi_infinite(
+                by_detuning, start=split - 1.0,
+                points=_resonance_edges(plan.gamma, theta), first_panel=t))
     except IntegrandEvaluationError as exc:
         raise OverflowError(f"theta = {theta!r} is out of the range of the "
                             f"quadrature route: {exc}") from None

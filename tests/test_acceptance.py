@@ -219,7 +219,8 @@ def test_criterion_10_zero_point(capsys):
         return (w * baths.free_energy_integrand(bath, w) / (2.0 * math.pi),)
 
     from oscbath.quadrature import integrate_semi_infinite
-    (oracle,) = integrate_semi_infinite(integrand).value
+    from panels import panel
+    (oracle,) = integrate_semi_infinite(panel(integrand)).value
     oracle_ok = abs(closed - oracle) < 1e-8
 
     gaps = []

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -410,6 +411,20 @@ class TestJfun:
                                       "--method", method])
         assert code == 3 and out == ""
         assert "J is not finite at z = (1e-320+0j)" in err
+
+    def test_quadrature_outside_its_range_exits_2_naming_z(self, capsys):
+        code, out, err = run(capsys, ["jfun", "1e-320", "0",
+                                      "--method", "quadrature"])
+        assert code == 2 and out == ""
+        assert "j_quadrature: z = (1e-320+0j) is outside the range" in err
+
+    def test_loggamma_far_left_exits_2_at_once(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["jfun", "--method", "loggamma", "--",
+                                      "-1e308", "1"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert "j_loggamma: z = (-1e+308+1j) has Re z <" in err
 
     @pytest.mark.parametrize("method", ["loggamma", "series"])
     def test_tiny_z_finite_by_the_other_routes(self, capsys, method):

@@ -15,6 +15,7 @@ from oscbath.quadrature import (
     integrate_log_endpoint,
     integrate_semi_infinite,
 )
+from panels import one, panel
 
 LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -22,11 +23,6 @@ LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 def bose_log(t):
     # log(1 - e^{-t}), integrable log singularity at 0, exponential tail
     return math.log(-math.expm1(-t))
-
-
-def one(f):
-    """f as a one-component integrand."""
-    return lambda t: (f(t),)
 
 
 def basel_sum():
@@ -195,7 +191,8 @@ class TestLogEndpoint:
 
     def test_tuple_integrand(self):
         result = integrate_log_endpoint(
-            lambda t: (math.log(t), math.log(t) / (1.0 + t), t * math.log(t)),
+            panel(lambda t: (math.log(t), math.log(t) / (1.0 + t),
+                             t * math.log(t))),
             1.0)
         for value, error, expected in zip(result.value, result.error,
                                           (-1.0, -math.pi**2 / 12.0, -0.25)):
@@ -247,7 +244,8 @@ class TestVector:
     def test_components_match_one_component_integrals(self):
         # the log-singular component needs far more refinement than the
         # smooth one and drives it for both
-        vector = integrate_semi_infinite(lambda t: (self.smooth(t), bose_log(t)))
+        vector = integrate_semi_infinite(
+            panel(lambda t: (self.smooth(t), bose_log(t))))
         smooth = integrate_semi_infinite(one(self.smooth))
         singular = integrate_semi_infinite(one(bose_log))
         assert isinstance(vector.value, tuple) and len(vector.value) == 2
@@ -262,8 +260,10 @@ class TestVector:
         assert vector.evaluations < smooth.evaluations + singular.evaluations
 
     def test_component_order_does_not_matter(self):
-        forward = integrate_semi_infinite(lambda t: (self.smooth(t), bose_log(t)))
-        backward = integrate_semi_infinite(lambda t: (bose_log(t), self.smooth(t)))
+        forward = integrate_semi_infinite(
+            panel(lambda t: (self.smooth(t), bose_log(t))))
+        backward = integrate_semi_infinite(
+            panel(lambda t: (bose_log(t), self.smooth(t))))
         assert forward.value == backward.value[::-1]
         assert forward.evaluations == backward.evaluations
 
@@ -274,7 +274,7 @@ class TestVector:
         assert abs(single.value[0] + math.pi**2 / 6.0) <= single.error[0]
 
     def test_interval(self):
-        result = integrate_interval(lambda t: (math.sin(t), t * t),
+        result = integrate_interval(panel(lambda t: (math.sin(t), t * t)),
                                     0.0, math.pi)
         assert abs(result.value[0] - 2.0) < 1e-13
         assert abs(result.value[1] - math.pi**3 / 3.0) < 1e-12
@@ -284,13 +284,14 @@ class TestVector:
             return math.exp(-t), (math.nan if t > 3.0 else math.exp(-t))
 
         with pytest.raises(IntegrandEvaluationError) as excinfo:
-            integrate_semi_infinite(f)
+            integrate_semi_infinite(panel(f))
         assert excinfo.value.abscissa > 3.0
 
     def test_non_convergence_reports_every_component(self, monkeypatch):
         monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 3)
         with pytest.raises(QuadratureConvergenceError) as excinfo:
-            integrate_semi_infinite(lambda t: (math.exp(-t), bose_log(t)))
+            integrate_semi_infinite(
+                panel(lambda t: (math.exp(-t), bose_log(t))))
         best = excinfo.value.best
         assert len(best.value) == len(best.error) == 2
         assert abs(best.value[1] + math.pi**2 / 6.0) < 0.1

@@ -13,6 +13,7 @@ import cmath
 import math
 import re
 import sys
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -130,6 +131,24 @@ class TestJLogGamma:
         for z in [0.0, -0.5, -2.0]:
             with pytest.raises(ValueError):
                 sj.j_loggamma(z)
+
+    @pytest.mark.parametrize("im", [1e-3, 1.0, -300.0])
+    def test_floor_meets_the_bound(self, im):
+        z = complex(sj.LOGGAMMA_FLOOR, im)
+        assert abs(sj.j_loggamma(z) - sj.j_jet(z)[0]) < 1e-9
+
+    @pytest.mark.parametrize("z", [-1e308 + 1j, -1.0001e4 + 1j, -1e5 - 3j])
+    def test_left_of_the_floor_raises_naming_z_at_once(self, z):
+        # the shift takes one step per unit of Re z: at -1e308 + 1j it
+        # would never return, and at -1e5 + 1j it is 4e-9 off
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=re.escape(
+                f"j_loggamma: z = {z!r} has Re z <")):
+            sj.j_loggamma(z)
+        with pytest.raises(ValueError, match=re.escape(
+                f"log_gamma: w = {z!r} has Re w <")):
+            sj.log_gamma(z)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestJLanczos:
@@ -255,6 +274,24 @@ class TestJQuadrature:
             monkeypatch.setattr(sj, name, counting)
         sj.j_quadrature(0.5 + 3j)
         assert 0 < sum(evaluations) < 700
+
+    @pytest.mark.parametrize("z", [
+        1e-16, 2e-16 * cmath.exp(1.2j), 2e-16 * cmath.exp(-0.7j),
+        1e11, 5e10 * cmath.exp(0.7j), 5e10 * cmath.exp(-1.5j)])
+    def test_range_ends_meet_the_bound(self, z):
+        # both ends of QUADRATURE_RANGE, against the jet engine
+        want = sj.j_jet(z)[0]
+        assert abs(sj.j_quadrature(z) - want) <= 6e-15 * abs(want)
+
+    @pytest.mark.parametrize("z", [
+        1e-17 + 0j, 1e-320 + 0j, 1e-17 + 1e-17j, 2e11 + 0j, 1e300 + 0j,
+        1e20 - 3e20j])
+    def test_outside_the_range_raises_naming_z(self, z):
+        # the quadrature value there is silently wrong: ~4.49 z at tiny z,
+        # 0 at huge z
+        with pytest.raises(ValueError, match=re.escape(
+                f"j_quadrature: z = {z!r} is outside the range")):
+            sj.j_quadrature(z)
 
     def test_domain(self):
         with pytest.raises(ValueError):

@@ -18,6 +18,7 @@ import pytest
 from oscbath import baths, thermo
 from oscbath.baths import CanonicalBath, OhmicSpec, QEDSpec, SingleRelaxationSpec
 from oscbath.quadrature import integrate_semi_infinite
+from panels import panel
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -495,7 +496,7 @@ class TestZeroPoint:
         def integrand(w):
             return (w * baths.free_energy_integrand(bath, w) / (2.0 * math.pi),)
 
-        (oracle,) = integrate_semi_infinite(integrand).value
+        (oracle,) = integrate_semi_infinite(panel(integrand)).value
         assert abs(closed - oracle) < 1e-8
 
     def test_zero_temperature_limit_of_modified_integrand(self):
@@ -508,7 +509,7 @@ class TestZeroPoint:
             thermal = theta * math.log(-math.expm1(-w / theta)) + 0.5 * w
             return (thermal * baths.free_energy_integrand(bath, w) / math.pi,)
 
-        (total,) = integrate_semi_infinite(integrand).value
+        (total,) = integrate_semi_infinite(panel(integrand)).value
         assert abs(total - thermo.zero_point(bath)) < 2e-6
 
     def test_relaxation_relation_to_rounding_is_finite(self):
