@@ -146,13 +146,25 @@ def _require_finite_positive(**values: float):
 
 def canonicalize(spec: BathSpec) -> CanonicalBath:
     """Map a bath description onto the canonical (gamma, Omega, Omega')
-    triple, applying the cutoff relations exactly."""
+    triple, applying the cutoff relations exactly.
+
+    A single-relaxation-time spec whose triple does not read as the
+    relaxation relation raises ValueError naming gamma and tau: where
+    gamma (Omega + 1/Omega) is below ~4e-15, the triple meets the
+    blackbody relation to rounding as well, and would be computed as a
+    blackbody bath."""
     if isinstance(spec, OhmicSpec):
         return CanonicalBath(gamma=spec.gamma)
     if isinstance(spec, SingleRelaxationSpec):
         big_omega = 1.0 / spec.tau
-        return CanonicalBath(gamma=spec.gamma, Omega=big_omega,
+        bath = CanonicalBath(gamma=spec.gamma, Omega=big_omega,
                              OmegaPrime=big_omega - spec.gamma)
+        if cutoff_relation(bath) != "relaxation":
+            raise ValueError(
+                f"single-relaxation-time bath with gamma = {spec.gamma!r}, "
+                f"tau = {spec.tau!r} cannot be told from a blackbody bath: "
+                "its cutoffs meet both relations to rounding")
+        return bath
     if isinstance(spec, QEDSpec):
         big_omega = 1.0 / (1.0 / spec.omega_prime + spec.gamma)
         return CanonicalBath(gamma=spec.gamma, Omega=big_omega,

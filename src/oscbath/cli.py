@@ -44,6 +44,14 @@ class _ConfigError(ValueError):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors end with ``note``."""
+    note = ""
+
+    def error(self, message):
+        super().error(message + self.note)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The parser of every subcommand, built on first use and then kept:
@@ -53,7 +61,8 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="oscbath",
         description="Thermodynamics of a damped quantum oscillator in "
                     "Ohmic, single-relaxation-time, and blackbody heat baths")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=_Parser)
 
     sweep = sub.add_parser("sweep", help="tabulate F, S, U, C over a "
                                          "temperature grid")
@@ -77,7 +86,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--omega0-hz", type=float,
                        help="omega0 in rad/s, required for SI units")
 
+    # argparse reads a minus-led number in exponent form (-1e3, -inf) as an
+    # option, so a usage error of jfun says how to pass one
     jfun = sub.add_parser("jfun", help="evaluate the Stieltjes J-function")
+    jfun.note = ("; a negative re or im in exponent form, such as -1e3, goes "
+                 "after --, as in: oscbath jfun -- -1e3 1")
     jfun.add_argument("re", type=float)
     jfun.add_argument("im", type=float)
     jfun.add_argument("--method", default="auto",

@@ -35,11 +35,12 @@ Available routes:
 
 Each of these routes rejects a non-finite z with ValueError naming z, and
 the quadrature and log-gamma routes also a z outside the domain where they
-were measured to meet their bounds (:data:`QUADRATURE_RANGE` of |z|,
-:data:`LOGGAMMA_FLOOR` of Re z).  The Lanczos, log-gamma, asymptotic and
-continuation routes raise OverflowError naming z where their value of J is
-not finite; the series is finite on its disk, and the quadrature raises
-IntegrandEvaluationError where its integrand is not finite.
+were measured to meet their bounds (:data:`QUADRATURE_RANGE` of |z|;
+:data:`LOGGAMMA_FLOOR` of Re z and :data:`LOGGAMMA_REACH` of |z|).  The
+Lanczos, log-gamma, asymptotic and continuation routes raise OverflowError
+naming z where their value of J is not finite; the series is finite on its
+disk, and the quadrature raises IntegrandEvaluationError where its
+integrand is not finite.
 
 The thermodynamic functions need J and its first two derivatives to full
 double precision, as jets (J, z J', z^2 J''): :func:`j_jet` for J whole,
@@ -64,7 +65,7 @@ __all__ = [
     "EULER_GAMMA", "LOG_SQRT_2PI",
     "LANCZOS_G", "LANCZOS_N", "LANCZOS_D",
     "BERNOULLI_EVEN", "zeta",
-    "log_gamma", "LOGGAMMA_FLOOR", "QUADRATURE_RANGE",
+    "log_gamma", "LOGGAMMA_FLOOR", "LOGGAMMA_REACH", "QUADRATURE_RANGE",
     "j_quadrature", "j_loggamma", "j_lanczos", "j_series_small",
     "j_asymptotic", "j_continue_left", "j_auto_named",
     "SMALL_ARGUMENT", "j_jet", "j_reflection",
@@ -124,6 +125,10 @@ QUADRATURE_RANGE = (1e-16, 1e11)
 # log_gamma shifts the argument right one unit per step, whose rounding
 # (and time) grows with |Re z|; 6.4e-10 worst seen on (-1e4, -1e3).
 LOGGAMMA_FLOOR = -1e4
+# |z| above which j_loggamma no longer meets that bound: log Gamma(z + 1)
+# and the Stirling terms, each ~|z log z|, cancel to J ~ 1/(12 z); 8e-10
+# worst seen for |z| up to 1e5 against j_jet, 3.6e-9 at |z| = 1e6.
+LOGGAMMA_REACH = 1e5
 
 
 def _zeta_euler_maclaurin(s: int, cut: int = 50, corrections: int = 8) -> float:
@@ -221,14 +226,14 @@ def log_gamma(w: complex) -> complex:
 
 
 def j_loggamma(z: complex) -> complex:
-    """J(z) from the log-gamma form; valid off the cut (-inf, 0] with
-    Re z >= LOGGAMMA_FLOOR.
+    """J(z) from the log-gamma form, to 1e-9 absolute; valid off the cut
+    (-inf, 0] with Re z >= LOGGAMMA_FLOOR and |z| <= LOGGAMMA_REACH.
 
-    At very large |z| this route loses accuracy to cancellation between the
-    log-gamma and Stirling terms; prefer :func:`j_lanczos` or
-    :func:`j_asymptotic` there.  Left of the floor the shift of
-    :func:`log_gamma` misses the 1e-9 absolute bound (4e-9 at
-    -1e5 + 1j), so Re z < LOGGAMMA_FLOOR raises ValueError naming z.
+    Left of the floor the shift of :func:`log_gamma` misses the bound
+    (4e-9 at -1e5 + 1j), and beyond the reach the cancellation between the
+    log-gamma and Stirling terms does (3.6e-9 at |z| = 1e6; the value is 0
+    at 1e7, where J = 8.3e-9); either raises ValueError naming z.  Prefer
+    :func:`j_lanczos` or :func:`j_asymptotic` at large |z|.
     """
     z = _finite_argument("j_loggamma", z)
     if _on_cut(z):
@@ -236,6 +241,10 @@ def j_loggamma(z: complex) -> complex:
     if z.real < LOGGAMMA_FLOOR:
         raise ValueError(f"j_loggamma: z = {z!r} has Re z < "
                          f"{LOGGAMMA_FLOOR:g}, where the route misses its "
+                         "1e-9 bound")
+    if abs(z) > LOGGAMMA_REACH:
+        raise ValueError(f"j_loggamma: z = {z!r} has |z| > "
+                         f"{LOGGAMMA_REACH:g}, where the route misses its "
                          "1e-9 bound")
     return _finite_value("j_loggamma", z, log_gamma(z + 1.0) - LOG_SQRT_2PI
                          - (z + 0.5) * cmath.log(z) + z)
@@ -353,7 +362,11 @@ def j_quadrature(z: complex) -> complex:
     the coordinate log(1/t), the rest over (1, inf) in t.  Outside that
     range of |z| the kernel z / (z^2 + t^2) is a peak the panels miss or a
     value below the absolute tolerance, and the result would be silently
-    wrong, so a z there raises ValueError naming it.
+    wrong, so a z there raises ValueError naming it.  Within it the
+    relative error is 5e-15 along rays arg z up to 1.55; nearer the
+    imaginary axis at small |z|, where the peak at t ~ Im z has width
+    Re z, it is up to 3.0e-14 at |z| = 0.1 and 4.1e-13 at |z| = 1e-16
+    (arg z = 1.5707).
     """
     z = _finite_argument("j_quadrature", z)
     if not z.real > 0.0:

@@ -87,18 +87,16 @@ class _Plan(NamedTuple):
 
     ``terms`` lists the closed form's characteristic frequencies c as
     (sigma, c, mate, gap) for sigma J(c/(2 pi theta)): sigma = -1 for a
-    root and Omega', +1 for Omega, -2 for an underdamped root c standing
-    for c and conj(c).  A mate marks a pair differenced over the exact
-    step c - mate: the overdamped blackbody gap pair, sigma [J(c) -
-    J(mate)], with gap = 1/c - 1/mate = c1 + 1/Omega', so that
-    c - mate = -c mate gap; or an underdamped root near the imaginary axis
-    (Re c < _NEAR_AXIS Im c) and its mirror image mate = -conj(c), where
-    c - mate = 2 Re c and J(c) + J(conj c) is J(c) - J(mate) plus the
-    reflection term of :func:`oscbath.stieltjes.j_reflection` at mate.
-    ``static`` is :func:`oscbath.baths.static_weight`, minus the sum of
-    sigma/c with the cutoff relation's cancellation done exactly, and
-    ``weight`` is :func:`oscbath.baths.spectral_weight`, for the quadrature
-    route.
+    pole of alpha (a root, Omega'), +1 for Omega, -2 for an underdamped
+    root c standing for c and conj(c).  A mate marks a pair differenced
+    over the exact step c - mate: Omega and its nearest real pole, with
+    c - mate = -c mate gap (:func:`_plan`); or an underdamped root near
+    the imaginary axis (Re c < _NEAR_AXIS Im c) and its mirror image
+    mate = -conj(c), c - mate = 2 Re c: J(c) + J(conj c) is J(c) - J(mate)
+    plus :func:`oscbath.stieltjes.j_reflection` at mate.  ``static`` is
+    :func:`oscbath.baths.static_weight`, minus the sum of sigma/c with the
+    cutoff relation's cancellation done exactly, and ``weight`` is
+    :func:`oscbath.baths.spectral_weight`, for the quadrature route.
     """
     terms: tuple[tuple[float, complex | float, complex | float | None,
                        float | None], ...]
@@ -108,29 +106,31 @@ class _Plan(NamedTuple):
 
 
 def _plan(bath: CanonicalBath) -> _Plan:
+    """The :class:`_Plan` of a bath.  Omega pairs with its nearest real
+    pole, the step from the sum rule over the poles p of alpha: on the
+    blackbody relation 1/Omega = sum 1/p, mate = min p and gap is the
+    other poles' sum of 1/p; on the relaxation relation Omega = sum p,
+    mate = max p and gap = -(their sum of p)/(Omega mate).  A root pair
+    sums to gamma either way, and 1/z1* = z1."""
     pair = roots(bath.gamma)
-    terms = []
+    c, terms = pair.z1, []
     if pair.regime == "underdamped":
-        c = pair.z1
-        if c.real < _NEAR_AXIS * c.imag:
-            terms.append((-1.0, c, -c.conjugate(), None))
-        else:
-            terms.append((-2.0, c, None, None))
-        if math.isfinite(bath.Omega):
-            terms.append((1.0, bath.Omega, None, None))
-    else:
-        smaller = pair.z1.real
-        if cutoff_relation(bath) == "blackbody":
-            # 1/Omega - 1/c1 = (gamma + 1/Omega') - (gamma/2 + |omega1|)
-            terms.append((1.0, bath.Omega, smaller,
-                          smaller + 1.0 / bath.OmegaPrime))
-        else:
-            terms.append((-1.0, smaller, None, None))
-            if math.isfinite(bath.Omega):
-                terms.append((1.0, bath.Omega, None, None))
-        terms.append((-1.0, pair.z1_conj.real, None, None))
+        terms.append((-1.0, c, -c.conjugate(), None)
+                     if c.real < _NEAR_AXIS * c.imag else (-2.0, c, None, None))
+    poles = [c.real, pair.z1_conj.real] if pair.regime == "overdamped" else []
     if math.isfinite(bath.OmegaPrime):
-        terms.append((-1.0, bath.OmegaPrime, None, None))
+        poles.append(bath.OmegaPrime)
+    terms += [(-1.0, p, None, None) for p in poles]
+    if math.isfinite(bath.Omega) and not poles:    # point electron, no real pole
+        terms.append((1.0, bath.Omega, None, None))
+    elif math.isfinite(bath.Omega):
+        blackbody = cutoff_relation(bath) == "blackbody"
+        mate = min(poles) if blackbody else max(poles)
+        rest = bath.gamma if mate == bath.OmegaPrime else c.real + (
+            1.0 / bath.OmegaPrime if blackbody else bath.OmegaPrime)
+        gap = rest if blackbody else -rest / (bath.Omega * mate)
+        terms[len(terms) - len(poles) + poles.index(mate)] = (
+            1.0, bath.Omega, mate, gap)
     return _Plan(tuple(terms), static_weight(bath), bath.gamma,
                  spectral_weight(bath))
 
@@ -145,7 +145,7 @@ def _j_sum(plan: _Plan, theta: float) -> tuple[float, float, float]:
     leading 1/(12 x) of J, whose sum L enters G, A and B as (L, -L, 2L);
     when all do, L is -(2 pi theta/12) times the plan's static weight.  A
     pair of the plan is differenced over x - b while both arguments lie
-    at or above SMALL_ARGUMENT/2, the gap pair also while both lie below
+    at or above SMALL_ARGUMENT/2, the Omega pair also while both lie below
     SMALL_ARGUMENT; below SMALL_ARGUMENT/2, where 2 Re J(x) cancels
     little, a mirror pair is summed as that, from the power series.
     """

@@ -3,6 +3,7 @@
 import cmath
 import contextlib
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -422,6 +423,16 @@ class TestSpectralWeight:
             QEDSpec(gamma=0.3, omega_prime=math.inf))) == "blackbody"
         assert baths.cutoff_relation(canonicalize(
             QEDSpec(gamma=1.5, omega_prime=25.0))) == "blackbody"
+
+    @pytest.mark.parametrize("gamma, tau", [(1e-15, 1.0), (1e-16, 10.0),
+                                            (1e-18, 1e3)])
+    def test_srt_on_both_relations_rejected(self, gamma, tau):
+        # gamma (Omega + 1/Omega) below ~4e-15: the triple meets the
+        # blackbody relation to rounding too, and would be read as it
+        with pytest.raises(ValueError, match=re.escape(
+                f"gamma = {gamma!r}, tau = {tau!r} cannot be told from a "
+                "blackbody bath")):
+            canonicalize(SingleRelaxationSpec(gamma=gamma, tau=tau))
 
     @given(data=st.data())
     @settings(max_examples=300, deadline=None)

@@ -260,6 +260,12 @@ class TestSweepValidation:
         assert code == 2 and out == ""
         assert f"{name} must be finite" in err
 
+    def test_srt_read_as_blackbody_rejected(self, capsys):
+        code, out, err = run(capsys, ["sweep", "--model", "srt", "--gamma",
+                                      "1e-15", "--tau", "1", "--points", "1"])
+        assert code == 2 and out == ""
+        assert "gamma = 1e-15, tau = 1.0 cannot be told from a blackbody" in err
+
     def test_bad_theta_range(self, capsys):
         code, _, err = run(capsys, [
             "sweep", "--model", "ohmic", "--gamma", "1",
@@ -425,6 +431,24 @@ class TestJfun:
         assert time.perf_counter() - start < 1.0
         assert code == 2 and out == ""
         assert "j_loggamma: z = (-1e+308+1j) has Re z <" in err
+
+    def test_minus_led_exponent_usage_error_names_double_dash(self, capsys):
+        # argparse reads -1e3 as an option, so im goes missing
+        code, out, err = run(capsys, ["jfun", "-1e3", "1"])
+        assert code == 2 and out == ""
+        assert "required: im" in err and "oscbath jfun -- -1e3 1" in err
+
+    def test_minus_led_exponent_after_double_dash(self, capsys):
+        value = stieltjes.j_auto_named(complex(-1e3, 1.0))[0]
+        code, out, _ = run(capsys, ["jfun", "--", "-1e3", "1"])
+        assert code == 0
+        assert f"J(-1000+1j) = {value.real:.14e} {value.imag:+.14e}j" in out
+
+    def test_loggamma_far_right_exits_2_naming_z(self, capsys):
+        code, out, err = run(capsys, ["jfun", "1e7", "0", "--method",
+                                      "loggamma"])
+        assert code == 2 and out == ""
+        assert "j_loggamma: z = (10000000+0j) has |z| > 100000" in err
 
     @pytest.mark.parametrize("method", ["loggamma", "series"])
     def test_tiny_z_finite_by_the_other_routes(self, capsys, method):

@@ -137,6 +137,18 @@ class TestJLogGamma:
         z = complex(sj.LOGGAMMA_FLOOR, im)
         assert abs(sj.j_loggamma(z) - sj.j_jet(z)[0]) < 1e-9
 
+    @pytest.mark.parametrize("z", [1e5, 1e5j, 7e4 - 7e4j, -1e4 + 99400j])
+    def test_reach_meets_the_bound(self, z):
+        assert abs(sj.j_loggamma(z) - sj.j_jet(z)[0]) < 1e-9
+
+    @pytest.mark.parametrize("z", [1e7 + 0j, 1e5 + 1j, 1e12j, 1e308 - 1j])
+    def test_beyond_the_reach_raises_naming_z(self, z):
+        # log Gamma(z + 1) and the Stirling terms cancel: the value at 1e7
+        # was 0, where J = 8.3e-9
+        with pytest.raises(ValueError, match=re.escape(
+                f"j_loggamma: z = {z!r} has |z| > 100000")):
+            sj.j_loggamma(z)
+
     @pytest.mark.parametrize("z", [-1e308 + 1j, -1.0001e4 + 1j, -1e5 - 3j])
     def test_left_of_the_floor_raises_naming_z_at_once(self, z):
         # the shift takes one step per unit of Re z: at -1e308 + 1j it

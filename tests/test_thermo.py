@@ -187,7 +187,7 @@ class TestThermoPoint:
 
 
 # Baths for the sweep equivalence: every model, underdamped and overdamped,
-# critical damping, and the overdamped blackbody bath whose gap pair (Omega
+# critical damping, and the overdamped blackbody bath whose Omega pair (Omega
 # and the smaller root) is differenced from its gap at some temperatures
 # and summed term by term where its arguments lie astride the series switch
 # (theta ~ 0.2 to 0.23 here).
@@ -625,7 +625,8 @@ class TestSeriesPoint:
         assert abs(point.U - point.F - 0.05 * point.S) < 1e-15
 
 
-def closed_form_reference(model, gamma, theta, tau=None, omega_prime=None):
+def closed_form_reference(model, gamma, theta, tau=None, omega_prime=None,
+                          digits=None):
     """F, S, U, C from the closed form (mpmath), with the cutoffs derived
     exactly from the native parameters:
 
@@ -634,9 +635,10 @@ def closed_form_reference(model, gamma, theta, tau=None, omega_prime=None):
     with G, A, B the signed sums of J(x), x J'(x), x^2 J''(x).  The
     precision grows with log(1/theta): log Gamma cancels more digits as the
     arguments grow, and the sums cancel like theta^2 (theta^4 for the
-    blackbody bath), so 50 digits are too few below theta ~ 1e-8."""
+    blackbody bath), so 50 digits are too few below theta ~ 1e-8.
+    ``digits`` sets the precision instead."""
     mp = pytest.importorskip("mpmath")
-    with mp.workdps(50 + 8 * max(0, round(-math.log10(theta)))):
+    with mp.workdps(digits or 50 + 8 * max(0, round(-math.log10(theta)))):
         g, th = mp.mpf(gamma), mp.mpf(theta)
         disc = 1 - g * g / 4
         if disc > 0:
@@ -731,6 +733,33 @@ class TestExactRouteAccuracy:
         for theta, point in zip(thetas, thermo.sweep(bath, thetas)):
             assert thermo.free_energy_exact(bath, theta) \
                 == thermo.thermo_point(bath, theta).F == point.F
+
+
+# Cutoffs at and below the oscillator frequency, where Omega lies close to
+# one pole of alpha: Omega' at weak damping (1/Omega - 1/Omega' = gamma,
+# Omega - Omega' = gamma), or an overdamped root.  The relaxation baths
+# have tau gamma = 0.5, 0.9 and 0.99, so Omega' = Omega (1 - tau gamma).
+SMALL_CUTOFF_GAMMAS = [1e-6, 1e-4, 1e-2, 1.0, 2.0, 3.0]
+SMALL_CUTOFF_THETAS = [1e-3, 1e-2, 0.1, 1.0, 10.0]
+
+
+class TestSmallCutoff:
+    @pytest.mark.parametrize("model, gamma, tau, prime", [
+        ("qed", gamma, None, prime) for gamma in SMALL_CUTOFF_GAMMAS
+        for prime in (1e-8, 1e-6, 1e-4, 1e-2, 1.0, 10.0)] + [
+        ("srt", gamma, tau_gamma / gamma, None)
+        for gamma in SMALL_CUTOFF_GAMMAS for tau_gamma in (0.5, 0.9, 0.99)])
+    def test_exact_j_relative_accuracy(self, model, gamma, tau, prime):
+        # 80 digits: at 30 the reference itself is off by 3.5e-13 at
+        # gamma = 1e-6, Omega' = 10, theta = 1e-3
+        bath = bath_of(model, gamma, tau, prime)
+        for point in thermo.sweep(bath, SMALL_CUTOFF_THETAS):
+            reference = closed_form_reference(model, gamma, point.theta, tau,
+                                              prime, digits=80)
+            for name, want in zip("FSUC", reference):
+                got = getattr(point, name)
+                assert abs(got - want) <= 1e-14 * abs(want), \
+                    (point.theta, name, got, want)
 
 
 class TestFloatRange:
