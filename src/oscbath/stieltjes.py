@@ -57,6 +57,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from bisect import bisect_left
 from fractions import Fraction
 
 from .quadrature import integrate_log_endpoint, integrate_semi_infinite
@@ -434,7 +435,11 @@ def j_auto_named(z: complex) -> tuple[complex, str]:
 # first omitted term, with B_34, is ~1e-17 of z^2 R'' at |z| = 10 and less
 # elsewhere.  z R' and z^2 R'' take the factors -(2n+1) and (2n+1)(2n+2),
 # so no derivative under- or overflows at large |z|.  Only odd powers of t
-# occur, so each of the three series is t Q(s), summed in s = t^2.  Nearer
+# occur, so each of the three series is t Q(s), summed in s = t^2.  The sum
+# stops at the last term n whose tail (terms n and up) still adds 2^-70 of
+# the first term A_1 t^3 in one of the three series, far below the rounding
+# of the first term: all 15 terms below |z| ~ 14.8, and one from
+# |z| ~ 2.9e10 on (_ASYMPTOTIC_REACH).  Nearer
 # the origin the recurrence
 #
 #     R(w) = h(w) + R(w + 1),   h(w) = J(w) - J(w + 1) - 1/(12 w (w + 1)),
@@ -490,6 +495,21 @@ _SHIFT_HORNER = _horner_prefixes(tuple(
 _ASYMPTOTIC_HORNER = tuple((a, p * a, p * (p + 1) * a) for p, a in (
     (p, float(_BERNOULLI_BEYOND.get(p + 1) or BERNOULLI_EVEN[p + 1])
      / (p * (p + 1))) for p in range(31, 1, -2)))
+# The largest |s| = |t^2| at which the terms A_1 .. A_n of the asymptotic
+# series leave a tail (A_(n+1) and up) below 2^-70 of the A_1 term in each
+# of its three series, for n = 1 .. 14 (tests/test_stieltjes.py regenerates
+# them from _ASYMPTOTIC_HORNER); beyond the last, all 15 terms count.
+# _ASYMPTOTIC_ROWS[k] holds the rows of A_1 .. A_(k+1), highest power
+# first, so the rows that count at s are
+# _ASYMPTOTIC_ROWS[bisect_left(_ASYMPTOTIC_REACH, abs(s))].
+_ASYMPTOTIC_REACH = (
+    1.1858461261560204e-21, 2.9103830455771163e-11, 7.196438614090776e-08,
+    3.249857255348209e-06, 2.9974408567014972e-05, 0.00012587209179990531,
+    0.0003387577390871202, 0.0006925644394752556, 0.0011814334699833558,
+    0.0017784384039422547, 0.002447424929420839, 0.0031521300763035134,
+    0.0038638361469901833, 0.004594498119425457)
+_ASYMPTOTIC_ROWS = tuple(_ASYMPTOTIC_HORNER[-n:]
+                         for n in range(1, len(_ASYMPTOTIC_HORNER) + 1))
 _SERIES_HORNER = _horner_prefixes(tuple(
     (a, n * a, n * (n - 1) * a) for n, a in (
         (n, (-1.0) ** n * zeta(n) / n if n >= 2 else 0.0)
@@ -505,11 +525,21 @@ def _check_argument(z, name):
     return z
 
 
+def _real(z):
+    """A real argument (a cutoff, an overdamped root) as a float."""
+    return z.real if z.imag == 0.0 else z
+
+
 def _plain(a, b, delta):
     """Real arguments (cutoffs, overdamped roots) as floats."""
     if a.imag == 0.0 and b.imag == 0.0 and delta.imag == 0.0:
         return a.real, b.real, delta.real
     return a, b, delta
+
+
+def _complex(jet):
+    """A jet of the cores below, in the complex type of the public routes."""
+    return tuple(map(complex, jet))
 
 
 def _term_count(ratio):
@@ -563,11 +593,14 @@ def _divided_differences(rows, xa, xb):
     return (r0 * xa, r1 * xa, r2 * xa), (q0, q1, q2)
 
 
+# The cores below take their arguments checked, a real argument as a float
+# (:func:`_real`, :func:`_plain`), and return their jets as floats or
+# complex numbers alike; the public routes at the end of the module check
+# and convert, and thermo's closed form calls the cores directly.
+
 def _remainder_jet(name, z):
     """The jet of R at z by the shift recurrence and the asymptotic series
     (see the section comment)."""
-    if z.imag == 0.0:
-        z = z.real
     shifts = _shift_count(z)
     value = slope = curvature = 0.0
     w = z
@@ -584,23 +617,23 @@ def _remainder_jet(name, z):
         w += 1.0
     # the jet of R at w is t (Q0, -Q1, Q2)(t^2), scaled to z by r = z/w
     t = 1.0 / w
-    q0, q1, q2 = _horner(_ASYMPTOTIC_HORNER, t * t)
+    s = t * t
+    q0, q1, q2 = _horner(
+        _ASYMPTOTIC_ROWS[bisect_left(_ASYMPTOTIC_REACH, abs(s))], s)
     if not shifts:
-        return complex(t * q0), complex(-t * q1), complex(t * q2)
+        return t * q0, -t * q1, t * q2
     r = z * t
-    return (complex(value + t * q0), complex(z * slope - r * (t * q1)),
-            complex(z * z * curvature + r * r * (t * q2)))
+    return (value + t * q0, z * slope - r * (t * q1),
+            z * z * curvature + r * r * (t * q2))
 
 
 def _remainder_difference(name, a, b, delta):
     """The jet of R(a) - R(b) by the shift recurrence and the asymptotic
-    series, each differenced term by term (see the section comment)."""
-    a, b, delta = _plain(a, b, delta)
-    if abs(b) > abs(a):
-        # the derivative components scale g(a) - g(b) by b and b^2 below,
-        # which magnifies its rounding where the two parts cancel (the
-        # blackbody gap pair, a factor 2 apart at critical damping)
-        return tuple(-d for d in _remainder_difference(name, b, a, -delta))
+    series, each differenced term by term (see the section comment), for
+    |b| <= |a|: the derivative components scale g(a) - g(b) by b and b^2
+    below, which would magnify its rounding where the two parts cancel
+    (the blackbody gap pair, a factor 2 apart at critical damping), so a
+    caller with |b| > |a| negates the jet of R(b) - R(a)."""
     shifts = max(_shift_count(a), _shift_count(b))
     slope = curvature = d0 = d1 = d2 = 0.0
     wa, wb = a, b
@@ -629,8 +662,10 @@ def _remainder_difference(name, a, b, delta):
     ta, tb = 1.0 / wa, 1.0 / wb
     dt = -(delta * ta) * tb                          # ta - tb
     ra, rb = (a * ta, b * tb) if shifts else (1.0, 1.0)
+    sa, sb = ta * ta, tb * tb
     (q0, q1, q2), (e0, e1, e2) = _divided_differences(
-        _ASYMPTOTIC_HORNER, ta * ta, tb * tb)
+        _ASYMPTOTIC_ROWS[bisect_left(_ASYMPTOTIC_REACH,
+                                     max(abs(sa), abs(sb)))], sa, sb)
     tab = tb * (ta + tb)
     p1, p2 = ta * q1, ta * q2
     e0, e1, e2 = q0 + tab * e0, q1 + tab * e1, q2 + tab * e2
@@ -641,36 +676,30 @@ def _remainder_difference(name, a, b, delta):
         # so that the second part cannot outgrow the first by much
         difference[1] += delta * slope + b * d1
         difference[2] += delta * (a + b) * curvature + b * b * d2
-    return tuple(map(complex, difference))
+    return difference
 
 
 def _series_jet(z):
     """The jet of J at z by the power series, for |z| < SMALL_ARGUMENT."""
-    if z.imag == 0.0:
-        z = z.real
-        log_z = math.log(z)
-    else:
-        log_z = cmath.log(z)
+    log_z = math.log(z) if isinstance(z, float) else cmath.log(z)
     p0, p1, p2 = _horner(_SERIES_HORNER[_term_count(z) + 2], z)
-    return (complex(-LOG_SQRT_2PI - (z + 0.5) * log_z
-                    + (1.0 - EULER_GAMMA) * z + p0),
-            complex(-z * log_z - 0.5 - EULER_GAMMA * z + p1),
-            complex(0.5 - z + p2))
+    return (-LOG_SQRT_2PI - (z + 0.5) * log_z + (1.0 - EULER_GAMMA) * z + p0,
+            -z * log_z - 0.5 - EULER_GAMMA * z + p1,
+            0.5 - z + p2)
 
 
 def _series_difference(a, b, delta):
     """The jet of J(a) - J(b) by the power series, differenced term by
     term, for |a|, |b| < SMALL_ARGUMENT."""
-    a, b, delta = _plain(a, b, delta)
     log, log1p = ((math.log, math.log1p) if isinstance(a, float)
                   else (cmath.log, _log1p))
     log_a, step = log(a), log1p(delta / b)             # step = log a - log b
     rows = _SERIES_HORNER[_term_count(max(abs(a), abs(b))) + 2]
     _, (e0, e1, e2) = _divided_differences(rows, a, b)
-    return (complex(-(delta * log_a + (b + 0.5) * step)
-                    + (1.0 - EULER_GAMMA + e0) * delta),
-            complex(-(delta * log_a + b * step) + (e1 - EULER_GAMMA) * delta),
-            complex((e2 - 1.0) * delta))
+    return (-(delta * log_a + (b + 0.5) * step)
+            + (1.0 - EULER_GAMMA + e0) * delta,
+            -(delta * log_a + b * step) + (e1 - EULER_GAMMA) * delta,
+            (e2 - 1.0) * delta)
 
 
 def _leading(jet, lead):
@@ -723,10 +752,11 @@ def j_jet(z: complex) -> tuple[complex, complex, complex]:
     """
     z = _check_argument(z, "j_jet")
     if abs(z) < SMALL_ARGUMENT:
-        return _series_jet(z)
+        return _complex(_series_jet(_real(z)))
     if z.real < 0.0:
         return tuple(k - j for k, j in zip(j_reflection(z), j_jet(-z)))
-    return _leading(_remainder_jet("j_jet", z), 1.0 / (12.0 * z))
+    return _leading(_complex(_remainder_jet("j_jet", _real(z))),
+                    1.0 / (12.0 * z))
 
 
 def j_remainder(z: complex) -> tuple[complex, complex, complex]:
@@ -742,8 +772,8 @@ def j_remainder(z: complex) -> tuple[complex, complex, complex]:
     """
     z = _check_argument(z, "j_remainder")
     if abs(z) < SMALL_ARGUMENT:
-        return _leading(_series_jet(z), -1.0 / (12.0 * z))
-    return _remainder_jet("j_remainder", z)
+        return _leading(_complex(_series_jet(_real(z))), -1.0 / (12.0 * z))
+    return _complex(_remainder_jet("j_remainder", _real(z)))
 
 
 def j_remainder_difference(a: complex, b: complex,
@@ -765,8 +795,12 @@ def j_remainder_difference(a: complex, b: complex,
     b = _check_argument(b, "j_remainder_difference")
     if min(abs(a), abs(b)) < 0.5 * SMALL_ARGUMENT:
         raise ValueError("j_remainder_difference: needs |a|, |b| >= 1/4")
-    return _remainder_difference("j_remainder_difference", a, b,
-                                 complex(delta))
+    a, b, delta = _plain(a, b, complex(delta))
+    if abs(b) > abs(a):
+        return tuple(-d for d in _complex(_remainder_difference(
+            "j_remainder_difference", b, a, -delta)))
+    return _complex(_remainder_difference("j_remainder_difference",
+                                          a, b, delta))
 
 
 def j_difference(a: complex, b: complex,
@@ -782,4 +816,4 @@ def j_difference(a: complex, b: complex,
         # 1/(12 a) - 1/(12 b) = -delta/(12 a b)
         return _leading(j_remainder_difference(a, b, delta),
                         -delta / (12.0 * a * b))
-    return _series_difference(a, b, delta)
+    return _complex(_series_difference(*_plain(a, b, delta)))

@@ -36,9 +36,9 @@ from typing import Callable, Iterable, NamedTuple
 from .baths import CanonicalBath, cutoff_relation, roots, spectral_weight, static_weight
 from .quadrature import (IntegrandEvaluationError, integrate_interval,
                          integrate_log_endpoint, integrate_semi_infinite)
-from .stieltjes import (EULER_GAMMA, SMALL_ARGUMENT, j_difference, j_jet,
-                        j_reflection, j_remainder, j_remainder_difference,
-                        zeta)
+from .stieltjes import (EULER_GAMMA, SMALL_ARGUMENT, _remainder_difference,
+                        _remainder_jet, _series_difference, _series_jet,
+                        j_reflection, zeta)
 
 __all__ = [
     "ThermoPoint", "DivergenceError", "METHODS",
@@ -83,7 +83,8 @@ class ThermoPoint:
 
 class _Plan(NamedTuple):
     """What the exact routes need of one bath, made once per call and
-    shared by every temperature of a sweep.
+    shared by every temperature of a sweep; the closed form runs each of
+    its terms over the whole temperature list in one pass (:func:`_j_sum`).
 
     ``terms`` lists the closed form's characteristic frequencies c as
     (sigma, c, mate, gap) for sigma J(c/(2 pi theta)): sigma = -1 for a
@@ -135,11 +136,18 @@ def _plan(bath: CanonicalBath) -> _Plan:
                  spectral_weight(bath))
 
 
-def _j_sum(plan: _Plan, theta: float) -> tuple[float, float, float]:
-    """G, A and B: the sums of sigma J(x), sigma x J'(x) and
-    sigma x^2 J''(x) over the characteristic arguments x = c/(2 pi theta)
-    of the closed form, from one pass over the plan's terms and the jets
-    of J.
+def _j_sum(plan: _Plan, thetas: list[float]
+           ) -> list[tuple[float, float, float]]:
+    """G, A and B at each temperature of ``thetas``: the sums of
+    sigma J(x), sigma x J'(x) and sigma x^2 J''(x) over the characteristic
+    arguments x = c/(2 pi theta) of the closed form, from the jets of J.
+
+    The pass is term by term: each term of the plan runs over the whole
+    list at once, with what does not depend on theta (the order of a pair,
+    whether it is real) decided once for the term, and calls the jet cores
+    of :mod:`oscbath.stieltjes` directly.  Every point still adds its terms
+    in plan order, so it is the same to the bit as a pass over that one
+    temperature.
 
     Arguments of modulus >= SMALL_ARGUMENT contribute remainders after the
     leading 1/(12 x) of J, whose sum L enters G, A and B as (L, -L, 2L);
@@ -148,56 +156,86 @@ def _j_sum(plan: _Plan, theta: float) -> tuple[float, float, float]:
     at or above SMALL_ARGUMENT/2, the Omega pair also while both lie below
     SMALL_ARGUMENT; below SMALL_ARGUMENT/2, where 2 Re J(x) cancels
     little, a mirror pair is summed as that, from the power series.
+    A subnormal theta, one where 2 pi theta overflows and one where an
+    argument x is 0 raise ValueError naming the first such theta.
     """
-    if theta < sys.float_info.min:          # 2 pi x overflows
-        raise ValueError(f"theta = {theta!r} is subnormal")
-    s = 1.0 / (2.0 * math.pi * theta)
-    if s == 0.0:
-        raise ValueError(f"theta = {theta!r} is too large: 2 pi theta "
-                         "overflows")
-    G = A = B = 0.0
-    inverse = 0.0            # sum of sigma/x over the remainder terms
-    all_remainders = True
-    for sign, c, mate, gap in plan.terms:
-        x = c * s
-        if mate is None:
-            singles = ((sign, x),)
+    least = min(abs(z) for _, c, mate, _ in plan.terms for z in (c, mate)
+                if z is not None)
+    scales = []
+    for theta in thetas:
+        if theta < sys.float_info.min:          # 2 pi x overflows
+            raise ValueError(f"theta = {theta!r} is subnormal")
+        s = 1.0 / (2.0 * math.pi * theta)
+        if s == 0.0:
+            raise ValueError(f"theta = {theta!r} is too large: 2 pi theta "
+                             "overflows")
+        if least * s == 0.0:
+            raise ValueError(f"theta = {theta!r} is out of the range of the "
+                             "exact_j route: an argument c/(2 pi theta) "
+                             "is 0")
+        scales.append(s)
+    count = len(scales)
+    G, A, B = [0.0] * count, [0.0] * count, [0.0] * count
+    inverse = [0.0] * count  # sum of sigma/x over the remainder terms
+    whole = [False] * count  # some J entered whole, not as a remainder
+
+    def single(i, sign, x):
+        if abs(x) < SMALL_ARGUMENT:
+            whole[i] = True
+            g, a, b = _series_jet(x)
         else:
+            inverse[i] += sign * (1.0 / x).real
+            g, a, b = _remainder_jet("j_remainder", x)
+        G[i] += sign * g.real
+        A[i] += sign * a.real
+        B[i] += sign * b.real
+
+    for sign, c, mate, gap in plan.terms:
+        if mate is None:
+            for i, s in enumerate(scales):
+                single(i, sign, c * s)
+            continue
+        mirror = type(mate) is complex
+        # |b| > |x| at every theta, as |x|/|b| = |c|/|mate|: the remainder
+        # difference runs as -(R(b) - R(x)), larger argument first
+        swap = abs(mate) > abs(c)
+        for i, s in enumerate(scales):
+            x = c * s
             b = mate * s
-            mirror = type(b) is complex
             size = abs(x), abs(b)
             small = max(size) < SMALL_ARGUMENT
             if min(size) >= 0.5 * SMALL_ARGUMENT or small and not mirror:
                 delta = x - b if mirror else -x * mate * gap
+                term = sign
                 if small:
-                    all_remainders = False
-                    jet = j_difference(x, b, delta)
+                    whole[i] = True
+                    jet = _series_difference(x, b, delta)
                 else:
-                    inverse -= sign * (delta / (x * b)).real
-                    jet = j_remainder_difference(x, b, delta)
+                    inverse[i] -= sign * (delta / (x * b)).real
+                    if swap:
+                        term = -sign
+                        jet = _remainder_difference(
+                            "j_remainder_difference", b, x, -delta)
+                    else:
+                        jet = _remainder_difference(
+                            "j_remainder_difference", x, b, delta)
                 if mirror:
                     jet = [d + k for d, k in zip(jet, j_reflection(b))]
-                G += sign * jet[0].real
-                A += sign * jet[1].real
-                B += sign * jet[2].real
-                continue
-            # astride the series switch, or a mirror pair below the
-            # difference floor: term by term
-            singles = ((2.0 * sign, x),) if mirror else ((-sign, b), (sign, x))
-        for sign, x in singles:
-            if abs(x) < SMALL_ARGUMENT:
-                all_remainders = False
-                jet = j_jet(x)
-            else:
-                inverse += sign * (1.0 / x).real
-                jet = j_remainder(x)
-            G += sign * jet[0].real
-            A += sign * jet[1].real
-            B += sign * jet[2].real
-    if all_remainders:
-        inverse = -2.0 * math.pi * theta * plan.static
-    lead = inverse / 12.0
-    return G + lead, A - lead, B + 2.0 * lead
+                G[i] += term * jet[0].real
+                A[i] += term * jet[1].real
+                B[i] += term * jet[2].real
+            elif mirror:    # below the difference floor
+                single(i, 2.0 * sign, x)
+            else:           # astride the series switch
+                single(i, -sign, b)
+                single(i, sign, x)
+    jets = []
+    for theta, g, a, b, total, taken in zip(thetas, G, A, B, inverse, whole):
+        if not taken:
+            total = -2.0 * math.pi * theta * plan.static
+        lead = total / 12.0
+        jets.append((g + lead, a - lead, b + 2.0 * lead))
+    return jets
 
 
 def _point(theta: float, G: float, A: float, B: float,
@@ -357,11 +395,14 @@ def sweep(bath: CanonicalBath, thetas: Iterable[float],
 
     The two exact routes set up what they need of the bath (the
     characteristic frequencies, the static weight, the spectral weight)
-    once for the whole list; the two series routes run
-    :func:`series_point` at each temperature.  Every point is
-    bit-identical to :func:`thermo_point` at its temperature.  An unknown
-    method, or a temperature that is not finite and > 0, raises ValueError
-    before any point is computed.
+    once for the whole list; ``exact_j`` then runs term by term, each
+    characteristic frequency over the whole list (:func:`_j_sum`), and
+    the two series routes run :func:`series_point` at each temperature.
+    Every point is bit-identical to :func:`thermo_point` at its
+    temperature, and a list holding temperatures where the route fails
+    raises what :func:`thermo_point` raises at the first of them.  An
+    unknown method, or a temperature that is not finite and > 0, raises
+    ValueError before any point is computed.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
@@ -373,8 +414,16 @@ def sweep(bath: CanonicalBath, thetas: Iterable[float],
         regime = method.removesuffix("_series")
         return [series_point(bath, theta, regime) for theta in thetas]
     plan = _plan(bath)
-    jet = _j_sum if method == "exact_j" else _spectral_moments
-    return [_point(theta, *jet(plan, theta), method) for theta in thetas]
+    if method == "exact_quadrature":
+        return [_point(theta, *_spectral_moments(plan, theta), method)
+                for theta in thetas]
+    try:
+        jets = _j_sum(plan, thetas)
+    except (ArithmeticError, ValueError):
+        # some temperature fails: one at a time, so that the first failing
+        # one of the list is named, as thermo_point names it
+        jets = (_j_sum(plan, [theta])[0] for theta in thetas)
+    return [_point(theta, *jet, method) for theta, jet in zip(thetas, jets)]
 
 
 def thermo_point(bath: CanonicalBath, theta: float,

@@ -1316,6 +1316,16 @@ def test_a_failing_sweep_names_its_first_failing_theta(key, bad):
         assert re.search(f"theta = {re.escape(repr(first))}", expected[1])
 
 
+def test_an_argument_of_zero_names_theta():
+    # Ohmic gamma = 1e20: the smaller root 1e-20 over 2 pi theta is 0.0 at
+    # theta = 1e305, where no jet of J exists
+    bath = bath_of("ohmic", 1e20, None)
+    assert math.isfinite(thermo.thermo_point(bath, 1e300).F)
+    for thetas in ([1e305], [1.0, 1e305, 1e-310], [1e305, 1e-310]):
+        with pytest.raises(ValueError, match=r"theta = 1e\+305 .* is 0"):
+            thermo.sweep(bath, thetas)
+
+
 def test_cli_sweep_names_the_first_overflowing_theta(capsys):
     status = cli.main(["sweep", "--model", "qed", "--gamma", "0.1",
                        "--omega-prime", "1e3", "--theta-min", "1e300",

@@ -11,9 +11,12 @@ absolute differences in J (the Lanczos coefficients carry an intrinsic
 
 import cmath
 import math
+import random
 import re
+import struct
 import sys
 import time
+from bisect import bisect_left
 from fractions import Fraction
 
 import numpy as np
@@ -78,6 +81,45 @@ class TestTables:
         omitted = abs(float(sj._BERNOULLI_BEYOND[34])) / (33 * 34) * z ** -33
         leading = z ** -3 / 360.0
         assert omitted * 33 * 34 <= 1e-16 * 3 * 4 * leading
+
+    def test_asymptotic_reach_regenerates(self):
+        # entry n - 1: the largest float s at which rows[-n:] leave a tail
+        # below 2^-70 of the first row's term in each of the three series,
+        # by bisection over the float grid of (0, 1); the tail is a Horner
+        # sum of positive terms, monotone in s
+        rows = sj._ASYMPTOTIC_HORNER
+
+        def tail(n, s):
+            worst = 0.0
+            for k in range(3):
+                total = 0.0
+                for row in rows[:len(rows) - n]:
+                    total = total * s + abs(row[k])
+                worst = max(worst, total * s ** n / abs(rows[-1][k]))
+            return worst
+
+        def bits(x):
+            return struct.unpack("<q", struct.pack("<d", x))[0]
+
+        def real(i):
+            return struct.unpack("<d", struct.pack("<q", i))[0]
+
+        reach = []
+        for n in range(1, len(rows)):
+            low, high = 0, bits(1.0)
+            while high - low > 1:
+                middle = (low + high) // 2
+                if tail(n, real(middle)) < 2.0 ** -70:
+                    low = middle
+                else:
+                    high = middle
+            reach.append(real(low))
+        assert sj._ASYMPTOTIC_REACH == tuple(reach)
+        assert list(reach) == sorted(set(reach))        # strictly rising
+        assert reach[-1] < sj._REMAINDER_ASYMPTOTIC ** -2
+        assert len(sj._ASYMPTOTIC_ROWS) == len(rows)
+        assert all(sj._ASYMPTOTIC_ROWS[k] == rows[len(rows) - k - 1:]
+                   for k in range(len(rows)))
 
     def test_zeta_against_closed_forms(self):
         assert abs(sj.zeta(2) - math.pi**2 / 6.0) < 1e-15
@@ -706,3 +748,62 @@ class TestDifferences:
     def test_too_small_for_the_recurrence(self):
         with pytest.raises(ValueError):
             sj.j_remainder_difference(0.1, 0.1 - 1e-9, 1e-9)
+
+
+class TestRowCut:
+    """The asymptotic series stops at the last row whose tail adds 2^-70
+    of its first term; every row beyond adds nothing a double can hold."""
+
+    FULL = (0.0,) * 14          # every |s| > 0 lies beyond: all 15 rows
+
+    @staticmethod
+    def large(rng, real):
+        size = 10.0 ** rng.uniform(1.0, 13.0)
+        return size if real else cmath.rect(size, rng.uniform(-1.55, 1.55))
+
+    def pairs(self, rng, real, count):
+        for _ in range(count):
+            a = self.large(rng, real)
+            step = 10.0 ** rng.uniform(-16.0, -0.3)
+            if real:
+                b = a * (1.0 + step)
+            elif rng.random() < 0.5 and abs(a.real) < 0.25 * abs(a.imag):
+                b = -a.conjugate()                              # mirror
+            else:
+                b = a * (1.0 + step * cmath.exp(1j * rng.uniform(-3.1, 3.1)))
+            if abs(b) >= 10.0 and a != b:
+                yield a, b, a - b
+
+    def without_cut(self, monkeypatch, route, *args):
+        with monkeypatch.context() as patch:
+            patch.setattr(sj, "_ASYMPTOTIC_REACH", self.FULL)
+            return route(*args)
+
+    @pytest.mark.parametrize("real", [True, False])
+    def test_remainder_is_bit_identical(self, monkeypatch, real):
+        rng = random.Random(2)
+        for _ in range(2000):
+            z = self.large(rng, real)
+            assert sj.j_remainder(z) == \
+                self.without_cut(monkeypatch, sj.j_remainder, z), z
+
+    def test_real_difference_is_bit_identical(self, monkeypatch):
+        for a, b, delta in self.pairs(random.Random(3), True, 2000):
+            for pair in ((a, b, delta), (b, a, -delta)):
+                assert sj.j_remainder_difference(*pair) == self.without_cut(
+                    monkeypatch, sj.j_remainder_difference, *pair), pair
+
+    def test_complex_difference_within_1e_18(self, monkeypatch):
+        # complex products round their parts separately
+        for a, b, delta in self.pairs(random.Random(4), False, 2000):
+            got = sj.j_remainder_difference(a, b, delta)
+            full = self.without_cut(monkeypatch, sj.j_remainder_difference,
+                                    a, b, delta)
+            for value, reference in zip(got, full):
+                assert abs(value - reference) <= 1e-18 * abs(reference), \
+                    (a, b)
+
+    def test_one_row_far_out(self):
+        # at |z| = 1e12 the tail of the first row alone is below 2^-70 of it
+        assert bisect_left(sj._ASYMPTOTIC_REACH, 1e-24) == 0
+        assert bisect_left(sj._ASYMPTOTIC_REACH, 0.01) == 14

@@ -227,7 +227,7 @@ class TestSweep:
     def test_gap_pair_on_both_sides_of_its_switch(self, monkeypatch):
         bath = SWEEP_BATHS[-1]
         differenced = []
-        for name in ("j_difference", "j_remainder_difference"):
+        for name in ("_series_difference", "_remainder_difference"):
             original = getattr(thermo, name)
 
             def counting(*args, original=original):
