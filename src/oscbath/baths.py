@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Union
 
 __all__ = [
@@ -148,6 +149,11 @@ def canonicalize(spec: BathSpec) -> CanonicalBath:
     """Map a bath description onto the canonical (gamma, Omega, Omega')
     triple, applying the cutoff relations exactly.
 
+    The single-relaxation-time Omega' = 1/tau - gamma is formed in exact
+    rational arithmetic from the float tau and gamma and rounded once:
+    fl(1/tau) - gamma would lose log10(1/(1 - gamma tau)) digits as
+    gamma tau -> 1 (2e-13 relative at gamma = 3, Omega' = 1e-3).
+
     A single-relaxation-time spec whose triple does not read as the
     relaxation relation raises ValueError naming gamma and tau: where
     gamma (Omega + 1/Omega) is below ~4e-15, the triple meets the
@@ -157,8 +163,10 @@ def canonicalize(spec: BathSpec) -> CanonicalBath:
         return CanonicalBath(gamma=spec.gamma)
     if isinstance(spec, SingleRelaxationSpec):
         big_omega = 1.0 / spec.tau
+        prime = (float(Fraction(1) / Fraction(spec.tau) - Fraction(spec.gamma))
+                 if big_omega < math.inf else big_omega)
         bath = CanonicalBath(gamma=spec.gamma, Omega=big_omega,
-                             OmegaPrime=big_omega - spec.gamma)
+                             OmegaPrime=prime)
         if cutoff_relation(bath) != "relaxation":
             raise ValueError(
                 f"single-relaxation-time bath with gamma = {spec.gamma!r}, "

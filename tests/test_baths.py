@@ -41,6 +41,18 @@ class TestCanonicalize:
         # Omega - Omega' = gamma holds exactly
         assert bath.Omega - bath.OmegaPrime == bath.gamma
 
+    @pytest.mark.parametrize("gamma, prime", [(3.0, 1e-3), (1.0, 1e-3),
+                                              (0.3, 1e-3), (1e-6, 1e-8),
+                                              (2.0, 0.5), (1.0, 99.0)])
+    def test_srt_second_cutoff_is_correctly_rounded(self, gamma, prime):
+        # Omega' = 1/tau - gamma with the float tau taken as exact, rounded
+        # once; fl(1/tau) - gamma is 2e-13 off at gamma = 3, Omega' = 1e-3
+        tau = 1.0 / (prime + gamma)
+        bath = canonicalize(SingleRelaxationSpec(gamma=gamma, tau=tau))
+        assert bath.Omega == 1.0 / tau
+        assert bath.OmegaPrime == float(1 / Fraction(tau) - Fraction(gamma))
+        assert baths.cutoff_relation(bath) == "relaxation"
+
     def test_qed_cutoffs(self):
         bath = canonicalize(QEDSpec(gamma=0.1, omega_prime=1000.0))
         assert abs(bath.Omega - 9.900990099009901) < 1e-14

@@ -521,85 +521,85 @@ EXACT_J_ROWS = {
          "0x1.f369d1c1c3f6cp+9 0x1.fffeef296155ap-1",
     ),
     ('srt', 0.3, 0.001): (
-        "-0x1.c05978076f164p-25 0x1.5604b9ae06722p-7 "
-         "0x1.c03b3baee7715p-25 0x1.55d6a4158aa83p-7",
-        "-0x1.20382fb4af3b2p-23 0x1.1223369a8637ep-6 "
-         "0x1.20065c6581047p-23 0x1.11c4ab718f410p-6",
-        "-0x1.727125f4cae2fp-22 0x1.b72d5688349dap-6 "
-         "0x1.71cdcf68da221p-22 0x1.b5ac7ccd2c004p-6",
-        "-0x1.dbbc0fcd51b6bp-21 0x1.5f39e16b2aeafp-5 "
-         "0x1.d9ab82b87be4ep-21 0x1.5c39516b7b831p-5",
-        "-0x1.30ded9751119ap-19 0x1.17cfcc1c0a8d4p-4 "
-         "0x1.2da06038a22b9p-19 0x1.120f9047b5025p-4",
-        "-0x1.84f38f67a6363p-18 0x1.ba0a854b719a4p-4 "
-         "0x1.7b55f83c0e5f0p-18 0x1.a5afd5bc8573cp-4",
-        "-0x1.eb73facadc95fp-17 0x1.575c124c0fa99p-3 "
-         "0x1.d19af79592ea1p-17 0x1.378e4e241a027p-3",
-        "-0x1.311609ff5914cp-15 0x1.0368d4372f922p-2 "
-         "0x1.12b50f8d580b5p-15 0x1.b212d65ab9e88p-3",
-        "-0x1.70b9654c8a680p-14 0x1.794dd6494bdeep-2 "
-         "0x1.337a8ed38f611p-14 0x1.1a0e2b562bdaep-2",
-        "-0x1.ae4f0992efcd1p-13 0x1.068923a12e102p-1 "
-         "0x1.44440d163e5f7p-13 0x1.5634b67fd0485p-2",
-        "-0x1.e2bc590fafbe7p-12 0x1.5d68ce069ad00p-1 "
-         "0x1.428b2c91cf615p-12 0x1.87622b6ff25bep-2",
-        "-0x1.0429b77fa4572p-10 0x1.be5b087e88fdfp-1 "
-         "0x1.308e0da3994dfp-11 0x1.ab70c88e490d5p-2",
-        "-0x1.0e167bbbcf3e9p-9 0x1.132887289504bp+0 "
-         "0x1.1351a26a51c14p-10 0x1.c307e0e23aa4ep-2",
-        "-0x1.0f1f37f2e17f4p-8 0x1.4944824b62a64p+0 "
-         "0x1.e084527bb6d9cp-10 0x1.cfc3389f952e1p-2",
-        "-0x1.084c2fc6f786dp-7 0x1.804dc7c272c28p+0 "
-         "0x1.977a90a10608cp-9 0x1.d2db766e161f0p-2",
-        "-0x1.f668668aaf360p-7 0x1.b7267e4c9103fp+0 "
-         "0x1.51420190cb593p-8 0x1.cc78e37761ad1p-2",
-        "-0x1.d3246b9749fabp-6 0x1.eca3341c0a7c6p+0 "
-         "0x1.10f11f84fc1d7p-7 0x1.bb94ceea6945ap-2",
-        "-0x1.aa03479dd272cp-5 0x1.0fb75400d7655p+1 "
-         "0x1.af9f4e4115207p-7 0x1.9ea905c4ea7dfp-2",
-        "-0x1.7dc159195422fp-4 0x1.270bab864e119p+1 "
-         "0x1.4c863a54c0c6ap-6 0x1.75e7054929993p-2",
-        "-0x1.50a09130b103cp-3 0x1.3bc1f7002a304p+1 "
+        "-0x1.c05978076f115p-25 0x1.5604b9ae066e6p-7 "
+         "0x1.c03b3baee76c7p-25 0x1.55d6a4158aa47p-7",
+        "-0x1.20382fb4af37fp-23 0x1.1223369a8634cp-6 "
+         "0x1.20065c6581013p-23 0x1.11c4ab718f3e0p-6",
+        "-0x1.727125f4cadeep-22 0x1.b72d56883498dp-6 "
+         "0x1.71cdcf68da1e1p-22 0x1.b5ac7ccd2bfb8p-6",
+        "-0x1.dbbc0fcd51b15p-21 0x1.5f39e16b2ae70p-5 "
+         "0x1.d9ab82b87bdfap-21 0x1.5c39516b7b7f5p-5",
+        "-0x1.30ded97511165p-19 0x1.17cfcc1c0a8a4p-4 "
+         "0x1.2da06038a2286p-19 0x1.120f9047b4ff7p-4",
+        "-0x1.84f38f67a6320p-18 0x1.ba0a854b7195ap-4 "
+         "0x1.7b55f83c0e5b2p-18 0x1.a5afd5bc856fbp-4",
+        "-0x1.eb73facadc90dp-17 0x1.575c124c0fa62p-3 "
+         "0x1.d19af79592e58p-17 0x1.378e4e2419ffcp-3",
+        "-0x1.311609ff5911cp-15 0x1.0368d4372f8fcp-2 "
+         "0x1.12b50f8d58091p-15 0x1.b212d65ab9e5bp-3",
+        "-0x1.70b9654c8a64ap-14 0x1.794dd6494bdbep-2 "
+         "0x1.337a8ed38f5f0p-14 0x1.1a0e2b562bd98p-2",
+        "-0x1.ae4f0992efc9bp-13 0x1.068923a12e0e6p-1 "
+         "0x1.44440d163e5dap-13 0x1.5634b67fd0470p-2",
+        "-0x1.e2bc590fafbafp-12 0x1.5d68ce069acdep-1 "
+         "0x1.428b2c91cf5ffp-12 0x1.87622b6ff25adp-2",
+        "-0x1.0429b77fa4559p-10 0x1.be5b087e88fbbp-1 "
+         "0x1.308e0da3994cep-11 0x1.ab70c88e490c9p-2",
+        "-0x1.0e167bbbcf3d2p-9 0x1.1328872895037p+0 "
+         "0x1.1351a26a51c08p-10 0x1.c307e0e23aa47p-2",
+        "-0x1.0f1f37f2e17e0p-8 0x1.4944824b62a50p+0 "
+         "0x1.e084527bb6d8fp-10 0x1.cfc3389f952dcp-2",
+        "-0x1.084c2fc6f785dp-7 0x1.804dc7c272c15p+0 "
+         "0x1.977a90a106084p-9 0x1.d2db766e161ecp-2",
+        "-0x1.f668668aaf33ep-7 0x1.b7267e4c91027p+0 "
+         "0x1.51420190cb58ep-8 0x1.cc78e37761acep-2",
+        "-0x1.d3246b9749f90p-6 0x1.eca3341c0a7aep+0 "
+         "0x1.10f11f84fc1d4p-7 0x1.bb94ceea69458p-2",
+        "-0x1.aa03479dd2717p-5 0x1.0fb75400d764ap+1 "
+         "0x1.af9f4e4115203p-7 0x1.9ea905c4ea7ddp-2",
+        "-0x1.7dc159195421ep-4 0x1.270bab864e10ep+1 "
+         "0x1.4c863a54c0c69p-6 0x1.75e7054929993p-2",
+        "-0x1.50a09130b102ep-3 0x1.3bc1f7002a2f9p+1 "
          "0x1.f284beccf7b81p-6 0x1.483f251664d96p-2",
-        "-0x1.2496634a45503p-2 0x1.4e4dc146d84f6p+1 "
-         "0x1.70c6bd1709678p-5 0x1.3664ec20ead9cp-2",
-        "-0x1.f77a59d60d68ep-2 0x1.629baf0d272e8p+1 "
+        "-0x1.2496634a454f8p-2 0x1.4e4dc146d84ebp+1 "
+         "0x1.70c6bd1709677p-5 0x1.3664ec20ead9cp-2",
+        "-0x1.f77a59d60d67ep-2 0x1.629baf0d272dep+1 "
          "0x1.22a9fc8c1b69cp-4 0x1.91a2026247aaap-2",
-        "-0x1.b0f34299d4f0fp-1 0x1.80186826b1044p+1 "
+        "-0x1.b0f34299d4effp-1 0x1.80186826b1038p+1 "
          "0x1.0dcf33e752a4bp-3 0x1.2f82c904b2500p-1",
-        "-0x1.780a9ee7726e3p+0 0x1.aa09e56d918b5p+1 "
-         "0x1.141c91053bb9dp-2 0x1.918f3ed7ce9dbp-1",
-        "-0x1.4ae9ee6252f10p+1 0x1.dd5f0e3483ffep+1 "
+        "-0x1.780a9ee7726d8p+0 0x1.aa09e56d918aap+1 "
+         "0x1.141c91053bb9cp-2 0x1.918f3ed7ce9dbp-1",
+        "-0x1.4ae9ee6252f07p+1 0x1.dd5f0e3483ff3p+1 "
          "0x1.13e0bf222a5f5p-1 0x1.cd82c0dee77e3p-1",
-        "-0x1.25ca3a5fe3241p+2 0x1.0ae828749cb02p+2 "
+        "-0x1.25ca3a5fe323ap+2 0x1.0ae828749cafdp+2 "
          "0x1.031718710b501p+0 0x1.eaa7fc1d7f99fp-1",
-        "-0x1.058893fe7eee5p+3 0x1.284d94a9c4fd8p+2 "
+        "-0x1.058893fe7eedep+3 0x1.284d94a9c4fd2p+2 "
          "0x1.cd31b7c262c63p+0 0x1.f7537a7f68faap-1",
-        "-0x1.d0b25960e6200p+3 0x1.46325c3e31ea7p+2 "
+        "-0x1.d0b25960e61f8p+3 0x1.46325c3e31ea2p+2 "
          "0x1.8b4d790d73717p+1 0x1.fc8b7787830c8p-1",
-        "-0x1.9ae905f6c24fcp+4 0x1.644aeddb1ee54p+2 "
+        "-0x1.9ae905f6c24f3p+4 0x1.644aeddb1ee4ep+2 "
          "0x1.4a9584f846f5ap+2 0x1.fea3528405611p-1",
-        "-0x1.693df8d0ee2e1p+5 0x1.827822a19ea16p+2 "
+        "-0x1.693df8d0ee2dap+5 0x1.827822a19ea10p+2 "
          "0x1.1029248ab526ap+3 0x1.ff7756164af74p-1",
-        "-0x1.3baa3e38d9059p+6 0x1.a0ad7a7b161f7p+2 "
+        "-0x1.3baa3e38d9055p+6 0x1.a0ad7a7b161f2p+2 "
          "0x1.bbb8d92ffe457p+3 0x1.ffca9b9984aeep-1",
-        "-0x1.123e250b82b47p+7 0x1.bee602e9a535ep+2 "
+        "-0x1.123e250b82b43p+7 0x1.bee602e9a5358p+2 "
          "0x1.677bdabd764d2p+4 0x1.ffeb2e0e8affbp-1",
-        "-0x1.d9f6c6cee9148p+7 0x1.dd1fca66a778bp+2 "
+        "-0x1.d9f6c6cee9141p+7 0x1.dd1fca66a7785p+2 "
          "0x1.221cf7698628cp+5 0x1.fff7e3f25a658p-1",
-        "-0x1.9794c56b8b74bp+8 0x1.fb5a0e4fe7787p+2 "
+        "-0x1.9794c56b8b746p+8 0x1.fb5a0e4fe7782p+2 "
          "0x1.d320d88481c30p+5 0x1.fffcd7e9b57f5p-1",
-        "-0x1.5cf7af0de0bf3p+9 0x1.0cca41582c2ccp+3 "
+        "-0x1.5cf7af0de0befp+9 0x1.0cca41582c2c9p+3 "
          "0x1.77823e0321132p+6 0x1.fffec5970553ep-1",
-        "-0x1.299d8268736c4p+10 0x1.1be784f727814p+3 "
+        "-0x1.299d8268736c1p+10 0x1.1be784f727811p+3 "
          "0x1.2d9335a4e3914p+7 0x1.ffff85b3738bcp-1",
-        "-0x1.f9dc54fb5012fp+10 0x1.2b04cc41af647p+3 "
+        "-0x1.f9dc54fb5012bp+10 0x1.2b04cc41af645p+3 "
          "0x1.e41caccc1c03ep+7 0x1.ffffd06f8fdb0p-1",
-        "-0x1.ac8e3b01e12dbp+11 0x1.3a2214f9af4c8p+3 "
+        "-0x1.ac8e3b01e12d6p+11 0x1.3a2214f9af4c5p+3 "
          "0x1.846cd96f083dep+8 0x1.ffffed80d710ep-1",
-        "-0x1.6a08b4716f40ep+12 0x1.493f5e3fd28ccp+3 "
+        "-0x1.6a08b4716f40bp+12 0x1.493f5e3fd28c9p+3 "
          "0x1.379485a245f39p+9 0x1.fffff8ceb59bdp-1",
-        "-0x1.310d9b76553dbp+13 0x1.585ca7bd3c208p+3 "
+        "-0x1.310d9b76553d8p+13 0x1.585ca7bd3c205p+3 "
          "0x1.f3ce058777a0ep+9 0x1.fffffd3408481p-1",
     ),
     ('srt', 3.0, 1.0): (
@@ -685,85 +685,85 @@ EXACT_J_ROWS = {
          "0x1.f3baeb161dc33p+9 0x1.fffff4d46e61fp-1",
     ),
     ('srt', 3.0, 0.001): (
-        "-0x1.c2e88206ca617p-25 0x1.57f87afe9e052p-7 "
-         "0x1.c2ca45ae26844p-25 0x1.57ca6565f72bep-7",
-        "-0x1.21dd5cc2b85b1p-23 0x1.13b3f2568d2d6p-6 "
-         "0x1.21ab89735b79cp-23 0x1.1355672d3d691p-6",
-        "-0x1.748ec32f76fa8p-22 0x1.b9b000672bc10p-6 "
-         "0x1.73eb6ca2ebe1cp-22 0x1.b82f26aab4dc4p-6",
-        "-0x1.de748de086df0p-21 0x1.613d34d1b79c3p-5 "
-         "0x1.dc6400c9b294dp-21 0x1.5e3ca4cf14d2ep-5",
-        "-0x1.329eadd878dcdp-19 0x1.196d041e0def2p-4 "
-         "0x1.2f603498bdc6ap-19 0x1.13acc843a28fdp-4",
-        "-0x1.8733732272c66p-18 0x1.bca1350f99d9cp-4 "
-         "0x1.7d95dbebf3008p-18 0x1.a846856794418p-4",
-        "-0x1.ee588c74ce918p-17 0x1.596f73e2f8410p-3 "
-         "0x1.d47f891b72fd1p-17 0x1.39a1af873f6a4p-3",
-        "-0x1.32f2356c474d7p-15 0x1.0512ebe592157p-2 "
-         "0x1.14913abea074dp-15 0x1.b56704e1ff9b2p-3",
-        "-0x1.731dba78acf7dp-14 0x1.7bf92ae3d849cp-2 "
-         "0x1.35dee33a6c56fp-14 0x1.1cb97e38702fcp-2",
-        "-0x1.b16277c36a26ep-13 0x1.08ad11e4bbfe4p-1 "
-         "0x1.475778ba50129p-13 0x1.5a7c8bef19f61p-2",
-        "-0x1.e6b0f07e75575p-12 0x1.60d7839b85804p-1 "
-         "0x1.467fbb932e9e4p-12 0x1.8e3f795a0e7f7p-2",
-        "-0x1.06b4c6528059cp-10 0x1.c3dc29ed622c7p-1 "
-         "0x1.35a40f6d08151p-11 0x1.b67292db9ac9dp-2",
-        "-0x1.115ba9288cfb1p-9 0x1.17924de3c2a8ap+0 "
-         "0x1.19dba138696a8p-10 0x1.d4ad0b56d7c03p-2",
-        "-0x1.13539c788634dp-8 0x1.5057be178702dp+0 "
-         "0x1.f153856aa23c1p-10 0x1.ec083096670b8p-2",
-        "-0x1.0db3c8b7c9cc5p-7 0x1.8ba3fe1fa8944p+0 "
-         "0x1.ad112a706fed7p-9 0x1.0009e6703d610p-1",
-        "-0x1.02257f034a16cp-6 0x1.c94ab6a31c51bp+0 "
-         "0x1.6cede03d0d215p-8 0x1.0a438b8340023p-1",
-        "-0x1.e4f2f22c4d45bp-6 0x1.04c9a49ba40f4p+1 "
-         "0x1.343dd9efabd91p-7 0x1.16acc3a3c1f66p-1",
-        "-0x1.c0c2989f6a210p-5 0x1.26a0a590519e7p+1 "
-         "0x1.045b8ed056446p-6 0x1.275f7426cde40p-1",
-        "-0x1.9a91def62e8f0p-4 0x1.4ac8ce9d612f6p+1 "
-         "0x1.ba8336019f178p-6 0x1.3e23f5335e61cp-1",
-        "-0x1.7489e5d50cdd4p-3 0x1.72048eb9991e6p+1 "
-         "0x1.7bd4f99d2e981p-5 0x1.5b5c55fdf67d7p-1",
-        "-0x1.50197ffa495c8p-2 0x1.9cfed137a1622p+1 "
-         "0x1.493b1adb70665p-4 0x1.7d04439584f5fp-1",
-        "-0x1.2e006d3f081abp-1 0x1.cc04fce003553p+1 "
-         "0x1.1ecfe00ab6f27p-3 0x1.9f2d55c17a072p-1",
-        "-0x1.0e763bbb4f006p+0 0x1.fee7ec3eda315p+1 "
-         "0x1.f2c152ff43971p-3 0x1.bdddb4aa19d24p-1",
-        "-0x1.e2c68116b2727p+0 0x1.1a89c7a7ca9a4p+2 "
-         "0x1.ae2b6c1d7e3bap-2 0x1.d6841aad0cf23p-1",
-        "-0x1.ad29a3b1772b9p+1 0x1.36dff0df9c6c4p+2 "
-         "0x1.6ea6f1dcf17ffp-1 0x1.e83c4d1870fadp-1",
-        "-0x1.7bbaa0d860367p+2 0x1.54102fc89c3b3p+2 "
-         "0x1.34726105e59a2p+0 0x1.f390297c3fdcap-1",
-        "-0x1.4e3fa6f53a604p+3 0x1.71c47609d180ep+2 "
+        "-0x1.c2e88206cac6fp-25 0x1.57f87afe9e528p-7 "
+         "0x1.c2ca45ae26e9cp-25 0x1.57ca6565f7793p-7",
+        "-0x1.21dd5cc2b89c5p-23 0x1.13b3f2568d6b6p-6 "
+         "0x1.21ab89735bbaep-23 0x1.1355672d3da6ep-6",
+        "-0x1.748ec32f774e4p-22 0x1.b9b000672c242p-6 "
+         "0x1.73eb6ca2ec351p-22 0x1.b82f26aab53e6p-6",
+        "-0x1.de748de0874a4p-21 0x1.613d34d1b7eb1p-5 "
+         "0x1.dc6400c9b2febp-21 0x1.5e3ca4cf151fcp-5",
+        "-0x1.329eadd879212p-19 0x1.196d041e0e2d4p-4 "
+         "0x1.2f603498be08ep-19 0x1.13acc843a2ca5p-4",
+        "-0x1.87337322731c4p-18 0x1.bca1350f9a394p-4 "
+         "0x1.7d95dbebf3509p-18 0x1.a846856794954p-4",
+        "-0x1.ee588c74cefaep-17 0x1.596f73e2f8878p-3 "
+         "0x1.d47f891b73584p-17 0x1.39a1af873fa0ap-3",
+        "-0x1.32f2356c478bap-15 0x1.0512ebe592469p-2 "
+         "0x1.14913abea0a47p-15 0x1.b56704e1ffd92p-3",
+        "-0x1.731dba78ad3d4p-14 0x1.7bf92ae3d889cp-2 "
+         "0x1.35dee33a6c842p-14 0x1.1cb97e38704eap-2",
+        "-0x1.b16277c36a707p-13 0x1.08ad11e4bc252p-1 "
+         "0x1.475778ba5038dp-13 0x1.5a7c8bef1a112p-2",
+        "-0x1.e6b0f07e75a0dp-12 0x1.60d7839b85acep-1 "
+         "0x1.467fbb932ebbcp-12 0x1.8e3f795a0e94bp-2",
+        "-0x1.06b4c652807cap-10 0x1.c3dc29ed625d7p-1 "
+         "0x1.35a40f6d0829fp-11 0x1.b67292db9ad94p-2",
+        "-0x1.115ba9288d1acp-9 0x1.17924de3c2c2cp+0 "
+         "0x1.19dba13869789p-10 0x1.d4ad0b56d7caep-2",
+        "-0x1.13539c7886506p-8 0x1.5057be17871ddp+0 "
+         "0x1.f153856aa24e1p-10 0x1.ec08309667129p-2",
+        "-0x1.0db3c8b7c9e3dp-7 0x1.8ba3fe1fa8afcp+0 "
+         "0x1.ad112a706ff85p-9 0x1.0009e6703d634p-1",
+        "-0x1.02257f034a2aap-6 0x1.c94ab6a31c6dep+0 "
+         "0x1.6cede03d0d27fp-8 0x1.0a438b834003bp-1",
+        "-0x1.e4f2f22c4d66bp-6 0x1.04c9a49ba41d8p+1 "
+         "0x1.343dd9efabdcfp-7 0x1.16acc3a3c1f76p-1",
+        "-0x1.c0c2989f6a3c2p-5 0x1.26a0a59051acdp+1 "
+         "0x1.045b8ed056469p-6 0x1.275f7426cde4ap-1",
+        "-0x1.9a91def62ea50p-4 0x1.4ac8ce9d613dbp+1 "
+         "0x1.ba8336019f19fp-6 0x1.3e23f5335e622p-1",
+        "-0x1.7489e5d50cef2p-3 0x1.72048eb9992ccp+1 "
+         "0x1.7bd4f99d2e998p-5 0x1.5b5c55fdf67dap-1",
+        "-0x1.50197ffa496aep-2 0x1.9cfed137a1708p+1 "
+         "0x1.493b1adb70672p-4 0x1.7d04439584f61p-1",
+        "-0x1.2e006d3f08264p-1 0x1.cc04fce003638p+1 "
+         "0x1.1ecfe00ab6f2dp-3 0x1.9f2d55c17a074p-1",
+        "-0x1.0e763bbb4f09bp+0 0x1.fee7ec3eda3fap+1 "
+         "0x1.f2c152ff43978p-3 0x1.bdddb4aa19d24p-1",
+        "-0x1.e2c68116b2815p+0 0x1.1a89c7a7caa16p+2 "
+         "0x1.ae2b6c1d7e3bdp-2 0x1.d6841aad0cf24p-1",
+        "-0x1.ad29a3b177379p+1 0x1.36dff0df9c738p+2 "
+         "0x1.6ea6f1dcf1802p-1 0x1.e83c4d1870faep-1",
+        "-0x1.7bbaa0d860403p+2 0x1.54102fc89c428p+2 "
+         "0x1.34726105e59a4p+0 0x1.f390297c3fdcbp-1",
+        "-0x1.4e3fa6f53a680p+3 0x1.71c47609d1882p+2 "
          "0x1.0048f41ccaa33p+1 0x1.f9fff3c73d106p-1",
-        "-0x1.249ce494d8e45p+4 0x1.8fc02cfd8a560p+2 "
-         "0x1.a575ca9cd8458p+1 0x1.fd4a553b31814p-1",
-        "-0x1.fd8a2fa4e4881p+4 0x1.addf00378218ap+2 "
+        "-0x1.249ce494d8ea9p+4 0x1.8fc02cfd8a5d5p+2 "
+         "0x1.a575ca9cd8459p+1 0x1.fd4a553b31814p-1",
+        "-0x1.fd8a2fa4e4921p+4 0x1.addf0037821ffp+2 "
          "0x1.57c3ecacb800cp+2 0x1.fed5d8fc0ecb2p-1",
-        "-0x1.b953573153dc8p+5 0x1.cc0dd67257253p+2 "
+        "-0x1.b953573153e49p+5 0x1.cc0dd672572c7p+2 "
          "0x1.16c5d2b71a400p+3 0x1.ff843937695cep-1",
-        "-0x1.7c6148ff2999dp+6 0x1.ea43979068105p+2 "
+        "-0x1.7c6148ff29a03p+6 0x1.ea43979068177p+2 "
          "0x1.c257bde020fc9p+3 0x1.ffcdcdce6c51cp-1",
-        "-0x1.46628d8495412p+7 0x1.043e1ced9dd16p+3 "
+        "-0x1.46628d8495465p+7 0x1.043e1ced9dd50p+3 "
          "0x1.6acbbc94a43e8p+4 0x1.ffebf41a8e382p-1",
-        "-0x1.16eaee34adf19p+8 0x1.135b03c59da2cp+3 "
+        "-0x1.16eaee34adf5bp+8 0x1.135b03c59da66p+3 "
          "0x1.23c4fdbe7161bp+5 0x1.fff812a49f88ep-1",
-        "-0x1.daf58fc875ec4p+8 0x1.22782672ffc3cp+3 "
+        "-0x1.daf58fc875f2dp+8 0x1.22782672ffc75p+3 "
          "0x1.d4c8e6d598889p+5 0x1.fffce288c72e6p-1",
-        "-0x1.930ec9fb6dd7ep+9 0x1.319560cc68dabp+3 "
+        "-0x1.930ec9fb6ddd3p+9 0x1.319560cc68de5p+3 "
          "0x1.78564698544f3p+6 0x1.fffec7dd2bb32p-1",
-        "-0x1.5504f0e8b6fd3p+10 0x1.40b2a473e0b2bp+3 "
+        "-0x1.5504f0e8b7018p+10 0x1.40b2a473e0b65p+3 "
          "0x1.2dfd3a2b7a8c6p+7 0x1.ffff86217cb0fp-1",
-        "-0x1.1fbff8cdac142p+11 0x1.4fcfebbfde21fp+3 "
+        "-0x1.1fbff8cdac178p+11 0x1.4fcfebbfde258p+3 "
          "0x1.e486b1630e5fcp+7 0x1.ffffd07df9031p-1",
-        "-0x1.e46977eab33a6p+11 0x1.5eed3477fc759p+3 "
+        "-0x1.e46977eab33ffp+11 0x1.5eed3477fc793p+3 "
          "0x1.84a1dbbb7e058p+8 0x1.ffffed7f89bc2p-1",
-        "-0x1.96d4aed62f156p+12 0x1.6e0a7dbe0f9c7p+3 "
+        "-0x1.96d4aed62f19dp+12 0x1.6e0a7dbe0fa01p+3 "
          "0x1.37af06c80240cp+9 0x1.fffff8cc86670p-1",
-        "-0x1.54fa50253e4c0p+13 0x1.7d27c73b6c24ep+3 "
+        "-0x1.54fa50253e4f9p+13 0x1.7d27c73b6c288p+3 "
          "0x1.f3e886ac94ff7p+9 0x1.fffffd32c68b0p-1",
     ),
     ('qed', 0.01, 10000.0): (
