@@ -180,13 +180,26 @@ def canonicalize(spec: BathSpec) -> CanonicalBath:
     raise TypeError(f"not a bath spec: {spec!r}")
 
 
+# Friction above which roots() scales |omega1| by gamma/2; at and below it
+# every root keeps the bits of the unscaled form.
+_SCALED_ROOTS = 1e150
+
+
 def roots(gamma: float) -> RootPair:
     """Characteristic root pair for friction gamma (units of omega0).
 
     The smaller overdamped root is computed as 1 / (gamma/2 + |omega1|)
-    to avoid the cancellation in gamma/2 - |omega1|.
+    to avoid the cancellation in gamma/2 - |omega1|.  Above
+    _SCALED_ROOTS, where gamma^2/4 would overflow (from ~1.3e154),
+    |omega1| is (gamma/2) sqrt((1 - 2/gamma)(1 + 2/gamma)).
     """
     _require_finite_positive(gamma=gamma)
+    if gamma > _SCALED_ROOTS:
+        inverse = 2.0 / gamma
+        omega1 = 0.5 * gamma * math.sqrt((1.0 - inverse) * (1.0 + inverse))
+        larger = 0.5 * gamma + omega1
+        return RootPair(complex(1.0 / larger, 0.0), complex(larger, 0.0),
+                        omega1, "overdamped")
     disc = 1.0 - 0.25 * gamma * gamma
     omega1 = math.sqrt(abs(disc))
     if disc > 0.0:

@@ -228,6 +228,30 @@ class TestRoots:
         assert abs(pair.z1_conj.real - (2.0 + math.sqrt(3.0))) < 1e-15
         assert abs(pair.z1 * pair.z1_conj - 1.0) < 1e-14
 
+    @pytest.mark.parametrize("gamma", [1.0000000000000002e150, 1e154, 1e200,
+                                       1e300, sys.float_info.max])
+    def test_friction_up_to_the_float_range(self, gamma):
+        # gamma^2/4 overflows from ~1.3e154: above 1e150 |omega1| is
+        # (gamma/2) sqrt((1 - 2/gamma)(1 + 2/gamma)), so z1 is 1/gamma, not 0
+        mp = pytest.importorskip("mpmath")
+        pair = roots(gamma)
+        with mp.workdps(40):
+            g = mp.mpf(gamma)
+            larger = g / 2 + mp.sqrt(g * g / 4 - 1)
+            for got, want in ((pair.z1_conj.real, larger),
+                              (pair.z1.real, 1 / larger)):
+                assert abs(got - want) <= 2.3e-16 * want
+        assert pair.regime == "overdamped" and pair.z1.imag == 0.0
+
+    def test_below_the_scaled_form_nothing_changes(self):
+        # at and below 1e150 the unscaled form, to the bit
+        for gamma in (2.5, 1e10, 1e100, 1e150):
+            omega1 = math.sqrt(0.25 * gamma * gamma - 1.0)
+            larger = 0.5 * gamma + omega1
+            assert roots(gamma) == baths.RootPair(
+                complex(1.0 / larger, 0.0), complex(larger, 0.0), omega1,
+                "overdamped")
+
     def test_sum_and_product_invariants(self):
         rng = np.random.default_rng(2718)
         for _ in range(1000):

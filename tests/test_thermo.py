@@ -810,6 +810,21 @@ class TestFloatRange:
             assert abs(point.C - leading) <= 1e-14 * leading
             assert abs(point.S - leading) <= 1e-14 * leading
 
+    @pytest.mark.parametrize("gamma", [1e154, 1e200, 1e300, 1.7e308])
+    def test_exact_j_at_friction_up_to_the_float_range(self, gamma):
+        # gamma^2/4 overflows from ~1.3e154, where the roots were 0 and inf;
+        # log Gamma cancels ~log10(gamma) digits, so the reference takes 40
+        # more (at 80 digits it is wholly wrong at gamma = 1e154)
+        bath = ohmic(gamma)
+        digits = round(math.log10(gamma)) + 40
+        for point in thermo.sweep(bath, [1e-5, 0.1, 1e3]):
+            reference = closed_form_reference("ohmic", gamma, point.theta,
+                                              digits=digits)
+            for name, want in zip("FSUC", reference):
+                got = getattr(point, name)
+                assert abs(got - want) <= 1e-15 * abs(want), \
+                    (point.theta, name, got, want)
+
     @pytest.mark.parametrize("spec, theta", [
         (SingleRelaxationSpec(gamma=1.0, tau=0.01), 1e20),
         (QEDSpec(gamma=0.1, omega_prime=1e3), 1e50),
