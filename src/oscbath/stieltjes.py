@@ -57,9 +57,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from bisect import bisect_left
+from bisect import bisect, bisect_left
 from fractions import Fraction
 
+from . import _jet_tables
 from .quadrature import integrate_log_endpoint, integrate_semi_infinite
 
 __all__ = [
@@ -439,13 +440,29 @@ def j_auto_named(z: complex) -> tuple[complex, str]:
 # stops at the last term n whose tail (terms n and up) still adds 2^-70 of
 # the first term A_1 t^3 in one of the three series, far below the rounding
 # of the first term: all 15 terms below |z| ~ 14.8, and one from
-# |z| ~ 2.9e10 on (_ASYMPTOTIC_REACH).  Nearer
-# the origin the recurrence
+# |z| ~ 2.9e10 on (_ASYMPTOTIC_REACH).
+#
+# The middle band, SMALL_ARGUMENT <= |z| < 10, carries most of a sweep's
+# work.  Two kinds of argument there are summed from Taylor polynomials
+# about fixed centers, whose coefficients tests/jet_tables.py computes with
+# mpmath (_jet_tables; tests/test_jet_tables.py regenerates them to the
+# bit).  Each component of the jet has its own polynomial in u = z - center,
+# so no derivative is formed at run time, and the 17 centers of a band are
+# a ratio ~1.19 apart.  R is analytic in the disk of radius |center| about
+# a center, and the terms run to _term_count(|u|/|center|) + 2.  A real z
+# in the band takes the nearest real center: one Horner pass, to ~2e-16 of
+# each component (the shift below: ~1.4e-15).  A mirror pair, a with
+# |Re a| < _NEAR_AXIS Im a against b = -conj(a), takes the center i eta0
+# nearest to Im a, whose disk holds both a and b; the difference is delta
+# times the divided differences at u_a = a - center and u_b = b - center,
+# to ~4e-16 of each component (the shift: ~2e-15).  u, u_a and u_b are
+# exact.  Everything else (complex singles, real pairs and other complex
+# pairs) takes the recurrence
 #
 #     R(w) = h(w) + R(w + 1),   h(w) = J(w) - J(w + 1) - 1/(12 w (w + 1)),
 #
-# shifts the argument outward.  From J(w) - J(w + 1) = atanh(v)/v - 1 with
-# v = 1/(2w + 1), and 1/(12 w (w + 1)) = v^2/(3 (1 - v^2)),
+# which shifts the argument outward.  From J(w) - J(w + 1) = atanh(v)/v - 1
+# with v = 1/(2w + 1), and 1/(12 w (w + 1)) = v^2/(3 (1 - v^2)),
 #
 #     h(w) = sum_{k>=2} c_k y^k,   c_k = 1/(2k + 1) - 1/3,   y = v^2,
 #
@@ -476,6 +493,10 @@ _REMAINDER_ASYMPTOTIC = 10.0
 # grow like k^2).
 _SERIES_EPS = 1e-21
 _SHIFT_REACH = 2.0 / 3.0
+# A root x nearer the imaginary axis than this (|Re x| < _NEAR_AXIS Im x)
+# is differenced against its mirror image -conj(x): the reflection identity
+# then gives Re J(x) without the cancellation of the direct sum.
+_NEAR_AXIS = 0.25
 
 
 def _horner_prefixes(rows):
@@ -514,6 +535,25 @@ _SERIES_HORNER = _horner_prefixes(tuple(
     (a, n * a, n * (n - 1) * a) for n, a in (
         (n, (-1.0) ** n * zeta(n) / n if n >= 2 else 0.0)
         for n in range(1, 81))))
+
+
+def _taylor_table(centers, text, kind):
+    """Per center of a band of _jet_tables: the center, the jet of R there,
+    the rows of u^1, u^2, ... as prefixes, and 1/|center|, the scale of |u|
+    in the term count."""
+    table = []
+    for center, block in zip(centers, text.split("\n\n")):
+        values = tuple(map(kind, block.split()))
+        rows = tuple(zip(values[3::3], values[4::3], values[5::3]))
+        table.append((center, values[:3], _horner_prefixes(rows),
+                      1.0 / abs(center)))
+    return tuple(table)
+
+
+_REAL_TAYLOR = _taylor_table(_jet_tables.REAL_CENTERS,
+                             _jet_tables.REAL_ROWS, float)
+_MIRROR_TAYLOR = _taylor_table(_jet_tables.MIRROR_CENTERS,
+                               _jet_tables.MIRROR_ROWS, complex)
 
 
 def _check_argument(z, name):
@@ -599,8 +639,15 @@ def _divided_differences(rows, xa, xb):
 # and convert, and thermo's closed form calls the cores directly.
 
 def _remainder_jet(name, z):
-    """The jet of R at z by the shift recurrence and the asymptotic series
-    (see the section comment)."""
+    """The jet of R at z: for a real z below _REMAINDER_ASYMPTOTIC from the
+    Taylor table, elsewhere by the shift recurrence and the asymptotic
+    series (see the section comment)."""
+    if type(z) is float and SMALL_ARGUMENT <= z < _REMAINDER_ASYMPTOTIC:
+        center, jet, prefixes, scale = _REAL_TAYLOR[
+            bisect(_jet_tables.REAL_EDGES, z)]
+        u = z - center                                  # exact
+        p0, p1, p2 = _horner(prefixes[_term_count(u * scale) + 2], u)
+        return jet[0] + p0, jet[1] + p1, jet[2] + p2
     shifts = _shift_count(z)
     value = slope = curvature = 0.0
     w = z
@@ -628,12 +675,24 @@ def _remainder_jet(name, z):
 
 
 def _remainder_difference(name, a, b, delta):
-    """The jet of R(a) - R(b) by the shift recurrence and the asymptotic
-    series, each differenced term by term (see the section comment), for
-    |b| <= |a|: the derivative components scale g(a) - g(b) by b and b^2
-    below, which would magnify its rounding where the two parts cancel
-    (the blackbody gap pair, a factor 2 apart at critical damping), so a
-    caller with |b| > |a| negates the jet of R(b) - R(a)."""
+    """The jet of R(a) - R(b): for a mirror pair b = -conj(a) with
+    SMALL_ARGUMENT <= |a| < _REMAINDER_ASYMPTOTIC, delta times the divided
+    differences of the Taylor table; elsewhere by the shift recurrence and
+    the asymptotic series, each differenced term by term (see the section
+    comment), for |b| <= |a|: the derivative components scale
+    g(a) - g(b) by b and b^2 below, which would magnify its rounding where
+    the two parts cancel (the blackbody gap pair, a factor 2 apart at
+    critical damping), so a caller with |b| > |a| negates the jet of
+    R(b) - R(a)."""
+    if (type(a) is complex and abs(a.real) < _NEAR_AXIS * a.imag
+            and b == -a.conjugate()
+            and SMALL_ARGUMENT <= abs(a) < _REMAINDER_ASYMPTOTIC):
+        center, _, prefixes, scale = _MIRROR_TAYLOR[
+            bisect(_jet_tables.MIRROR_EDGES, a.imag)]
+        ua = a - center                                 # exact, as is ub
+        _, (q0, q1, q2) = _divided_differences(
+            prefixes[_term_count(abs(ua) * scale) + 2], ua, b - center)
+        return [delta * q0, delta * q1, delta * q2]
     shifts = max(_shift_count(a), _shift_count(b))
     slope = curvature = d0 = d1 = d2 = 0.0
     wa, wb = a, b
@@ -763,8 +822,10 @@ def j_remainder(z: complex) -> tuple[complex, complex, complex]:
     """The jet (R, z R', z^2 R'') of R(z) = J(z) - 1/(12 z) on the plane
     cut along (-inf, 0].
 
-    For |z| >= 1/2 by the shift recurrence and the asymptotic series, to
-    ~1e-15 of each component itself; below that from the power series of
+    For real 1/2 <= z < 10 from the Taylor table of the middle band, to
+    ~2e-16 of each component itself; at other |z| >= 1/2 by the shift
+    recurrence and the asymptotic series, to ~1e-15 of each component
+    (see the section comment); below that from the power series of
     :func:`j_jet`, with its absolute error (~1e-16 of the J jet and of the
     jet of 1/(12 z)).  For |z| >= 1/2 the valid domain is
     |z + n + 1/2| >= sqrt(3/8) ~ 0.61 for n = 0, 1, 2, ..., which holds in
@@ -785,7 +846,11 @@ def j_remainder_difference(a: complex, b: complex,
     Every series term is differenced as a divided difference of its
     powers, so each component keeps the relative accuracy of delta however
     close a and b are, where the difference of two :func:`j_remainder`
-    calls would lose it.  Both arguments need |z| >= 1/4 and, as for
+    calls would lose it.  A mirror pair b = -conj(a) with
+    |Re a| < Im a/4 and 1/2 <= |a| < 10 is differenced through the Taylor
+    table about a center on the imaginary axis, to ~4e-16 of each
+    component; other pairs by the shift recurrence and the asymptotic
+    series, to ~1e-14.  Both arguments need |z| >= 1/4 and, as for
     :func:`j_remainder`, |z + n + 1/2| >= sqrt(3/8) ~ 0.61 for n = 0, 1,
     2, ...; otherwise ValueError.  So they may lie in the left half plane
     off the cut, near the imaginary axis, as x and its mirror image

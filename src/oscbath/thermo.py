@@ -36,9 +36,9 @@ from typing import Callable, Iterable, NamedTuple
 from .baths import CanonicalBath, cutoff_relation, roots, spectral_weight, static_weight
 from .quadrature import (IntegrandEvaluationError, integrate_interval,
                          integrate_log_endpoint, integrate_semi_infinite)
-from .stieltjes import (EULER_GAMMA, SMALL_ARGUMENT, _remainder_difference,
-                        _remainder_jet, _series_difference, _series_jet,
-                        j_reflection, zeta)
+from .stieltjes import (EULER_GAMMA, SMALL_ARGUMENT, _NEAR_AXIS,
+                        _remainder_difference, _remainder_jet,
+                        _series_difference, _series_jet, j_reflection, zeta)
 
 __all__ = [
     "ThermoPoint", "DivergenceError", "METHODS",
@@ -50,10 +50,6 @@ __all__ = [
 
 # The routes of sweep() and thermo_point(), in the order rows list them.
 METHODS = ("exact_j", "exact_quadrature", "low_T_series", "high_T_series")
-# An underdamped root nearer the imaginary axis than this (Re c <
-# _NEAR_AXIS Im c) is paired with its mirror image through the reflection
-# identity, which gives Re J without the cancellation of the direct sum.
-_NEAR_AXIS = 0.25
 # Thermal factors exp(-w/theta) below exp(-_RESONANCE_REACH) underflow
 # against the resonance; colder points leave the resonance unresolved.
 _RESONANCE_REACH = 700.0

@@ -9,11 +9,12 @@ over the whole list and from :func:`thermo.thermo_point` alone.
 
 The baths and the 40 temperatures reach every branch of
 :func:`thermo._j_sum`: single real and complex arguments on both sides of
-the series switch; the mirror pair of a weakly damped root below 1/4,
-between 1/4 and 1/2 (series difference), from 1/2 to 10 (shift) and
-beyond; and the Omega pair below, astride and above the series switch, in
-both orders (relaxation: Omega the larger; blackbody: the smaller), for
-cutoffs above and far below the oscillator frequency and overdamped roots.
+the series switch, real ones from 1/2 to 10 by the Taylor table; the
+mirror pair of a weakly damped root below 1/4, between 1/4 and 1/2
+(series difference), from 1/2 to 10 (the mirror Taylor table) and beyond;
+and the Omega pair below, astride and above the series switch, in both
+orders (relaxation: Omega the larger; blackbody: the smaller), for cutoffs
+above and far below the oscillator frequency and overdamped roots.
 """
 
 import math
@@ -143,18 +144,18 @@ EXACT_J_ROWS = {
          "0x1.243cddf32b05bp-17 0x1.32e88446d8657p-9",
         "-0x1.77c56c1729aefp-16 0x1.ec1b11fa990a0p-9 "
          "0x1.782ee4a527e8cp-16 0x1.ed2fde728d165p-9",
-        "-0x1.e3a4c5154b077p-15 0x1.8b4901bd767f5p-8 "
+        "-0x1.e3a4c5154b078p-15 0x1.8b4901bd767f6p-8 "
          "0x1.e5046e289f249p-15 0x1.8d8ad930035acp-8",
         "-0x1.37ac902d3f3dfp-13 0x1.3e68b0c6fdeaap-7 "
          "0x1.39febb97bd299p-13 0x1.433805e545942p-7",
         "-0x1.933777802c53cp-12 0x1.027f06e9f08bep-6 "
          "0x1.9b60e5412c2eep-12 0x1.0d6be248ae17fp-6",
-        "-0x1.07d24ffe0ddcdp-10 0x1.aec8bd87cbefap-6 "
-         "0x1.1873308be37b7p-10 0x1.ed790e885573ap-6",
+        "-0x1.07d24ffe0ddcdp-10 0x1.aec8bd87cbefbp-6 "
+         "0x1.1873308be37b8p-10 0x1.ed790e885573cp-6",
         "-0x1.6972ea2859e54p-9 0x1.90c1ed90bed6ep-5 "
-         "0x1.c291c05e70df2p-9 0x1.371938ed944f4p-4",
-        "-0x1.1f00787546283p-7 0x1.d59b335f097d8p-4 "
-         "0x1.dbfbc38cdd7c5p-7 0x1.cc634b774bbd0p-3",
+         "0x1.c291c05e70df1p-9 0x1.371938ed944f2p-4",
+        "-0x1.1f00787546283p-7 0x1.d59b335f097d7p-4 "
+         "0x1.dbfbc38cdd7c3p-7 0x1.cc634b774bbcfp-3",
         "-0x1.09816c096acddp-5 0x1.1ce3a1ddbbd3ep-2 "
          "0x1.dcce71b972dcdp-5 0x1.e6d2a50ef2e39p-2",
         "-0x1.d7e7cc432613ep-4 0x1.1eaf0b32aa9f1p-1 "
@@ -234,9 +235,9 @@ EXACT_J_ROWS = {
         "-0x1.a8a35836c2881p-8 0x1.4da1625ebac7ep-3 "
          "0x1.a2688b9a907e7p-8 0x1.44489636b6180p-3",
         "-0x1.0e1b6b98baf90p-6 0x1.063313ad3990cp-2 "
-         "0x1.0529e9e528a8fp-6 0x1.eca99191a8187p-3",
+         "0x1.0529e9e528a8fp-6 0x1.eca99191a8188p-3",
         "-0x1.536f3cc42b1ddp-5 0x1.93b6744113228p-2 "
-         "0x1.3c7dc4f40f259p-5 0x1.64dce99fe8c1ap-2",
+         "0x1.3c7dc4f40f259p-5 0x1.64dce99fe8c1bp-2",
         "-0x1.a1b6feadc9234p-4 0x1.2d10aeba41b70p-1 "
          "0x1.6ebedc3fdc2f1p-4 0x1.e50651f011f7dp-2",
         "-0x1.f2c82f077a448p-3 0x1.af0dad85f416cp-1 "
@@ -276,11 +277,11 @@ EXACT_J_ROWS = {
     ),
     ('ohmic', 10000.0, None): (
         "-0x1.15bd27e215cc9p-21 0x1.a31391404f91ep-4 "
-         "0x1.0f8d8fc878579p-21 0x1.9198122b9742ap-4",
+         "0x1.0f8d8fc878578p-21 0x1.9198122b9742ap-4",
         "-0x1.5f818a31cfaf3p-20 0x1.466b582087676p-3 "
-         "0x1.4ea2cd42d4e72p-20 0x1.2a9c3ef9f8c8fp-3",
-        "-0x1.b5a48032c30edp-19 0x1.ef5562a57e433p-3 "
-         "0x1.8d41b5662508bp-19 0x1.a3a7f9f7ab6d7p-3",
+         "0x1.4ea2cd42d4e71p-20 0x1.2a9c3ef9f8c8fp-3",
+        "-0x1.b5a48032c30edp-19 0x1.ef5562a57e434p-3 "
+         "0x1.8d41b5662508dp-19 0x1.a3a7f9f7ab6d8p-3",
         "-0x1.098a2ffc7932bp-17 0x1.6a3982e185e96p-2 "
          "0x1.c00e2be687a26p-18 0x1.135d7a1963f87p-2",
         "-0x1.37746a2d07275p-16 0x1.fb378d9aea4a6p-2 "
@@ -396,8 +397,8 @@ EXACT_J_ROWS = {
         "-0x1.ae3e67fb12d42p-17 0x1.13f26c4a42826p-11 "
          "0x1.b757fe5f3811dp-17 0x1.2074db4ddd92dp-11",
         "-0x1.1bdb647481425p-15 0x1.e3890db8570ecp-11 "
-         "0x1.47100c7352f21p-15 0x1.8e37237c26cd8p-10",
-        "-0x1.229424b0cd145p-13 0x1.3feaa55d5f41bp-8 "
+         "0x1.47100c7352f21p-15 0x1.8e37237c26cd7p-10",
+        "-0x1.229424b0cd146p-13 0x1.3feaa55d5f41cp-8 "
          "0x1.f6eda487a254fp-12 0x1.9c7dffa84ea0cp-6",
         "-0x1.c6b35b6c9b5dbp-10 0x1.781c099eb0824p-5 "
          "0x1.f1671e9a3ffe2p-8 0x1.71f4bd484ad33p-3",
@@ -560,11 +561,11 @@ EXACT_J_ROWS = {
         "-0x1.7dc159195421ep-4 0x1.270bab864e10ep+1 "
          "0x1.4c863a54c0c69p-6 0x1.75e7054929993p-2",
         "-0x1.50a09130b102ep-3 0x1.3bc1f7002a2f9p+1 "
-         "0x1.f284beccf7b81p-6 0x1.483f251664d96p-2",
+         "0x1.f284beccf7b81p-6 0x1.483f251664d94p-2",
         "-0x1.2496634a454f8p-2 0x1.4e4dc146d84ebp+1 "
          "0x1.70c6bd1709677p-5 0x1.3664ec20ead9cp-2",
         "-0x1.f77a59d60d67ep-2 0x1.629baf0d272dep+1 "
-         "0x1.22a9fc8c1b69cp-4 0x1.91a2026247aaap-2",
+         "0x1.22a9fc8c1b69bp-4 0x1.91a2026247aaap-2",
         "-0x1.b0f34299d4effp-1 0x1.80186826b1038p+1 "
          "0x1.0dcf33e752a4bp-3 0x1.2f82c904b2500p-1",
         "-0x1.780a9ee7726d8p+0 0x1.aa09e56d918aap+1 "
@@ -641,12 +642,12 @@ EXACT_J_ROWS = {
          "0x1.dceccfc67b2b9p-10 0x1.ddb6c84bb7c7ap-4",
         "-0x1.33962a021d6e9p-8 0x1.8178b2a761fa4p-3 "
          "0x1.2bc754e944750p-8 0x1.6f980f3fc6c17p-3",
-        "-0x1.849ac57afe4f3p-7 0x1.2b934d61fc876p-2 "
-         "0x1.706381f93809ap-7 0x1.10cf34f8f9703p-2",
+        "-0x1.849ac57afe4f1p-7 0x1.2b934d61fc876p-2 "
+         "0x1.706381f93809ap-7 0x1.10cf34f8f9702p-2",
         "-0x1.e3068ff2c9766p-6 0x1.c632bf0d8bf1fp-2 "
          "0x1.b5464a873146dp-6 0x1.817064f1ba9eap-2",
         "-0x1.25144372f1d4dp-4 0x1.4d23d39bbc660p-1 "
-         "0x1.f05e8e13e27c2p-5 0x1.01333e114a017p-1",
+         "0x1.f05e8e13e27c4p-5 0x1.01333e114a017p-1",
         "-0x1.58f0191e2da6dp-3 0x1.d660304296be0p-1 "
          "0x1.0bdf1b70f4c4dp-3 0x1.43a0266ecfdcbp-1",
         "-0x1.880e07e51aba4p-2 0x1.3f002701cfeacp+0 "
@@ -696,11 +697,11 @@ EXACT_J_ROWS = {
         "-0x1.329eadd879212p-19 0x1.196d041e0e2d4p-4 "
          "0x1.2f603498be08ep-19 0x1.13acc843a2ca5p-4",
         "-0x1.87337322731c4p-18 0x1.bca1350f9a394p-4 "
-         "0x1.7d95dbebf3509p-18 0x1.a846856794954p-4",
+         "0x1.7d95dbebf3509p-18 0x1.a846856794953p-4",
         "-0x1.ee588c74cefaep-17 0x1.596f73e2f8878p-3 "
          "0x1.d47f891b73584p-17 0x1.39a1af873fa0ap-3",
         "-0x1.32f2356c478bap-15 0x1.0512ebe592469p-2 "
-         "0x1.14913abea0a47p-15 0x1.b56704e1ffd92p-3",
+         "0x1.14913abea0a47p-15 0x1.b56704e1ffd91p-3",
         "-0x1.731dba78ad3d4p-14 0x1.7bf92ae3d889cp-2 "
          "0x1.35dee33a6c842p-14 0x1.1cb97e38704eap-2",
         "-0x1.b16277c36a707p-13 0x1.08ad11e4bc252p-1 "
@@ -799,15 +800,15 @@ EXACT_J_ROWS = {
          "0x1.a36a8288ec381p-33 0x1.b892ec322fa82p-24",
         "-0x1.ced3fcc2495dcp-32 0x1.2f4cf7b1e3012p-23 "
          "0x1.5bbf295137a7bp-30 0x1.c82f2da9737a3p-22",
-        "-0x1.8053f86cae953p-29 0x1.3ac680b52331ap-21 "
-         "0x1.219a34f3ccda6p-27 0x1.db84fd029b186p-20",
-        "-0x1.4165c52759076p-26 0x1.4a3816e7f8fe2p-19 "
-         "0x1.e82d58f6578d5p-25 0x1.f8e4a311db8b7p-18",
-        "-0x1.127aa3823dbddp-23 0x1.670501b16093ap-17 "
-         "0x1.ac72698b497e5p-22 0x1.21e9a55dc7002p-15",
-        "-0x1.3f457af15fa83p-20 0x1.8fed3f71fa700p-14 "
-         "0x1.a977917cbb8c5p-18 0x1.6ae3414307934p-11",
-        "-0x1.c9eba6b94395ep-15 0x1.d203448890c26p-9 "
+        "-0x1.8053f86cae955p-29 0x1.3ac680b52331dp-21 "
+         "0x1.219a34f3ccda9p-27 0x1.db84fd029b191p-20",
+        "-0x1.4165c52759076p-26 0x1.4a3816e7f8fe4p-19 "
+         "0x1.e82d58f6578d9p-25 0x1.f8e4a311db8adp-18",
+        "-0x1.127aa3823dbdbp-23 0x1.670501b160938p-17 "
+         "0x1.ac72698b497e2p-22 0x1.21e9a55dc6fffp-15",
+        "-0x1.3f457af15fa83p-20 0x1.8fed3f71fa6ffp-14 "
+         "0x1.a977917cbb8c4p-18 0x1.6ae3414307933p-11",
+        "-0x1.c9eba6b94395fp-15 0x1.d203448890c26p-9 "
          "0x1.9ee1201e2d2eap-12 0x1.86c3cb4452f7ap-6",
         "-0x1.8e1646d9192d2p-10 0x1.66afec606baa9p-5 "
          "0x1.e33fe3d4f2c0dp-8 0x1.6d99bc5b1d7f0p-3",
@@ -1046,13 +1047,13 @@ EXACT_J_ROWS = {
         "-0x1.b331ecbc4b14fp-13 0x1.26995f7a94288p-5 "
          "0x1.d11eb5f0cba13p-13 0x1.30e58a565e68cp-5",
         "-0x1.1f059db16b0d1p-11 0x1.dde659a04d356p-5 "
-         "0x1.2a889b84ccc0fp-11 0x1.e47db1caaf40bp-5",
+         "0x1.2a889b84ccc0fp-11 0x1.e47db1caaf40ap-5",
         "-0x1.75fd0e2f005d8p-10 0x1.7fa7823241101p-4 "
          "0x1.7be30b530697fp-10 0x1.7bd21964da8bbp-4",
         "-0x1.e18bea925990ap-9 0x1.2fdc7f23d6f86p-3 "
          "0x1.dc01cc1e75e30p-9 0x1.223dbfa71aadcp-3",
         "-0x1.3163d0616d810p-7 0x1.d79364eb05daap-3 "
-         "0x1.226b64963f43ap-7 0x1.a9ac9e8862e50p-3",
+         "0x1.226b64963f439p-7 0x1.a9ac9e8862e4ep-3",
         "-0x1.7b42f56c69ebbp-6 0x1.636e11b9f6eabp-2 "
          "0x1.54e9df6f3b5e9p-6 0x1.27f5247a2ee87p-2",
         "-0x1.ca0ef8e2dddb6p-5 0x1.027dcfe9c57fcp-1 "
@@ -1127,18 +1128,18 @@ EXACT_J_ROWS = {
          "0x1.8923f89854870p-28 0x1.9cf0bd2b12c36p-19",
         "-0x1.b1cba3871c1adp-27 0x1.1c3d7d5ae44c8p-18 "
          "0x1.45e13d6b8fbf4p-25 0x1.ab6939370ddf3p-17",
-        "-0x1.68142b67857eap-24 0x1.26d1b7e8c8652p-16 "
-         "0x1.0f3686517699fp-22 0x1.bd14cd471d98bp-15",
-        "-0x1.2ccc8075c21a4p-21 0x1.34c6dd812b1dep-14 "
-         "0x1.c857bb9fc6ba5p-20 0x1.d73ab2f462354p-13",
-        "-0x1.ffc0f248c1da7p-19 0x1.4cca4510092bep-12 "
-         "0x1.8c6b787e8bdf9p-17 0x1.069fe89b246f4p-10",
-        "-0x1.cfd69a1e59fb7p-16 0x1.8ee22d2888e56p-10 "
-         "0x1.8401dbb0190c9p-14 0x1.6330abed40566p-8",
-        "-0x1.fe176999b19e6p-13 0x1.3035827a529dcp-7 "
-         "0x1.e8de339d6fb13p-11 0x1.2bdb2b5bfc309p-5",
-        "-0x1.2eca18242d7d6p-9 0x1.a55c64479fa34p-5 "
-         "0x1.0a9a3413107abp-7 0x1.4d3612faf40b6p-3",
+        "-0x1.68142b67857eep-24 0x1.26d1b7e8c8654p-16 "
+         "0x1.0f368651769a0p-22 0x1.bd14cd471d98ep-15",
+        "-0x1.2ccc8075c21a6p-21 0x1.34c6dd812b1e2p-14 "
+         "0x1.c857bb9fc6bacp-20 0x1.d73ab2f46235cp-13",
+        "-0x1.ffc0f248c1daep-19 0x1.4cca4510092c3p-12 "
+         "0x1.8c6b787e8be00p-17 0x1.069fe89b246fap-10",
+        "-0x1.cfd69a1e59fbbp-16 0x1.8ee22d2888e5dp-10 "
+         "0x1.8401dbb0190d1p-14 0x1.6330abed4056dp-8",
+        "-0x1.fe176999b19e3p-13 0x1.3035827a529dap-7 "
+         "0x1.e8de339d6fb0fp-11 0x1.2bdb2b5bfc307p-5",
+        "-0x1.2eca18242d7d8p-9 0x1.a55c64479fa34p-5 "
+         "0x1.0a9a3413107aap-7 0x1.4d3612faf40b5p-3",
         "-0x1.0521e49423c86p-6 0x1.6cd7d4950bce0p-3 "
          "0x1.58c11fd1d44efp-5 0x1.847874d117d5ap-2",
         "-0x1.2d06b25912abep-4 0x1.9d959b12d2c2dp-2 "
@@ -1209,16 +1210,16 @@ EXACT_J_ROWS = {
          "0x1.0621579ad9c9ep-29 0x1.1359ed6896a90p-20",
         "-0x1.21426f6d24074p-28 0x1.7b1c3458b782fp-20 "
          "0x1.b2a9dc451a604p-27 0x1.1d187f635a6bep-18",
-        "-0x1.e0603eb70e405p-26 0x1.896d64b0cc04ep-18 "
-         "0x1.69f5c8de7be14p-24 0x1.292584b13356fp-16",
-        "-0x1.91abd463d430bp-23 0x1.9ca7a6d7ef284p-16 "
-         "0x1.310342d756585p-21 0x1.3b66d72fe6234p-14",
-        "-0x1.56b7d7fdf8f63p-20 0x1.bf18d062b4c02p-14 "
-         "0x1.0a8d8bc952764p-18 0x1.63ab09886173dp-12",
-        "-0x1.41b7f62bf326cp-17 0x1.24254ac6b2fbap-11 "
-         "0x1.20ae11030c359p-15 0x1.2cac0b3b13d61p-9",
-        "-0x1.f29799ebd2539p-14 0x1.6f5b4e86d14f4p-8 "
-         "0x1.35d8b68fb2e09p-11 0x1.d9908f23e7a03p-6",
+        "-0x1.e0603eb70e407p-26 0x1.896d64b0cc053p-18 "
+         "0x1.69f5c8de7be19p-24 0x1.292584b133570p-16",
+        "-0x1.91abd463d430dp-23 0x1.9ca7a6d7ef285p-16 "
+         "0x1.310342d756586p-21 0x1.3b66d72fe6234p-14",
+        "-0x1.56b7d7fdf8f62p-20 0x1.bf18d062b4bfap-14 "
+         "0x1.0a8d8bc95275ep-18 0x1.63ab098861732p-12",
+        "-0x1.41b7f62bf326bp-17 0x1.24254ac6b2fb7p-11 "
+         "0x1.20ae11030c356p-15 0x1.2cac0b3b13d5fp-9",
+        "-0x1.f29799ebd253cp-14 0x1.6f5b4e86d14f5p-8 "
+         "0x1.35d8b68fb2e0ap-11 0x1.d9908f23e7a04p-6",
         "-0x1.dc35636851b9ap-10 0x1.816deb1385b0bp-5 "
          "0x1.fb2b089040a2fp-8 0x1.6583b1b063696p-3",
         "-0x1.0317d37a2d596p-6 0x1.88188daaf8d9ap-3 "
