@@ -33,7 +33,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Union
 
 __all__ = [
@@ -150,7 +149,7 @@ def canonicalize(spec: BathSpec) -> CanonicalBath:
     triple, applying the cutoff relations exactly.
 
     The single-relaxation-time Omega' = 1/tau - gamma is formed in exact
-    rational arithmetic from the float tau and gamma and rounded once:
+    integer arithmetic from the float tau and gamma and rounded once:
     fl(1/tau) - gamma would lose log10(1/(1 - gamma tau)) digits as
     gamma tau -> 1 (2e-13 relative at gamma = 3, Omega' = 1e-3).
 
@@ -163,8 +162,13 @@ def canonicalize(spec: BathSpec) -> CanonicalBath:
         return CanonicalBath(gamma=spec.gamma)
     if isinstance(spec, SingleRelaxationSpec):
         big_omega = 1.0 / spec.tau
-        prime = (float(Fraction(1) / Fraction(spec.tau) - Fraction(spec.gamma))
-                 if big_omega < math.inf else big_omega)
+        # 1/tau - gamma over the exact integer ratios of the two floats;
+        # int / int rounds once
+        tau_num, tau_den = spec.tau.as_integer_ratio()
+        gamma_num, gamma_den = spec.gamma.as_integer_ratio()
+        prime = ((tau_den * gamma_den - gamma_num * tau_num)
+                 / (tau_num * gamma_den) if big_omega < math.inf
+                 else big_omega)
         bath = CanonicalBath(gamma=spec.gamma, Omega=big_omega,
                              OmegaPrime=prime)
         if cutoff_relation(bath) != "relaxation":
