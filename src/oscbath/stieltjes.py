@@ -50,7 +50,8 @@ arguments (see the section on remainders below), and :func:`j_reflection`
 for J(w) + J(-w), which carries :func:`j_jet` into the left half plane.
 
 Everything here is pure and thread-safe; the coefficient tables are built
-once at import time.
+once, at import time or, for the Taylor tables of :mod:`oscbath._jet_tables`,
+on first use.
 """
 
 from __future__ import annotations
@@ -60,7 +61,6 @@ import math
 from bisect import bisect, bisect_left
 from fractions import Fraction
 
-from . import _jet_tables
 from .quadrature import integrate_log_endpoint, integrate_semi_infinite
 
 __all__ = [
@@ -537,23 +537,37 @@ _SERIES_HORNER = _horner_prefixes(tuple(
         for n in range(1, 81))))
 
 
-def _taylor_table(centers, text, kind):
-    """Per center of a band of _jet_tables: the center, the jet of R there,
-    the rows of u^1, u^2, ... as prefixes, and 1/|center|, the scale of |u|
-    in the term count."""
+# The Taylor tables of the middle band, (edges, table) per band, read from
+# _jet_tables on the first call that needs them (:func:`_taylor_bands`), so
+# that importing the package does not pay the ~6 ms.
+_REAL_TAYLOR = _MIRROR_TAYLOR = None
+
+
+def _taylor_table(edges, centers, text, kind):
+    """A band of _jet_tables as (edges, table): per center, the center, the
+    jet of R there, the rows of u^1, u^2, ... as prefixes, and 1/|center|,
+    the scale of |u| in the term count."""
     table = []
     for center, block in zip(centers, text.split("\n\n")):
         values = tuple(map(kind, block.split()))
         rows = tuple(zip(values[3::3], values[4::3], values[5::3]))
         table.append((center, values[:3], _horner_prefixes(rows),
                       1.0 / abs(center)))
-    return tuple(table)
+    return edges, tuple(table)
 
 
-_REAL_TAYLOR = _taylor_table(_jet_tables.REAL_CENTERS,
-                             _jet_tables.REAL_ROWS, float)
-_MIRROR_TAYLOR = _taylor_table(_jet_tables.MIRROR_CENTERS,
-                               _jet_tables.MIRROR_ROWS, complex)
+def _taylor_bands():
+    """(_REAL_TAYLOR, _MIRROR_TAYLOR), read from _jet_tables on the first
+    call; a second reading in another thread builds the same tables."""
+    global _REAL_TAYLOR, _MIRROR_TAYLOR
+    from . import _jet_tables
+    _REAL_TAYLOR = _taylor_table(_jet_tables.REAL_EDGES,
+                                 _jet_tables.REAL_CENTERS,
+                                 _jet_tables.REAL_ROWS, float)
+    _MIRROR_TAYLOR = _taylor_table(_jet_tables.MIRROR_EDGES,
+                                   _jet_tables.MIRROR_CENTERS,
+                                   _jet_tables.MIRROR_ROWS, complex)
+    return _REAL_TAYLOR, _MIRROR_TAYLOR
 
 
 def _check_argument(z, name):
@@ -643,8 +657,8 @@ def _remainder_jet(name, z):
     Taylor table, elsewhere by the shift recurrence and the asymptotic
     series (see the section comment)."""
     if type(z) is float and SMALL_ARGUMENT <= z < _REMAINDER_ASYMPTOTIC:
-        center, jet, prefixes, scale = _REAL_TAYLOR[
-            bisect(_jet_tables.REAL_EDGES, z)]
+        edges, table = _REAL_TAYLOR or _taylor_bands()[0]
+        center, jet, prefixes, scale = table[bisect(edges, z)]
         u = z - center                                  # exact
         p0, p1, p2 = _horner(prefixes[_term_count(u * scale) + 2], u)
         return jet[0] + p0, jet[1] + p1, jet[2] + p2
@@ -687,8 +701,8 @@ def _remainder_difference(name, a, b, delta):
     if (type(a) is complex and abs(a.real) < _NEAR_AXIS * a.imag
             and b == -a.conjugate()
             and SMALL_ARGUMENT <= abs(a) < _REMAINDER_ASYMPTOTIC):
-        center, _, prefixes, scale = _MIRROR_TAYLOR[
-            bisect(_jet_tables.MIRROR_EDGES, a.imag)]
+        edges, table = _MIRROR_TAYLOR or _taylor_bands()[1]
+        center, _, prefixes, scale = table[bisect(edges, a.imag)]
         ua = a - center                                 # exact, as is ub
         _, (q0, q1, q2) = _divided_differences(
             prefixes[_term_count(abs(ua) * scale) + 2], ua, b - center)

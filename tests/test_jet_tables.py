@@ -37,9 +37,8 @@ def hexes(values):
 @pytest.mark.parametrize("band", [0, 1], ids=["real", "mirror"])
 def test_every_center_regenerates_to_the_bit(generated, band):
     edges, entries = generated[band]
-    committed = (sj._REAL_TAYLOR, sj._MIRROR_TAYLOR)[band]
-    assert hexes(edges) == hexes((_jet_tables.REAL_EDGES,
-                                  _jet_tables.MIRROR_EDGES)[band])
+    committed_edges, committed = sj._taylor_bands()[band]
+    assert hexes(edges) == hexes(committed_edges)
     assert len(committed) == len(entries) == len(edges) + 1
     for (center, jet, rows), (got_center, got_jet, prefixes, _) in zip(
             entries, committed):
@@ -66,8 +65,8 @@ def test_the_generator_matches_the_engine():
 def test_rows_reach_the_worst_point_of_each_piece():
     # the term count the engine asks for at the far ends of each piece
     # (Re x = Im x/4 for a mirror pair) is within the committed rows
-    for band, table in ((jet_tables.real_band(), sj._REAL_TAYLOR),
-                        (jet_tables.mirror_band(), sj._MIRROR_TAYLOR)):
+    for band, (_, table) in zip((jet_tables.real_band(),
+                                 jet_tables.mirror_band()), sj._taylor_bands()):
         _, _, worst = band
         for rho, (_, _, prefixes, _) in zip(worst, table):
             assert sj._term_count(rho * (1.0 + 1e-12)) + 2 < len(prefixes)
