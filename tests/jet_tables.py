@@ -148,9 +148,9 @@ k = bisect(MIRROR_EDGES, Im x), on the imaginary axis.  Block k of
 REAL_ROWS or MIRROR_ROWS (blocks apart by a blank line) holds the jet at
 that center and then the coefficients of u^1, u^2, ... (u = z - center),
 one line of three numbers per power, each the repr of a float or a
-complex.  The rows are text, split and read once at import: the same
-numbers as tuple literals take ~40 ms and ~7 MB to compile where no
-bytecode cache is written.
+complex.  The rows are text, which oscbath.stieltjes splits and reads on
+first use: the same numbers as tuple literals take ~40 ms and ~7 MB to
+compile where no bytecode cache is written.
 """
 '''
 
