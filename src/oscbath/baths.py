@@ -95,23 +95,34 @@ BathSpec = Union[OhmicSpec, SingleRelaxationSpec, QEDSpec]
 @dataclass(frozen=True, kw_only=True)
 class CanonicalBath:
     """The (gamma, Omega, Omega') triple of the canonical susceptibility,
-    in units of omega0, keyword-only.  Admitted are both cutoffs math.inf
-    (Ohmic) and cutoffs on the relaxation or the blackbody relation
-    (:func:`cutoff_relation`; Omega' = inf only as the point-electron limit
-    Omega = 1/gamma), all of them passive.  Any other triple raises."""
+    in units of omega0, and the cutoff relation it meets, keyword-only.
+    Admitted are both cutoffs math.inf with ``relation`` None (Ohmic), and
+    cutoffs that meet the stated ``relation`` to rounding:
+    ``"relaxation"``, Omega = Omega' + gamma, or ``"blackbody"``,
+    1/Omega = 1/Omega' + gamma (Omega' = inf only as the point-electron
+    limit Omega = 1/gamma), all of them passive.  Any other triple or
+    relation raises ValueError."""
     gamma: float
     Omega: float = math.inf
     OmegaPrime: float = math.inf
+    relation: str | None = None
 
     def __post_init__(self):
         _require_finite_positive(gamma=self.gamma)
         _require_positive(Omega=self.Omega, OmegaPrime=self.OmegaPrime)
-        ohmic = math.isinf(self.Omega) and math.isinf(self.OmegaPrime)
-        if not ohmic and cutoff_relation(self) is None:
+        if self.relation is None:
+            if math.isfinite(self.Omega) or math.isfinite(self.OmegaPrime):
+                raise ValueError(
+                    f"{self!r} has a finite cutoff and no relation: state "
+                    "relation='relaxation' (Omega = Omega' + gamma) or "
+                    "relation='blackbody' (1/Omega = 1/Omega' + gamma)")
+        elif self.relation not in _RELATIONS:
+            raise ValueError(f"unknown cutoff relation {self.relation!r}: "
+                             f"one of {', '.join(map(repr, _RELATIONS))}")
+        elif not _meets(self.relation, self.gamma, self.Omega,
+                        self.OmegaPrime):
             raise ValueError(
-                f"{self!r} is on neither the relaxation relation Omega = "
-                "Omega' + gamma nor the blackbody relation 1/Omega = "
-                "1/Omega' + gamma")
+                f"{self!r} is not on the {_RELATIONS[self.relation]}")
 
 
 @dataclass(frozen=True)
@@ -146,18 +157,17 @@ def _require_finite_positive(**values: float):
 
 def canonicalize(spec: BathSpec) -> CanonicalBath:
     """Map a bath description onto the canonical (gamma, Omega, Omega')
-    triple, applying the cutoff relations exactly.
+    triple and its cutoff relation, applying the relation exactly.
 
     The single-relaxation-time Omega' = 1/tau - gamma is formed in exact
     integer arithmetic from the float tau and gamma and rounded once:
     fl(1/tau) - gamma would lose log10(1/(1 - gamma tau)) digits as
     gamma tau -> 1 (2e-13 relative at gamma = 3, Omega' = 1e-3).
 
-    A single-relaxation-time spec whose triple does not read as the
-    relaxation relation raises ValueError naming gamma and tau: where
-    gamma (Omega + 1/Omega) is below ~4e-15, the triple meets the
-    blackbody relation to rounding as well, and would be computed as a
-    blackbody bath."""
+    A single-relaxation-time spec whose triple also meets the blackbody
+    relation to rounding raises ValueError naming gamma and tau: where
+    gamma (Omega + 1/Omega) is below ~4e-15, the triple alone does not
+    tell the two baths apart."""
     if isinstance(spec, OhmicSpec):
         return CanonicalBath(gamma=spec.gamma)
     if isinstance(spec, SingleRelaxationSpec):
@@ -169,18 +179,17 @@ def canonicalize(spec: BathSpec) -> CanonicalBath:
         prime = ((tau_den * gamma_den - gamma_num * tau_num)
                  / (tau_num * gamma_den) if big_omega < math.inf
                  else big_omega)
-        bath = CanonicalBath(gamma=spec.gamma, Omega=big_omega,
-                             OmegaPrime=prime)
-        if cutoff_relation(bath) != "relaxation":
+        if _meets("blackbody", spec.gamma, big_omega, prime):
             raise ValueError(
                 f"single-relaxation-time bath with gamma = {spec.gamma!r}, "
                 f"tau = {spec.tau!r} cannot be told from a blackbody bath: "
                 "its cutoffs meet both relations to rounding")
-        return bath
+        return CanonicalBath(gamma=spec.gamma, Omega=big_omega,
+                             OmegaPrime=prime, relation="relaxation")
     if isinstance(spec, QEDSpec):
         big_omega = 1.0 / (1.0 / spec.omega_prime + spec.gamma)
         return CanonicalBath(gamma=spec.gamma, Omega=big_omega,
-                             OmegaPrime=spec.omega_prime)
+                             OmegaPrime=spec.omega_prime, relation="blackbody")
     raise TypeError(f"not a bath spec: {spec!r}")
 
 
@@ -243,25 +252,29 @@ def susceptibility(bath: CanonicalBath, z: complex) -> complex:
 
 
 def cutoff_relation(bath: CanonicalBath) -> str | None:
-    """The cutoff relation the bath satisfies, to rounding: ``"blackbody"``
+    """The cutoff relation the bath states and meets: ``"blackbody"``
     (1/Omega = 1/Omega' + gamma, with Omega' = inf in the point-electron
     limit), ``"relaxation"`` (Omega = Omega' + gamma), or None (the Ohmic
     bath, both cutoffs infinite)."""
-    if not math.isfinite(bath.Omega):
-        return None
-    inv_o = 1.0 / bath.Omega
-    inv_op = 1.0 / bath.OmegaPrime
-    if abs(inv_o - inv_op - bath.gamma) <= _RELATION_ULPS * inv_o:
-        return "blackbody"
-    if math.isfinite(bath.OmegaPrime) and abs(
-            bath.Omega - bath.OmegaPrime - bath.gamma) \
-            <= _RELATION_ULPS * bath.Omega:
-        return "relaxation"
-    return None
+    return bath.relation
 
 
+# Each relation, as the errors of CanonicalBath name it.
+_RELATIONS = {"relaxation": "relaxation relation Omega = Omega' + gamma",
+              "blackbody": "blackbody relation 1/Omega = 1/Omega' + gamma"}
 # Both relations are applied by canonicalize() with two or three roundings.
 _RELATION_ULPS = 16 * 2.220446049250313e-16
+
+
+def _meets(relation, gamma, omega, prime):
+    """Whether the triple meets the relation to _RELATION_ULPS."""
+    if not math.isfinite(omega):
+        return False
+    if relation == "blackbody":
+        inv_o = 1.0 / omega
+        return abs(inv_o - 1.0 / prime - gamma) <= _RELATION_ULPS * inv_o
+    return math.isfinite(prime) and (
+        abs(omega - prime - gamma) <= _RELATION_ULPS * omega)
 
 
 def static_weight(bath: CanonicalBath) -> float:
@@ -273,7 +286,7 @@ def static_weight(bath: CanonicalBath) -> float:
     of the closed form.  The cutoff relation's cancellation is done
     exactly: 0 for the blackbody bath, gamma (1 + 1/(Omega Omega')) for
     the single-relaxation-time bath and so gamma for the Ohmic bath."""
-    if cutoff_relation(bath) == "blackbody":
+    if bath.relation == "blackbody":
         return 0.0
     return bath.gamma * (1.0 + 1.0 / (bath.Omega * bath.OmegaPrime))
 
@@ -296,7 +309,7 @@ def spectral_weight(bath: CanonicalBath) -> Callable[[float, float], float]:
     overflows alone leaves a weight below the normal range."""
     g = bath.gamma
     p = 1.0 / bath.OmegaPrime                   # 0 for an infinite cutoff
-    blackbody = cutoff_relation(bath) == "blackbody"
+    blackbody = bath.relation == "blackbody"
     q = g + p if blackbody else 1.0 / bath.Omega            # 1/Omega
     pq, g2 = p * q, g * g
 

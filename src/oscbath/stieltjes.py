@@ -443,21 +443,26 @@ def j_auto_named(z: complex) -> tuple[complex, str]:
 # |z| ~ 2.9e10 on (_ASYMPTOTIC_REACH).
 #
 # The middle band, SMALL_ARGUMENT <= |z| < 10, carries most of a sweep's
-# work.  Two kinds of argument there are summed from Taylor polynomials
-# about fixed centers, whose coefficients tests/jet_tables.py computes with
-# mpmath (_jet_tables; tests/test_jet_tables.py regenerates them to the
-# bit).  Each component of the jet has its own polynomial in u = z - center,
-# so no derivative is formed at run time, and the 17 centers of a band are
-# a ratio ~1.19 apart.  R is analytic in the disk of radius |center| about
-# a center, and the terms run to _term_count(|u|/|center|) + 2.  A real z
-# in the band takes the nearest real center: one Horner pass, to ~2e-16 of
-# each component (the shift below: ~1.4e-15).  A mirror pair, a with
-# |Re a| < _NEAR_AXIS Im a against b = -conj(a), takes the center i eta0
-# nearest to Im a, whose disk holds both a and b; the difference is delta
-# times the divided differences at u_a = a - center and u_b = b - center,
-# to ~4e-16 of each component (the shift: ~2e-15).  u, u_a and u_b are
-# exact.  Everything else (complex singles, real pairs and other complex
-# pairs) takes the recurrence
+# work.  Real arguments and mirror pairs there are summed from Taylor
+# polynomials about fixed centers, whose coefficients tests/jet_tables.py
+# computes with mpmath (_jet_tables; tests/test_jet_tables.py regenerates
+# them to the bit).  Each component of the jet has its own polynomial in
+# u = z - center, so no derivative is formed at run time, and the 17
+# centers of a band are a ratio ~1.19 apart.  R is analytic in the disk of
+# radius |center| about a center, and the terms run to
+# _term_count(|u|/|center|) + 2.  A real z takes the nearest real center
+# (the first one from 1/4 up): one Horner pass, to ~2e-16 of each
+# component (the shift below: ~1.4e-15).  A real pair a > b >= 1/4 with
+# a < _PAIR_RATIO b takes the center of (a + b)/2, whose rows reach both:
+# delta times the divided differences at u_a and u_b, to ~3e-16 of each
+# component (the shift: ~2.8e-15); astride 10 it splits its step there.  A
+# pair farther apart cancels little and is the difference of two jets
+# (~5e-16).  A mirror pair, a with |Re a| < _NEAR_AXIS Im a against
+# b = -conj(a), takes the center i eta0 nearest to Im a, whose disk holds
+# both a and b; the difference is delta times the divided differences at
+# u_a = a - center and u_b = b - center, to ~4e-16 of each component (the
+# shift: ~2e-15).  u, u_a and u_b are exact.  Complex singles and the
+# other complex pairs take the recurrence
 #
 #     R(w) = h(w) + R(w + 1),   h(w) = J(w) - J(w + 1) - 1/(12 w (w + 1)),
 #
@@ -497,6 +502,10 @@ _SHIFT_REACH = 2.0 / 3.0
 # is differenced against its mirror image -conj(x): the reflection identity
 # then gives Re J(x) without the cancellation of the direct sum.
 _NEAR_AXIS = 0.25
+# A real pair a > b nearer than this ratio is differenced by the divided
+# differences of the Taylor table; one this far apart or farther, where
+# R(a) - R(b) cancels little, as the difference of the two jets.
+_PAIR_RATIO = 1.5
 
 
 def _horner_prefixes(rows):
@@ -652,17 +661,30 @@ def _divided_differences(rows, xa, xb):
 # complex numbers alike; the public routes at the end of the module check
 # and convert, and thermo's closed form calls the cores directly.
 
+def _real_quotient(a, b):
+    """The divided differences (g(a) - g(b))/(a - b) of the three
+    components g of the jet of R, for real a > b >= 1/4 with
+    a < _PAIR_RATIO b and a <= _REMAINDER_ASYMPTOTIC: one
+    :func:`_divided_differences` pass about the center of (a + b)/2, whose
+    rows reach both."""
+    edges, table = _REAL_TAYLOR or _taylor_bands()[0]
+    center, _, prefixes, scale = table[bisect(edges, 0.5 * (a + b))]
+    ua, ub = a - center, b - center                     # exact
+    return _divided_differences(
+        prefixes[_term_count(max(ua, -ub) * scale) + 2], ua, ub)[1]
+
+
 def _remainder_jet(name, z):
-    """The jet of R at z: for a real z below _REMAINDER_ASYMPTOTIC from the
-    Taylor table, elsewhere by the shift recurrence and the asymptotic
-    series (see the section comment)."""
-    if type(z) is float and SMALL_ARGUMENT <= z < _REMAINDER_ASYMPTOTIC:
+    """The jet of R at z: for a real z below _REMAINDER_ASYMPTOTIC (from 1/4
+    up) from the Taylor table, elsewhere by the asymptotic series, after the
+    shift recurrence for a complex z (see the section comment)."""
+    if type(z) is float and z < _REMAINDER_ASYMPTOTIC:
         edges, table = _REAL_TAYLOR or _taylor_bands()[0]
         center, jet, prefixes, scale = table[bisect(edges, z)]
         u = z - center                                  # exact
         p0, p1, p2 = _horner(prefixes[_term_count(u * scale) + 2], u)
         return jet[0] + p0, jet[1] + p1, jet[2] + p2
-    shifts = _shift_count(z)
+    shifts = 0 if type(z) is float else _shift_count(z)
     value = slope = curvature = 0.0
     w = z
     for _ in range(shifts):
@@ -689,17 +711,42 @@ def _remainder_jet(name, z):
 
 
 def _remainder_difference(name, a, b, delta):
-    """The jet of R(a) - R(b): for a mirror pair b = -conj(a) with
-    SMALL_ARGUMENT <= |a| < _REMAINDER_ASYMPTOTIC, delta times the divided
-    differences of the Taylor table; elsewhere by the shift recurrence and
+    """The jet of R(a) - R(b), for |b| <= |a|.
+
+    A real pair (a >= b >= 1/4) takes no shift step.  A factor _PAIR_RATIO
+    or more apart, where the difference cancels little, it is the
+    difference of the two jets.  Nearer: both at or above
+    _REMAINDER_ASYMPTOTIC, the asymptotic series differenced term by term,
+    which without a shift is delta times a jet that does not depend on
+    delta; both below, delta times :func:`_real_quotient`; astride, the
+    step splits there, R(a) - R(b) = qa (a - 10) + qb (10 - b) with the
+    quotient qa of the asymptotic series (the difference at a and 10 for
+    delta = 1) and qb of the table, formed as qb delta + (qa - qb)(a - 10)
+    so that delta, not the float a - b, sets the step.
+
+    A mirror pair b = -conj(a) with SMALL_ARGUMENT <= |a| <
+    _REMAINDER_ASYMPTOTIC is delta times the divided differences of the
+    mirror Taylor table.  Other complex pairs take the shift recurrence and
     the asymptotic series, each differenced term by term (see the section
-    comment), for |b| <= |a|: the derivative components scale
-    g(a) - g(b) by b and b^2 below, which would magnify its rounding where
-    the two parts cancel (the blackbody gap pair, a factor 2 apart at
-    critical damping), so a caller with |b| > |a| negates the jet of
-    R(b) - R(a)."""
-    if (type(a) is complex and abs(a.real) < _NEAR_AXIS * a.imag
-            and b == -a.conjugate()
+    comment).  Their derivative components scale g(a) - g(b) by b and b^2,
+    which would magnify its rounding where the two parts cancel (the
+    blackbody gap pair, a factor 2 apart at critical damping), so a caller
+    with |b| > |a| negates the jet of R(b) - R(a)."""
+    if type(a) is float:
+        if a >= _PAIR_RATIO * b:
+            return [ga - gb for ga, gb in zip(_remainder_jet(name, a),
+                                              _remainder_jet(name, b))]
+        if a < _REMAINDER_ASYMPTOTIC:
+            return [delta * q for q in _real_quotient(a, b)]
+        if b < _REMAINDER_ASYMPTOTIC:
+            top = a - _REMAINDER_ASYMPTOTIC                 # exact
+            upper = _remainder_difference(name, a, _REMAINDER_ASYMPTOTIC,
+                                          1.0)
+            lower = _real_quotient(_REMAINDER_ASYMPTOTIC, b)
+            return [delta * qb + (qa - qb) * top
+                    for qa, qb in zip(upper, lower)]
+        shifts = 0
+    elif (abs(a.real) < _NEAR_AXIS * a.imag and b == -a.conjugate()
             and SMALL_ARGUMENT <= abs(a) < _REMAINDER_ASYMPTOTIC):
         edges, table = _MIRROR_TAYLOR or _taylor_bands()[1]
         center, _, prefixes, scale = table[bisect(edges, a.imag)]
@@ -707,7 +754,8 @@ def _remainder_difference(name, a, b, delta):
         _, (q0, q1, q2) = _divided_differences(
             prefixes[_term_count(abs(ua) * scale) + 2], ua, b - center)
         return [delta * q0, delta * q1, delta * q2]
-    shifts = max(_shift_count(a), _shift_count(b))
+    else:
+        shifts = max(_shift_count(a), _shift_count(b))
     slope = curvature = d0 = d1 = d2 = 0.0
     wa, wb = a, b
     for _ in range(shifts):
@@ -837,13 +885,14 @@ def j_remainder(z: complex) -> tuple[complex, complex, complex]:
     cut along (-inf, 0].
 
     For real 1/2 <= z < 10 from the Taylor table of the middle band, to
-    ~2e-16 of each component itself; at other |z| >= 1/2 by the shift
-    recurrence and the asymptotic series, to ~1e-15 of each component
-    (see the section comment); below that from the power series of
-    :func:`j_jet`, with its absolute error (~1e-16 of the J jet and of the
-    jet of 1/(12 z)).  For |z| >= 1/2 the valid domain is
-    |z + n + 1/2| >= sqrt(3/8) ~ 0.61 for n = 0, 1, 2, ..., which holds in
-    the whole right half plane; elsewhere it raises ValueError.
+    ~2e-16 of each component itself; at other |z| >= 1/2 by the
+    asymptotic series, after the shift recurrence for a complex z, to
+    ~1e-15 of each component (see the section comment); below that from
+    the power series of :func:`j_jet`, with its absolute error (~1e-16 of
+    the J jet and of the jet of 1/(12 z)).  For |z| >= 1/2 the valid
+    domain is |z + n + 1/2| >= sqrt(3/8) ~ 0.61 for n = 0, 1, 2, ...,
+    which holds in the whole right half plane; elsewhere it raises
+    ValueError.
     """
     z = _check_argument(z, "j_remainder")
     if abs(z) < SMALL_ARGUMENT:
@@ -860,15 +909,19 @@ def j_remainder_difference(a: complex, b: complex,
     Every series term is differenced as a divided difference of its
     powers, so each component keeps the relative accuracy of delta however
     close a and b are, where the difference of two :func:`j_remainder`
-    calls would lose it.  A mirror pair b = -conj(a) with
-    |Re a| < Im a/4 and 1/2 <= |a| < 10 is differenced through the Taylor
-    table about a center on the imaginary axis, to ~4e-16 of each
-    component; other pairs by the shift recurrence and the asymptotic
-    series, to ~1e-14.  Both arguments need |z| >= 1/4 and, as for
-    :func:`j_remainder`, |z + n + 1/2| >= sqrt(3/8) ~ 0.61 for n = 0, 1,
-    2, ...; otherwise ValueError.  So they may lie in the left half plane
-    off the cut, near the imaginary axis, as x and its mirror image
-    -conj(x) do where :func:`j_reflection` serves a conjugate pair.
+    calls would lose it.  A real pair is differenced through the real
+    Taylor table and the asymptotic series, or where a and b are a factor
+    1.5 or more apart, where R(a) - R(b) cancels little, as the difference
+    of their two jets, to ~6e-16 of each component (delta rounded once
+    included).  A mirror pair b = -conj(a) with |Re a| < Im a/4 and
+    1/2 <= |a| < 10 is differenced through the Taylor table about a center
+    on the imaginary axis, to ~4e-16 of each component; other complex
+    pairs by the shift recurrence and the asymptotic series, to ~1e-14.
+    Both arguments need |z| >= 1/4 and, as for :func:`j_remainder`,
+    |z + n + 1/2| >= sqrt(3/8) ~ 0.61 for n = 0, 1, 2, ...; otherwise
+    ValueError.  So they may lie in the left half plane off the cut, near
+    the imaginary axis, as x and its mirror image -conj(x) do where
+    :func:`j_reflection` serves a conjugate pair.
     """
     a = _check_argument(a, "j_remainder_difference")
     b = _check_argument(b, "j_remainder_difference")

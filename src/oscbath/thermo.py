@@ -30,14 +30,16 @@ from __future__ import annotations
 import math
 import sys
 import warnings
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple
 
 from .baths import CanonicalBath, cutoff_relation, roots, spectral_weight, static_weight
 from .quadrature import (IntegrandEvaluationError, integrate_interval,
                          integrate_log_endpoint, integrate_semi_infinite)
-from .stieltjes import (EULER_GAMMA, SMALL_ARGUMENT, _NEAR_AXIS,
-                        _remainder_difference, _remainder_jet,
+from .stieltjes import (_ASYMPTOTIC_HORNER, _ASYMPTOTIC_REACH, EULER_GAMMA,
+                        SMALL_ARGUMENT, _NEAR_AXIS, _REMAINDER_ASYMPTOTIC,
+                        _horner, _remainder_difference, _remainder_jet,
                         _series_difference, _series_jet, j_reflection, zeta)
 
 __all__ = [
@@ -90,13 +92,19 @@ class _Plan(NamedTuple):
     c - mate = -c mate gap (:func:`_plan`); or an underdamped root near
     the imaginary axis (Re c < _NEAR_AXIS Im c) and its mirror image
     mate = -conj(c), c - mate = 2 Re c: J(c) + J(conj c) is J(c) - J(mate)
-    plus :func:`oscbath.stieltjes.j_reflection` at mate.  ``static`` is
+    plus :func:`oscbath.stieltjes.j_reflection` at mate.  ``least`` is the
+    smallest |c| of the terms and their mates, which sets where a
+    temperature is cold: every argument c/(2 pi theta) at or above
+    _REMAINDER_ASYMPTOTIC.  The power sums of the cold points,
+    :func:`_power_rows`, are formed from the terms and ``least`` when a
+    sweep has a cold point.  ``static`` is
     :func:`oscbath.baths.static_weight`, minus the sum of sigma/c with the
     cutoff relation's cancellation done exactly, and ``weight`` is
     :func:`oscbath.baths.spectral_weight`, for the quadrature route.
     """
     terms: tuple[tuple[float, complex | float, complex | float | None,
                        float | None], ...]
+    least: float
     static: float
     gamma: float
     weight: Callable[[float, float], float]
@@ -128,8 +136,50 @@ def _plan(bath: CanonicalBath) -> _Plan:
         gap = rest if blackbody else -rest / (bath.Omega * mate)
         terms[len(terms) - len(poles) + poles.index(mate)] = (
             1.0, bath.Omega, mate, gap)
-    return _Plan(tuple(terms), static_weight(bath), bath.gamma,
+    least = min(abs(z) for _, c, mate, _ in terms for z in (c, mate)
+                if z is not None)
+    return _Plan(tuple(terms), least, static_weight(bath), bath.gamma,
                  spectral_weight(bath))
+
+
+def _power_rows(plan: _Plan) -> tuple[tuple[tuple[float, float, float],
+                                            ...], ...]:
+    """The rows of the cold points' series, cut as _ASYMPTOTIC_ROWS is.
+
+    Where every argument x = c/(2 pi theta) has |x| >= 10, the sum over
+    the plan of sigma R(x) is the asymptotic series of R summed term by
+    term, sum_n A_n t^(2n+1) P_n with t = 2 pi theta/least and the scaled
+    power sums P_n = sum sigma Re (least/c)^(2n+1), n = 1 .. 15: scaled
+    so that no power under- or overflows where unscaled c^-31 would.  Each
+    row of _ASYMPTOTIC_HORNER times its P_n gives the jet of the sum as
+    t (Q0, -Q1, Q2)(t^2), one Horner chain per point.  A pair enters as
+    sigma Re (alpha^m - beta^m), alpha = least/c and beta = least/mate,
+    from D_1 = alpha - beta over its exact step by
+    D_(m+2) = alpha^2 D_m + beta^m (alpha - beta)(alpha + beta): least gap
+    for the Omega pair, least 2 Re c/|c|^2 for a mirror pair, whose
+    reflection term the caller adds at each point."""
+    sums = [0.0] * len(_ASYMPTOTIC_HORNER)
+    for sign, c, mate, gap in plan.terms:
+        alpha = plan.least / c
+        square = alpha * alpha
+        if mate is None:
+            power = alpha * square
+            for n in range(len(sums)):
+                sums[n] += sign * power.real
+                power *= square
+            continue
+        beta = plan.least / mate
+        step = plan.least * (gap if gap is not None
+                             else 2.0 * c.real / abs(c) ** 2)
+        cross = step * (alpha + beta)
+        difference, power = step, beta
+        for n in range(len(sums)):
+            difference = square * difference + power * cross
+            power *= beta * beta
+            sums[n] += sign * difference.real
+    rows = tuple((r0 * p, r1 * p, r2 * p)
+                 for (r0, r1, r2), p in zip(_ASYMPTOTIC_HORNER, sums[::-1]))
+    return tuple(rows[-n:] for n in range(1, len(rows) + 1))
 
 
 def _j_sum(plan: _Plan, thetas: list[float]
@@ -138,12 +188,18 @@ def _j_sum(plan: _Plan, thetas: list[float]
     sigma J(x), sigma x J'(x) and sigma x^2 J''(x) over the characteristic
     arguments x = c/(2 pi theta) of the closed form, from the jets of J.
 
-    The pass is term by term: each term of the plan runs over the whole
-    list at once, with what does not depend on theta (the order of a pair,
-    whether it is real) decided once for the term, and calls the jet cores
-    of :mod:`oscbath.stieltjes` directly.  Every point still adds its terms
-    in plan order, so it is the same to the bit as a pass over that one
-    temperature.
+    A cold point, where every |x| >= _REMAINDER_ASYMPTOTIC, takes the sum
+    of the remainders from the plan's power sums (:func:`_power_rows`,
+    formed when the list has a cold point) in one Horner chain in
+    t^2 = (2 pi theta/least)^2, cut as the asymptotic series of one
+    argument is at the least |x|, plus a mirror pair's reflection term.
+
+    The other points are summed term by term: each term of the plan runs
+    over those points at once, with what does not depend on theta (the
+    order of a pair, whether it is real) decided once for the term, and
+    calls the jet cores of :mod:`oscbath.stieltjes` directly.  Every point
+    still adds its terms in plan order, so it is the same to the bit as a
+    pass over that one temperature.
 
     Arguments of modulus >= SMALL_ARGUMENT contribute remainders after the
     leading 1/(12 x) of J, whose sum L enters G, A and B as (L, -L, 2L);
@@ -155,8 +211,7 @@ def _j_sum(plan: _Plan, thetas: list[float]
     A subnormal theta, one where 2 pi theta overflows and one where an
     argument x is 0 raise ValueError naming the first such theta.
     """
-    least = min(abs(z) for _, c, mate, _ in plan.terms for z in (c, mate)
-                if z is not None)
+    least = plan.least
     scales = []
     for theta in thetas:
         if theta < sys.float_info.min:          # 2 pi x overflows
@@ -174,6 +229,24 @@ def _j_sum(plan: _Plan, thetas: list[float]
     G, A, B = [0.0] * count, [0.0] * count, [0.0] * count
     inverse = [0.0] * count  # sum of sigma/x over the remainder terms
     whole = [False] * count  # some J entered whole, not as a remainder
+    warm = []
+    cold = []
+    for i, s in enumerate(scales):
+        (cold if least * s >= _REMAINDER_ASYMPTOTIC else warm).append((i, s))
+    if cold:
+        rows = _power_rows(plan)
+        mirrors = [(sign, mate) for sign, c, mate, gap in plan.terms
+                   if type(mate) is complex]
+        for i, s in cold:
+            t = 2.0 * math.pi * thetas[i] / least
+            u = t * t
+            q0, q1, q2 = _horner(rows[bisect_left(_ASYMPTOTIC_REACH, u)], u)
+            G[i], A[i], B[i] = t * q0, -t * q1, t * q2
+            for sign, mate in mirrors:
+                g, a, b = j_reflection(mate * s)
+                G[i] += sign * g.real
+                A[i] += sign * a.real
+                B[i] += sign * b.real
 
     def single(i, sign, x):
         if abs(x) < SMALL_ARGUMENT:
@@ -188,14 +261,14 @@ def _j_sum(plan: _Plan, thetas: list[float]
 
     for sign, c, mate, gap in plan.terms:
         if mate is None:
-            for i, s in enumerate(scales):
+            for i, s in warm:
                 single(i, sign, c * s)
             continue
         mirror = type(mate) is complex
         # |b| > |x| at every theta, as |x|/|b| = |c|/|mate|: the remainder
         # difference runs as -(R(b) - R(x)), larger argument first
         swap = abs(mate) > abs(c)
-        for i, s in enumerate(scales):
+        for i, s in warm:
             x = c * s
             b = mate * s
             size = abs(x), abs(b)

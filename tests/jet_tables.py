@@ -16,14 +16,16 @@ and R^(n) comes from the polygamma functions: for n >= 2
     R^(n)(c) = psi(n - 1, c + 1) - (-1)^n (n - 2)!/c^(n - 1)
                + (-1)^n (n - 1)!/(2 c^n) - (-1)^n n!/(12 c^(n + 1)).
 
-Two bands are tabulated.  Real arguments 1/2 <= x < 10 use real centers;
-mirror pairs, x with |Re x| < Im x/4 and 1/2 <= |x| < 10 differenced
-against -conj(x), use centers i eta0 on the imaginary axis, so that x and
-its image lie in the same disk.  Each band is split into CENTERS pieces of
-equal ratio (at most 1.2 from one edge to the next), with the center at the
-geometric middle of its piece; R is analytic in the disk of radius |center|
-about it, so the series converges as (|u|/|center|)^n.  A center's rows
-reach the worst |u|/|center| of its piece: the term count that
+Two bands are tabulated.  Real arguments 1/2 <= x < 10 use real centers,
+as do real pairs a > b >= 1/4 with a < 1.5 b, differenced about the
+center of (a + b)/2; mirror pairs, x with |Re x| < Im x/4 and
+1/2 <= |x| < 10 differenced against -conj(x), use centers i eta0 on the
+imaginary axis, so that x and its image lie in the same disk.  Each band is
+split into CENTERS pieces of equal ratio (at most 1.2 from one edge to the
+next), with the center at the geometric middle of its piece; R is analytic
+in the disk of radius |center| about it, so the series converges as
+(|u|/|center|)^n.  A center's rows reach the worst |u|/|center| that it
+serves (:func:`real_band`, :func:`mirror_band`): the term count that
 ``stieltjes._term_count`` asks for there, plus two, plus one to spare.
 ``tests/test_jet_tables.py`` regenerates every literal from this file.
 """
@@ -40,8 +42,11 @@ DPS = 60
 # |x| of the middle band: from SMALL_ARGUMENT to _REMAINDER_ASYMPTOTIC
 LOW, HIGH = 0.5, 10.0
 CENTERS = 17
-# a mirror pair has |Re x| < NEAR_AXIS Im x (thermo._NEAR_AXIS)
+# a mirror pair has |Re x| < NEAR_AXIS Im x (stieltjes._NEAR_AXIS)
 NEAR_AXIS = 0.25
+# a real pair a > b with a < PAIR_RATIO b is differenced about the center of
+# (a + b)/2 (stieltjes._PAIR_RATIO)
+PAIR_RATIO = 1.5
 SERIES_EPS = 1e-21           # stieltjes._SERIES_EPS
 
 TARGET = Path(__file__).resolve().parent.parent / "src" / "oscbath" / \
@@ -66,10 +71,16 @@ def pieces(low: float, high: float):
 
 
 def real_band():
-    """The real centers and the worst |u|/center of each piece."""
+    """The real centers and the worst |u|/center each must reach.  A center
+    serves the real arguments of its piece, the first one also those from
+    LOW/2, the least argument of a pair; and the real pairs a > b with
+    a < PAIR_RATIO b whose midpoint m lies in its piece, whose arguments
+    reach out to 2 m PAIR_RATIO/(PAIR_RATIO + 1) (at most HIGH) and down
+    to 2 m/(PAIR_RATIO + 1) (at least LOW/2)."""
     edges, centers = pieces(LOW, HIGH)
-    ends = [LOW] + edges + [HIGH]
-    worst = [max(abs(lo - c), abs(hi - c)) / c
+    ends = [LOW / 2] + edges + [HIGH]
+    up, down = 2 * PAIR_RATIO / (PAIR_RATIO + 1), 2 / (PAIR_RATIO + 1)
+    worst = [max(min(up * hi, HIGH) - c, c - max(down * lo, LOW / 2)) / c
              for c, lo, hi in zip(centers, ends, ends[1:])]
     return edges, centers, worst
 
@@ -141,8 +152,9 @@ about fixed centers, for :mod:`oscbath.stieltjes`.
 Generated by tests/jet_tables.py from mpmath; do not edit.
 tests/test_jet_tables.py regenerates every number and checks it to the bit.
 
-Real arguments 1/2 <= x < 10 take the center REAL_CENTERS[k],
-k = bisect(REAL_EDGES, x).  Mirror pairs x, -conj(x) with
+Real arguments 1/4 <= x < 10 take the center REAL_CENTERS[k],
+k = bisect(REAL_EDGES, x), and real pairs a > b, a < 1.5 b, that of
+(a + b)/2.  Mirror pairs x, -conj(x) with
 |Re x| < Im x/4 and 1/2 <= |x| < 10 take MIRROR_CENTERS[k],
 k = bisect(MIRROR_EDGES, Im x), on the imaginary axis.  Block k of
 REAL_ROWS or MIRROR_ROWS (blocks apart by a blank line) holds the jet at

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import bath_kernels
 from bath_kernels import mu_tilde, qed_mass_ratio, susceptibility_kernel_form
-from oscbath import baths
+from oscbath import baths, thermo
 from oscbath.baths import (
     CanonicalBath,
     OhmicSpec,
@@ -96,10 +96,12 @@ class TestCanonicalize:
     def test_infinite_cutoffs_allowed(self):
         # the Ohmic and point-electron limits; the latter has Omega = 1/gamma
         assert canonicalize(QEDSpec(gamma=0.1, omega_prime=math.inf)) \
-            == CanonicalBath(gamma=0.1, Omega=10.0, OmegaPrime=math.inf)
+            == CanonicalBath(gamma=0.1, Omega=10.0, OmegaPrime=math.inf,
+                             relation="blackbody")
         # any other Omega with Omega' = inf is no bath of the three
-        with pytest.raises(ValueError, match="blackbody"):
-            CanonicalBath(gamma=0.3, Omega=10.0)
+        for relation in ("blackbody", "relaxation"):
+            with pytest.raises(ValueError, match=f"not on the {relation}"):
+                CanonicalBath(gamma=0.3, Omega=10.0, relation=relation)
 
     def test_canonical_fields_are_keyword_only(self):
         # (1.0, 0.3) must not pass for gamma = 1, Omega = 0.3
@@ -139,19 +141,23 @@ def cutoff_triples(draw):
     return gamma, omega, prime
 
 
-def relation_residual(gamma, omega, prime):
-    """The smaller relative residual of the two cutoff relations in exact
-    arithmetic: |Omega - Omega' - gamma| / Omega and
-    |1/Omega - 1/Omega' - gamma| Omega; 0 for two infinite cutoffs and
-    inf for an infinite Omega alone."""
-    if math.isinf(omega):
-        return 0.0 if math.isinf(prime) else math.inf
+RELATIONS = (None, "relaxation", "blackbody")
+
+
+def relation_residual(relation, gamma, omega, prime):
+    """The relative residual of a cutoff relation in exact arithmetic:
+    |Omega - Omega' - gamma| / Omega (relaxation) or
+    |1/Omega - 1/Omega' - gamma| Omega (blackbody); for None, 0 for two
+    infinite cutoffs.  inf where the relation cannot hold."""
+    if relation is None:
+        return 0.0 if math.isinf(omega) and math.isinf(prime) else math.inf
+    if math.isinf(omega) or relation == "relaxation" and math.isinf(prime):
+        return math.inf
     o, g = Fraction(omega), Fraction(gamma)
+    if relation == "relaxation":
+        return float(abs(o - Fraction(prime) - g) / o)
     inverse_prime = 0 if math.isinf(prime) else 1 / Fraction(prime)
-    residual = abs(1 / o - inverse_prime - g) * o
-    if math.isfinite(prime):
-        residual = min(residual, abs(o - Fraction(prime) - g) / o)
-    return float(residual)
+    return float(abs(1 / o - inverse_prime - g) * o)
 
 
 class TestAdmission:
@@ -160,33 +166,35 @@ class TestAdmission:
 
     EPS = 2.220446049250313e-16
 
-    @given(triple=cutoff_triples())
+    @given(triple=cutoff_triples(), relation=st.sampled_from(RELATIONS))
     @settings(max_examples=400, deadline=None)
-    def test_admitted_exactly_when_a_relation_holds(self, triple):
+    def test_admitted_exactly_when_its_relation_holds(self, triple,
+                                                      relation):
         gamma, omega, prime = triple
-        residual = relation_residual(gamma, omega, prime)
+        residual = relation_residual(relation, gamma, omega, prime)
         # the relations are checked in floating point to 16 ulps
         if 8 * self.EPS < residual < 32 * self.EPS:
             return
         try:
-            bath = CanonicalBath(gamma=gamma, Omega=omega, OmegaPrime=prime)
+            bath = CanonicalBath(gamma=gamma, Omega=omega, OmegaPrime=prime,
+                                 relation=relation)
         except ValueError as exc:
-            assert residual >= 32 * self.EPS, (triple, exc)
-            assert "relaxation" in str(exc) and "blackbody" in str(exc)
+            assert residual >= 32 * self.EPS, (triple, relation, exc)
+            assert "relaxation" in str(exc) or "blackbody" in str(exc)
             return
-        assert residual <= 8 * self.EPS, triple
-        relation = baths.cutoff_relation(bath)
-        assert (relation is None) == math.isinf(omega)
+        assert residual <= 8 * self.EPS, (triple, relation)
+        assert baths.cutoff_relation(bath) == relation
 
-    @given(triple=cutoff_triples(),
+    @given(triple=cutoff_triples(), relation=st.sampled_from(RELATIONS),
            frequencies=st.lists(log_uniform(1e-3, 1e3), min_size=1,
                                 max_size=9))
     @settings(max_examples=400, deadline=None)
-    def test_admitted_baths_are_passive(self, triple, frequencies):
+    def test_admitted_baths_are_passive(self, triple, relation, frequencies):
         # Im alpha(w) >= 0 on the real axis: the bath absorbs energy
         gamma, omega, prime = triple
         try:
-            bath = CanonicalBath(gamma=gamma, Omega=omega, OmegaPrime=prime)
+            bath = CanonicalBath(gamma=gamma, Omega=omega, OmegaPrime=prime,
+                                 relation=relation)
         except ValueError:
             return
         if math.isinf(bath.OmegaPrime):     # no bare-mass susceptibility
@@ -195,16 +203,52 @@ class TestAdmission:
             with contextlib.suppress(ValueError):      # w on a real pole
                 assert susceptibility(bath, w).imag >= 0.0, (triple, w)
 
-    def test_an_active_bath_is_rejected(self):
+    @pytest.mark.parametrize("relation", ["relaxation", "blackbody"])
+    def test_an_active_bath_is_rejected(self, relation):
         # Re mu(0) < 0 here: C would change sign with temperature
-        with pytest.raises(ValueError, match="neither the relaxation"):
-            CanonicalBath(gamma=1.0, Omega=0.5)
+        with pytest.raises(ValueError, match=f"not on the {relation}"):
+            CanonicalBath(gamma=1.0, Omega=0.5, relation=relation)
 
+    @pytest.mark.parametrize("relation", ["relaxation", "blackbody"])
     @pytest.mark.parametrize("omega, prime", [
         (10.0, 20.0), (math.inf, 20.0), (0.5, 3.0), (101.0, 99.0)])
-    def test_independent_cutoffs_rejected(self, omega, prime):
-        with pytest.raises(ValueError, match="blackbody relation"):
+    def test_independent_cutoffs_rejected(self, omega, prime, relation):
+        with pytest.raises(ValueError, match=f"not on the {relation}"):
+            CanonicalBath(gamma=1.0, Omega=omega, OmegaPrime=prime,
+                          relation=relation)
+
+    @pytest.mark.parametrize("omega, prime", [
+        (10.0, 20.0), (math.inf, 20.0), (99.0 + 1.0, 99.0), (10.0, math.inf)])
+    def test_a_finite_cutoff_needs_a_relation(self, omega, prime):
+        with pytest.raises(ValueError, match="finite cutoff and no relation"):
             CanonicalBath(gamma=1.0, Omega=omega, OmegaPrime=prime)
+
+    def test_an_unknown_relation_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown cutoff relation"):
+            CanonicalBath(gamma=1.0, Omega=100.0, OmegaPrime=99.0,
+                          relation="drude")
+
+    def test_a_triple_on_both_relations_computes_as_stated(self):
+        # gamma (Omega + 1/Omega) ~ 2e-15: the triple meets the blackbody
+        # relation to rounding too, and was computed as blackbody (F =
+        # -4.13e-23 at theta = 0.01) while it had no relation to state
+        gamma, omega, prime = 1e-15, 1.0, 1.0 - 1e-15
+        with pytest.raises(ValueError, match="no relation"):
+            CanonicalBath(gamma=gamma, Omega=omega, OmegaPrime=prime)
+        relaxation = CanonicalBath(gamma=gamma, Omega=omega,
+                                   OmegaPrime=prime, relation="relaxation")
+        blackbody = CanonicalBath(gamma=gamma, Omega=omega, OmegaPrime=prime,
+                                  relation="blackbody")
+        assert baths.cutoff_relation(relaxation) == "relaxation"
+        assert baths.static_weight(relaxation) == gamma * (1.0 + 1.0 / prime)
+        assert baths.static_weight(blackbody) == 0.0
+        theta = 0.01
+        point = thermo.thermo_point(relaxation, theta)
+        # the relaxation bath's leading low-temperature term,
+        # F ~ -pi gamma theta^2 / 6 (static weight gamma (1 + 1/Omega'))
+        lead = -math.pi * baths.static_weight(relaxation) * theta ** 2 / 6.0
+        assert abs(point.F - lead) <= 0.05 * abs(lead)
+        assert thermo.thermo_point(blackbody, theta).F != point.F
 
 
 class TestRoots:

@@ -9,7 +9,10 @@ each component, are below the worst error of the shift recurrence on the
 same points: 9.7e-16, 1.1e-15 and 1.4e-15 for R, z R' and z^2 R'' of a
 real argument, 1.1e-15, 1.4e-15 and 2.0e-15 for a mirror difference.  The
 tables reach 2.0e-16, 1.9e-16 and 1.6e-16, and 4.0e-16, 3.7e-16 and
-4.4e-16.
+4.4e-16.  Real pairs, with ratios from 1 + 1e-10 to 1e9, from 1/4 up and
+astride 1/2, the ratio 1.5 and 10, are held to 6e-16 with delta rounded
+once; they reach 5.2e-16, 5.0e-16 and 5.0e-16, where the shift recurrence
+reached 1.2e-15, 1.5e-15 and 2.9e-15 on the same pairs.
 """
 
 import math
@@ -57,6 +60,7 @@ def test_the_generator_matches_the_engine():
     assert jet_tables.LOW == sj.SMALL_ARGUMENT
     assert jet_tables.HIGH == sj._REMAINDER_ASYMPTOTIC
     assert jet_tables.NEAR_AXIS == sj._NEAR_AXIS == thermo._NEAR_AXIS
+    assert jet_tables.PAIR_RATIO == sj._PAIR_RATIO
     assert jet_tables.SERIES_EPS == sj._SERIES_EPS
     for edges in (_jet_tables.REAL_EDGES, _jet_tables.MIRROR_EDGES):
         assert all(b / a <= 1.2 for a, b in zip(edges, edges[1:]))
@@ -131,18 +135,54 @@ def test_mirror_differences_against_mpmath():
                 assert abs(got[i] - want) <= 6e-16 * abs(want), (x, i)
 
 
-def test_the_band_skips_the_shift_recurrence(monkeypatch):
-    def no_shift(z):
-        raise AssertionError(f"shift recurrence at {z!r}")
+def real_pairs():
+    """(a, b) with a > b >= 1/4: ratios a/b from 1 + 1e-10 to 1e9, pairs
+    next to 1/4 and astride 1/2 and 10, and ratios at _PAIR_RATIO."""
+    rng = random.Random(28)
+    pairs = []
+    for _ in range(300):
+        b = 10.0 ** rng.uniform(math.log10(0.25), 1.2)
+        pairs.append((b * (1.0 + 10.0 ** rng.uniform(-10.0, 9.0)), b))
+    for anchor in (0.251, 0.5, 10.0):
+        for _ in range(60):
+            ratio = 1.0 + 10.0 ** rng.uniform(-10.0, 0.5)
+            b = max(anchor / ratio ** rng.random(), 0.25)
+            pairs.append((b * ratio, b))
+    for b in (0.25, 0.3, 2.0, 9.0):
+        for ratio in (sj._PAIR_RATIO, math.nextafter(sj._PAIR_RATIO, 0.0)):
+            pairs.append((b * ratio, b))
+    return [(a, b) for a, b in pairs if a > b]
+
+
+def test_real_pair_differences_against_mpmath():
+    # delta = a - b rounded once, as the closed form forms it from its gap
+    with mp.workdps(60):
+        for a, b in real_pairs():
+            delta = float(mp.mpf(a) - mp.mpf(b))
+            wants = zip(remainder_jet(mp.mpf(a)), remainder_jet(mp.mpf(b)))
+            got = sj.j_remainder_difference(a, b, delta)
+            swapped = sj.j_remainder_difference(b, a, -delta)
+            for i, (at_a, at_b) in enumerate(wants):
+                want = at_a - at_b
+                assert abs(got[i] - want) <= 6e-16 * abs(want), (a, b, i)
+                assert swapped[i] == -got[i]
+
+
+def no_shift(z):
+    raise AssertionError(f"shift recurrence at {z!r}")
+
+
+def test_no_real_argument_shifts(monkeypatch):
     monkeypatch.setattr(sj, "_shift_count", no_shift)
-    x = complex(1e-6, 3.0)
-    for z in (0.5, 3.0, math.nextafter(10.0, 0.0)):
+    for z in (0.5, 3.0, math.nextafter(10.0, 0.0), 10.0, 1e5):
         sj.j_remainder(z)
+    for a, b in real_pairs():
+        sj.j_remainder_difference(a, b, a - b)
+    x = complex(1e-6, 3.0)
     sj.j_remainder_difference(x, -x.conjugate(), complex(2e-6, 0.0))
-    # complex singles, real pairs and pairs that are not mirror images
-    # keep the recurrence
+    # complex singles and complex pairs that are not mirror images keep
+    # the recurrence
     for call in (lambda: sj.j_remainder(x),
-                 lambda: sj.j_remainder_difference(3.0, 2.5, 0.5),
                  lambda: sj.j_remainder_difference(x, x - 1e-3, 1e-3)):
         with pytest.raises(AssertionError, match="shift recurrence"):
             call()

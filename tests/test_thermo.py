@@ -469,7 +469,8 @@ class TestCutoffCorrection:
         assert abs(shift - expected) <= 1e-15 * abs(ohmic_F)
 
     def test_srt_small_and_negative(self):
-        bath = CanonicalBath(gamma=1.0, Omega=100.0, OmegaPrime=99.0)
+        bath = CanonicalBath(gamma=1.0, Omega=100.0, OmegaPrime=99.0,
+                             relation="relaxation")
         theta = 0.3
         value = cutoff_shift(bath, theta)
         expected = math.pi * theta / 6.0 * (1.0 / 100.0 - 1.0 / 99.0)
@@ -513,9 +514,9 @@ class TestZeroPoint:
         assert abs(total - thermo.zero_point(bath)) < 2e-6
 
     def test_relaxation_relation_to_rounding_is_finite(self):
-        # a hand-built bath with Omega = Omega' + gamma, as cutoff_relation
-        # recognises it
-        bath = CanonicalBath(gamma=1.0, Omega=100.0, OmegaPrime=99.0)
+        # a hand-built bath with Omega = Omega' + gamma that states it
+        bath = CanonicalBath(gamma=1.0, Omega=100.0, OmegaPrime=99.0,
+                             relation="relaxation")
         srt = baths.canonicalize(SingleRelaxationSpec(gamma=1.0, tau=0.01))
         assert thermo.zero_point(bath) == thermo.zero_point(srt)
 
@@ -651,7 +652,9 @@ def closed_form_reference(model, gamma, theta, tau=None, omega_prime=None,
             terms += [(1, big), (-1, big - g)]
         elif model == "qed":
             prime = mp.mpf(omega_prime)
-            terms += [(1, 1 / (1 / prime + g)), (-1, prime)]
+            terms += [(1, 1 / (1 / prime + g))]
+            if mp.isfinite(prime):      # J vanishes at an infinite argument
+                terms.append((-1, prime))
         G = A = B = mp.mpf(0)
         for sign, c in terms:
             x = c / (2 * mp.pi * th)
@@ -760,6 +763,53 @@ class TestSmallCutoff:
                 got = getattr(point, name)
                 assert abs(got - want) <= 1e-14 * abs(want), \
                     (point.theta, name, got, want)
+
+
+# Cold points: every characteristic argument c/(2 pi theta) at or above
+# the asymptotic switch, where the closed form is summed from the plan's
+# power sums.  gamma = 1e-8 and 0.3 put the root on the mirror pair.
+COLD_BATHS = [("ohmic", gamma, None, None)
+              for gamma in (1e-8, 0.3, 2.0, 1e4)] \
+    + [("srt", gamma, 1.0 / (prime + gamma), prime)
+       for gamma in (1e-8, 2.0, 1e4) for prime in (1e-3, 1e4, 1e12)] \
+    + [("qed", gamma, None, prime) for gamma in (1e-8, 0.3, 2.0, 1e4)
+       for prime in (1e-3, 1e4, 1e12, math.inf)]
+
+
+class TestColdPoints:
+    @pytest.mark.parametrize("model, gamma, tau, prime", COLD_BATHS)
+    def test_against_the_closed_form(self, model, gamma, tau, prime):
+        # from the warmest cold point, where the least argument is 10, down
+        # a thousandfold
+        bath = bath_of(model, gamma, tau, prime)
+        plan = thermo._plan(bath)
+        warmest = plan.least / (2.0 * math.pi * thermo._REMAINDER_ASYMPTOTIC)
+        thetas = [warmest * f for f in (1.0, 0.5, 0.1, 1e-3)]
+        for point in thermo.sweep(bath, thetas):
+            assert plan.least / (2.0 * math.pi * point.theta) \
+                >= thermo._REMAINDER_ASYMPTOTIC
+            reference = closed_form_reference(model, gamma, point.theta, tau,
+                                              prime)
+            for name, want in zip("FSUC", reference):
+                got = getattr(point, name)
+                assert abs(got - want) <= 1e-15 * abs(want), \
+                    (point.theta, name, got, want)
+
+    def test_only_a_list_with_a_cold_point_forms_the_power_sums(
+            self, monkeypatch):
+        bath = bath_of("qed", 0.3, None, 1e4)
+        formed = []
+        original = thermo._power_rows
+
+        def counting(plan):
+            formed.append(plan)
+            return original(plan)
+
+        monkeypatch.setattr(thermo, "_power_rows", counting)
+        thermo.sweep(bath, [0.5, 3.0])
+        assert formed == []
+        thermo.sweep(bath, [1e-4, 0.5, 3.0])
+        assert len(formed) == 1
 
 
 class TestFloatRange:
