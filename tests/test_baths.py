@@ -168,8 +168,8 @@ class TestAdmission:
 
     @given(triple=cutoff_triples(), relation=st.sampled_from(RELATIONS))
     @settings(max_examples=400, deadline=None)
-    def test_admitted_exactly_when_its_relation_holds(self, triple,
-                                                      relation):
+    def test_admitted_exactly_when_a_relation_holds(self, triple,
+                                                    relation):
         gamma, omega, prime = triple
         residual = relation_residual(relation, gamma, omega, prime)
         # the relations are checked in floating point to 16 ulps

@@ -172,7 +172,7 @@ def no_shift(z):
     raise AssertionError(f"shift recurrence at {z!r}")
 
 
-def test_no_real_argument_shifts(monkeypatch):
+def test_the_band_skips_the_shift_recurrence(monkeypatch):
     monkeypatch.setattr(sj, "_shift_count", no_shift)
     for z in (0.5, 3.0, math.nextafter(10.0, 0.0), 10.0, 1e5):
         sj.j_remainder(z)
