@@ -443,7 +443,7 @@ def j_auto_named(z: complex) -> tuple[complex, str]:
 # |z| ~ 2.9e10 on (_ASYMPTOTIC_REACH).
 #
 # The middle band, SMALL_ARGUMENT <= |z| < 10, carries most of a sweep's
-# work.  Real arguments and mirror pairs there are summed from Taylor
+# work.  Real arguments and mirror pairs are summed from Taylor
 # polynomials about fixed centers, whose coefficients tests/jet_tables.py
 # computes with mpmath (_jet_tables; tests/test_jet_tables.py regenerates
 # them to the bit).  Each component of the jet has its own polynomial in
@@ -458,11 +458,13 @@ def j_auto_named(z: complex) -> tuple[complex, str]:
 # component (the shift: ~2.8e-15); astride 10 it splits its step there.  A
 # pair farther apart cancels little and is the difference of two jets
 # (~5e-16).  A mirror pair, a with |Re a| < _NEAR_AXIS Im a against
-# b = -conj(a), takes the center i eta0 nearest to Im a, whose disk holds
-# both a and b; the difference is delta times the divided differences at
-# u_a = a - center and u_b = b - center, to ~4e-16 of each component (the
-# shift: ~2e-15).  u, u_a and u_b are exact.  Complex singles and the
-# other complex pairs take the recurrence
+# b = -conj(a), takes the center i eta0 nearest to Im a while Im a < 10,
+# past |a| = 10 too; the disk holds both a and b, and the difference is
+# delta times the divided differences at u_a = a - center and
+# u_b = b - center, to ~4e-16 of each component (the shift: ~2e-15).
+# u, u_a and u_b are exact.  The closed form makes no other pair below
+# 10; complex pairs are differenced only where neither end needs a shift
+# step.  Complex singles take the recurrence
 #
 #     R(w) = h(w) + R(w + 1),   h(w) = J(w) - J(w + 1) - 1/(12 w (w + 1)),
 #
@@ -623,12 +625,6 @@ def _shift_count(z):
     return math.ceil(shift) if shift > 0.0 else 0
 
 
-def _out_of_reach(name, z):
-    return ValueError(
-        f"{name}: z = {z!r} is within sqrt(3/8) of -n - 1/2 for a shift "
-        "n >= 0, beyond the reach of the shift series (|v^2| > 2/3)")
-
-
 def _horner(rows, x):
     """P(x) for each of the three polynomials P(x) = sum_k c_k x^(k+1)
     whose coefficient rows (c_k for each) are given highest power first."""
@@ -674,7 +670,7 @@ def _real_quotient(a, b):
         prefixes[_term_count(max(ua, -ub) * scale) + 2], ua, ub)[1]
 
 
-def _remainder_jet(name, z):
+def _remainder_jet(z):
     """The jet of R at z: for a real z below _REMAINDER_ASYMPTOTIC (from 1/4
     up) from the Taylor table, elsewhere by the asymptotic series, after the
     shift recurrence for a complex z (see the section comment)."""
@@ -692,7 +688,9 @@ def _remainder_jet(name, z):
         y = v * v
         size = abs(y)
         if size > _SHIFT_REACH:
-            raise _out_of_reach(name, z)
+            raise ValueError(f"j_remainder: z = {z!r} is within sqrt(3/8) of "
+                             "-n - 1/2 for a shift n >= 0, beyond the reach "
+                             "of the shift series (|v^2| > 2/3)")
         h0, h1, h2 = _horner(_SHIFT_HORNER[_term_count(size) + 2], y)
         value += h0
         slope -= 4.0 * v * h1
@@ -710,94 +708,62 @@ def _remainder_jet(name, z):
             z * z * curvature + r * r * (t * q2))
 
 
-def _remainder_difference(name, a, b, delta):
-    """The jet of R(a) - R(b), for |b| <= |a|.
+def _remainder_difference(a, b, delta):
+    """The jet of R(a) - R(b) for the pairs of the section comment: a real
+    pair, a mirror pair near the imaginary axis, or a complex pair that
+    needs no shift step at either end; any other pair raises ValueError
+    naming it.  A pair with |b| > |a| is the negated jet of R(b) - R(a):
+    the derivative components scale g(a) - g(b) by b and b^2, which would
+    magnify its rounding where the two parts cancel (the blackbody gap
+    pair, a factor 2 apart at critical damping).
 
-    A real pair (a >= b >= 1/4) takes no shift step.  A factor _PAIR_RATIO
-    or more apart, where the difference cancels little, it is the
-    difference of the two jets.  Nearer: both at or above
-    _REMAINDER_ASYMPTOTIC, the asymptotic series differenced term by term,
-    which without a shift is delta times a jet that does not depend on
-    delta; both below, delta times :func:`_real_quotient`; astride, the
-    step splits there, R(a) - R(b) = qa (a - 10) + qb (10 - b) with the
-    quotient qa of the asymptotic series (the difference at a and 10 for
-    delta = 1) and qb of the table, formed as qb delta + (qa - qb)(a - 10)
-    so that delta, not the float a - b, sets the step.
-
-    A mirror pair b = -conj(a) with SMALL_ARGUMENT <= |a| <
-    _REMAINDER_ASYMPTOTIC is delta times the divided differences of the
-    mirror Taylor table.  Other complex pairs take the shift recurrence and
-    the asymptotic series, each differenced term by term (see the section
-    comment).  Their derivative components scale g(a) - g(b) by b and b^2,
-    which would magnify its rounding where the two parts cancel (the
-    blackbody gap pair, a factor 2 apart at critical damping), so a caller
-    with |b| > |a| negates the jet of R(b) - R(a)."""
+    A real pair a >= b >= 1/4 at least a factor _PAIR_RATIO apart, where the
+    difference cancels little, is the difference of the two jets.  Nearer:
+    both at or above _REMAINDER_ASYMPTOTIC, the asymptotic series
+    differenced term by term, delta times a jet that does not depend on
+    delta; both below, delta times :func:`_real_quotient`; astride, the step
+    splits there, R(a) - R(b) = qa (a - 10) + qb (10 - b) with the quotient
+    qa of the asymptotic series (the difference at a and 10 for delta = 1)
+    and qb of the table, formed as qb delta + (qa - qb)(a - 10) so that
+    delta, not the float a - b, sets the step.  A mirror pair with Im a < 10
+    is delta times the divided differences of the mirror table."""
+    if abs(b) > abs(a):
+        return [-d for d in _remainder_difference(b, a, -delta)]
     if type(a) is float:
         if a >= _PAIR_RATIO * b:
-            return [ga - gb for ga, gb in zip(_remainder_jet(name, a),
-                                              _remainder_jet(name, b))]
+            return [ga - gb for ga, gb in zip(_remainder_jet(a),
+                                              _remainder_jet(b))]
         if a < _REMAINDER_ASYMPTOTIC:
             return [delta * q for q in _real_quotient(a, b)]
         if b < _REMAINDER_ASYMPTOTIC:
             top = a - _REMAINDER_ASYMPTOTIC                 # exact
-            upper = _remainder_difference(name, a, _REMAINDER_ASYMPTOTIC,
-                                          1.0)
+            upper = _remainder_difference(a, _REMAINDER_ASYMPTOTIC, 1.0)
             lower = _real_quotient(_REMAINDER_ASYMPTOTIC, b)
             return [delta * qb + (qa - qb) * top
                     for qa, qb in zip(upper, lower)]
-        shifts = 0
     elif (abs(a.real) < _NEAR_AXIS * a.imag and b == -a.conjugate()
-            and SMALL_ARGUMENT <= abs(a) < _REMAINDER_ASYMPTOTIC):
+            and a.imag < _REMAINDER_ASYMPTOTIC and abs(a) >= SMALL_ARGUMENT):
         edges, table = _MIRROR_TAYLOR or _taylor_bands()[1]
         center, _, prefixes, scale = table[bisect(edges, a.imag)]
         ua = a - center                                 # exact, as is ub
-        _, (q0, q1, q2) = _divided_differences(
-            prefixes[_term_count(abs(ua) * scale) + 2], ua, b - center)
-        return [delta * q0, delta * q1, delta * q2]
-    else:
-        shifts = max(_shift_count(a), _shift_count(b))
-    slope = curvature = d0 = d1 = d2 = 0.0
-    wa, wb = a, b
-    for _ in range(shifts):
-        va = 1.0 / (2.0 * wa + 1.0)
-        vb = 1.0 / (2.0 * wb + 1.0)
-        ya, yb = va * va, vb * vb
-        size = max(abs(ya), abs(yb))
-        if size > _SHIFT_REACH:
-            raise _out_of_reach(name, a if abs(ya) == size else b)
-        dv = -2.0 * delta * va * vb                  # va - vb
-        dy = dv * (va + vb)                          # ya - yb
-        (_, h1, h2), (e0, e1, e2) = _divided_differences(
-            _SHIFT_HORNER[_term_count(size) + 2], ya, yb)
-        slope -= 4.0 * va * h1
-        curvature += 8.0 * ya * h2
-        d0 += dy * e0
-        d1 -= 4.0 * (dv * h1 + vb * dy * e1)
-        d2 += 8.0 * dy * (h2 + yb * e2)
-        wa += 1.0
-        wb += 1.0
-    # the jet of R at wa is (P0, -P1, P2)(ta) with P = t Q(t^2), scaled to a
-    # by ra = a/wa; with rb = b/wb, ra - rb = -shifts dt.  The divided
+        return [delta * q for q in _divided_differences(
+            prefixes[_term_count(abs(ua) * scale) + 2], ua, b - center)[1]]
+    elif _shift_count(a) or _shift_count(b):
+        raise ValueError(f"j_remainder_difference: the pair a = {a!r}, "
+                         f"b = {b!r} is not real, not a mirror pair near the "
+                         "imaginary axis and not clear of the shift region")
+    # the jet of R at a is (P0, -P1, P2)(ta) with P = t Q(t^2); the divided
     # difference of t Q(t^2) is Q(sa) + tb (ta + tb) DQ, with DQ that of Q
-    # between sa and sb.
-    ta, tb = 1.0 / wa, 1.0 / wb
+    # between sa and sb
+    ta, tb = 1.0 / a, 1.0 / b
     dt = -(delta * ta) * tb                          # ta - tb
-    ra, rb = (a * ta, b * tb) if shifts else (1.0, 1.0)
     sa, sb = ta * ta, tb * tb
     (q0, q1, q2), (e0, e1, e2) = _divided_differences(
         _ASYMPTOTIC_ROWS[bisect_left(_ASYMPTOTIC_REACH,
                                      max(abs(sa), abs(sb)))], sa, sb)
     tab = tb * (ta + tb)
-    p1, p2 = ta * q1, ta * q2
-    e0, e1, e2 = q0 + tab * e0, q1 + tab * e1, q2 + tab * e2
-    difference = [d0 + dt * e0, -dt * (rb * e1 - shifts * p1),
-                  dt * (rb * rb * e2 - shifts * (ra + rb) * p2)]
-    if shifts:
-        # a g(a) - b g(b) = delta g(a) + b (g(a) - g(b)), with |b| <= |a|
-        # so that the second part cannot outgrow the first by much
-        difference[1] += delta * slope + b * d1
-        difference[2] += delta * (a + b) * curvature + b * b * d2
-    return difference
+    return [dt * (q0 + tab * e0), -dt * (q1 + tab * e1),
+            dt * (q2 + tab * e2)]
 
 
 def _series_jet(z):
@@ -876,7 +842,7 @@ def j_jet(z: complex) -> tuple[complex, complex, complex]:
         return _complex(_series_jet(_real(z)))
     if z.real < 0.0:
         return tuple(k - j for k, j in zip(j_reflection(z), j_jet(-z)))
-    return _leading(_complex(_remainder_jet("j_jet", _real(z))),
+    return _leading(_complex(_remainder_jet(_real(z))),
                     1.0 / (12.0 * z))
 
 
@@ -897,7 +863,7 @@ def j_remainder(z: complex) -> tuple[complex, complex, complex]:
     z = _check_argument(z, "j_remainder")
     if abs(z) < SMALL_ARGUMENT:
         return _leading(_complex(_series_jet(_real(z))), -1.0 / (12.0 * z))
-    return _complex(_remainder_jet("j_remainder", _real(z)))
+    return _complex(_remainder_jet(_real(z)))
 
 
 def j_remainder_difference(a: complex, b: complex,
@@ -909,30 +875,22 @@ def j_remainder_difference(a: complex, b: complex,
     Every series term is differenced as a divided difference of its
     powers, so each component keeps the relative accuracy of delta however
     close a and b are, where the difference of two :func:`j_remainder`
-    calls would lose it.  A real pair is differenced through the real
-    Taylor table and the asymptotic series, or where a and b are a factor
-    1.5 or more apart, where R(a) - R(b) cancels little, as the difference
-    of their two jets, to ~6e-16 of each component (delta rounded once
-    included).  A mirror pair b = -conj(a) with |Re a| < Im a/4 and
-    1/2 <= |a| < 10 is differenced through the Taylor table about a center
-    on the imaginary axis, to ~4e-16 of each component; other complex
-    pairs by the shift recurrence and the asymptotic series, to ~1e-14.
-    Both arguments need |z| >= 1/4 and, as for :func:`j_remainder`,
-    |z + n + 1/2| >= sqrt(3/8) ~ 0.61 for n = 0, 1, 2, ...; otherwise
-    ValueError.  So they may lie in the left half plane off the cut, near
-    the imaginary axis, as x and its mirror image -conj(x) do where
-    :func:`j_reflection` serves a conjugate pair.
+    calls would lose it.  It takes the pairs of the closed form: a real
+    pair, both >= 1/4, to ~6e-16 of each component (delta rounded once
+    included; a factor 1.5 or more apart, where R(a) - R(b) cancels little,
+    as the difference of the two jets); a mirror pair b = -conj(a) with
+    |Re a| < Im a/4 and |a| >= 1/2, such as x and -conj(x) where
+    :func:`j_reflection` serves a conjugate pair, to ~4e-16 of each
+    component (through the Taylor table about a center on the imaginary
+    axis while Im a < 10); and a complex pair with |z + n| >= 10 for every
+    n >= 0 at both ends, by the asymptotic series, to ~1e-15.  Any other
+    pair raises ValueError.
     """
     a = _check_argument(a, "j_remainder_difference")
     b = _check_argument(b, "j_remainder_difference")
     if min(abs(a), abs(b)) < 0.5 * SMALL_ARGUMENT:
         raise ValueError("j_remainder_difference: needs |a|, |b| >= 1/4")
-    a, b, delta = _plain(a, b, complex(delta))
-    if abs(b) > abs(a):
-        return tuple(-d for d in _complex(_remainder_difference(
-            "j_remainder_difference", b, a, -delta)))
-    return _complex(_remainder_difference("j_remainder_difference",
-                                          a, b, delta))
+    return _complex(_remainder_difference(*_plain(a, b, complex(delta))))
 
 
 def j_difference(a: complex, b: complex,
@@ -940,7 +898,7 @@ def j_difference(a: complex, b: complex,
     """The jet of J(a) - J(b) for nearby a and b, given delta = a - b to
     full relative accuracy: below |z| = SMALL_ARGUMENT the power series
     differenced term by term, elsewhere :func:`j_remainder_difference`
-    plus the leading terms."""
+    plus the leading terms, for the pairs that it takes."""
     a = _check_argument(a, "j_difference")
     b = _check_argument(b, "j_difference")
     delta = complex(delta)

@@ -99,15 +99,12 @@ class _Plan(NamedTuple):
     :func:`_power_rows`, are formed from the terms and ``least`` when a
     sweep has a cold point.  ``static`` is
     :func:`oscbath.baths.static_weight`, minus the sum of sigma/c with the
-    cutoff relation's cancellation done exactly, and ``weight`` is
-    :func:`oscbath.baths.spectral_weight`, for the quadrature route.
+    cutoff relation's cancellation done exactly.
     """
     terms: tuple[tuple[float, complex | float, complex | float | None,
                        float | None], ...]
     least: float
     static: float
-    gamma: float
-    weight: Callable[[float, float], float]
 
 
 def _plan(bath: CanonicalBath) -> _Plan:
@@ -138,8 +135,7 @@ def _plan(bath: CanonicalBath) -> _Plan:
             1.0, bath.Omega, mate, gap)
     least = min(abs(z) for _, c, mate, _ in terms for z in (c, mate)
                 if z is not None)
-    return _Plan(tuple(terms), least, static_weight(bath), bath.gamma,
-                 spectral_weight(bath))
+    return _Plan(tuple(terms), least, static_weight(bath))
 
 
 def _power_rows(plan: _Plan) -> tuple[tuple[tuple[float, float, float],
@@ -195,8 +191,8 @@ def _j_sum(plan: _Plan, thetas: list[float]
     argument is at the least |x|, plus a mirror pair's reflection term.
 
     The other points are summed term by term: each term of the plan runs
-    over those points at once, with what does not depend on theta (the
-    order of a pair, whether it is real) decided once for the term, and
+    over those points at once, with what does not depend on theta
+    (whether a pair is a mirror pair) decided once for the term, and
     calls the jet cores of :mod:`oscbath.stieltjes` directly.  Every point
     still adds its terms in plan order, so it is the same to the bit as a
     pass over that one temperature.
@@ -254,7 +250,7 @@ def _j_sum(plan: _Plan, thetas: list[float]
             g, a, b = _series_jet(x)
         else:
             inverse[i] += sign * (1.0 / x).real
-            g, a, b = _remainder_jet("j_remainder", x)
+            g, a, b = _remainder_jet(x)
         G[i] += sign * g.real
         A[i] += sign * a.real
         B[i] += sign * b.real
@@ -265,9 +261,6 @@ def _j_sum(plan: _Plan, thetas: list[float]
                 single(i, sign, c * s)
             continue
         mirror = type(mate) is complex
-        # |b| > |x| at every theta, as |x|/|b| = |c|/|mate|: the remainder
-        # difference runs as -(R(b) - R(x)), larger argument first
-        swap = abs(mate) > abs(c)
         for i, s in warm:
             x = c * s
             b = mate * s
@@ -275,24 +268,17 @@ def _j_sum(plan: _Plan, thetas: list[float]
             small = max(size) < SMALL_ARGUMENT
             if min(size) >= 0.5 * SMALL_ARGUMENT or small and not mirror:
                 delta = x - b if mirror else -x * mate * gap
-                term = sign
                 if small:
                     whole[i] = True
                     jet = _series_difference(x, b, delta)
                 else:
                     inverse[i] -= sign * (delta / (x * b)).real
-                    if swap:
-                        term = -sign
-                        jet = _remainder_difference(
-                            "j_remainder_difference", b, x, -delta)
-                    else:
-                        jet = _remainder_difference(
-                            "j_remainder_difference", x, b, delta)
+                    jet = _remainder_difference(x, b, delta)
                 if mirror:
                     jet = [d + k for d, k in zip(jet, j_reflection(b))]
-                G[i] += term * jet[0].real
-                A[i] += term * jet[1].real
-                B[i] += term * jet[2].real
+                G[i] += sign * jet[0].real
+                A[i] += sign * jet[1].real
+                B[i] += sign * jet[2].real
             elif mirror:    # below the difference floor
                 single(i, 2.0 * sign, x)
             else:           # astride the series switch
@@ -305,6 +291,14 @@ def _j_sum(plan: _Plan, thetas: list[float]
         lead = total / 12.0
         jets.append((g + lead, a - lead, b + 2.0 * lead))
     return jets
+
+
+def _check(theta: float, gamma: float = 0.0) -> None:
+    """ValueError unless theta is finite and > 0 and gamma finite and >= 0."""
+    if not 0.0 < theta < math.inf:
+        raise ValueError(f"theta must be finite and > 0 (got {theta!r})")
+    if not 0.0 <= gamma < math.inf:
+        raise ValueError(f"gamma must be finite and >= 0 (got {gamma!r})")
 
 
 def _point(theta: float, G: float, A: float, B: float,
@@ -380,9 +374,13 @@ def _moments(ws: list[float], weights: list[float], theta: float,
     return free, energy, heat
 
 
-def _spectral_moments(plan: _Plan, theta: float) -> tuple[float, float, float]:
+def _spectral_moments(static: float,
+                      weight_of: Callable[[float, float], float],
+                      gamma: float, theta: float) -> tuple[float, float, float]:
     """The jet (G, A, B) of F/theta by one vector-valued quadrature of the
-    spectral form.  With x = w/theta and b = free_energy_integrand,
+    spectral form, from the bath's static weight, spectral weight
+    b(w) = weight_of(w, w - 1) and gamma, not from its roots.  With
+    x = w/theta,
 
         G =  (1/pi) Integral dw log(1 - e^{-x}) b(w)             = F/theta
         A =  (1/pi) Integral dw x / (e^x - 1) b(w)               = U/theta
@@ -407,11 +405,10 @@ def _spectral_moments(plan: _Plan, theta: float) -> tuple[float, float, float]:
     the float range raises OverflowError naming theta.
     """
     t = min(1.0, theta)
-    weight_of = plan.weight
     # b on the thermal scale: the smallest nonzero size of the static value
     # and of b at t/2, t, 2t (so that one probe on the resonance cannot set it)
-    sizes = [abs(plan.static)] + [abs(weight_of(w, w - 1.0))
-                                  for w in (0.5 * t, t, 2.0 * t)]
+    sizes = [abs(static)] + [abs(weight_of(w, w - 1.0))
+                             for w in (0.5 * t, t, 2.0 * t)]
     scale = min((size for size in sizes if size > 0.0), default=0.0) * t
     if scale < sys.float_info.min:
         raise OverflowError(f"theta = {theta!r} is too small for the "
@@ -441,7 +438,7 @@ def _spectral_moments(plan: _Plan, theta: float) -> tuple[float, float, float]:
         if split < dark:
             pieces.append(integrate_semi_infinite(
                 by_detuning, start=split - 1.0,
-                points=_resonance_edges(plan.gamma, theta), first_panel=t))
+                points=_resonance_edges(gamma, theta), first_panel=t))
     except IntegrandEvaluationError as exc:
         raise OverflowError(f"theta = {theta!r} is out of the range of the "
                             f"quadrature route: {exc}") from None
@@ -462,11 +459,12 @@ def sweep(bath: CanonicalBath, thetas: Iterable[float],
     """F, S, U, C at each temperature of ``thetas``, in order, from one
     route of :data:`METHODS` (see :func:`thermo_point`).
 
-    The two exact routes set up what they need of the bath (the
-    characteristic frequencies, the static weight, the spectral weight)
-    once for the whole list; ``exact_j`` then runs term by term, each
-    characteristic frequency over the whole list (:func:`_j_sum`), and
-    the two series routes run :func:`series_point` at each temperature.
+    The two exact routes set up what they need of the bath once for the
+    whole list: ``exact_j`` its plan (the characteristic frequencies and
+    the static weight), and then runs term by term, each characteristic
+    frequency over the whole list (:func:`_j_sum`); ``exact_quadrature``
+    the static and spectral weights, and no root.  The two series routes
+    run :func:`series_point` at each temperature.
     Every point is bit-identical to :func:`thermo_point` at its
     temperature, and a list holding temperatures where the route fails
     raises what :func:`thermo_point` raises at the first of them.  An
@@ -477,15 +475,15 @@ def sweep(bath: CanonicalBath, thetas: Iterable[float],
         raise ValueError(f"unknown method {method!r}")
     thetas = list(thetas)
     for theta in thetas:
-        if not 0.0 < theta < math.inf:
-            raise ValueError(f"theta must be finite and > 0 (got {theta!r})")
+        _check(theta)
     if method.endswith("_series"):
         regime = method.removesuffix("_series")
         return [series_point(bath, theta, regime) for theta in thetas]
-    plan = _plan(bath)
     if method == "exact_quadrature":
-        return [_point(theta, *_spectral_moments(plan, theta), method)
+        spectrum = static_weight(bath), spectral_weight(bath), bath.gamma
+        return [_point(theta, *_spectral_moments(*spectrum, theta), method)
                 for theta in thetas]
+    plan = _plan(bath)
     try:
         jets = _j_sum(plan, thetas)
     except (ArithmeticError, ValueError):
@@ -563,9 +561,12 @@ def ohmic_low_temperature(theta: float, gamma: float,
 
     and the matching term-by-term S, U = F + theta S and C.  Every term
     carries a factor gamma, so the uncoupled limit vanishes identically.
+    A theta that is not finite and > 0, or a gamma that is not finite and
+    >= 0, raises ValueError, here and in the other printed series.
     """
     if not 1 <= n_terms <= 3:
         raise ValueError("ohmic_low_temperature: n_terms must be 1..3")
+    _check(theta, gamma)
     return _low_t_series(theta, gamma, gamma, n_terms)
 
 
@@ -576,6 +577,7 @@ def qed_low_temperature(theta: float, gamma: float,
     bath, leaving the theta^4 term in front."""
     if not 1 <= n_terms <= 2:
         raise ValueError("qed_low_temperature: n_terms must be 1..2")
+    _check(theta, gamma)
     return _low_t_series(theta, gamma, 0.0, n_terms + 1)
 
 
@@ -614,10 +616,9 @@ def ohmic_high_temperature(theta: float, gamma: float,
     A theta where the series overflows (its powers of x below theta ~ 1e-45
     with 6 terms, theta log theta above ~2.5e305) raises OverflowError.
     """
-    if not theta > 0.0:
-        raise ValueError("ohmic_high_temperature needs theta > 0")
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
+    _check(theta, gamma)
     return _point(theta, *_ohmic_high_t_jet(theta, gamma, n_terms),
                   "high_T_series")
 
@@ -655,8 +656,7 @@ def qed_high_temperature(theta: float, gamma: float,
     """
     if not 1 <= n_terms <= 2:
         raise ValueError("qed_high_temperature: n_terms must be 1..2")
-    if not theta > 0.0:
-        raise ValueError("qed_high_temperature needs theta > 0")
+    _check(theta, gamma)
     F, S, U, C = -theta * math.log(theta), math.log(theta) + 1.0, theta, 1.0
     if n_terms == 2:
         F += math.pi * theta * theta * gamma / 6.0
@@ -679,10 +679,12 @@ def series_point(bath: CanonicalBath, theta: float,
     T: the printed QED series for the blackbody bath, else the Ohmic series
     plus dF = pi theta^2 (1/Omega - 1/Omega')/6 (0 if Ohmic), a power term
     of F/theta.  Requests outside the intended regime warn but still
-    evaluate; a theta where a series overflows raises OverflowError.
+    evaluate; a theta that is not finite and > 0 raises ValueError, and
+    one where a series overflows OverflowError.
     """
     if regime not in ("low_T", "high_T"):
         raise ValueError(f"unknown regime {regime!r}")
+    _check(theta)
     boundary = 1.0 / (2.0 * math.pi)
     if regime == "low_T" and theta > boundary:
         warnings.warn(f"low-temperature series at theta = {theta:g} "

@@ -18,8 +18,8 @@ and R^(n) comes from the polygamma functions: for n >= 2
 
 Two bands are tabulated.  Real arguments 1/2 <= x < 10 use real centers,
 as do real pairs a > b >= 1/4 with a < 1.5 b, differenced about the
-center of (a + b)/2; mirror pairs, x with |Re x| < Im x/4 and
-1/2 <= |x| < 10 differenced against -conj(x), use centers i eta0 on the
+center of (a + b)/2; mirror pairs, x with |Re x| < Im x/4, |x| >= 1/2
+and Im x < 10 differenced against -conj(x), use centers i eta0 on the
 imaginary axis, so that x and its image lie in the same disk.  Each band is
 split into CENTERS pieces of equal ratio (at most 1.2 from one edge to the
 next), with the center at the geometric middle of its piece; R is analytic
@@ -155,7 +155,7 @@ tests/test_jet_tables.py regenerates every number and checks it to the bit.
 Real arguments 1/4 <= x < 10 take the center REAL_CENTERS[k],
 k = bisect(REAL_EDGES, x), and real pairs a > b, a < 1.5 b, that of
 (a + b)/2.  Mirror pairs x, -conj(x) with
-|Re x| < Im x/4 and 1/2 <= |x| < 10 take MIRROR_CENTERS[k],
+|Re x| < Im x/4, |x| >= 1/2 and Im x < 10 take MIRROR_CENTERS[k],
 k = bisect(MIRROR_EDGES, Im x), on the imaginary axis.  Block k of
 REAL_ROWS or MIRROR_ROWS (blocks apart by a blank line) holds the jet at
 that center and then the coefficients of u^1, u^2, ... (u = z - center),

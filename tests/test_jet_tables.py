@@ -12,7 +12,10 @@ tables reach 2.0e-16, 1.9e-16 and 1.6e-16, and 4.0e-16, 3.7e-16 and
 4.4e-16.  Real pairs, with ratios from 1 + 1e-10 to 1e9, from 1/4 up and
 astride 1/2, the ratio 1.5 and 10, are held to 6e-16 with delta rounded
 once; they reach 5.2e-16, 5.0e-16 and 5.0e-16, where the shift recurrence
-reached 1.2e-15, 1.5e-15 and 2.9e-15 on the same pairs.
+reached 1.2e-15, 1.5e-15 and 2.9e-15 on the same pairs.  Mirror pairs in
+the sliver past |x| = 10 whose image has Im < 10, which the mirror table
+serves too, are held to 6e-16; they reach 2.7e-16, 3.6e-16 and 3.1e-16,
+where the shift recurrence reached 8.4e-16, 1.3e-15 and 1.7e-15.
 """
 
 import math
@@ -168,21 +171,52 @@ def test_real_pair_differences_against_mpmath():
                 assert swapped[i] == -got[i]
 
 
+def sliver_points():
+    """Mirror arguments x past |x| = 10 whose image still has Im < 10:
+    10 <= |x| < 10 sqrt(17/16), with |Re x| < Im x/4."""
+    rng = random.Random(29)
+    top = 10.0 * math.sqrt(1.0 + 0.25 ** 2)
+    points = []
+    while len(points) < 200:
+        eta = rng.uniform(100.0 / top, 10.0)
+        x = complex(rng.uniform(math.sqrt(100.0 - eta * eta), 0.25 * eta), eta)
+        if 10.0 <= abs(x) < top and x.real < 0.25 * x.imag:
+            points.append(x)
+    return points
+
+
+def test_mirror_differences_in_the_sliver():
+    # the mirror table serves Im x < 10, |x| past 10 included
+    with mp.workdps(60):
+        for x in sliver_points():
+            b = -x.conjugate()
+            got = sj.j_remainder_difference(x, b, x - b)
+            wants = zip(remainder_jet(mp.mpc(x.real, x.imag)),
+                        remainder_jet(mp.mpc(b.real, b.imag)))
+            for i, (at_x, at_b) in enumerate(wants):
+                want = at_x - at_b
+                assert abs(got[i] - want) <= 6e-16 * abs(want), (x, i)
+
+
 def no_shift(z):
     raise AssertionError(f"shift recurrence at {z!r}")
 
 
 def test_the_band_skips_the_shift_recurrence(monkeypatch):
-    monkeypatch.setattr(sj, "_shift_count", no_shift)
-    for z in (0.5, 3.0, math.nextafter(10.0, 0.0), 10.0, 1e5):
-        sj.j_remainder(z)
-    for a, b in real_pairs():
-        sj.j_remainder_difference(a, b, a - b)
     x = complex(1e-6, 3.0)
-    sj.j_remainder_difference(x, -x.conjugate(), complex(2e-6, 0.0))
-    # complex singles and complex pairs that are not mirror images keep
-    # the recurrence
-    for call in (lambda: sj.j_remainder(x),
-                 lambda: sj.j_remainder_difference(x, x - 1e-3, 1e-3)):
+    with monkeypatch.context() as patch:
+        patch.setattr(sj, "_shift_count", no_shift)
+        for z in (0.5, 3.0, math.nextafter(10.0, 0.0), 10.0, 1e5):
+            sj.j_remainder(z)
+        for a, b in real_pairs():
+            sj.j_remainder_difference(a, b, a - b)
+        for mirror in (x, *sliver_points()[:5]):
+            sj.j_remainder_difference(mirror, -mirror.conjugate(),
+                                      complex(2.0 * mirror.real, 0.0))
+        # a complex single keeps the recurrence
         with pytest.raises(AssertionError, match="shift recurrence"):
-            call()
+            sj.j_remainder(x)
+    # a complex pair below 10 that is not a mirror pair is no pair of the
+    # closed form: no recurrence differences it
+    with pytest.raises(ValueError, match="j_remainder_difference: the pair"):
+        sj.j_remainder_difference(x, x - 1e-3, 1e-3)

@@ -12,7 +12,8 @@ import math
 import pytest
 
 from oscbath import thermo
-from oscbath.baths import OhmicSpec, QEDSpec, SingleRelaxationSpec, canonicalize
+from oscbath.baths import (OhmicSpec, QEDSpec, SingleRelaxationSpec,
+                           canonicalize, spectral_weight, static_weight)
 
 THETAS = (1e-100, 1e-5, 1e-3, 0.3, 3.0, 300.0)
 
@@ -203,14 +204,27 @@ def test_no_node_at_or_beyond_the_cut(bath):
     # 1024 theta, the first one at or beyond 746 theta, and the piece
     # beyond 1/2 is skipped; every node the weight sees lies below it
     theta = 1e-5
-    plan = thermo._plan(bath_of(*bath))
+    bath = bath_of(*bath)
+    static, weight_of = static_weight(bath), spectral_weight(bath)
     seen = []
 
-    def weight(w, u):
+    def counted(w, u):
         seen.append(w)
-        return plan.weight(w, u)
+        return weight_of(w, u)
 
-    counted = plan._replace(weight=weight)
-    assert thermo._spectral_moments(counted, theta) == \
-        thermo._spectral_moments(plan, theta)
+    assert thermo._spectral_moments(static, counted, bath.gamma, theta) == \
+        thermo._spectral_moments(static, weight_of, bath.gamma, theta)
     assert seen and max(seen) < 1024.0 * theta
+
+
+def test_the_route_takes_no_root(monkeypatch):
+    # the cross-check stays independent of the closed form's roots and plan
+    bath = bath_of("qed", 1.0, 1e12)
+    want = thermo.sweep(bath, [1e-3, 0.3], "exact_quadrature")
+
+    def refused(*args):
+        raise AssertionError("the quadrature route took the plan")
+
+    monkeypatch.setattr(thermo, "roots", refused)
+    monkeypatch.setattr(thermo, "_plan", refused)
+    assert thermo.sweep(bath, [1e-3, 0.3], "exact_quadrature") == want

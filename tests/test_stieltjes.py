@@ -678,20 +678,43 @@ class TestDifferences:
         for i in range(3):
             assert abs(got[i] - want[i]) <= tolerance * abs(want[i]), (label, i)
 
+    @staticmethod
+    def clear_of_the_shifts(z):
+        # |z + n| >= 10 for every n >= 0
+        return abs(z.imag) >= 10.0 or z.real >= 0.0 and abs(z) >= 10.0
+
     def test_remainder_difference(self):
+        # the pairs the closed form makes, real pairs from 1/4 up and mirror
+        # pairs near the imaginary axis from |a| = 1/2 up, and complex pairs
+        # clear of the shift region; every other complex pair raises
         rng = np.random.default_rng(77)
+        pairs = []
         for _ in range(40):
+            a = 10.0 ** rng.uniform(math.log10(0.26), 1.5)
+            pairs.append((complex(a), complex(a * 10.0 ** rng.uniform(
+                -12.0, -2.0))))
             a = cmath.rect(10.0 ** rng.uniform(-0.25, 1.5),
                            rng.uniform(-1.5, 1.5))
-            delta = a * 10.0 ** rng.uniform(-12.0, -2.0)
+            pairs.append((a, a * 10.0 ** rng.uniform(-12.0, -2.0)))
+            a = cmath.rect(10.0 ** rng.uniform(math.log10(0.5), 1.5),
+                           0.5 * math.pi - math.atan(rng.uniform(0.0, 0.25)))
+            pairs.append((a, complex(2.0 * a.real, 0.0)))      # mirror
+        pairs += [(a, delta) for a in SWITCH_POINTS
+                  for delta in (a * 1e-9, a * 3e-3)]
+        kept = 0
+        for a, delta in pairs:
             want, b = self.reference(a, delta, remainder=True)
-            got = sj.j_remainder_difference(a, b, delta)
-            self.close(got, want, 1e-14, (a, delta))
-        for a in SWITCH_POINTS:
-            for delta in (a * 1e-9, a * 3e-3):
-                want, b = self.reference(a, delta, remainder=True)
+            if (a.imag == b.imag == 0.0 or b == -a.conjugate()
+                    or self.clear_of_the_shifts(a)
+                    and self.clear_of_the_shifts(b)):
+                kept += 1
                 got = sj.j_remainder_difference(a, b, delta)
                 self.close(got, want, 1e-14, (a, delta))
+            else:
+                with pytest.raises(ValueError, match=re.escape(
+                        "j_remainder_difference: the pair")):
+                    sj.j_remainder_difference(a, b, delta)
+        assert 0 < kept < len(pairs)
 
     def test_remainder_difference_a_factor_two_apart(self):
         # the blackbody gap pair at critical damping, x_Omega ~ x_c1 / 2 from
@@ -730,20 +753,26 @@ class TestDifferences:
 
     def test_mirror_pair_across_the_imaginary_axis(self):
         # the reflection identity of the thermodynamic route differences
-        # e + i b against -e + i b, |x| >= 1/2 and e < b/4: with e << b, and
-        # the widest such pair, whose mirror image has |v^2| ~ 0.660, just
-        # inside the reach of the shift series; and a pair whose images
-        # after eight shifts land at |w| ~ 10.0004 and 10.0006, just past
-        # the switch to the asymptotic series
-        widest = 0.5 / math.sqrt(1.0 + 1.0 / 16.0)
-        for a, delta in ((complex(1e-9, 3.0), complex(2e-9, 0.0)),
-                         (complex(0.25 * widest, widest),
-                          complex(0.5 * widest, 0.0)),
-                         (complex(1e-4, math.sqrt(36.01)),
-                          complex(2e-4, 0.0))):
+        # e + i b against -e + i b, |x| >= 1/2 and e < b/4: with e << b; the
+        # widest such pair, at Re x just below Im x/4 and |x| just above
+        # 1/2; one past |x| = 10 whose image still has Im < 10; and one at
+        # Im x >= 10, for the asymptotic series.  Below |x| = 1/2 the pair
+        # is no pair of the engine.
+        height = math.nextafter(0.5 / math.sqrt(1.0 + 1.0 / 16.0), 1.0)
+        widest = complex(math.nextafter(0.25 * height, 0.0), height)
+        assert abs(widest) >= 0.5 and widest.real < 0.25 * widest.imag
+        for a in (complex(1e-9, 3.0), widest, complex(2.4, 9.9),
+                  complex(1e-4, 12.0)):
+            delta = complex(2.0 * a.real, 0.0)
             want, b = self.reference(a, delta, remainder=True)
+            assert b == -a.conjugate()
             got = sj.j_remainder_difference(a, b, delta)
             self.close(got, want, 1e-14, a)
+        narrow = complex(0.1, 0.45)
+        with pytest.raises(ValueError, match=re.escape(
+                "j_remainder_difference: the pair")):
+            sj.j_remainder_difference(narrow, -narrow.conjugate(),
+                                      complex(0.2, 0.0))
 
     def test_too_small_for_the_recurrence(self):
         with pytest.raises(ValueError):

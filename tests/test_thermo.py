@@ -561,6 +561,29 @@ class TestSeriesPoint:
         with pytest.raises(ValueError, match="mid_T"):
             thermo.series_point(ohmic(1.0), 0.05, "mid_T")
 
+    @pytest.mark.parametrize("regime", ["low_T", "high_T"])
+    @pytest.mark.parametrize("theta", [-0.01, 0.0, math.nan, math.inf])
+    def test_theta_is_checked(self, regime, theta):
+        # as sweep checks it, before any warning or series term
+        message = re.escape(f"theta must be finite and > 0 (got {theta!r})")
+        with pytest.raises(ValueError, match=message):
+            thermo.series_point(ohmic(1.0), theta, regime)
+        with pytest.raises(ValueError, match=message):
+            thermo.sweep(ohmic(1.0), [0.1, theta], f"{regime}_series")
+
+    @pytest.mark.parametrize("series", [
+        thermo.ohmic_low_temperature, thermo.qed_low_temperature,
+        thermo.ohmic_high_temperature, thermo.qed_high_temperature])
+    @pytest.mark.parametrize("theta, gamma", [
+        (-1.0, 0.1), (0.0, 0.1), (math.nan, 0.1), (math.inf, 0.1),
+        (0.1, -1.0), (0.1, math.nan), (0.1, math.inf)])
+    def test_printed_series_check_their_inputs(self, series, theta, gamma):
+        name, value = ("theta", theta) if theta != 0.1 else ("gamma", gamma)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{name} must be finite and ") + ".* " + re.escape(
+                f"(got {value!r})")):
+            series(theta, gamma)
+
     def test_regime_warnings_advisory(self):
         with pytest.warns(UserWarning, match="low-temperature"):
             thermo.series_point(ohmic(1.0), 1.0, "low_T")
@@ -810,6 +833,32 @@ class TestColdPoints:
         assert formed == []
         thermo.sweep(bath, [1e-4, 0.5, 3.0])
         assert len(formed) == 1
+
+
+class TestSliver:
+    """QED weak damping, swept where the underdamped root's argument
+    x = c/(2 pi theta) lies in the sliver 10 <= |x| < 10/Im c (|c| = 1):
+    past |x| = 10 while Im x < 10, where the mirror pair takes the mirror
+    Taylor table.  Omega' <= 0.1 keeps every point warm.  The worst error
+    over the 800 values is 1.2e-15."""
+
+    @pytest.mark.parametrize("gamma", [0.05, 0.15, 0.25, 0.35, 0.45])
+    def test_against_the_closed_form(self, gamma):
+        c = complex(0.5 * gamma, math.sqrt(1.0 - 0.25 * gamma * gamma))
+        low, high = 10.0, 10.0 / c.imag
+        thetas = [1.0 / (2.0 * math.pi * (low + (high - low) * (k + 0.5) / 10))
+                  for k in range(10)]
+        for prime in (1e-4, 1e-3, 1e-2, 1e-1):
+            for point in thermo.sweep(bath_of("qed", gamma, None, prime),
+                                      thetas):
+                x = c / (2.0 * math.pi * point.theta)
+                assert abs(x) >= 10.0 and x.imag < 10.0
+                reference = closed_form_reference("qed", gamma, point.theta,
+                                                  None, prime)
+                for name, want in zip("FSUC", reference):
+                    got = getattr(point, name)
+                    assert abs(got - want) <= 2e-15 * abs(want), \
+                        (prime, point.theta, name, got, want)
 
 
 class TestFloatRange:
