@@ -40,7 +40,6 @@ __all__ = [
     "CanonicalBath", "RootPair",
     "canonicalize", "roots", "susceptibility",
     "free_energy_integrand", "spectral_weight", "static_weight",
-    "cutoff_relation",
 ]
 
 
@@ -249,14 +248,6 @@ def susceptibility(bath: CanonicalBath, z: complex) -> complex:
     if denominator == 0:
         raise ValueError(f"susceptibility: z = {z!r} is a pole")
     return numerator / denominator
-
-
-def cutoff_relation(bath: CanonicalBath) -> str | None:
-    """The cutoff relation the bath states and meets: ``"blackbody"``
-    (1/Omega = 1/Omega' + gamma, with Omega' = inf in the point-electron
-    limit), ``"relaxation"`` (Omega = Omega' + gamma), or None (the Ohmic
-    bath, both cutoffs infinite)."""
-    return bath.relation
 
 
 # Each relation, as the errors of CanonicalBath name it.

@@ -168,12 +168,21 @@ def _on_cut(z: complex) -> bool:
     return z.imag == 0.0 and z.real <= 0.0
 
 
-def _finite_argument(name, z):
-    """z as a complex number; ValueError naming z where it is not finite."""
+def _finite_argument(name, z, label="z"):
+    """z as a complex number; ValueError naming it where it is not finite."""
     z = complex(z)
     if not cmath.isfinite(z):
-        raise ValueError(f"{name}: z = {z!r} is not finite")
+        raise ValueError(f"{name}: {label} = {z!r} is not finite")
     return z
+
+
+# A part of z above this overflows 12 z, and may overflow Python's complex
+# quotient c/z within (to 0 or nan): such quotients scale by 2^-5 first.
+_HUGE = 2.0 ** 1018
+
+
+def _huge(z):
+    return abs(z.real) > _HUGE or abs(z.imag) > _HUGE
 
 
 def _finite_value(name, z, value):
@@ -268,7 +277,8 @@ def j_lanczos(z: complex) -> complex:
     if z.real < 0.0:
         raise ValueError("j_lanczos: requires Re z >= 0; use j_continue_left")
     g_half = LANCZOS_G + 0.5
-    return _finite_value("j_lanczos", z, (z + 0.5) * _log1p(g_half / z)
+    step = (g_half / 32.0) / (z / 32.0) if _huge(z) else g_half / z
+    return _finite_value("j_lanczos", z, (z + 0.5) * _log1p(step)
                          - g_half + cmath.log(_lanczos_series(z)))
 
 
@@ -582,7 +592,7 @@ def _taylor_bands():
 
 
 def _check_argument(z, name):
-    z = complex(z)
+    z = _finite_argument(name, z)
     if z == 0:
         raise ValueError(f"{name}: z = 0 is a singular point")
     if z.imag == 0.0 and z.real < 0.0:
@@ -804,7 +814,7 @@ def j_reflection(w: complex) -> tuple[complex, complex, complex]:
     and k^2, so that no part is nan, and inf only beyond the float range;
     1 - q is scaled by 2^64 where Im w is subnormal, to keep its digits.
     """
-    w = complex(w)
+    w = _finite_argument("j_reflection", w)
     if w.imag == 0.0:
         raise ValueError("j_reflection: w on the real axis")
     turn = math.copysign(2.0 * math.pi, w.imag)
@@ -838,12 +848,12 @@ def j_jet(z: complex) -> tuple[complex, complex, complex]:
     :func:`j_reflection` minus the jet at -z.
     """
     z = _check_argument(z, "j_jet")
-    if abs(z) < SMALL_ARGUMENT:
+    if not _huge(z) and abs(z) < SMALL_ARGUMENT:
         return _complex(_series_jet(_real(z)))
     if z.real < 0.0:
         return tuple(k - j for k, j in zip(j_reflection(z), j_jet(-z)))
-    return _leading(_complex(_remainder_jet(_real(z))),
-                    1.0 / (12.0 * z))
+    lead = (1.0 / 32.0) / (12.0 * (z / 32.0)) if _huge(z) else 1.0 / (12.0 * z)
+    return _leading(_complex(_remainder_jet(_real(z))), lead)
 
 
 def j_remainder(z: complex) -> tuple[complex, complex, complex]:
@@ -861,7 +871,7 @@ def j_remainder(z: complex) -> tuple[complex, complex, complex]:
     ValueError.
     """
     z = _check_argument(z, "j_remainder")
-    if abs(z) < SMALL_ARGUMENT:
+    if not _huge(z) and abs(z) < SMALL_ARGUMENT:
         return _leading(_complex(_series_jet(_real(z))), -1.0 / (12.0 * z))
     return _complex(_remainder_jet(_real(z)))
 
@@ -888,9 +898,10 @@ def j_remainder_difference(a: complex, b: complex,
     """
     a = _check_argument(a, "j_remainder_difference")
     b = _check_argument(b, "j_remainder_difference")
+    delta = _finite_argument("j_remainder_difference", delta, "delta")
     if min(abs(a), abs(b)) < 0.5 * SMALL_ARGUMENT:
         raise ValueError("j_remainder_difference: needs |a|, |b| >= 1/4")
-    return _complex(_remainder_difference(*_plain(a, b, complex(delta))))
+    return _complex(_remainder_difference(*_plain(a, b, delta)))
 
 
 def j_difference(a: complex, b: complex,
@@ -901,7 +912,7 @@ def j_difference(a: complex, b: complex,
     plus the leading terms, for the pairs that it takes."""
     a = _check_argument(a, "j_difference")
     b = _check_argument(b, "j_difference")
-    delta = complex(delta)
+    delta = _finite_argument("j_difference", delta, "delta")
     if max(abs(a), abs(b)) >= SMALL_ARGUMENT:
         # 1/(12 a) - 1/(12 b) = -delta/(12 a b)
         return _leading(j_remainder_difference(a, b, delta),

@@ -29,12 +29,11 @@ from __future__ import annotations
 
 import math
 import sys
-import warnings
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple
 
-from .baths import CanonicalBath, cutoff_relation, roots, spectral_weight, static_weight
+from .baths import CanonicalBath, roots, spectral_weight, static_weight
 from .quadrature import (IntegrandEvaluationError, integrate_interval,
                          integrate_log_endpoint, integrate_semi_infinite)
 from .stieltjes import (_ASYMPTOTIC_HORNER, _ASYMPTOTIC_REACH, EULER_GAMMA,
@@ -126,7 +125,7 @@ def _plan(bath: CanonicalBath) -> _Plan:
     if math.isfinite(bath.Omega) and not poles:    # point electron, no real pole
         terms.append((1.0, bath.Omega, None, None))
     elif math.isfinite(bath.Omega):
-        blackbody = cutoff_relation(bath) == "blackbody"
+        blackbody = bath.relation == "blackbody"
         mate = min(poles) if blackbody else max(poles)
         rest = bath.gamma if mate == bath.OmegaPrime else c.real + (
             1.0 / bath.OmegaPrime if blackbody else bath.OmegaPrime)
@@ -593,6 +592,8 @@ def _chebyshev(n: int, x: float) -> float:
 def _arc_term(gamma: float) -> float:
     """omega1 * arccos(gamma/2) continued through critical damping (where
     it is 0) as |omega1| * log(gamma/2 - |omega1|)."""
+    if gamma == 0.0:                # its limit, the uncoupled oscillator
+        return 0.5 * math.pi
     pair = roots(gamma)
     if pair.regime == "underdamped":
         return pair.omega1 * math.acos(0.5 * gamma)
@@ -676,30 +677,18 @@ def series_point(bath: CanonicalBath, theta: float,
 
     Low T: one table whose theta^2 coefficient is the bath's
     :func:`oscbath.baths.static_weight` (0 for the blackbody bath).  High
-    T: the printed QED series for the blackbody bath, else the Ohmic series
-    plus dF = pi theta^2 (1/Omega - 1/Omega')/6 (0 if Ohmic), a power term
-    of F/theta.  Requests outside the intended regime warn but still
-    evaluate; a theta that is not finite and > 0 raises ValueError, and
-    one where a series overflows OverflowError.
+    T: the Ohmic series plus dF = pi theta^2 (1/Omega - 1/Omega')/6, a
+    power term of F/theta: 0 for the Ohmic bath, the printed QED term
+    pi theta^2 gamma/6 on the blackbody relation.  No regime is checked;
+    a theta that is not finite and > 0 raises ValueError, and one where a
+    series overflows OverflowError.
     """
     if regime not in ("low_T", "high_T"):
         raise ValueError(f"unknown regime {regime!r}")
     _check(theta)
-    boundary = 1.0 / (2.0 * math.pi)
-    if regime == "low_T" and theta > boundary:
-        warnings.warn(f"low-temperature series at theta = {theta:g} "
-                      f"(intended for theta << {boundary:.3g})",
-                      stacklevel=2)
-    if regime == "high_T" and theta < boundary:
-        warnings.warn(f"high-temperature series at theta = {theta:g} "
-                      f"(intended for theta >> {boundary:.3g})",
-                      stacklevel=2)
-    g = bath.gamma
     if regime == "low_T":
-        return _low_t_series(theta, g, static_weight(bath), 3)
-    if cutoff_relation(bath) == "blackbody":
-        return qed_high_temperature(theta, g)
-    G, A, B = _ohmic_high_t_jet(theta, g, 6)
+        return _low_t_series(theta, bath.gamma, static_weight(bath), 3)
+    G, A, B = _ohmic_high_t_jet(theta, bath.gamma, 6)
     # dF/theta = pi theta (1/Omega - 1/Omega')/6, 0.0 for the Ohmic bath
     shift = math.pi / 6.0 * (1.0 / bath.Omega - 1.0 / bath.OmegaPrime) * theta
     return _point(theta, G + shift, A - shift, B + 2.0 * shift,
@@ -710,7 +699,7 @@ def zero_point(bath: CanonicalBath) -> float:
     """Zero-point free energy (= zero-point energy), units hbar omega0.
 
     Finite only for the single-relaxation-time bath, whose cutoffs obey
-    the sum rule Omega = Omega' + gamma (``cutoff_relation(bath) ==
+    the sum rule Omega = Omega' + gamma (``bath.relation ==
     "relaxation"``): the four-Lorentzian spectral integrand then decays
     fast enough.  The value is
 
@@ -722,12 +711,11 @@ def zero_point(bath: CanonicalBath) -> float:
     rule no matter how large the cutoffs are, and the Ohmic limit diverges
     logarithmically; both raise :class:`DivergenceError`.
     """
-    relation = cutoff_relation(bath)
-    if relation is None:
+    if bath.relation is None:
         raise DivergenceError(
             "zero-point energy of the Ohmic bath is logarithmically "
             "divergent; use zero_point_ohmic_asymptotic for small tau")
-    if relation == "blackbody":
+    if bath.relation == "blackbody":
         raise DivergenceError(
             "zero-point energy diverges unless the cutoffs satisfy the "
             "spectral sum rule Omega = Omega' + gamma: it diverges for the "

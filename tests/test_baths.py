@@ -32,7 +32,7 @@ class TestCanonicalize:
         bath = canonicalize(OhmicSpec(gamma=1.0))
         assert bath == CanonicalBath(gamma=1.0, Omega=math.inf,
                                      OmegaPrime=math.inf)
-        assert baths.cutoff_relation(bath) is None
+        assert bath.relation is None
 
     def test_srt_cutoffs(self):
         bath = canonicalize(SingleRelaxationSpec(gamma=1.0, tau=0.01))
@@ -51,7 +51,7 @@ class TestCanonicalize:
         bath = canonicalize(SingleRelaxationSpec(gamma=gamma, tau=tau))
         assert bath.Omega == 1.0 / tau
         assert bath.OmegaPrime == float(1 / Fraction(tau) - Fraction(gamma))
-        assert baths.cutoff_relation(bath) == "relaxation"
+        assert bath.relation == "relaxation"
 
     def test_qed_cutoffs(self):
         bath = canonicalize(QEDSpec(gamma=0.1, omega_prime=1000.0))
@@ -71,7 +71,7 @@ class TestCanonicalize:
     def test_srt_long_memory_builds_without_warning(self, recwarn):
         # tau gamma = 0.4: no advisory; both exact routes are exact here
         bath = canonicalize(SingleRelaxationSpec(gamma=2.0, tau=0.2))
-        assert baths.cutoff_relation(bath) == "relaxation"
+        assert bath.relation == "relaxation"
         assert len(recwarn) == 0
 
     def test_validation(self):
@@ -183,7 +183,7 @@ class TestAdmission:
             assert "relaxation" in str(exc) or "blackbody" in str(exc)
             return
         assert residual <= 8 * self.EPS, (triple, relation)
-        assert baths.cutoff_relation(bath) == relation
+        assert bath.relation == relation
 
     @given(triple=cutoff_triples(), relation=st.sampled_from(RELATIONS),
            frequencies=st.lists(log_uniform(1e-3, 1e3), min_size=1,
@@ -239,7 +239,7 @@ class TestAdmission:
                                    OmegaPrime=prime, relation="relaxation")
         blackbody = CanonicalBath(gamma=gamma, Omega=omega, OmegaPrime=prime,
                                   relation="blackbody")
-        assert baths.cutoff_relation(relaxation) == "relaxation"
+        assert relaxation.relation == "relaxation"
         assert baths.static_weight(relaxation) == gamma * (1.0 + 1.0 / prime)
         assert baths.static_weight(blackbody) == 0.0
         theta = 0.01
@@ -474,7 +474,7 @@ class TestSpectralWeight:
         the cutoff relation on the bath's gamma and Omega', at the working
         precision of the call."""
         bath = canonicalize(spec)
-        g, relation = mp.mpf(bath.gamma), baths.cutoff_relation(bath)
+        g, relation = mp.mpf(bath.gamma), bath.relation
         prime = (mp.mpf(bath.OmegaPrime) if math.isfinite(bath.OmegaPrime)
                  else None)
         if relation is None:
@@ -494,15 +494,15 @@ class TestSpectralWeight:
         return exact
 
     def test_relations_are_recognised(self):
-        assert baths.cutoff_relation(canonicalize(OhmicSpec(gamma=0.3))) is None
-        assert baths.cutoff_relation(canonicalize(
-            SingleRelaxationSpec(gamma=0.3, tau=0.01))) == "relaxation"
-        assert baths.cutoff_relation(canonicalize(
-            QEDSpec(gamma=0.3, omega_prime=100.0))) == "blackbody"
-        assert baths.cutoff_relation(canonicalize(
-            QEDSpec(gamma=0.3, omega_prime=math.inf))) == "blackbody"
-        assert baths.cutoff_relation(canonicalize(
-            QEDSpec(gamma=1.5, omega_prime=25.0))) == "blackbody"
+        assert canonicalize(OhmicSpec(gamma=0.3)).relation is None
+        assert canonicalize(
+            SingleRelaxationSpec(gamma=0.3, tau=0.01)).relation == "relaxation"
+        assert canonicalize(
+            QEDSpec(gamma=0.3, omega_prime=100.0)).relation == "blackbody"
+        assert canonicalize(
+            QEDSpec(gamma=0.3, omega_prime=math.inf)).relation == "blackbody"
+        assert canonicalize(
+            QEDSpec(gamma=1.5, omega_prime=25.0)).relation == "blackbody"
 
     @pytest.mark.parametrize("gamma, tau", [(1e-15, 1.0), (1e-16, 10.0),
                                             (1e-18, 1e3)])
@@ -536,7 +536,7 @@ class TestSpectralWeight:
                 st.floats(0.1, 1.0 - 1e-9)), "tau gamma") / gamma
             spec = SingleRelaxationSpec(gamma, tau)
             relation = "relaxation"
-        assert baths.cutoff_relation(canonicalize(spec)) == relation
+        assert canonicalize(spec).relation == relation
 
     def test_static_weight(self):
         assert baths.static_weight(canonicalize(
@@ -667,7 +667,7 @@ class TestSpectralWeight:
         # edge of the float range or beyond raises, naming it
         mp = pytest.importorskip("mpmath")
         bath = canonicalize(spec)
-        relation = baths.cutoff_relation(bath)
+        relation = bath.relation
         for exponent in range(30, 301, 15):
             omega = 10.0 ** exponent
             with mp.workdps(80 + 3 * exponent):

@@ -8,7 +8,6 @@ import os
 import subprocess
 import sys
 import time
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -321,15 +320,15 @@ class TestNumericalFailure:
         ("high_T_series", "1e-300", "high-temperature"),
         ("low_T_series", "1e+52", "low-temperature"),
     ])
-    def test_series_overflow_exits_3_naming_theta(self, capsys, method, theta,
-                                                  notice):
-        with pytest.warns(UserWarning, match=notice):
-            code, out, err = run(capsys, [
-                "sweep", "--model", "ohmic", "--gamma", "1", "--points", "2",
-                "--theta-min", theta, "--theta-max", theta,
-                "--method", method])
+    def test_series_overflow_exits_3_naming_theta(self, capsys, recwarn,
+                                                  method, theta, notice):
+        # far outside the series' regime, where no regime notice is given
+        code, out, err = run(capsys, [
+            "sweep", "--model", "ohmic", "--gamma", "1", "--points", "2",
+            "--theta-min", theta, "--theta-max", theta, "--method", method])
         assert code == 3 and out == ""
         assert f"theta = {theta}" in err
+        assert notice not in err and len(recwarn) == 0
 
     @pytest.mark.parametrize("theta", ["1e-150", "1e+306"])
     def test_quadrature_out_of_range_exits_3_naming_theta(self, capsys,
@@ -417,6 +416,13 @@ class TestJfun:
                                       "--method", method])
         assert code == 3 and out == ""
         assert "J is not finite at z = (1e-320+0j)" in err
+
+    def test_top_of_the_float_range_meets_the_bound(self, capsys):
+        # the quotient 5.5/z overflowed within to 0: J was -5.49999999980998
+        # where it is ~4e-310
+        code, out, err = run(capsys, ["jfun", "1e308", "1e308"])
+        assert code == 0 and err == ""
+        assert abs(float(out.split(" = ")[1].split()[0])) <= 1e-9
 
     def test_quadrature_outside_its_range_exits_2_naming_z(self, capsys):
         code, out, err = run(capsys, ["jfun", "1e-320", "0",
@@ -536,9 +542,7 @@ class TestParserReuse:
         src = str(Path(cli.__file__).resolve().parent.parent)
         env["PYTHONPATH"] = os.pathsep.join(
             [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")      # the series regime notices
-            in_process = [run(capsys, argv) for argv in sequence]
+        in_process = [run(capsys, argv) for argv in sequence]
         assert [code for code, _, _ in in_process] == \
             [0, 0, 2, 0, 0, 0, 2, 0, 2, 0]
         for argv, result in zip(sequence, in_process):
@@ -578,11 +582,11 @@ PINNED_SWEEPS = [
     (('--model', 'qed', '--gamma', '0.1', '--omega-prime', '1e3', '--format', 'csv'), """\
 theta,F,S,U,C,method,model
 5.0000000000000003e-02,-1.3477339915710078e-06,1.1022320828068955e-04,4.1634264224634695e-06,3.4509655857212218e-04,low_T_series,qed
-5.0000000000000003e-02,1.4991751337159911e-01,-2.0009682613099740e+00,4.9738200612200856e-02,9.8952802448803401e-01,high_T_series,qed
+5.0000000000000003e-02,-2.4333274113261383e-01,-3.0043798175961257e+02,-1.5265231829113242e+01,3.6071452514181351e+03,high_T_series,qed
 5.0000000000000000e-01,-7.2988441552180927e-02,8.2435642791833974e-01,3.3918977240698894e-01,3.9157626567603732e+00,low_T_series,qed
-5.0000000000000000e-01,3.5966355966993013e-01,2.5449294188022481e-01,4.7382006122008508e-01,8.9528024488034019e-01,high_T_series,qed
+5.0000000000000000e-01,-7.0174383468604010e-02,4.3092565701323482e-01,1.4528844503801339e-01,6.5721857917703952e-01,high_T_series,qed
 5.0000000000000000e+00,-6.0240986051992659e+04,7.2237678391683352e+04,3.0094740590642416e+05,3.6098237247558543e+05,low_T_series,qed
-5.0000000000000000e+00,-6.7381926231747542e+00,2.0858391368358018e+00,2.3820061220085056e+00,-4.7197551196597631e-02,high_T_series,qed
+5.0000000000000000e+00,-7.2749899142814272e+00,2.0906712229075102e+00,3.1783662002561242e+00,4.6993109884734163e-01,high_T_series,qed
 """),
     (('--model', 'srt', '--gamma', '0.5', '--tau', '0.01', '--format', 'json'), """\
 {
@@ -611,11 +615,11 @@ theta,T_kelvin,F,S,U,C,method,model
   "config": {"model": "qed", "gamma": 1.0000000000000001e-01, "tau": null, "omega_prime": 1.0000000000000000e+03, "theta_min": 5.0000000000000003e-02, "theta_max": 5.0000000000000000e+00, "points": 3, "log": true, "method": "low_T_series,high_T_series", "units": "si", "omega0_hz": 2.5000000000000000e+13},
   "rows": [
     {"theta": 5.0000000000000003e-02, "T_kelvin": 9.5477907219720564e+00, "F": -3.5532057108092509e-27, "S": 1.5217956228952575e-27, "U": 1.0976580418207776e-26, "C": 4.7645721849604197e-27, "method": "low_T_series", "model": "qed"},
-    {"theta": 5.0000000000000003e-02, "T_kelvin": 9.5477907219720564e+00, "F": 3.9524696119102268e-22, "S": -2.7626348290093543e-23, "U": 1.3113126148479791e-22, "C": 1.3661908774813799e-23, "method": "high_T_series", "model": "qed"},
+    {"theta": 5.0000000000000003e-02, "T_kelvin": 9.5477907219720564e+00, "F": -6.4152962737952798e-22, "S": -4.1479939907842738e-21, "U": -4.0245708167385458e-20, "C": 4.9802014842251974e-20, "method": "high_T_series", "model": "qed"},
     {"theta": 5.0000000000000000e-01, "T_kelvin": 9.5477907219720564e+01, "F": -1.9242888356920433e-22, "S": 1.1381468778490279e-23, "U": 8.9424993648763697e-22, "C": 5.4062937962935526e-23, "method": "low_T_series", "model": "qed"},
-    {"theta": 5.0000000000000000e-01, "T_kelvin": 9.5477907219720564e+01, "F": 9.4822763407451524e-22, "S": 3.5136542571399054e-24, "U": 1.2491932072297909e-21, "C": 1.2360677748137968e-23, "method": "high_T_series", "model": "qed"},
+    {"theta": 5.0000000000000000e-01, "T_kelvin": 9.5477907219720564e+01, "F": -1.8500981770335122e-22, "S": 5.9495707742966570e-24, "U": 3.8304274868210601e-22, "C": 9.0738817412220056e-24, "method": "high_T_series", "model": "qed"},
     {"theta": 5.0000000000000000e+00, "T_kelvin": 9.5477907219720566e+02, "F": -1.5882111529680387e-16, "S": 9.9734878433799235e-19, "U": 7.9342663167043562e-16, "C": 4.9838995157604459e-18, "method": "low_T_series", "model": "qed"},
-    {"theta": 5.0000000000000000e+00, "T_kelvin": 9.5477907219720566e+02, "F": -1.7764770094793492e-20, "S": 2.8798117184332133e-23, "U": 6.2799913104790831e-21, "C": -6.5163251862031331e-25, "method": "high_T_series", "model": "qed"}
+    {"theta": 5.0000000000000000e+00, "T_kelvin": 9.5477907219720566e+02, "F": -1.9179998331401095e-20, "S": 2.8864831332360310e-23, "U": 8.3795385472387159e-21, "C": 6.4880990169248340e-24, "method": "high_T_series", "model": "qed"}
   ]
 }
 """),
@@ -625,8 +629,6 @@ theta,T_kelvin,F,S,U,C,method,model
 class TestPinnedOutput:
     @pytest.mark.parametrize("layout,expected", PINNED_SWEEPS)
     def test_sweep_stdout_is_pinned(self, capsys, layout, expected):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")      # the series regime notices
-            code, out, _ = run(capsys, ["sweep", *layout, *PINNED_COMMON])
+        code, out, _ = run(capsys, ["sweep", *layout, *PINNED_COMMON])
         assert code == 0
         assert out == expected

@@ -389,6 +389,16 @@ ROUTES = {
 }
 
 
+JET_ROUTES = {
+    "j_jet": sj.j_jet,
+    "j_remainder": sj.j_remainder,
+    "j_reflection": sj.j_reflection,
+    "j_difference": lambda z: sj.j_difference(z, 1.0, 0.1),
+    "j_remainder_difference":
+        lambda z: sj.j_remainder_difference(z, 1.0, 0.1),
+}
+
+
 class TestNonFinite:
     """Every route returns a finite J or raises: ValueError naming a
     non-finite z, OverflowError naming z where its value is not finite."""
@@ -418,6 +428,41 @@ class TestNonFinite:
     def test_tiny_argument_finite(self, name):
         expected = -sj.LOG_SQRT_2PI - 0.5 * math.log(1e-320)
         assert abs(ROUTES[name](1e-320) - expected) <= 1e-15 * expected
+
+    @pytest.mark.parametrize("name", JET_ROUTES)
+    @pytest.mark.parametrize("z", [
+        complex(math.inf, 0.0), complex(-math.inf, 1.0),
+        complex(math.nan, 0.0), complex(math.nan, 1.0),
+        complex(1.0, math.inf), complex(-1.0, math.nan)])
+    def test_non_finite_jet_argument_named(self, name, z):
+        # the jets were nan, or raised a bare "cannot convert float NaN
+        # (infinity) to integer"
+        with pytest.raises(ValueError, match=re.escape(
+                f"{name}: z = {z!r} is not finite")):
+            JET_ROUTES[name](z)
+
+    @pytest.mark.parametrize("name", ["j_difference", "j_remainder_difference"])
+    def test_non_finite_step_named(self, name):
+        with pytest.raises(ValueError, match=re.escape(
+                f"{name}: delta = (nan+0j) is not finite")):
+            getattr(sj, name)(1.1, 1.0, math.nan)
+
+    @pytest.mark.parametrize("z", [
+        1e308 + 1e308j, 1.5e308 + 1.5e308j, 1.7e308 - 3e307j,
+        -1.5e308 + 1.5e308j, 1.79e308 + 1.79e308j])
+    def test_top_of_the_float_range(self, z):
+        # 12 z and Python's quotient overflowed: j_jet was nan at
+        # 1e308 + 1e308j and raised "absolute value too large" beyond, and
+        # j_lanczos was -5.5 where J ~ 4e-310.  The jet is 1/(12 z) times
+        # (1, -1, 2) to within a few subnormal ulps.
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            lead = 1 / (12 * mp.mpc(z))
+        for got, want in zip(sj.j_jet(z), (lead, -lead, 2.0 * lead)):
+            assert abs(got.real - float(want.real)) <= 4 * 2.0 ** -1074
+            assert abs(got.imag - float(want.imag)) <= 4 * 2.0 ** -1074
+        if z.real > 0.0:
+            assert abs(sj.j_lanczos(z)) <= 1e-9
 
 
 class TestInvariantsAndProperties:

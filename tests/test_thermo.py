@@ -6,7 +6,6 @@ residual order they promise, and printed low-order truncations are
 re-derived independently inside the tests.
 """
 
-import contextlib
 import math
 import re
 import sys
@@ -324,6 +323,13 @@ class TestOhmicHighTemperature:
         with pytest.raises(OverflowError, match=re.escape(f"theta = {theta!r}")):
             thermo.ohmic_high_temperature(theta, 1.0)
 
+    def test_gamma_zero_is_the_uncoupled_limit(self):
+        # the arc term omega1 arccos(gamma/2) takes its limit pi/2; roots()
+        # raised at gamma = 0
+        point = thermo.ohmic_high_temperature(3.0, 0.0)
+        assert abs(point.F - (-3.7819608145168244)) <= 1e-15
+        assert point.F == thermo.ohmic_high_temperature(3.0, 1e-300).F
+
     def test_resums_to_uncoupled_oscillator(self):
         for theta in (0.3, 1.0):
             point = thermo.ohmic_high_temperature(theta, 1e-12, 40)
@@ -539,6 +545,9 @@ class TestZeroPointAsymptotic:
         value = thermo.zero_point_ohmic_asymptotic(1e-12, 1e-5)
         assert abs(value - 0.5) < 1e-9
 
+    def test_gamma_zero_is_half_a_quantum(self):
+        assert thermo.zero_point_ohmic_asymptotic(0.0, 1e-3) == 0.5
+
     def test_logarithmic_scaling(self):
         gamma = 1.7
         step = (thermo.zero_point_ohmic_asymptotic(gamma, 1e-6)
@@ -555,7 +564,8 @@ class TestZeroPointAsymptotic:
 
 
 class TestSeriesPoint:
-    """series_point takes its series from the bath's cutoff relation."""
+    """series_point takes its series from the bath's gamma, cutoffs and
+    static weight, not from its model."""
 
     def test_unknown_regime(self):
         with pytest.raises(ValueError, match="mid_T"):
@@ -564,7 +574,7 @@ class TestSeriesPoint:
     @pytest.mark.parametrize("regime", ["low_T", "high_T"])
     @pytest.mark.parametrize("theta", [-0.01, 0.0, math.nan, math.inf])
     def test_theta_is_checked(self, regime, theta):
-        # as sweep checks it, before any warning or series term
+        # as sweep checks it, before any series term
         message = re.escape(f"theta must be finite and > 0 (got {theta!r})")
         with pytest.raises(ValueError, match=message):
             thermo.series_point(ohmic(1.0), theta, regime)
@@ -584,11 +594,11 @@ class TestSeriesPoint:
                 f"(got {value!r})")):
             series(theta, gamma)
 
-    def test_regime_warnings_advisory(self):
-        with pytest.warns(UserWarning, match="low-temperature"):
-            thermo.series_point(ohmic(1.0), 1.0, "low_T")
-        with pytest.warns(UserWarning, match="high-temperature"):
-            thermo.series_point(ohmic(1.0), 0.01, "high_T")
+    def test_regime_warnings_advisory(self, recwarn):
+        # no regime is checked, and nothing warns on either side of it
+        thermo.series_point(ohmic(1.0), 1.0, "low_T")
+        thermo.series_point(ohmic(1.0), 0.01, "high_T")
+        assert len(recwarn) == 0
 
     @pytest.mark.parametrize("regime, theta, series", [
         ("low_T", 0.05, thermo.ohmic_low_temperature),
@@ -609,9 +619,35 @@ class TestSeriesPoint:
     ])
     def test_blackbody_bath_takes_the_qed_series(self, spec, regime, theta,
                                                  series):
+        # low T: the printed QED table; high T: the Ohmic series plus the
+        # cutoffs' shift, which on the blackbody relation is the theta^2
+        # term of the printed QED series, pi theta^2 gamma/6
         bath = baths.canonicalize(spec)
         point = thermo.series_point(bath, theta, regime)
-        assert point == series(theta, spec.gamma)
+        if regime == "low_T":
+            assert point == series(theta, spec.gamma)
+            return
+        value = cutoff_shift(bath, theta)
+        printed = series(theta, spec.gamma)
+        term = printed.F - series(theta, spec.gamma, 1).F
+        assert abs(theta * value - term) <= 4 * math.ulp(printed.F)
+        G, A, B = thermo._ohmic_high_t_jet(theta, spec.gamma, 6)
+        assert point == thermo._point(theta, G + value, A - value,
+                                      B + 2.0 * value, "high_T_series")
+
+    @pytest.mark.parametrize("gamma", [1e-4, 1e-3])
+    @pytest.mark.parametrize("omega_prime", [1e5, 1e6, math.inf])
+    @pytest.mark.parametrize("theta", [3.0, 10.0])
+    def test_blackbody_high_t_against_exact(self, gamma, omega_prime, theta):
+        # the printed two-term QED series was 0.19 off in U (relative)
+        # here: it drops the arc and gamma log theta terms
+        bath = baths.canonicalize(QEDSpec(gamma=gamma,
+                                          omega_prime=omega_prime))
+        point = thermo.series_point(bath, theta, "high_T")
+        exact = thermo.thermo_point(bath, theta)
+        for name in "FSUC":
+            want = getattr(exact, name)
+            assert abs(getattr(point, name) - want) <= 2e-5 * abs(want), name
 
     @pytest.mark.parametrize("regime, theta, series", [
         ("low_T", 0.05, thermo.ohmic_low_temperature),
@@ -959,10 +995,8 @@ class TestFloatRange:
     def test_every_route_names_theta_and_itself_where_it_overflows(
             self, method, theta):
         bath = baths.canonicalize(OhmicSpec(gamma=1.0))
-        # the low-T series overflows only far outside its regime, and says so
-        notice = (pytest.warns(UserWarning, match="low-temperature series")
-                  if method == "low_T_series" else contextlib.nullcontext())
-        with notice, pytest.raises(OverflowError, match=re.escape(
+        # the low-T series overflows only far outside its regime
+        with pytest.raises(OverflowError, match=re.escape(
                 f"theta = {theta!r} is out of the range of the "
                 f"{method} route")):
             thermo.thermo_point(bath, theta, method)
