@@ -33,21 +33,22 @@ Available routes:
 * :func:`j_continue_left` -- J in the left half plane, from :func:`j_jet`.
 * :func:`j_auto_named`  -- region dispatch over the routes, named.
 
-Each of these routes rejects a non-finite z with ValueError naming z, and
-the quadrature and log-gamma routes also a z outside the domain where they
-were measured to meet their bounds (:data:`QUADRATURE_RANGE` of |z|;
-:data:`LOGGAMMA_FLOOR` of Re z and :data:`LOGGAMMA_REACH` of |z|).  The
-Lanczos, log-gamma, asymptotic and continuation routes raise OverflowError
-naming z where their value of J is not finite; the series is finite on its
-disk, and the quadrature raises IntegrandEvaluationError where its
-integrand is not finite.
+Each of these routes, and :func:`log_gamma`, rejects a z that is not
+finite or lies outside its domain with ValueError naming z, the quadrature
+and log-gamma routes also a z where they were measured to miss their
+bounds (:data:`QUADRATURE_RANGE` of |z|; :data:`LOGGAMMA_FLOOR` of Re z and
+:data:`LOGGAMMA_REACH` of |z|).  The Lanczos, log-gamma, asymptotic and
+continuation routes raise OverflowError naming z where their value is not
+finite; the series is finite on its disk, and the quadrature raises
+IntegrandEvaluationError where its integrand is not finite.
 
 The thermodynamic functions need J and its first two derivatives to full
 double precision, as jets (J, z J', z^2 J''): :func:`j_jet` for J whole,
 :func:`j_remainder` with the leading 1/(12 z) term taken out,
 :func:`j_remainder_difference` / :func:`j_difference` between nearby
 arguments (see the section on remainders below), and :func:`j_reflection`
-for J(w) + J(-w), which carries :func:`j_jet` into the left half plane.
+for J(w) + J(-w), which carries :func:`j_jet` and :func:`j_remainder` into
+the left half plane.  A jet component beyond the float range is inf.
 
 Everything here is pure and thread-safe; the coefficient tables are built
 once, at import time or, for the Taylor tables of :mod:`oscbath._jet_tables`,
@@ -164,10 +165,6 @@ def zeta(n: int) -> float:
     return 1.0 + 2.0 ** (-n) + 3.0 ** (-n)
 
 
-def _on_cut(z: complex) -> bool:
-    return z.imag == 0.0 and z.real <= 0.0
-
-
 def _finite_argument(name, z, label="z"):
     """z as a complex number; ValueError naming it where it is not finite."""
     z = complex(z)
@@ -176,8 +173,16 @@ def _finite_argument(name, z, label="z"):
     return z
 
 
-# A part of z above this overflows 12 z, and may overflow Python's complex
-# quotient c/z within (to 0 or nan): such quotients scale by 2^-5 first.
+def _off_cut(name, z, label="z"):
+    """:func:`_finite_argument`; ValueError naming z on the cut (-inf, 0]."""
+    z = _finite_argument(name, z, label)
+    if z.imag == 0.0 and z.real <= 0.0:
+        raise ValueError(f"{name}: {label} = {z!r} is on the branch cut")
+    return z
+
+
+# A part of z above this overflows 12 z, and may overflow abs(z) or Python's
+# complex quotient c/z within (to inf, 0 or nan).
 _HUGE = 2.0 ** 1018
 
 
@@ -185,11 +190,23 @@ def _huge(z):
     return abs(z.real) > _HUGE or abs(z.imag) > _HUGE
 
 
-def _finite_value(name, z, value):
-    """A route's value of J at z; OverflowError naming z where it is not
-    finite, so that no route returns inf or nan."""
+def _size(z):
+    """|z|, or inf where a part of z is huge and abs(z) may overflow."""
+    return math.inf if _huge(z) else abs(z)
+
+
+def _quotient(c, z, k=None):
+    """c/z or c/(k z), real k; both over 32 where a part of c or z is huge."""
+    if _huge(z) or _huge(c):
+        c, z = c / 32.0, z / 32.0
+    return c / z if k is None else c / (k * z)
+
+
+def _finite_value(name, z, value, label="z", what="J"):
+    """A route's value at z; OverflowError naming z where it is not finite,
+    so that no route returns inf or nan."""
     if not cmath.isfinite(value):
-        raise OverflowError(f"{name}: J is not finite at z = {z!r}")
+        raise OverflowError(f"{name}: {what} is not finite at {label} = {z!r}")
     return value
 
 
@@ -215,13 +232,11 @@ def log_gamma(w: complex) -> complex:
 
     Lanczos form for Re w >= 0.5; smaller real parts are shifted right with
     the recurrence log Gamma(w) = log Gamma(w+n) - sum log(w+k), which
-    preserves the continuous branch for w off the cut.  The shift takes
-    one step per unit of Re w, so Re w < LOGGAMMA_FLOOR raises ValueError
-    naming w.
+    preserves the continuous branch for w off the cut; to 1e-9 of
+    max(1, |log Gamma(w)|).  The shift takes one step per unit of Re w, so
+    Re w < LOGGAMMA_FLOOR raises ValueError naming w.
     """
-    w = complex(w)
-    if _on_cut(w):
-        raise ValueError("log_gamma: argument on the branch cut (-inf, 0]")
+    w = _off_cut("log_gamma", w, "w")
     if w.real < LOGGAMMA_FLOOR:
         raise ValueError(f"log_gamma: w = {w!r} has Re w < "
                          f"{LOGGAMMA_FLOOR:g}, beyond the reach of its shift")
@@ -233,7 +248,7 @@ def log_gamma(w: complex) -> complex:
     t = w + (g_half - 1.0)
     value = ((w - 0.5) * cmath.log(t) - t + LOG_SQRT_2PI
              + cmath.log(_lanczos_series(w - 1.0)))
-    return value - shift
+    return _finite_value("log_gamma", w, value - shift, "w", "log Gamma")
 
 
 def j_loggamma(z: complex) -> complex:
@@ -246,14 +261,12 @@ def j_loggamma(z: complex) -> complex:
     at 1e7, where J = 8.3e-9); either raises ValueError naming z.  Prefer
     :func:`j_lanczos` or :func:`j_asymptotic` at large |z|.
     """
-    z = _finite_argument("j_loggamma", z)
-    if _on_cut(z):
-        raise ValueError("j_loggamma: z on the branch cut (-inf, 0]")
+    z = _off_cut("j_loggamma", z)
     if z.real < LOGGAMMA_FLOOR:
         raise ValueError(f"j_loggamma: z = {z!r} has Re z < "
                          f"{LOGGAMMA_FLOOR:g}, where the route misses its "
                          "1e-9 bound")
-    if abs(z) > LOGGAMMA_REACH:
+    if _size(z) > LOGGAMMA_REACH:
         raise ValueError(f"j_loggamma: z = {z!r} has |z| > "
                          f"{LOGGAMMA_REACH:g}, where the route misses its "
                          "1e-9 bound")
@@ -271,13 +284,11 @@ def j_lanczos(z: complex) -> complex:
     analytically, so no large-|z| cancellation).  The imaginary axis
     (z != 0) is allowed: the formula remains finite and continuous there.
     """
-    z = _finite_argument("j_lanczos", z)
-    if z == 0:
-        raise ValueError("j_lanczos: z = 0 is a singular point")
+    z = _off_cut("j_lanczos", z)
     if z.real < 0.0:
-        raise ValueError("j_lanczos: requires Re z >= 0; use j_continue_left")
+        raise ValueError(f"j_lanczos: z = {z!r} has Re z < 0")
     g_half = LANCZOS_G + 0.5
-    step = (g_half / 32.0) / (z / 32.0) if _huge(z) else g_half / z
+    step = _quotient(g_half, z)
     return _finite_value("j_lanczos", z, (z + 0.5) * _log1p(step)
                          - g_half + cmath.log(_lanczos_series(z)))
 
@@ -288,16 +299,14 @@ def j_series_small(z: complex, n_terms: int = 60) -> complex:
     J(z) = -log sqrt(2 pi) - (z + 1/2) log z + z - gamma_E z
            + sum_{n=2}^{n_terms} (-1)^n zeta(n)/n z^n.
 
-    Terms shrink like |z|^n, so n_terms must grow as |z| -> 1 (about 300
-    terms at |z| = 0.9 for full double precision).
-    """
-    z = _finite_argument("j_series_small", z)
+    Terms shrink like |z|^n, so n_terms = n must grow as |z| -> 1 (about
+    300 terms at |z| = 0.9 for full double precision): the sum misses J by
+    at most zeta(n + 1) |z|^(n + 1)/((n + 1)(1 - |z|)), besides rounding."""
+    z = _off_cut("j_series_small", z)
     if n_terms < 2:
         raise ValueError("j_series_small: n_terms must be >= 2")
-    if abs(z) >= 1.0:
-        raise ValueError("j_series_small: series diverges for |z| >= 1")
-    if _on_cut(z):
-        raise ValueError("j_series_small: z on the branch cut (-inf, 0]")
+    if _size(z) >= 1.0:
+        raise ValueError(f"j_series_small: the series diverges at z = {z!r}")
     value = -LOG_SQRT_2PI - (z + 0.5) * cmath.log(z) + z - EULER_GAMMA * z
     power = z
     sign = 1.0
@@ -319,15 +328,13 @@ def j_asymptotic(z: complex, n_terms: int = 11) -> tuple[complex, float]:
     accuracy heuristic for an optimally truncated asymptotic series.  The
     series is divergent: if the first omitted term already exceeds the last
     kept one the requested order is in the divergent regime and a
-    ValueError is raised instead.
-    """
-    z = _finite_argument("j_asymptotic", z)
-    if z == 0:
-        raise ValueError("j_asymptotic: z = 0 is a singular point")
+    ValueError is raised instead.  For Re z < 0 the bound adds the size of
+    the reflection term -log(1 - q) that the series misses there."""
+    z = _off_cut("j_asymptotic", z)
     if not 1 <= n_terms <= _MAX_ASYMPTOTIC_TERMS:
         raise ValueError(
             f"j_asymptotic: n_terms must be in 1..{_MAX_ASYMPTOTIC_TERMS}")
-    inv_z = 1.0 / z
+    inv_z = _quotient(1.0, z)
     inv_z2 = inv_z * inv_z
     power = inv_z
     value = 0.0 + 0.0j
@@ -343,9 +350,11 @@ def j_asymptotic(z: complex, n_terms: int = 11) -> tuple[complex, float]:
     bound = abs((float(b_next) / ((m - 1) * m)) * power)
     if bound > last_magnitude:
         raise ValueError(
-            "j_asymptotic: divergent regime at this order "
-            f"(first omitted term {bound:.2e} exceeds last kept "
+            f"j_asymptotic: z = {z!r} is in the divergent regime at this "
+            f"order (first omitted term {bound:.2e} exceeds last kept "
             f"{last_magnitude:.2e}); use fewer terms or another method")
+    if z.real < 0.0:
+        bound += abs(j_reflection(z)[0])
     return _finite_value("j_asymptotic", z, value), bound
 
 
@@ -354,12 +363,9 @@ def j_continue_left(w: complex) -> complex:
     :func:`j_jet`, there from the reflection identity for |w| >= 1/2.
     Values from above and below the negative real axis genuinely differ
     (branch structure inherited from log Gamma)."""
-    w = _finite_argument("j_continue_left", w)
-    if w.imag == 0.0:
-        raise ValueError("j_continue_left: negative real axis is the branch cut")
+    w = _off_cut("j_continue_left", w)
     if w.real >= 0.0:
-        raise ValueError("j_continue_left: requires Re w < 0 "
-                         "(the imaginary axis is a natural boundary)")
+        raise ValueError(f"j_continue_left: w = {w!r} has Re w >= 0")
     return _finite_value("j_continue_left", w, j_jet(w)[0])
 
 
@@ -382,9 +388,9 @@ def j_quadrature(z: complex) -> complex:
     """
     z = _finite_argument("j_quadrature", z)
     if not z.real > 0.0:
-        raise ValueError("j_quadrature: the integral requires Re z > 0")
+        raise ValueError(f"j_quadrature: z = {z!r} has Re z <= 0")
     low, high = QUADRATURE_RANGE
-    if not low <= abs(z) <= high:
+    if not low <= _size(z) <= high:
         raise ValueError(f"j_quadrature: z = {z!r} is outside the range "
                          f"{low:g} <= |z| <= {high:g} of the quadrature")
     z_sq = z * z
@@ -420,9 +426,7 @@ def j_auto_named(z: complex) -> tuple[complex, str]:
     continuation route (natural boundary); call a formula route directly if
     a boundary value is wanted.
     """
-    z = _finite_argument("j_auto_named", z)
-    if _on_cut(z):
-        raise ValueError("j_auto_named: z on the branch cut (-inf, 0]")
+    z = _off_cut("j_auto_named", z)
     if z.real > 0.0:
         return j_lanczos(z), "lanczos"
     return j_continue_left(z), "continuation"
@@ -472,9 +476,9 @@ def j_auto_named(z: complex) -> tuple[complex, str]:
 # past |a| = 10 too; the disk holds both a and b, and the difference is
 # delta times the divided differences at u_a = a - center and
 # u_b = b - center, to ~4e-16 of each component (the shift: ~2e-15).
-# u, u_a and u_b are exact.  The closed form makes no other pair below
-# 10; complex pairs are differenced only where neither end needs a shift
-# step.  Complex singles take the recurrence
+# u, u_a and u_b are exact.  Other complex pairs are differenced only in
+# the right half plane from |z| = 10 on.  Complex singles there take the
+# recurrence
 #
 #     R(w) = h(w) + R(w + 1),   h(w) = J(w) - J(w + 1) - 1/(12 w (w + 1)),
 #
@@ -487,10 +491,11 @@ def j_auto_named(z: complex) -> tuple[complex, str]:
 #
 #     h'(w) = -4 v sum_k k c_k y^k,   h''(w) = 8 sum_k k (2k + 1) c_k y^(k+1).
 #
-# The coefficient table reaches |y| <= 2/3, i.e. |w + 1/2| >= sqrt(3/8) ~
-# 0.61, which every w with Re w >= 0 and |w| >= 1/2 meets; nearer to -1/2,
-# -3/2, ... the routines raise rather than return a truncated or divergent
-# sum.  Below |z| = SMALL_ARGUMENT, J comes whole from its power series,
+# The coefficient table reaches |y| <= 1/2, i.e. |w + 1/2| >= 1/sqrt(2),
+# which every w with Re w >= 0 and |w| >= 1/2 meets.  R obeys the
+# reflection identity as J does (its lead 1/(12 z) is odd), so the left
+# half plane is R(z) = -log(1 - q) - R(-z), and the cores only see
+# Re z >= 0.  Below |z| = SMALL_ARGUMENT, J comes whole from its series,
 #
 #     J(z)      = -log sqrt(2 pi) - (z + 1/2) log z + (1 - gamma_E) z + P(z),
 #     z J'(z)   = -z log z - 1/2 - gamma_E z + sum_n n a_n z^n,
@@ -509,7 +514,6 @@ _REMAINDER_ASYMPTOTIC = 10.0
 # Series run until the power falls below this (the derivative coefficients
 # grow like k^2).
 _SERIES_EPS = 1e-21
-_SHIFT_REACH = 2.0 / 3.0
 # A root x nearer the imaginary axis than this (|Re x| < _NEAR_AXIS Im x)
 # is differenced against its mirror image -conj(x): the reflection identity
 # then gives Re J(x) without the cancellation of the direct sum.
@@ -528,12 +532,12 @@ def _horner_prefixes(rows):
 
 # Coefficients of x^1, x^2, ... of three polynomials P0, P1, P2 per series,
 # highest power first: h = P0(y), h' = -4 v P1(y), h'' = 8 y P2(y) up to
-# y^131, enough for |y| <= _SHIFT_REACH, as prefixes; the jet of R is
+# y^72, enough for |y| <= 1/2, as prefixes; the jet of R is
 # t (Q0, -Q1, Q2)(s), with A_1 .. A_15 at s^1 .. s^15; and the power series
 # parts of the jet of J to z^80, as prefixes.
 _SHIFT_HORNER = _horner_prefixes(tuple(
     (c, k * c, k * (2 * k + 1) * c) for k, c in (
-        (k, 1.0 / (2 * k + 1) - 1.0 / 3.0) for k in range(1, 132))))
+        (k, 1.0 / (2 * k + 1) - 1.0 / 3.0) for k in range(1, 73))))
 _ASYMPTOTIC_HORNER = tuple((a, p * a, p * (p + 1) * a) for p, a in (
     (p, float(_BERNOULLI_BEYOND.get(p + 1) or BERNOULLI_EVEN[p + 1])
      / (p * (p + 1))) for p in range(31, 1, -2)))
@@ -589,15 +593,6 @@ def _taylor_bands():
                                    _jet_tables.MIRROR_CENTERS,
                                    _jet_tables.MIRROR_ROWS, complex)
     return _REAL_TAYLOR, _MIRROR_TAYLOR
-
-
-def _check_argument(z, name):
-    z = _finite_argument(name, z)
-    if z == 0:
-        raise ValueError(f"{name}: z = 0 is a singular point")
-    if z.imag == 0.0 and z.real < 0.0:
-        raise ValueError(f"{name}: z on the branch cut (-inf, 0)")
-    return z
 
 
 def _real(z):
@@ -681,8 +676,8 @@ def _real_quotient(a, b):
 
 
 def _remainder_jet(z):
-    """The jet of R at z: for a real z below _REMAINDER_ASYMPTOTIC (from 1/4
-    up) from the Taylor table, elsewhere by the asymptotic series, after the
+    """The jet of R at z, Re z >= 0: for a real z below 10 (from 1/4 up)
+    from the Taylor table, elsewhere by the asymptotic series, after the
     shift recurrence for a complex z (see the section comment)."""
     if type(z) is float and z < _REMAINDER_ASYMPTOTIC:
         edges, table = _REAL_TAYLOR or _taylor_bands()[0]
@@ -696,12 +691,7 @@ def _remainder_jet(z):
     for _ in range(shifts):
         v = 1.0 / (2.0 * w + 1.0)
         y = v * v
-        size = abs(y)
-        if size > _SHIFT_REACH:
-            raise ValueError(f"j_remainder: z = {z!r} is within sqrt(3/8) of "
-                             "-n - 1/2 for a shift n >= 0, beyond the reach "
-                             "of the shift series (|v^2| > 2/3)")
-        h0, h1, h2 = _horner(_SHIFT_HORNER[_term_count(size) + 2], y)
+        h0, h1, h2 = _horner(_SHIFT_HORNER[_term_count(abs(y)) + 2], y)
         value += h0
         slope -= 4.0 * v * h1
         curvature += 8.0 * y * h2
@@ -719,13 +709,12 @@ def _remainder_jet(z):
 
 
 def _remainder_difference(a, b, delta):
-    """The jet of R(a) - R(b) for the pairs of the section comment: a real
-    pair, a mirror pair near the imaginary axis, or a complex pair that
-    needs no shift step at either end; any other pair raises ValueError
-    naming it.  A pair with |b| > |a| is the negated jet of R(b) - R(a):
-    the derivative components scale g(a) - g(b) by b and b^2, which would
-    magnify its rounding where the two parts cancel (the blackbody gap
-    pair, a factor 2 apart at critical damping).
+    """The jet of R(a) - R(b) for the pairs of :func:`j_remainder_difference`
+    (any other pair raises ValueError naming it).  A pair with |b| > |a| is
+    the negated jet of R(b) - R(a): the derivative components scale
+    g(a) - g(b) by b and b^2, which would magnify its rounding where the
+    two parts cancel (the blackbody gap pair, a factor 2 apart at critical
+    damping).
 
     A real pair a >= b >= 1/4 at least a factor _PAIR_RATIO apart, where the
     difference cancels little, is the difference of the two jets.  Nearer:
@@ -737,7 +726,22 @@ def _remainder_difference(a, b, delta):
     and qb of the table, formed as qb delta + (qa - qb)(a - 10) so that
     delta, not the float a - b, sets the step.  A mirror pair with Im a < 10
     is delta times the divided differences of the mirror table."""
-    if abs(b) > abs(a):
+    if type(a) is not float:
+        mirror = abs(a.real) < _NEAR_AXIS * abs(a.imag) and b == -a.conjugate()
+        if (mirror and 0.0 < a.imag < _REMAINDER_ASYMPTOTIC
+                and abs(a) >= SMALL_ARGUMENT):
+            edges, table = _MIRROR_TAYLOR or _taylor_bands()[1]
+            center, _, prefixes, scale = table[bisect(edges, a.imag)]
+            ua = a - center                             # exact, as is ub
+            return [delta * q for q in _divided_differences(
+                prefixes[_term_count(abs(ua) * scale) + 2], ua, b - center)[1]]
+        if (not mirror and (a.real < 0.0 or b.real < 0.0)
+                or _shift_count(a) or _shift_count(b)):
+            raise ValueError(
+                f"j_remainder_difference: the pair a = {a!r}, b = {b!r} is "
+                "not real, not a mirror pair near the imaginary axis and not "
+                "in the right half plane clear of the shift region")
+    if _size(b) > _size(a):
         return [-d for d in _remainder_difference(b, a, -delta)]
     if type(a) is float:
         if a >= _PAIR_RATIO * b:
@@ -751,17 +755,6 @@ def _remainder_difference(a, b, delta):
             lower = _real_quotient(_REMAINDER_ASYMPTOTIC, b)
             return [delta * qb + (qa - qb) * top
                     for qa, qb in zip(upper, lower)]
-    elif (abs(a.real) < _NEAR_AXIS * a.imag and b == -a.conjugate()
-            and a.imag < _REMAINDER_ASYMPTOTIC and abs(a) >= SMALL_ARGUMENT):
-        edges, table = _MIRROR_TAYLOR or _taylor_bands()[1]
-        center, _, prefixes, scale = table[bisect(edges, a.imag)]
-        ua = a - center                                 # exact, as is ub
-        return [delta * q for q in _divided_differences(
-            prefixes[_term_count(abs(ua) * scale) + 2], ua, b - center)[1]]
-    elif _shift_count(a) or _shift_count(b):
-        raise ValueError(f"j_remainder_difference: the pair a = {a!r}, "
-                         f"b = {b!r} is not real, not a mirror pair near the "
-                         "imaginary axis and not clear of the shift region")
     # the jet of R at a is (P0, -P1, P2)(ta) with P = t Q(t^2); the divided
     # difference of t Q(t^2) is Q(sa) + tb (ta + tb) DQ, with DQ that of Q
     # between sa and sb
@@ -800,8 +793,9 @@ def _series_difference(a, b, delta):
 
 
 def _leading(jet, lead):
-    """jet plus the jet of a leading term lead = c/z, (1, -1, 2) lead."""
-    return jet[0] + lead, jet[1] - lead, jet[2] + 2.0 * lead
+    """jet plus the jet (1, -1, 2) lead of a leading term lead = c/z
+    (lead + lead: 2.0 * lead makes 0 * inf = nan of an infinite part)."""
+    return jet[0] + lead, jet[1] - lead, jet[2] + (lead + lead)
 
 
 def j_reflection(w: complex) -> tuple[complex, complex, complex]:
@@ -813,10 +807,18 @@ def j_reflection(w: complex) -> tuple[complex, complex, complex]:
     or r overflows, k (w r) and k^2 (w r)(w + w r) with real products by k
     and k^2, so that no part is nan, and inf only beyond the float range;
     1 - q is scaled by 2^64 where Im w is subnormal, to keep its digits.
+    Below |w| = 2^-500, where (k w)^2 underflows, 1 - q = -k w (1 + ...)
+    gives the jet (-log(-k w) - k w/2, -1 - k w/2, 1).  Each component is
+    within ~1e-15 of itself.
     """
     w = _finite_argument("j_reflection", w)
     if w.imag == 0.0:
-        raise ValueError("j_reflection: w on the real axis")
+        raise ValueError(f"j_reflection: w = {w!r} is on the real axis")
+    if _size(w) < 2.0 ** -500:
+        u = w * complex(0.0, -math.copysign(1.0, w.imag))  # -k w/(2 pi)
+        half = math.pi * u                                  # -k w/2
+        return (-math.log(2.0 * math.pi) - cmath.log(u) + half, half - 1.0,
+                1.0 + 0j)
     turn = math.copysign(2.0 * math.pi, w.imag)
     angle = turn * (w.real - round(w.real))
     q = cmath.rect(math.exp(-turn * w.imag), angle)
@@ -847,13 +849,12 @@ def j_jet(z: complex) -> tuple[complex, complex, complex]:
     plus the leading 1/(12 z), and in the left half plane
     :func:`j_reflection` minus the jet at -z.
     """
-    z = _check_argument(z, "j_jet")
-    if not _huge(z) and abs(z) < SMALL_ARGUMENT:
+    z = _off_cut("j_jet", z)
+    if _size(z) < SMALL_ARGUMENT:
         return _complex(_series_jet(_real(z)))
     if z.real < 0.0:
         return tuple(k - j for k, j in zip(j_reflection(z), j_jet(-z)))
-    lead = (1.0 / 32.0) / (12.0 * (z / 32.0)) if _huge(z) else 1.0 / (12.0 * z)
-    return _leading(_complex(_remainder_jet(_real(z))), lead)
+    return _leading(j_remainder(z), _quotient(1.0, z, 12.0))
 
 
 def j_remainder(z: complex) -> tuple[complex, complex, complex]:
@@ -861,18 +862,18 @@ def j_remainder(z: complex) -> tuple[complex, complex, complex]:
     cut along (-inf, 0].
 
     For real 1/2 <= z < 10 from the Taylor table of the middle band, to
-    ~2e-16 of each component itself; at other |z| >= 1/2 by the
-    asymptotic series, after the shift recurrence for a complex z, to
-    ~1e-15 of each component (see the section comment); below that from
-    the power series of :func:`j_jet`, with its absolute error (~1e-16 of
-    the J jet and of the jet of 1/(12 z)).  For |z| >= 1/2 the valid
-    domain is |z + n + 1/2| >= sqrt(3/8) ~ 0.61 for n = 0, 1, 2, ...,
-    which holds in the whole right half plane; elsewhere it raises
-    ValueError.
+    ~2e-16 of each component itself; elsewhere in the right half plane
+    from |z| = 1/2 by the asymptotic series, after the shift recurrence for
+    a complex z, to ~1e-15, and in the left half plane as
+    :func:`j_reflection` minus the jet at -z, to ~4e-15 (see the section
+    comment); below |z| = 1/2 from the power series of :func:`j_jet`, to
+    ~1e-16 of the J jet and of the jet of 1/(12 z).
     """
-    z = _check_argument(z, "j_remainder")
-    if not _huge(z) and abs(z) < SMALL_ARGUMENT:
+    z = _off_cut("j_remainder", z)
+    if _size(z) < SMALL_ARGUMENT:
         return _leading(_complex(_series_jet(_real(z))), -1.0 / (12.0 * z))
+    if z.real < 0.0:
+        return tuple(k - r for k, r in zip(j_reflection(z), j_remainder(-z)))
     return _complex(_remainder_jet(_real(z)))
 
 
@@ -885,22 +886,20 @@ def j_remainder_difference(a: complex, b: complex,
     Every series term is differenced as a divided difference of its
     powers, so each component keeps the relative accuracy of delta however
     close a and b are, where the difference of two :func:`j_remainder`
-    calls would lose it.  It takes the pairs of the closed form: a real
-    pair, both >= 1/4, to ~6e-16 of each component (delta rounded once
-    included; a factor 1.5 or more apart, where R(a) - R(b) cancels little,
-    as the difference of the two jets); a mirror pair b = -conj(a) with
-    |Re a| < Im a/4 and |a| >= 1/2, such as x and -conj(x) where
-    :func:`j_reflection` serves a conjugate pair, to ~4e-16 of each
-    component (through the Taylor table about a center on the imaginary
-    axis while Im a < 10); and a complex pair with |z + n| >= 10 for every
-    n >= 0 at both ends, by the asymptotic series, to ~1e-15.  Any other
-    pair raises ValueError.
+    calls would lose it.  It takes the pairs of the closed form (see the
+    section comment): a real pair, both >= 1/4, to ~6e-16 of each
+    component, delta rounded once included; a mirror pair b = -conj(a)
+    with |Re a| < |Im a|/4, |a| >= 1/2 for Im a > 0 and |Im a| >= 10 for
+    Im a < 0, to ~4e-16; and a complex pair in the closed right half plane
+    with |a|, |b| >= 10, to ~1e-15.  Any other pair raises ValueError
+    naming it.
     """
-    a = _check_argument(a, "j_remainder_difference")
-    b = _check_argument(b, "j_remainder_difference")
+    a = _off_cut("j_remainder_difference", a)
+    b = _off_cut("j_remainder_difference", b)
     delta = _finite_argument("j_remainder_difference", delta, "delta")
-    if min(abs(a), abs(b)) < 0.5 * SMALL_ARGUMENT:
-        raise ValueError("j_remainder_difference: needs |a|, |b| >= 1/4")
+    if min(_size(a), _size(b)) < 0.5 * SMALL_ARGUMENT:
+        raise ValueError(f"j_remainder_difference: the pair a = {a!r}, "
+                         f"b = {b!r} has |a| or |b| < 1/4")
     return _complex(_remainder_difference(*_plain(a, b, delta)))
 
 
@@ -910,11 +909,11 @@ def j_difference(a: complex, b: complex,
     full relative accuracy: below |z| = SMALL_ARGUMENT the power series
     differenced term by term, elsewhere :func:`j_remainder_difference`
     plus the leading terms, for the pairs that it takes."""
-    a = _check_argument(a, "j_difference")
-    b = _check_argument(b, "j_difference")
+    a = _off_cut("j_difference", a)
+    b = _off_cut("j_difference", b)
     delta = _finite_argument("j_difference", delta, "delta")
-    if max(abs(a), abs(b)) >= SMALL_ARGUMENT:
-        # 1/(12 a) - 1/(12 b) = -delta/(12 a b)
+    if max(_size(a), _size(b)) >= SMALL_ARGUMENT:
+        # 1/(12 a) - 1/(12 b) = -delta/(12 a b); 12 a b may overflow
         return _leading(j_remainder_difference(a, b, delta),
-                        -delta / (12.0 * a * b))
+                        _quotient(_quotient(-delta, a), b, 12.0))
     return _complex(_series_difference(*_plain(a, b, delta)))

@@ -10,6 +10,7 @@ absolute differences in J (the Lanczos coefficients carry an intrinsic
 """
 
 import cmath
+import functools
 import math
 import random
 import re
@@ -606,14 +607,24 @@ class TestRemainder:
             sj.j_jet(0.0)
 
     @pytest.mark.parametrize("z", [-0.7 + 0.05j, -2.5 + 0.01j, -0.3 + 0.45j])
-    def test_shift_series_out_of_reach_raises(self, z):
+    def test_near_the_shift_poles_by_reflection(self, z):
         # near -1/2, -3/2, ... the shift series in v^2 = 1/(2w + 1)^2 leaves
-        # its reach (|v^2| > 2/3): no value is better than a wrong one
-        with pytest.raises(ValueError):
-            sj.j_remainder(z)
-        with pytest.raises(ValueError):
+        # its reach: the remainder takes the reflection identity there, to
+        # the 4e-15 of TestLeftHalfPlane, and the difference routes take no
+        # such pair
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            w = mp.mpc(z.real, z.imag)
+            want = [complex(j - c / (12 * w))
+                    for j, c in zip(_mp_jet(w), LEADING_JET)]
+        got = sj.j_remainder(z)
+        for i in range(3):
+            assert abs(got[i] - want[i]) <= 4e-15 * abs(want[i]), (z, i)
+        with pytest.raises(ValueError, match=re.escape(
+                f"the pair a = {z!r}")):
             sj.j_remainder_difference(z, z - 1e-9, 1e-9)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape(
+                f"the pair a = {z!r}")):
             sj.j_difference(z, z - 1e-9, 1e-9)
 
 
@@ -649,6 +660,14 @@ class TestLeftHalfPlane:
         for _ in range(400):
             self.check(complex(rng.uniform(-30.0, -0.2),
                                rng.uniform(0.01, 30.0) * rng.choice([-1, 1])))
+
+    @pytest.mark.parametrize("w", [-1e308 + 1j, -1e20 + 10j])
+    def test_remainder_far_out_returns_at_once(self, w):
+        # the shift recurrence took one step per unit of |Re w|: 0.3 s at
+        # -1e5, and never returned at -1e308
+        start = time.perf_counter()
+        sj.j_remainder(w)
+        assert time.perf_counter() - start < 1.0
 
     def test_reflection_is_even_and_off_the_real_axis(self):
         w = 2.3 + 0.4j
@@ -725,13 +744,14 @@ class TestDifferences:
 
     @staticmethod
     def clear_of_the_shifts(z):
-        # |z + n| >= 10 for every n >= 0
-        return abs(z.imag) >= 10.0 or z.real >= 0.0 and abs(z) >= 10.0
+        # in the closed right half plane with |z + n| >= 10 for every n >= 0
+        return z.real >= 0.0 and abs(z) >= 10.0
 
     def test_remainder_difference(self):
         # the pairs the closed form makes, real pairs from 1/4 up and mirror
         # pairs near the imaginary axis from |a| = 1/2 up, and complex pairs
-        # clear of the shift region; every other complex pair raises
+        # of the right half plane clear of the shift region; every other
+        # complex pair raises
         rng = np.random.default_rng(77)
         pairs = []
         for _ in range(40):
@@ -845,6 +865,8 @@ class TestRowCut:
                 b = -a.conjugate()                              # mirror
             else:
                 b = a * (1.0 + step * cmath.exp(1j * rng.uniform(-3.1, 3.1)))
+                if b.real < 0.0:        # no pair of the engine
+                    continue
             if abs(b) >= 10.0 and a != b:
                 yield a, b, a - b
 
@@ -881,3 +903,208 @@ class TestRowCut:
         # at |z| = 1e12 the tail of the first row alone is below 2^-70 of it
         assert bisect_left(sj._ASYMPTOTIC_REACH, 1e-24) == 0
         assert bisect_left(sj._ASYMPTOTIC_REACH, 0.01) == 14
+
+
+# The edge grid of the contract below: parts of 1e308 and 1.5e308 (beyond
+# which |z| leaves the float range), subnormal parts, 1e+-300, and four
+# left-half-plane points where a route once ran the shift recurrence or the
+# bare asymptotic series: far out along the cut, where the reflection term
+# e^(-2 pi Im z) outweighs the remainder, and near -1/2.
+EDGE_GRID = [
+    1e308 + 1e308j, -1e308 + 1e308j, 1e308 - 1e308j, 1e308j, 1e308 + 0j,
+    -1e308 + 0j, 1.5e308 + 1.5e308j, -1.5e308 + 1.5e308j, 1.5e308 + 0j,
+    1.5e308j, 5e-324 + 0j, 1e-320 + 1e-320j, 5e-324j, 1 + 1e-320j,
+    -1 + 1e-320j, -1e3 + 1e-320j, 1e300 + 0j, 1e300 + 1e300j, 1e-300 + 0j,
+    1e-300j, -1e308 + 1j, -1e20 + 10j, -1e6 + 10.5j, -0.7 + 0.05j]
+# a few ulps at the bottom of the float range, where relative bounds end
+SUBNORMAL = 8 * 2.0 ** -1074
+
+
+@functools.lru_cache(maxsize=None)
+def _edge_jet(z, dps=60):
+    """(J, z J', z^2 J'') at the float z, as mpmath numbers of ``dps``
+    digits.
+
+    Below |z| = 100 from log Gamma and its derivatives.  From there on log
+    Gamma would need ~log10 |z| more digits, so the asymptotic series
+    through B_30 (its first omitted term is below 1e-47 of J there), and in
+    the left half plane the reflection identity: the jet of
+    J(z) + J(-z) = -log(1 - q) minus the series at -z, with the phase of q
+    reduced exactly."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(dps):
+        w = mp.mpc(z.real, z.imag)
+        if mp.fabs(w) < 100:
+            return tuple(_mp_jet(w))
+        u = -w if z.real < 0.0 else w
+        series = [mp.mpf(0)] * 3
+        for n in range(1, 16):
+            m = 2 * n - 1
+            term = mp.bernoulli(2 * n) / (m * (m + 1)) * u ** -m
+            series = [series[0] + term, series[1] - m * term,
+                      series[2] + m * (m + 1) * term]
+        if z.real >= 0.0:
+            return tuple(series)
+        return tuple(k - s for k, s in zip(_edge_reflection(z), series))
+
+
+@functools.lru_cache(maxsize=None)
+def _edge_reflection(z):
+    """The jet of J(z) + J(-z) = -log(1 - q), q = e^(+-2 pi i z), at the
+    float z off the real axis, as 60-digit mpmath numbers."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(60):
+        side = 1 if z.imag > 0 else -1
+        a, b = mp.mpf(z.real), mp.mpf(z.imag)
+        log_q = 2 * mp.pi * mp.mpc(-abs(b), side * (a - mp.nint(a)))
+        q, rest = mp.exp(log_q), -mp.expm1(log_q)
+        r = q / rest
+        kz = mp.mpc(0, 2 * side) * mp.pi * mp.mpc(a, b)
+        return -mp.log(rest), kz * r, kz * kz * r * (1 + r)
+
+
+def _edge_pairs(z):
+    """The pairs of the difference routes at a grid point z: b = z (1 -
+    2^-20), whose step z - b is exact part by part, and the mirror pair
+    b = -conj(z), step 2 Re z, where that is finite."""
+    b = z * (1.0 - 2.0 ** -20)
+    pairs = [(z, b, z - b)]
+    mirror = -z.conjugate()
+    if math.isfinite(2.0 * z.real):
+        pairs.append((z, mirror, z - mirror))
+    return pairs
+
+
+def _within(got, want, relative, scale=None):
+    """got within ``relative`` of ``scale`` (default |want|) from want, or
+    SUBNORMAL; a part of want beyond the float range as inf of its sign,
+    the other part of that component within ``relative`` of itself; never
+    nan."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(60):
+        if cmath.isnan(got):
+            return False
+        parts = ((got.real, want.real), (got.imag, want.imag))
+        if any(abs(w) > sys.float_info.max for _, w in parts):
+            return all(g == math.copysign(math.inf, w)
+                       if abs(w) > sys.float_info.max
+                       else abs(g - w) <= relative * abs(w) + SUBNORMAL
+                       for g, w in parts)
+        scale = abs(want) if scale is None else scale
+        return (cmath.isfinite(got) and
+                abs(mp.mpc(got) - want) <= relative * scale + SUBNORMAL)
+
+
+def _series_small_bound(z):
+    """The truncation bound of j_series_small's docstring at 60 terms."""
+    n, size = 60, abs(z)
+    return sj.zeta(n + 1) * size ** (n + 1) / ((n + 1) * (1.0 - size))
+
+
+class TestEdgeContract:
+    """log_gamma and every public J route, on the edge grid: each call
+    returns within the bound its docstring states, against mpmath, or
+    raises ValueError or OverflowError naming z (for the difference routes,
+    an end of the pair)."""
+
+    J_ROUTES = sorted(name for name in sj.__all__ if name.startswith("j_"))
+
+    def test_every_j_route_is_covered(self):
+        assert len(self.J_ROUTES) == 12
+
+    @staticmethod
+    def calls(name, z):
+        """(arguments, check) for each call of the route at z; check takes
+        the returned value and asserts its bound."""
+        mp = pytest.importorskip("mpmath")
+
+        def value(bound):
+            # J within an absolute bound, relative once |J| > 1 if asked
+            def check(got):
+                want = _edge_jet(z)[0]
+                assert _within(complex(got), want, 0.0) or abs(
+                    mp.mpc(got) - want) <= bound(want), (got, want)
+            return check
+
+        def jet(reference, relative):
+            def check(got):
+                for k, (g, w) in enumerate(zip(got, reference())):
+                    assert _within(g, w, relative), (k, g, w)
+            return check
+
+        def remainder(w, jet):
+            with mp.workdps(60):
+                lead = 1 / (12 * mp.mpc(w.real, w.imag))
+                return [j - c * lead for j, c in zip(jet, LEADING_JET)]
+
+        if name in ("j_difference", "j_remainder_difference"):
+            for a, b, delta in _edge_pairs(z):
+                def reference(a=a, b=b):
+                    # z J' = -1/2 + O(z log z) at tiny z: the difference
+                    # needs the digits below 1/2 too
+                    dps = 60 + max(0, -int(mp.log10(abs(mp.mpc(a)))))
+                    with mp.workdps(dps):
+                        ja, jb = _edge_jet(a, dps), _edge_jet(b, dps)
+                        if name == "j_remainder_difference":
+                            ja, jb = remainder(a, ja), remainder(b, jb)
+                        return [p - q for p, q in zip(ja, jb)]
+                yield (a, b, delta), jet(reference, 4e-15)
+            return
+        if name == "log_gamma":
+            def check(got):
+                want = mp.loggamma(mp.mpc(z.real, z.imag))
+                assert abs(mp.mpc(got) - want) <= 1e-9 * max(1, abs(want))
+            yield (z,), check
+        elif name in ("j_jet", "j_continue_left", "j_auto_named"):
+            def check(got):
+                if name == "j_auto_named":
+                    got, route = got
+                    if route == "lanczos":
+                        return value(lambda want: 1e-9)(got)
+                if name != "j_jet":
+                    got = (got,)
+                for k, (g, w) in enumerate(zip(got, _edge_jet(z))):
+                    assert _within(g, w, 4e-15), (k, g, w)
+            yield (z,), check
+        elif name == "j_remainder":
+            # below |z| = 1/2 R = J - 1/(12 z) may cancel: there relative to
+            # the larger of its two parts
+            def check(got):
+                whole = _edge_jet(z)
+                small = abs(mp.mpc(z)) < sj.SMALL_ARGUMENT
+                for k, (g, w) in enumerate(zip(got, remainder(z, whole))):
+                    scale = max(abs(whole[k]), abs(w - whole[k]))
+                    assert _within(g, w, 4e-15, scale if small else None), \
+                        (k, g, w)
+            yield (z,), check
+        elif name == "j_reflection":
+            yield (z,), jet(lambda: _edge_reflection(z), 4e-15)
+        elif name == "j_asymptotic":
+            def check(got):
+                got, bound = got
+                want = _edge_jet(z)[0]
+                assert abs(mp.mpc(got) - want) <= (
+                    bound + 1e-15 * abs(want) + SUBNORMAL), (got, bound)
+            yield (z,), check
+        elif name == "j_series_small":
+            yield (z,), value(lambda want: _series_small_bound(z)
+                              + 1e-15 * max(1, abs(want)))
+        elif name == "j_quadrature":
+            # 5e-15 along rays up to arg z = 1.55, 4.1e-13 nearer the axis
+            near_axis = abs(cmath.phase(z)) > 1.55
+            yield (z,), value(lambda want: (4.1e-13 if near_axis else 5e-15)
+                              * abs(want))
+        else:                           # j_lanczos, j_loggamma: 1e-9 of J
+            yield (z,), value(lambda want: 1e-9)
+
+    @pytest.mark.parametrize("z", EDGE_GRID, ids=repr)
+    @pytest.mark.parametrize("name", ["log_gamma"] + J_ROUTES)
+    def test_within_the_bound_or_raises_naming_z(self, name, z):
+        route = getattr(sj, name)
+        for args, check in self.calls(name, z):
+            try:
+                got = route(*args)
+            except (ValueError, OverflowError) as exc:
+                assert any(repr(x) in str(exc) for x in args[:2]), exc
+                continue
+            check(got)

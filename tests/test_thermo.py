@@ -239,6 +239,21 @@ class TestSweep:
             thermo.thermo_point(bath, theta)
         assert True in differenced and False in differenced
 
+    def test_names_the_first_failing_theta_of_either_kind(self):
+        # F = theta G overflows at 1e307 only once the jet is formed, while
+        # 2 pi theta overflows at 1.7e308 before any jet is: the list
+        # raises what thermo_point raises at its first failing theta, in
+        # either order
+        bath = SWEEP_BATHS[5]
+        for thetas, error in (([1.0, 1e307, 1.7e308], OverflowError),
+                              ([1.0, 1.7e308, 1e307], ValueError)):
+            with pytest.raises(error, match=re.escape(
+                    f"theta = {thetas[1]!r} ")):
+                thermo.sweep(bath, thetas)
+            with pytest.raises(error, match=re.escape(
+                    f"theta = {thetas[1]!r} ")):
+                thermo.thermo_point(bath, thetas[1])
+
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, 1e-309])
     def test_rejects_a_bad_theta_in_any_position(self, bad):
         # a subnormal theta is the exact_j route's own limit
