@@ -57,15 +57,17 @@ class SingleRelaxationSpec:
     """Drude-type friction gamma (units of omega0) with relaxation time tau
     (units of 1/omega0).
 
-    Construction fails when the implied second cutoff Omega' = 1/tau - gamma
-    would not be positive (tau * gamma >= 1); any shorter memory is computed
-    exactly by both exact routes.
+    Construction fails where 1/tau overflows, or where the implied second
+    cutoff Omega' = 1/tau - gamma would not be positive (tau * gamma >= 1);
+    any shorter memory is computed exactly by both exact routes.
     """
     gamma: float
     tau: float
 
     def __post_init__(self):
         _require_finite_positive(gamma=self.gamma, tau=self.tau)
+        if 1.0 / self.tau == math.inf:
+            raise ValueError(f"tau = {self.tau!r} is too small: 1/tau is inf")
         tau_gamma = self.tau * self.gamma
         if tau_gamma >= 1.0:
             raise ValueError(
@@ -176,8 +178,7 @@ def canonicalize(spec: BathSpec) -> CanonicalBath:
         tau_num, tau_den = spec.tau.as_integer_ratio()
         gamma_num, gamma_den = spec.gamma.as_integer_ratio()
         prime = ((tau_den * gamma_den - gamma_num * tau_num)
-                 / (tau_num * gamma_den) if big_omega < math.inf
-                 else big_omega)
+                 / (tau_num * gamma_den))
         if _meets("blackbody", spec.gamma, big_omega, prime):
             raise ValueError(
                 f"single-relaxation-time bath with gamma = {spec.gamma!r}, "

@@ -293,28 +293,36 @@ def j_lanczos(z: complex) -> complex:
                          - g_half + cmath.log(_lanczos_series(z)))
 
 
-def j_series_small(z: complex, n_terms: int = 60) -> complex:
+_SMALL_TERMS = 10_000          # the most terms j_series_small takes itself
+
+
+def j_series_small(z: complex, n_terms: int | None = None) -> complex:
     """J(z) for |z| < 1 by the series
 
     J(z) = -log sqrt(2 pi) - (z + 1/2) log z + z - gamma_E z
-           + sum_{n=2}^{n_terms} (-1)^n zeta(n)/n z^n.
+           + sum_{n=2}^{N} (-1)^n zeta(n)/n z^n,
 
-    Terms shrink like |z|^n, so n_terms = n must grow as |z| -> 1 (about
-    300 terms at |z| = 0.9 for full double precision): the sum misses J by
-    at most zeta(n + 1) |z|^(n + 1)/((n + 1)(1 - |z|)), besides rounding."""
+    which misses J by at most zeta(N + 1) |z|^(N + 1)/((N + 1)(1 - |z|)),
+    besides rounding.  N is n_terms, by default the first n where that
+    bound is below 2^-70 |J| (~4700 at |z| = 0.99); where that is above
+    _SMALL_TERMS (|z| above ~0.995), ValueError names z."""
     z = _off_cut("j_series_small", z)
-    if n_terms < 2:
+    if n_terms is not None and n_terms < 2:
         raise ValueError("j_series_small: n_terms must be >= 2")
-    if _size(z) >= 1.0:
+    size = _size(z)
+    if size >= 1.0:
         raise ValueError(f"j_series_small: the series diverges at z = {z!r}")
     value = -LOG_SQRT_2PI - (z + 0.5) * cmath.log(z) + z - EULER_GAMMA * z
-    power = z
-    sign = 1.0
-    for n in range(2, n_terms + 1):
-        power *= z
-        value += sign * (zeta(n) / n) * power
-        sign = -sign
-    return value
+    power = -z                                      # (-z)^n = (-1)^n z^n
+    for n in range(2, (n_terms or _SMALL_TERMS) + 1):
+        power *= -z
+        value += (zeta(n) / n) * power
+        if n_terms is None and zeta(n + 1) * size ** (n + 1) < (
+                2.0 ** -70 * abs(value) * (n + 1) * (1.0 - size)):
+            return value
+    if n_terms:
+        return value
+    raise ValueError(f"j_series_small: z = {z!r} needs > {_SMALL_TERMS} terms")
 
 
 def j_asymptotic(z: complex, n_terms: int = 11) -> tuple[complex, float]:

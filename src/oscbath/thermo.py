@@ -20,7 +20,7 @@ quadrature route integrates the spectral form
 
 directly, with the matching moments in the same pass, and exists purely
 to cross-check the closed form.  The series route (:func:`series_point`)
-sums the printed low- and high-temperature expansions term by term.
+sums the closed form's low- and the Ohmic high-temperature expansions.
 Every route returns the jet (G, A, B) of F/theta, from which one rule
 (:func:`_point`) makes F, S, U and C.
 """
@@ -94,9 +94,9 @@ class _Plan(NamedTuple):
     plus :func:`oscbath.stieltjes.j_reflection` at mate.  ``least`` is the
     smallest |c| of the terms and their mates, which sets where a
     temperature is cold: every argument c/(2 pi theta) at or above
-    _REMAINDER_ASYMPTOTIC.  The power sums of the cold points,
-    :func:`_power_rows`, are formed from the terms and ``least`` when a
-    sweep has a cold point.  ``static`` is
+    _REMAINDER_ASYMPTOTIC.  The power sums of the cold points and of the
+    low-temperature series, :func:`_power_rows`, are formed from the terms
+    and ``least`` when needed.  ``static`` is
     :func:`oscbath.baths.static_weight`, minus the sum of sigma/c with the
     cutoff relation's cancellation done exactly.
     """
@@ -139,20 +139,20 @@ def _plan(bath: CanonicalBath) -> _Plan:
 
 def _power_rows(plan: _Plan) -> tuple[tuple[tuple[float, float, float],
                                             ...], ...]:
-    """The rows of the cold points' series, cut as _ASYMPTOTIC_ROWS is.
-
-    Where every argument x = c/(2 pi theta) has |x| >= 10, the sum over
-    the plan of sigma R(x) is the asymptotic series of R summed term by
-    term, sum_n A_n t^(2n+1) P_n with t = 2 pi theta/least and the scaled
-    power sums P_n = sum sigma Re (least/c)^(2n+1), n = 1 .. 15: scaled
-    so that no power under- or overflows where unscaled c^-31 would.  Each
-    row of _ASYMPTOTIC_HORNER times its P_n gives the jet of the sum as
+    """The rows of the series of the cold points and of
+    :func:`_low_t_series`, cut as _ASYMPTOTIC_ROWS is: where every argument
+    x = c/(2 pi theta) has |x| >= 10, the sum over the plan of sigma R(x)
+    is the asymptotic series of R summed term by term,
+    sum_n A_n t^(2n+1) P_n with t = 2 pi theta/least and the scaled power
+    sums P_n = sum sigma Re (least/c)^(2n+1), n = 1 .. 15: scaled so that
+    no power under- or overflows where unscaled c^-31 would.  Each row of
+    _ASYMPTOTIC_HORNER times its P_n gives the jet of the sum as
     t (Q0, -Q1, Q2)(t^2), one Horner chain per point.  A pair enters as
     sigma Re (alpha^m - beta^m), alpha = least/c and beta = least/mate,
     from D_1 = alpha - beta over its exact step by
     D_(m+2) = alpha^2 D_m + beta^m (alpha - beta)(alpha + beta): least gap
     for the Omega pair, least 2 Re c/|c|^2 for a mirror pair, whose
-    reflection term the caller adds at each point."""
+    reflection term :func:`_j_sum` adds at each cold point."""
     sums = [0.0] * len(_ASYMPTOTIC_HORNER)
     for sign, c, mate, gap in plan.terms:
         alpha = plan.least / c
@@ -314,15 +314,10 @@ def _point(theta: float, G: float, A: float, B: float,
 
 
 def free_energy_exact(bath: CanonicalBath, theta: float) -> float:
-    """Oscillator free energy by the closed J-function form: the F of
-    :func:`thermo_point` on the ``exact_j`` route.
-
-    F = theta G, with G the signed sum of J over the characteristic
-    arguments.  Underdamped roots form one complex-conjugate pair and
-    contribute twice the real part of one argument.  Infinite cutoffs
-    contribute nothing (J -> 0 at infinity) and are skipped analytically.
-    The theta = 0 limit is :func:`zero_point`.
-    """
+    """Oscillator free energy by the closed J-function form, F = theta G
+    with G the signed sum of J over the arguments of the bath's
+    :class:`_Plan`: the F of :func:`thermo_point` on the ``exact_j`` route.
+    The theta = 0 limit is :func:`zero_point`."""
     return thermo_point(bath, theta).F
 
 
@@ -458,12 +453,12 @@ def sweep(bath: CanonicalBath, thetas: Iterable[float],
     """F, S, U, C at each temperature of ``thetas``, in order, from one
     route of :data:`METHODS` (see :func:`thermo_point`).
 
-    The two exact routes set up what they need of the bath once for the
-    whole list: ``exact_j`` its plan (the characteristic frequencies and
-    the static weight), and then runs term by term, each characteristic
-    frequency over the whole list (:func:`_j_sum`); ``exact_quadrature``
-    the static and spectral weights, and no root.  The two series routes
-    run :func:`series_point` at each temperature.
+    All but ``high_T_series`` set up what they need of the bath once for
+    the whole list: ``exact_j`` its plan (the characteristic frequencies
+    and the static weight), and then runs term by term, each frequency
+    over the whole list (:func:`_j_sum`); ``exact_quadrature`` the static
+    and spectral weights, and no root; ``low_T_series`` the plan's rows
+    (:func:`_low_t_series`).  ``high_T_series`` runs :func:`series_point`.
     Every point is bit-identical to :func:`thermo_point` at its
     temperature, and a list holding temperatures where the route fails
     raises what :func:`thermo_point` raises at the first of them.  An
@@ -475,9 +470,10 @@ def sweep(bath: CanonicalBath, thetas: Iterable[float],
     thetas = list(thetas)
     for theta in thetas:
         _check(theta)
-    if method.endswith("_series"):
-        regime = method.removesuffix("_series")
-        return [series_point(bath, theta, regime) for theta in thetas]
+    if method == "low_T_series":
+        return _low_t_series(bath, thetas, 3)
+    if method == "high_T_series":
+        return [series_point(bath, theta, "high_T") for theta in thetas]
     if method == "exact_quadrature":
         spectrum = static_weight(bath), spectral_weight(bath), bath.gamma
         return [_point(theta, *_spectral_moments(*spectrum, theta), method)
@@ -521,34 +517,23 @@ def thermo_point(bath: CanonicalBath, theta: float,
     return sweep(bath, [theta], method)[0]
 
 
-def _power_jet(terms: Iterable[tuple[int, float]]
-               ) -> tuple[float, float, float]:
-    """The jet (G, A, B) of a sum of power terms c theta^p of G = F/theta,
-    given as (p, c theta^p): each enters G, A and B with the factors 1, -p
-    and p (p + 1)."""
-    G = A = B = 0.0
-    for p, term in terms:
-        G += term
-        A -= p * term
-        B += p * (p + 1) * term
-    return G, A, B
+def _low_t_series(bath: CanonicalBath | None, thetas: list[float],
+                  n_terms: int) -> list[ThermoPoint]:
+    """The first n_terms terms of the bath's low-temperature power series
+    of F/theta at each of ``thetas`` (all 0 for None, the uncoupled
+    oscillator): -pi theta static/6, then the first n_terms - 1 rows of
+    :func:`_power_rows`, formed once, in t^2 = (2 pi theta/least)^2, with
+    no reflection term.  Where a term overflows, OverflowError."""
+    plan = _plan(bath) if bath else _Plan((), 1.0, 0.0)
+    rows = _power_rows(plan)[n_terms - 2] if n_terms > 1 else ()
 
-
-def _low_t_series(theta: float, gamma: float, a: float,
-                  n_terms: int) -> ThermoPoint:
-    """The first n_terms terms of the low-temperature series, with theta^2
-    coefficient ``a`` of F: the bath's static weight, gamma for the Ohmic
-    bath and 0 for the blackbody bath.  A theta so large that a term
-    overflows raises OverflowError."""
-    g2 = gamma * gamma
-    pi = math.pi
-    coefficients = (-pi * a / 6.0,
-                    -pi**3 * gamma * (3.0 - g2) / 45.0,
-                    -8.0 * pi**5 * gamma * (5.0 - 5.0 * g2 + g2 * g2) / 315.0)
-    # theta^p as a product, which overflows to inf where ** would raise
-    return _point(theta, *_power_jet(
-        (p, c * math.prod([theta] * p))
-        for p, c in zip((1, 3, 5), coefficients[:n_terms])), "low_T_series")
+    def point(theta):
+        t = 2.0 * math.pi * theta / plan.least
+        q0, q1, q2 = _horner(rows, t * t)
+        lead = -math.pi * theta * plan.static / 6.0
+        return _point(theta, lead + t * q0, -lead - t * q1,
+                      2.0 * lead + t * q2, "low_T_series")
+    return [point(theta) for theta in thetas]
 
 
 def ohmic_low_temperature(theta: float, gamma: float,
@@ -566,18 +551,22 @@ def ohmic_low_temperature(theta: float, gamma: float,
     if not 1 <= n_terms <= 3:
         raise ValueError("ohmic_low_temperature: n_terms must be 1..3")
     _check(theta, gamma)
-    return _low_t_series(theta, gamma, gamma, n_terms)
+    return _low_t_series(CanonicalBath(gamma=gamma) if gamma else None,
+                         [theta], n_terms)[0]
 
 
 def qed_low_temperature(theta: float, gamma: float,
                         n_terms: int = 2) -> ThermoPoint:
-    """Low-temperature series for the blackbody (QED) bath: the Ohmic
-    table with theta^2 coefficient 0, the static weight of the blackbody
-    bath, leaving the theta^4 term in front."""
+    """Low-temperature series for the point-electron blackbody (QED) bath,
+    Omega' = inf and Omega = 1/gamma, whose static weight is 0:
+
+        F = -pi^3 theta^4 gamma/15 - 8 pi^5 theta^6 gamma(1 - gamma^2)/63."""
     if not 1 <= n_terms <= 2:
         raise ValueError("qed_low_temperature: n_terms must be 1..2")
     _check(theta, gamma)
-    return _low_t_series(theta, gamma, 0.0, n_terms + 1)
+    bath = CanonicalBath(gamma=gamma, Omega=1.0 / gamma,
+                         relation="blackbody") if gamma else None
+    return _low_t_series(bath, [theta], n_terms + 1)[0]
 
 
 def _chebyshev(n: int, x: float) -> float:
@@ -626,13 +615,15 @@ def ohmic_high_temperature(theta: float, gamma: float,
 
 def _ohmic_high_t_jet(theta: float, gamma: float,
                       n_terms: int) -> tuple[float, float, float]:
-    """The jet (G, A, B) of :func:`ohmic_high_temperature`'s F/theta: the
-    sum by :func:`_power_jet` (its x^n is a power theta^-n), the log terms
-    in closed form."""
+    """The jet (G, A, B) of :func:`ohmic_high_temperature`'s F/theta: its
+    x^n is a power theta^-n, which enters G, A and B with the factors 1, n
+    and n (n - 1); the log terms in closed form."""
     x = 1.0 / (2.0 * math.pi * theta)
-    G, A, B = _power_jet((-n, -2.0 * zeta(n) * math.prod([-x] * n)
-                          * _chebyshev(n, 0.5 * gamma) / n)
-                         for n in range(2, n_terms + 2))
+    G = A = B = 0.0
+    for n in range(2, n_terms + 2):
+        term = (-2.0 * zeta(n) * math.prod([-x] * n)
+                * _chebyshev(n, 0.5 * gamma) / n)
+        G, A, B = G + term, A + n * term, B + n * (n - 1) * term
     half_g = gamma / (2.0 * math.pi)
     log_2pt = math.log(2.0 * math.pi * theta)
     constant = _arc_term(gamma) / math.pi + half_g * (1.0 - EULER_GAMMA)
@@ -675,8 +666,8 @@ def series_point(bath: CanonicalBath, theta: float,
     """Series-route ThermoPoint for a canonical bath, in the ``low_T`` or
     ``high_T`` regime.
 
-    Low T: one table whose theta^2 coefficient is the bath's
-    :func:`oscbath.baths.static_weight` (0 for the blackbody bath).  High
+    Low T: the bath's own power series through theta^6 in F, from the
+    plan's static weight and power sums (:func:`_low_t_series`).  High
     T: the Ohmic series plus dF = pi theta^2 (1/Omega - 1/Omega')/6, a
     power term of F/theta: 0 for the Ohmic bath, the printed QED term
     pi theta^2 gamma/6 on the blackbody relation.  No regime is checked;
@@ -687,7 +678,7 @@ def series_point(bath: CanonicalBath, theta: float,
         raise ValueError(f"unknown regime {regime!r}")
     _check(theta)
     if regime == "low_T":
-        return _low_t_series(theta, bath.gamma, static_weight(bath), 3)
+        return _low_t_series(bath, [theta], 3)[0]
     G, A, B = _ohmic_high_t_jet(theta, bath.gamma, 6)
     # dF/theta = pi theta (1/Omega - 1/Omega')/6, 0.0 for the Ohmic bath
     shift = math.pi / 6.0 * (1.0 / bath.Omega - 1.0 / bath.OmegaPrime) * theta

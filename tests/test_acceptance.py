@@ -151,10 +151,28 @@ def test_criterion_06_low_temperature_series_order():
                                                         n_terms).F)
                      for t in thetas]
         slopes.append(np.polyfit(np.log(thetas), np.log(residuals), 1)[0])
-    _report(6, "low-T series residual orders: slope 4.0 +- 0.1 (1 term), "
-               "6.0 +- 0.1 (2 terms)",
-            abs(slopes[0] - 4.0) < 0.1 and abs(slopes[1] - 6.0) < 0.1,
-            f" [slopes {slopes[0]:.3f}, {slopes[1]:.3f}]")
+    ohmic_ok = abs(slopes[0] - 4.0) < 0.1 and abs(slopes[1] - 6.0) < 0.1
+    # the finite cutoffs' series, from the same power sums, on a colder
+    # window: the QED bath's least frequency is Omega = 2/3
+    thetas = np.geomspace(0.005, 0.02, 5)
+    cutoff_slopes = []
+    for spec in (SingleRelaxationSpec(gamma=gamma, tau=1.0 / 1.5),
+                 QEDSpec(gamma=gamma, omega_prime=1.0)):
+        bath = baths.canonicalize(spec)
+        exact = thermo.sweep(bath, list(map(float, thetas)))
+        for n_terms in (1, 2, 3):
+            series = thermo._low_t_series(bath, list(map(float, thetas)),
+                                          n_terms)
+            residuals = [abs(e.F - s.F) for e, s in zip(exact, series)]
+            slope = np.polyfit(np.log(thetas), np.log(residuals), 1)[0]
+            cutoff_slopes.append(slope - (2 * n_terms + 2))
+    cutoff_ok = max(map(abs, cutoff_slopes)) < 0.1
+    _report(6, "low-T series residual orders: slope 2n + 2 +- 0.1 for n "
+               "terms (Ohmic n = 1, 2; SRT and QED with Omega' = 1, "
+               "n = 1, 2, 3)",
+            ohmic_ok and cutoff_ok,
+            f" [Ohmic slopes {slopes[0]:.3f}, {slopes[1]:.3f}; SRT, QED "
+            "off by " + ", ".join(f"{d:+.3f}" for d in cutoff_slopes) + "]")
 
 
 def test_criterion_07_third_law():
@@ -169,10 +187,11 @@ def test_criterion_07_third_law():
     bath = baths.canonicalize(QEDSpec(gamma=gamma_qed, omega_prime=1e6))
     point = thermo.thermo_point(bath, 0.02)
     qed_ratio = point.S / 0.02**3
-    qed_target = 4.0 * math.pi**3 * gamma_qed * (3.0 - gamma_qed**2) / 45.0
-    qed_ok = abs(qed_ratio / qed_target - 1.0) < 0.03
+    # the blackbody bath's theta^4 term of F is -pi^3 gamma theta^4/15
+    qed_target = 4.0 * math.pi**3 * gamma_qed / 15.0
+    qed_ok = abs(qed_ratio / qed_target - 1.0) < 0.02
     _report(7, "third law: S/theta -> pi gamma/3 (Ohmic, 1%), "
-               "S/theta^3 -> 4 pi^3 gamma (3-gamma^2)/45 (QED, 3%)",
+               "S/theta^3 -> 4 pi^3 gamma/15 (QED, 2%)",
             ohmic_ok and qed_ok,
             f" [ohmic {ohmic_ratio/ohmic_target-1:+.2%}, "
             f"qed {qed_ratio/qed_target-1:+.2%}]")

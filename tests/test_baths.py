@@ -68,6 +68,20 @@ class TestCanonicalize:
         with pytest.raises(ValueError):
             SingleRelaxationSpec(gamma=2.0, tau=0.5)   # 1/tau = gamma
 
+    @pytest.mark.parametrize("tau", [1e-310, 5e-324, 5e-309])
+    def test_srt_tau_whose_reciprocal_overflows_is_named(self, tau):
+        # 1/tau = inf made a triple (1, inf, inf) that failed as "not on
+        # the relaxation relation", naming cutoffs the spec never had
+        with pytest.raises(ValueError, match=re.escape(
+                f"tau = {tau!r} is too small: 1/tau is inf")):
+            SingleRelaxationSpec(gamma=1.0, tau=tau)
+
+    def test_srt_subnormal_tau_with_a_finite_reciprocal(self):
+        tau = 6e-309
+        bath = canonicalize(SingleRelaxationSpec(gamma=1.0, tau=tau))
+        assert bath.Omega == 1.0 / tau < math.inf
+        assert bath.OmegaPrime == float(1 / Fraction(tau) - 1)
+
     def test_srt_long_memory_builds_without_warning(self, recwarn):
         # tau gamma = 0.4: no advisory; both exact routes are exact here
         bath = canonicalize(SingleRelaxationSpec(gamma=2.0, tau=0.2))

@@ -265,6 +265,12 @@ class TestSweepValidation:
         assert code == 2 and out == ""
         assert "gamma = 1e-15, tau = 1.0 cannot be told from a blackbody" in err
 
+    def test_srt_tau_whose_reciprocal_overflows_named(self, capsys):
+        code, out, err = run(capsys, ["sweep", "--model", "srt", "--gamma",
+                                      "1", "--tau", "1e-310"])
+        assert code == 2 and out == ""
+        assert "tau = 1e-310 is too small" in err
+
     def test_bad_theta_range(self, capsys):
         code, _, err = run(capsys, [
             "sweep", "--model", "ohmic", "--gamma", "1",
@@ -384,6 +390,18 @@ class TestJfun:
         assert code == 0
         assert f"{value.real:.14e} {value.imag:+.14e}j" in out
         assert "method: series" in out
+
+    def test_series_sizes_its_sum_by_default(self, capsys):
+        # 60 terms printed 8.63396764824439e-02 here, 5.5% off
+        code, out, _ = run(capsys, ["jfun", "0.99", "0", "--method",
+                                    "series"])
+        value = float(out.split(" = ")[1].split()[0])
+        assert code == 0
+        assert abs(value - stieltjes.j_jet(0.99)[0].real) < 1e-15
+        code, out, err = run(capsys, ["jfun", "0.999", "0", "--method",
+                                      "series"])
+        assert code == 2 and out == ""
+        assert "z = (0.999+0j) needs > 10000 terms" in err
 
     @pytest.mark.parametrize("method",
                              ["auto", "quadrature", "loggamma", "lanczos"])
@@ -581,44 +599,44 @@ PINNED_COMMON = ("--theta-min", "0.05", "--theta-max", "5", "--points", "3",
 PINNED_SWEEPS = [
     (('--model', 'qed', '--gamma', '0.1', '--omega-prime', '1e3', '--format', 'csv'), """\
 theta,F,S,U,C,method,model
-5.0000000000000003e-02,-1.3477339915710078e-06,1.1022320828068955e-04,4.1634264224634695e-06,3.4509655857212218e-04,low_T_series,qed
+5.0000000000000003e-02,-1.3521696273268241e-06,1.1057800808881132e-04,4.1767307771137416e-06,3.4616065168242632e-04,low_T_series,qed
 5.0000000000000003e-02,-2.4333274113261383e-01,-3.0043798175961257e+02,-1.5265231829113242e+01,3.6071452514181351e+03,high_T_series,qed
-5.0000000000000000e-01,-7.2988441552180927e-02,8.2435642791833974e-01,3.3918977240698894e-01,3.9157626567603732e+00,low_T_series,qed
+5.0000000000000000e-01,-7.3031534364236886e-02,8.2469606518043503e-01,3.3931649822598065e-01,3.9167509371405442e+00,low_T_series,qed
 5.0000000000000000e-01,-7.0174383468604010e-02,4.3092565701323482e-01,1.4528844503801339e-01,6.5721857917703952e-01,high_T_series,qed
-5.0000000000000000e+00,-6.0240986051992659e+04,7.2237678391683352e+04,3.0094740590642416e+05,3.6098237247558543e+05,low_T_series,qed
+5.0000000000000000e+00,-6.0240153434611013e+04,7.2236501774342803e+04,3.0094235543710302e+05,3.6097577948295238e+05,low_T_series,qed
 5.0000000000000000e+00,-7.2749899142814272e+00,2.0906712229075102e+00,3.1783662002561242e+00,4.6993109884734163e-01,high_T_series,qed
 """),
     (('--model', 'srt', '--gamma', '0.5', '--tau', '0.01', '--format', 'json'), """\
 {
   "config": {"model": "srt", "gamma": 5.0000000000000000e-01, "tau": 1.0000000000000000e-02, "omega_prime": null, "theta_min": 5.0000000000000003e-02, "theta_max": 5.0000000000000000e+00, "points": 3, "log": true, "method": "low_T_series,high_T_series", "units": "reduced", "omega0_hz": null},
   "rows": [
-    {"theta": 5.0000000000000003e-02, "F": -6.6071707390381092e-04, "S": 2.6684055506956218e-02, "U": 6.7348570144400003e-04, "C": 2.7742583806940987e-02, "method": "low_T_series", "model": "srt"},
+    {"theta": 5.0000000000000003e-02, "F": -6.6071707383856353e-04, "S": 2.6684055501736432e-02, "U": 6.7348570124825817e-04, "C": 2.7742583791281701e-02, "method": "low_T_series", "model": "srt"},
     {"theta": 5.0000000000000003e-02, "F": -4.1171706662627749e+01, "S": -5.1082115014281999e+03, "U": -2.9658228173403774e+02, "C": 3.6549124613503278e+04, "method": "high_T_series", "model": "srt"},
-    {"theta": 5.0000000000000000e-01, "F": -3.5615790523888669e-01, "S": 3.5133899618568618e+00, "U": 1.4005370756895441e+00, "C": 1.5572233002426836e+01, "method": "low_T_series", "model": "srt"},
+    {"theta": 5.0000000000000000e-01, "F": -3.5615790458671676e-01, "S": 3.5133899566407343e+00, "U": 1.4005370737336504e+00, "C": 1.5572232986785847e+01, "method": "low_T_series", "model": "srt"},
     {"theta": 5.0000000000000000e-01, "F": -1.2125270739515434e-01, "S": 5.7217840659968000e-01, "U": 1.6483649590468566e-01, "C": 6.6874639200780162e-01, "method": "high_T_series", "model": "srt"},
-    {"theta": 5.0000000000000000e+00, "F": -2.3208678420882454e+05, "S": 2.7826205103418458e+05, "U": 1.1592234709620983e+06, "C": 1.3903523681332753e+06, "method": "low_T_series", "model": "srt"},
+    {"theta": 5.0000000000000000e+00, "F": -2.3208678420260779e+05, "S": 2.7826205102933437e+05, "U": 1.1592234709440642e+06, "C": 1.3903523681194640e+06, "method": "low_T_series", "model": "srt"},
     {"theta": 5.0000000000000000e+00, "F": -8.7548649579210522e+00, "S": 2.6270384838385659e+00, "U": 4.3803274612717775e+00, "C": 9.8154084959327703e-01, "method": "high_T_series", "model": "srt"}
   ]
 }
 """),
     (('--model', 'ohmic', '--gamma', '1', '--format', 'csv', '--units', 'si', '--omega0-hz', '1e12'), """\
 theta,T_kelvin,F,S,U,C,method,model
-5.0000000000000003e-02,3.8191162887888230e-01,-1.3896422175514159e-25,7.3262038246509001e-25,1.4083202186197073e-25,7.5245128198255215e-25,low_T_series,ohmic
+5.0000000000000003e-02,3.8191162887888230e-01,-1.3896422175514157e-25,7.3262038246509001e-25,1.4083202186197075e-25,7.5245128198255224e-25,low_T_series,ohmic
 5.0000000000000003e-02,3.8191162887888230e-01,1.0640777573709542e-21,1.9470051772015912e-20,8.4999169439777201e-21,-1.5189842469651993e-19,high_T_series,ohmic
-5.0000000000000000e-01,3.8191162887888228e+00,-3.5693525255701395e-23,3.6861447034399865e-23,1.0508462754170158e-22,1.3636486351592348e-22,low_T_series,ohmic
+5.0000000000000000e-01,3.8191162887888228e+00,-3.5693525255701401e-23,3.6861447034399871e-23,1.0508462754170159e-22,1.3636486351592350e-22,low_T_series,ohmic
 5.0000000000000000e-01,3.8191162887888228e+00,-1.7006028103294294e-23,9.2002543454364174e-24,1.8130813128362076e-23,8.7227740841540444e-24,high_T_series,ohmic
-5.0000000000000000e+00,3.8191162887888225e+01,-1.2898547860224130e-17,2.0215176004892204e-18,6.4305560100792649e-17,1.0088272713376895e-17,low_T_series,ohmic
+5.0000000000000000e+00,3.8191162887888225e+01,-1.2898547860224131e-17,2.0215176004892204e-18,6.4305560100792636e-17,1.0088272713376892e-17,low_T_series,ohmic
 5.0000000000000000e+00,3.8191162887888225e+01,-9.4360674088363061e-22,3.6477456263759191e-23,4.4950973302141541e-22,1.3346098217625382e-23,high_T_series,ohmic
 """),
     (('--model', 'qed', '--gamma', '0.1', '--omega-prime', '1e3', '--format', 'json', '--units', 'si', '--omega0-hz', '2.5e13'), """\
 {
   "config": {"model": "qed", "gamma": 1.0000000000000001e-01, "tau": null, "omega_prime": 1.0000000000000000e+03, "theta_min": 5.0000000000000003e-02, "theta_max": 5.0000000000000000e+00, "points": 3, "log": true, "method": "low_T_series,high_T_series", "units": "si", "omega0_hz": 2.5000000000000000e+13},
   "rows": [
-    {"theta": 5.0000000000000003e-02, "T_kelvin": 9.5477907219720564e+00, "F": -3.5532057108092509e-27, "S": 1.5217956228952575e-27, "U": 1.0976580418207776e-26, "C": 4.7645721849604197e-27, "method": "low_T_series", "model": "qed"},
+    {"theta": 5.0000000000000003e-02, "T_kelvin": 9.5477907219720564e+00, "F": -3.5648999519556542e-27, "S": 1.5266941628980926e-27, "U": 1.1011656411851651e-26, "C": 4.7792635758469027e-27, "method": "low_T_series", "model": "qed"},
     {"theta": 5.0000000000000003e-02, "T_kelvin": 9.5477907219720564e+00, "F": -6.4152962737952798e-22, "S": -4.1479939907842738e-21, "U": -4.0245708167385458e-20, "C": 4.9802014842251974e-20, "method": "high_T_series", "model": "qed"},
-    {"theta": 5.0000000000000000e-01, "T_kelvin": 9.5477907219720564e+01, "F": -1.9242888356920433e-22, "S": 1.1381468778490279e-23, "U": 8.9424993648763697e-22, "C": 5.4062937962935526e-23, "method": "low_T_series", "model": "qed"},
+    {"theta": 5.0000000000000000e-01, "T_kelvin": 9.5477907219720564e+01, "F": -1.9254249473197807e-22, "S": 1.1386157976953025e-23, "U": 8.9458404018062420e-22, "C": 5.4076582646121554e-23, "method": "low_T_series", "model": "qed"},
     {"theta": 5.0000000000000000e-01, "T_kelvin": 9.5477907219720564e+01, "F": -1.8500981770335122e-22, "S": 5.9495707742966570e-24, "U": 3.8304274868210601e-22, "C": 9.0738817412220056e-24, "method": "high_T_series", "model": "qed"},
-    {"theta": 5.0000000000000000e+00, "T_kelvin": 9.5477907219720566e+02, "F": -1.5882111529680387e-16, "S": 9.9734878433799235e-19, "U": 7.9342663167043562e-16, "C": 4.9838995157604459e-18, "method": "low_T_series", "model": "qed"},
+    {"theta": 5.0000000000000000e+00, "T_kelvin": 9.5477907219720566e+02, "F": -1.5881892015974131e-16, "S": 9.9733253938244627e-19, "U": 7.9341331646391384e-16, "C": 4.9838084896735874e-18, "method": "low_T_series", "model": "qed"},
     {"theta": 5.0000000000000000e+00, "T_kelvin": 9.5477907219720566e+02, "F": -1.9179998331401095e-20, "S": 2.8864831332360310e-23, "U": 8.3795385472387159e-21, "C": 6.4880990169248340e-24, "method": "high_T_series", "model": "qed"}
   ]
 }

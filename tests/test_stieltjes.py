@@ -240,6 +240,28 @@ class TestJSeriesSmall:
         z = 0.3j
         assert abs(sj.j_series_small(z, 80) - sj.j_lanczos(z)) < 1e-10
 
+    @pytest.mark.parametrize("z", [0.5, 0.9, 0.99, 0.95j, -0.7 + 0.6j,
+                                   0.3 + 0.4j, 1e-300])
+    def test_default_sums_to_its_bound(self, z):
+        # 60 terms left J 1.6e-4 off at 0.9 and 5.5% at 0.99
+        want = sj.j_jet(z)[0]
+        assert abs(sj.j_series_small(z) - want) <= 1e-14 * abs(want)
+
+    def test_default_keeps_the_bits_where_60_terms_converge(self):
+        # terms below 2^-70 of J leave every bit of the sum as it is
+        for z in (0.5, 0.3 + 0.4j, 0.05j, -0.4 + 0.1j, 1e-3):
+            assert sj.j_series_small(z) == sj.j_series_small(z, 60)
+
+    def test_explicit_terms_keep_their_meaning(self):
+        assert abs(sj.j_series_small(0.99, 60) - 8.63396764824439e-02) < 1e-15
+
+    @pytest.mark.parametrize("z", [0.996, 0.999j, 1.0 - 1e-12])
+    def test_beyond_the_term_cap_names_z(self, z):
+        z = complex(z)
+        with pytest.raises(ValueError, match=re.escape(f"z = {z!r} needs")):
+            sj.j_series_small(z)
+        sj.j_series_small(z, 100)                   # an explicit count
+
     def test_domain(self):
         with pytest.raises(ValueError):
             sj.j_series_small(1.0, 40)

@@ -266,40 +266,76 @@ class TestSweep:
                 thermo.thermo_point(ohmic(1.0), bad, method)
 
 
+def printed_low_t(theta, a, b, c):
+    """F, S, U and C of the printed low-temperature series whose theta^2,
+    theta^4 and theta^6 terms of F are -pi a/6, -pi^3 b/45 and
+    -8 pi^5 c/315, in exact rationals (pi as its float)."""
+    pi, t = Fraction(math.pi), Fraction(theta)
+    return {
+        "F": -(pi * t**2 * a / 6 + pi**3 * t**4 * b / 45
+               + 8 * pi**5 * t**6 * c / 315),
+        "S": (pi * t * a / 3 + 4 * pi**3 * t**3 * b / 45
+              + 16 * pi**5 * t**5 * c / 105),
+        "U": (pi * t**2 * a / 6 + pi**3 * t**4 * b / 15
+              + 8 * pi**5 * t**6 * c / 63),
+        "C": (pi * t * a / 3 + 4 * pi**3 * t**3 * b / 15
+              + 16 * pi**5 * t**5 * c / 21),
+    }
+
+
 class TestOhmicLowTemperature:
     def test_gamma_zero_vanishes(self):
         point = thermo.ohmic_low_temperature(0.1, 0.0)
         assert point.F == point.S == point.U == point.C == 0.0
 
-    @pytest.mark.parametrize("series", [thermo.ohmic_low_temperature,
-                                        thermo.qed_low_temperature])
-    @pytest.mark.parametrize("theta", [1e52, 1e70])
+    @pytest.mark.parametrize("theta, series", [
+        (1e52, thermo.ohmic_low_temperature),
+        (1e70, thermo.ohmic_low_temperature),
+        (1e77, thermo.qed_low_temperature),
+        (1e154, thermo.qed_low_temperature)])
     def test_overflow_names_theta(self, series, theta):
-        # F = theta G overflows at 1e52, theta^5 in G at 1e70
+        # Ohmic: F = theta G overflows at 1e52, theta^5 in G at 1e70; the
+        # point-electron series at gamma = 1 has no theta^2 or theta^6 term,
+        # so U = theta A overflows from ~7.3e76, (2 pi theta)^2 in G from
+        # ~2.1e153
         with pytest.raises(OverflowError, match=re.escape(
                 f"theta = {theta!r} is out of the range of the low_T_series")):
             series(theta, 1.0)
 
-    @pytest.mark.parametrize("series, a", [(thermo.ohmic_low_temperature, 1),
-                                           (thermo.qed_low_temperature, 0)])
-    def test_finite_up_to_the_overflow(self, series, a):
-        # at theta = 1e51 F is ~-7.8e306: the printed truncation, evaluated
-        # in exact rationals (pi as its float), to 4 ulps
-        pi, t, b, c = Fraction(math.pi), Fraction(1e51), 2, 1   # gamma = 1
-        exact = {
-            "F": -(pi * t**2 * a / 6 + pi**3 * t**4 * b / 45
-                   + 8 * pi**5 * t**6 * c / 315),
-            "S": (pi * t * a / 3 + 4 * pi**3 * t**3 * b / 45
-                  + 16 * pi**5 * t**5 * c / 105),
-            "U": (pi * t**2 * a / 6 + pi**3 * t**4 * b / 15
-                  + 8 * pi**5 * t**6 * c / 63),
-            "C": (pi * t * a / 3 + 4 * pi**3 * t**3 * b / 15
-                  + 16 * pi**5 * t**5 * c / 21),
-        }
-        point = series(1e51, 1.0)
-        for name, want in exact.items():
+    @pytest.mark.parametrize("series, theta, a, b, c", [
+        pytest.param(thermo.ohmic_low_temperature, 1e51, 1, 2, 1,
+                     id="ohmic_low_temperature-1"),
+        pytest.param(thermo.qed_low_temperature, 1e76, 0, 3, 0,
+                     id="qed_low_temperature-0")])
+    def test_finite_up_to_the_overflow(self, series, theta, a, b, c):
+        # a decade below the overflow (the Ohmic F is ~-7.8e306 at 1e51, the
+        # point electron's U ~6.2e304 at 1e76): the printed truncation,
+        # evaluated in exact rationals (pi as its float), to 4 ulps.  At
+        # gamma = 1 the coefficients a, b, c of theta^2, theta^4, theta^6
+        # are gamma, gamma(3 - gamma^2), gamma(5 - 5 gamma^2 + gamma^4) for
+        # the Ohmic bath, and 0, 3 gamma, 5 gamma(1 - gamma^2) for the point
+        # electron
+        point = series(theta, 1.0)
+        for name, want in printed_low_t(theta, a, b, c).items():
             got = getattr(point, name)
             assert abs(Fraction(got) - want) <= 4 * math.ulp(float(want)), name
+
+    @pytest.mark.parametrize("gamma", [1e-3, 1e-2, 0.1, 0.5, 1.0, 1.7, 1.9,
+                                       2.0, 2.5, 4.0, 10.0])
+    def test_the_printed_polynomial(self, gamma):
+        # the route sums the power sums of the roots; the paper prints the
+        # polynomials in gamma, the reference here
+        g = Fraction(gamma)
+        table = (g, g * (3 - g * g), g * (5 - 5 * g * g + g**4))
+        for n_terms in (1, 2, 3):
+            coefficients = table[:n_terms] + (0,) * (3 - n_terms)
+            for theta in (1e-4, 1e-3, 1e-2):
+                point = thermo.ohmic_low_temperature(theta, gamma, n_terms)
+                for name, want in printed_low_t(theta,
+                                                *coefficients).items():
+                    got = Fraction(getattr(point, name))
+                    assert abs(got - want) <= 1e-15 * abs(want), (
+                        n_terms, theta, name)
 
     def test_leading_entropy_coefficient(self):
         # S = pi theta gamma / 3 at first order
@@ -426,6 +462,17 @@ class TestQEDSeries:
         # residual: next series order plus the finite-cutoff remainder
         assert abs(series.F - exact) < 1e-9
 
+    @pytest.mark.parametrize("gamma", [0.1, 1.0, 1.9])
+    def test_low_t_is_the_point_electron_series(self, gamma):
+        # the Ohmic table gamma(3 - gamma^2) in place of 3 gamma was 0.33
+        # off at gamma = 1 and had the wrong sign of F at 1.9
+        bath = baths.canonicalize(QEDSpec(gamma=gamma, omega_prime=math.inf))
+        exact = thermo.thermo_point(bath, 1e-3)
+        series = thermo.qed_low_temperature(1e-3, gamma, 2)
+        for name in "FSUC":
+            want = getattr(exact, name)
+            assert abs(getattr(series, name) - want) <= 1e-7 * abs(want), name
+
     def test_high_t_printed_forms(self):
         theta, gamma = 20.0, 0.01
         point = thermo.qed_high_temperature(theta, gamma)
@@ -468,6 +515,18 @@ def cutoff_shift(bath, theta):
     return math.pi / 6.0 * (1.0 / bath.Omega - 1.0 / bath.OmegaPrime) * theta
 
 
+def low_t_cutoff_terms(bath, theta):
+    """What the cutoffs add to the Ohmic low-temperature F through theta^6:
+    theta times cutoff_shift, then the terms of sigma J(c/(2 pi theta))
+    for c = Omega (sigma = +1) and Omega' (sigma = -1) in the theta^4 and
+    theta^6 terms -(pi^3 theta^4/45) sum sigma c^-3 and
+    (8 pi^5 theta^6/315) sum sigma c^-5 of F."""
+    q, p = 1.0 / bath.Omega, 1.0 / bath.OmegaPrime
+    return (theta * cutoff_shift(bath, theta)
+            - math.pi**3 * theta**4 / 45.0 * (q**3 - p**3)
+            + 8.0 * math.pi**5 * theta**6 / 315.0 * (q**5 - p**5))
+
+
 class TestCutoffCorrection:
     """The finite-cutoff correction of the series route, which
     series_point applies inline."""
@@ -479,14 +538,16 @@ class TestCutoffCorrection:
         assert point == thermo.ohmic_high_temperature(theta, 1.0)
 
     def test_qed_value(self):
-        # the blackbody static weight 0 cancels the Ohmic theta^2 term,
-        # a shift of + pi theta^2 gamma / 6
+        # the blackbody static weight 0 cancels the Ohmic theta^2 term, a
+        # shift of + pi theta^2 gamma / 6, and the cutoffs add their powers
+        # to the theta^4 and theta^6 terms
         bath = baths.canonicalize(QEDSpec(gamma=0.1, omega_prime=1e3))
         theta = 0.03
         ohmic_F = thermo.ohmic_low_temperature(theta, 0.1).F
         point = thermo.series_point(bath, theta, "low_T")
         shift = point.F - ohmic_F
-        expected = math.pi * theta**2 * 0.1 / 6.0
+        expected = low_t_cutoff_terms(bath, theta)
+        assert abs(expected - math.pi * theta**2 * 0.1 / 6.0) < 1e-4 * expected
         assert abs(shift - expected) <= 1e-15 * abs(ohmic_F)
 
     def test_srt_small_and_negative(self):
@@ -634,13 +695,19 @@ class TestSeriesPoint:
     ])
     def test_blackbody_bath_takes_the_qed_series(self, spec, regime, theta,
                                                  series):
-        # low T: the printed QED table; high T: the Ohmic series plus the
-        # cutoffs' shift, which on the blackbody relation is the theta^2
-        # term of the printed QED series, pi theta^2 gamma/6
+        # low T: the Ohmic table plus the cutoffs' terms, at Omega' = inf
+        # the printed QED table; high T: the Ohmic series plus the cutoffs'
+        # shift, which on the blackbody relation is the theta^2 term of the
+        # printed QED series, pi theta^2 gamma/6
         bath = baths.canonicalize(spec)
         point = thermo.series_point(bath, theta, regime)
         if regime == "low_T":
-            assert point == series(theta, spec.gamma)
+            # the two parts cancel down to the theta^4 term
+            ohmic_F = thermo.ohmic_low_temperature(theta, spec.gamma).F
+            want = ohmic_F + low_t_cutoff_terms(bath, theta)
+            assert abs(point.F - want) <= 1e-15 * abs(ohmic_F)
+            if spec.omega_prime == math.inf:
+                assert point == series(theta, spec.gamma)
             return
         value = cutoff_shift(bath, theta)
         printed = series(theta, spec.gamma)
@@ -671,7 +738,8 @@ class TestSeriesPoint:
     def test_relaxation_bath_corrects_the_ohmic_series(self, regime, theta,
                                                        series):
         # the low-T table folds the shift into its theta^2 coefficient, the
-        # static weight; the high-T route adds it to the Ohmic series
+        # static weight, and the cutoffs' powers into the theta^4 and
+        # theta^6 terms; the high-T route adds the shift to the Ohmic series
         for tau in (0.01, 0.1):
             bath = baths.canonicalize(SingleRelaxationSpec(gamma=1.0, tau=tau))
             point = thermo.series_point(bath, theta, regime)
@@ -679,6 +747,7 @@ class TestSeriesPoint:
             assert delta < 0.0
             want = series(theta, 1.0).F + delta
             if regime == "low_T":
+                want = series(theta, 1.0).F + low_t_cutoff_terms(bath, theta)
                 assert abs(point.F - want) <= 1e-15 * abs(want)
             else:
                 assert abs(point.F - want) <= 4 * math.ulp(want)
@@ -698,6 +767,28 @@ class TestSeriesPoint:
         bath = baths.canonicalize(SingleRelaxationSpec(gamma=1.0, tau=0.01))
         point = thermo.series_point(bath, 0.05, "low_T")
         assert abs(point.U - point.F - 0.05 * point.S) < 1e-15
+
+    @pytest.mark.parametrize("t, bound", [(0.1, 5e-4), (0.05, 3e-5)])
+    def test_low_t_series_of_every_bath_against_exact(self, t, bound):
+        # t = 2 pi theta/least sets the truncation: the first omitted term
+        # of F/theta is A_3 t^7 P_3; the Ohmic table that every bath took
+        # read 33 off here (QED gamma = 10, Omega' = 1e3)
+        gammas = [1e-4, 1e-3, 1e-2, 0.1, 0.3, 1.0, 2.0, 3.0, 10.0]
+        grid = [ohmic(gamma) for gamma in gammas]
+        for gamma in gammas:
+            for prime in (1e-2, 0.1, 1.0, 10.0, 1e2, 1e3):
+                grid.append(baths.canonicalize(QEDSpec(gamma, prime)))
+                grid.append(CanonicalBath(gamma=gamma, Omega=prime + gamma,
+                                          OmegaPrime=prime,
+                                          relation="relaxation"))
+        for bath in grid:
+            theta = t * thermo._plan(bath).least / (2.0 * math.pi)
+            point = thermo.series_point(bath, theta, "low_T")
+            exact = thermo.thermo_point(bath, theta)
+            for name in "FSUC":
+                want = getattr(exact, name)
+                assert abs(getattr(point, name) - want) <= bound * abs(want), \
+                    (bath, name)
 
 
 def closed_form_reference(model, gamma, theta, tau=None, omega_prime=None,
